@@ -9,7 +9,6 @@ the pytest acceptance module asserts each criterion individually.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 from . import eqrel, fileio, hyperext, orient, palette, perm, tourney, treeset
 from .generate import (
@@ -340,44 +339,27 @@ def criterion_11(seed=DEFAULT_SEED):
         crel = treeset.c_relation(t)
         if not treeset.check_c_axioms(crel).ok:
             c_bad += 1
-        ext = treeset.extend_c_to_d(t)
+        oe = treeset.ordered_extension(t)
+        ext = oe.tree
         drel = treeset.d_relation(ext)
         if not treeset.check_d_axioms(drel).ok:
             d_bad += 1
-        if not _extension_identity_ok(crel, drel, t.v):
+        if treeset.c_to_d_violation(crel, drel) is not None:
             ident_bad += 1
-        oe = treeset.ordered_extension(t)
         if treeset.ordered_compatibility_violation(drel, oe.circular) is not None:
             ordered_bad += 1
-        cext = treeset.colored_extension(t)
-        triples = treeset.triple_coloring(cext)
-        for c in range(triples.n):
-            mono = hyperext.ColoredHypergraph(
-                triples.v,
-                3,
-                2,
-                hyperext.SubsetMap.from_function(
-                    triples.v,
-                    3,
-                    lambda s: 1 if triples.colors.value_for(s) == c else 0,
-                ),
-            )
-            if not hyperext.is_even_hypergraph(mono)[0]:
-                color_bad += 1
-                break
+        if treeset.colored_extension_violation(t, ext) is not None:
+            color_bad += 1
         if not treeset.n_free_check(treeset.pair_coloring(t))[0]:
             nfree_bad += 1
-    demo_ok = True
-    try:
-        rep = treeset.leveled_obstruction_demo()
-        demo_ok = (
-            rep.monotonic_sequences_hold
-            and rep.map_preserves_c
-            and rep.map_breaks_leveling
-            and rep.equal_length_isomorphic
+    fixture = treeset.obstruction_fixture()
+    demo_ok = (
+        treeset.leveled_obstruction_demo().holds
+        and treeset.leveling_violation(
+            treeset.c_relation(fixture), treeset.leveled_pairs_preorder(fixture)
         )
-    except Exception:
-        demo_ok = False
+        is None
+    )
     ok = (
         c_bad == d_bad == ident_bad == ordered_bad == color_bad == nfree_bad == 0
         and demo_ok
@@ -394,25 +376,6 @@ def criterion_11(seed=DEFAULT_SEED):
             f"leveled obstruction demo assertions (i)-(iii): {'pass' if demo_ok else 'FAIL'}",
         ],
     )
-
-
-def _extension_identity_ok(crel, drel, v):
-    for a in range(v):
-        for b in range(v):
-            for c in range(v):
-                if drel.holds(v, a, b, c) != crel.holds(a, b, c):
-                    return False
-    quads = drel.quadruples
-    triples = crel.triples
-    for quad in combinations(range(v), 4):
-        for w, x, y, z in permutations(quad):
-            lhs = (w, x, y, z) in quads
-            rhs = ((w, y, z) in triples and (x, y, z) in triples) or (
-                (y, w, x) in triples and (z, w, x) in triples
-            )
-            if lhs != rhs:
-                return False
-    return True
 
 
 # -- 12: determinism -----------------------------------------------------------------

@@ -7,7 +7,6 @@ exceeded, 3 input error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import acceptance, eqrel, hyperext, orient, palette, perm, tourney, treeset
@@ -52,19 +51,6 @@ def _emit(args, pairs):
         width = max(len(k) for k, _ in pairs)
         for key, value in pairs:
             print(f"{key:<{width}}  {value}")
-
-
-def _worker_cap():
-    raw = os.environ.get("EXTENSOR_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"EXTENSOR_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise InputError("EXTENSOR_THREADS must be at least 1")
-    return cap
 
 
 # -- gen ------------------------------------------------------------------------
@@ -118,14 +104,13 @@ def cmd_extend(args):
     elif isinstance(obj, eqrel.EquivalenceRelation):
         ext = eqrel.forced_extension(obj)
     elif isinstance(obj, treeset.RootedLeafTree):
-        if obj.colors is not None:
-            ext = treeset.colored_extension(obj)
-        else:
-            ext = treeset.extend_c_to_d(obj)
         if obj.plane and args.circ_out:
             oe = treeset.ordered_extension(obj)
+            ext = oe.tree
             with open(args.circ_out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(serialize(oe.circular))
+        else:
+            ext = treeset.extend_c_to_d(obj)
     else:
         raise InputError(f"no extension is defined for {type(obj).__name__}")
     _write_out(args, serialize(ext))
@@ -274,7 +259,7 @@ def cmd_obstruct(args):
                 ("leveling_values", report.leveling_values),
             ],
         )
-        return OK
+        return OK if report.holds else REFUTED
     raise InputError(f"unknown obstruction target {args.target!r}")
 
 
@@ -410,7 +395,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _worker_cap()  # sequential engine: any positive cap is honored
         return args.fn(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)

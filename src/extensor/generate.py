@@ -74,18 +74,6 @@ def random_linear_order(rng: SplitMix64, v) -> LinearOrder:
     return LinearOrder(tuple(rng.shuffled(range(v))))
 
 
-def random_equivalence_classes(rng: SplitMix64, v, num_classes):
-    """Random partition with every class nonempty."""
-    if num_classes > v:
-        raise InputError("more classes than vertices")
-    labels = list(range(num_classes)) + [rng.below(num_classes) for _ in range(v - num_classes)]
-    labels = rng.shuffled(labels)
-    blocks = [set() for _ in range(num_classes)]
-    for x, lab in enumerate(labels):
-        blocks[lab].add(x)
-    return blocks
-
-
 def random_rooted_tree(
     rng: SplitMix64, leaves, n_colors=None, ranked=False, plane=False
 ) -> RootedLeafTree:

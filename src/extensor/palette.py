@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
 
 from .errors import InputError
 
@@ -28,10 +27,6 @@ def enumerate_multisets(n, m):
     if n < 1 or m < 1:
         raise InputError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     return [tuple(t) for t in combinations_with_replacement(range(1, n + 1), m)]
-
-
-def multiset_count(n, m):
-    return comb(n + m - 1, m)
 
 
 def _msub(big, small):

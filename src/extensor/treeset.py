@@ -6,6 +6,10 @@ D(ab; cd) likewise.  Trees are the primary representation (every finite C/D-set
 arises from one); the relations are derived views with standalone axiom
 checkers for independently supplied relation sets.
 
+Constructors construct; `*_violation` functions verify.  The expansions only
+validate their input, and each postcondition lives in one function that
+returns None or the first witness, so a caller checks what it built once.
+
 Paths are kept as node bitmasks, so the axiom scans and the identity between
 D on an extension and C on its base reduce to numpy boolean cubes.
 """
@@ -157,18 +161,6 @@ def parent_map(t: RootedLeafTree):
         for kid in t.kids(u):
             parent[kid] = u
     return parent
-
-
-def depth_map(t: RootedLeafTree):
-    depth = {t.root: 0}
-    stack = [t.root]
-    while stack:
-        node = stack.pop()
-        if node >= t.v:
-            for kid in t.kids(node):
-                depth[kid] = depth[node] + 1
-                stack.append(kid)
-    return depth
 
 
 def leaves_below(t: RootedLeafTree):
@@ -505,10 +497,10 @@ def branching_point(t, points) -> Splitting:
 
 
 def extend_c_to_d(t: RootedLeafTree) -> UnrootedLeafTree:
-    """Attach a new leaf at the root and forget the rooting.
+    """Attach a new leaf x0 = v at the root and forget the rooting.
 
-    The defining rule D(x0 x; yz) <-> C(x; yz) and the disjunction identity
-    relating D on the result to C on the base are verified exhaustively.
+    Node colors and plane structure ride along; `c_to_d_violation` checks the
+    result against C on the base.
     """
     if t.v < 2:
         raise InputError("need at least 2 leaves")
@@ -525,20 +517,7 @@ def extend_c_to_d(t: RootedLeafTree) -> UnrootedLeafTree:
             adj.append(kids + (x0,))
         else:
             adj.append((remap(parent[u]),) + kids)
-    ext = UnrootedLeafTree(t.v + 1, tuple(adj), colors=t.colors, plane=t.plane)
-
-    c_cube = _c_cube(c_relation(t))
-    d_cube = _d_cube(d_relation(ext))
-    if not np.array_equal(d_cube[x0, :x0, :x0, :x0], c_cube):
-        raise InternalCheckError("D(x0 x; yz) does not match C(x; yz)")
-    base = d_cube[:x0, :x0, :x0, :x0]
-    t1 = c_cube[:, None, :, :]  # C(a; cd)
-    t2 = c_cube[None, :, :, :]  # C(b; cd)
-    t3 = np.transpose(c_cube, (1, 2, 0))[:, :, :, None]  # C(c; ab)
-    t4 = np.transpose(c_cube, (1, 2, 0))[:, :, None, :]  # C(d; ab)
-    if not np.array_equal(base, (t1 & t2) | (t3 & t4)):
-        raise InternalCheckError("the D <-> C disjunction identity fails")
-    return ext
+    return UnrootedLeafTree(t.v + 1, tuple(adj), colors=t.colors, plane=t.plane)
 
 
 # ---------------------------------------------------------------------------
@@ -550,23 +529,6 @@ def extend_c_to_d(t: RootedLeafTree) -> UnrootedLeafTree:
 class OrderedExtension:
     tree: UnrootedLeafTree
     circular: CircularOrder
-
-
-def _gamma_cube(circ: CircularOrder):
-    cube = np.zeros((circ.v,) * 3, dtype=bool)
-    for x, y, z in circ.triples:
-        cube[x, y, z] = True
-    return cube
-
-
-def ordered_compatibility_violation(d: DRelation, circ: CircularOrder):
-    """First quadruple where D(xy; zw) meets a forbidden circular arrangement."""
-    dc = _d_cube(d)
-    g = _gamma_cube(circ)[: d.v, : d.v, : d.v]
-    a1 = np.transpose(g, (0, 2, 1))[:, :, :, None] & g[:, :, None, :]
-    b1 = np.moveaxis(g, 0, -1)[None, :, :, :]  # gamma(w, y, z)
-    b2 = np.transpose(g, (2, 1, 0))[:, None, :, :]  # gamma(w, z, x)
-    return _first(dc & (a1 | (b1 & b2)))
 
 
 def order_compatibility_violation(r: CRelation, order):
@@ -585,9 +547,9 @@ def ordered_extension(t: RootedLeafTree, order=None) -> OrderedExtension:
     """Extend a plane tree together with its left-to-right leaf order.
 
     The input order must satisfy the ordered-C compatibility axiom (automatic
-    for the tree's own embedding, checked anyway, and enforced for supplied
-    orders).  The new point closes the order into the counter-clockwise
-    circular order of the extended plane tree.
+    for the tree's own embedding, enforced for supplied orders).  The new point
+    closes the order into the counter-clockwise circular order of the extended
+    plane tree; `ordered_compatibility_violation` checks the pair.
     """
     if not t.plane:
         raise InputError("ordered extension needs a plane tree")
@@ -596,22 +558,17 @@ def ordered_extension(t: RootedLeafTree, order=None) -> OrderedExtension:
     order = tuple(order)
     if sorted(order) != list(range(t.v)):
         raise InputError(f"order must arrange 0..{t.v - 1}, got {order!r}")
-    rel = c_relation(t)
-    bad = order_compatibility_violation(rel, order)
+    bad = order_compatibility_violation(c_relation(t), order)
     if bad:
         raise InputError(
             f"ordered-C axiom fails at {bad}: the first point lies between the others"
         )
-    ext = extend_c_to_d(t)
     circ = CircularOrder.from_cycle(order + (t.v,), ext=t.v)
-    viol = ordered_compatibility_violation(d_relation(ext), circ)
-    if viol:
-        raise InternalCheckError(f"circular compatibility fails at {viol}")
-    return OrderedExtension(ext, circ)
+    return OrderedExtension(extend_c_to_d(t), circ)
 
 
 # ---------------------------------------------------------------------------
-# internally colored expansion
+# internally colored expansion (extend_c_to_d carries the colors)
 # ---------------------------------------------------------------------------
 
 
@@ -645,46 +602,6 @@ def triple_coloring(t: UnrootedLeafTree) -> ColoredHypergraph:
 
     table = SubsetMap.from_function(t.v, 3, color)
     return ColoredHypergraph(t.v, 3, _color_count(t.colors), table)
-
-
-def colored_extension(t: RootedLeafTree) -> UnrootedLeafTree:
-    """Extend an internally colored tree; colors ride along on the nodes.
-
-    Verifies the splitting bijection (add x0 to the initial sector) preserves
-    colors, and that every color class of the induced triple coloring is an
-    even 3-hypergraph.
-    """
-    if t.colors is None:
-        raise InputError("colored extension needs internal colors")
-    ext = extend_c_to_d(t)
-    x0 = t.v
-
-    rooted = {s.node: s for s in splittings(t)}
-    unrooted = {s.node: s for s in splittings(ext)}
-    for u, s in rooted.items():
-        image = unrooted[u + 1]
-        expected = tuple(
-            sorted(s.sectors + (s.initial_sector | {x0},), key=min)
-        )
-        if image.sectors != expected:
-            raise InternalCheckError(f"splitting at node {u} does not correspond")
-        if t.colors[u - t.v] != ext.colors[u + 1 - (t.v + 1)]:
-            raise InternalCheckError(f"splitting color changes at node {u}")
-
-    triples = triple_coloring(ext)
-    for c in range(triples.n):
-        mono = ColoredHypergraph(
-            triples.v,
-            3,
-            2,
-            SubsetMap.from_function(
-                triples.v, 3, lambda s: 1 if triples.colors.value_for(s) == c else 0
-            ),
-        )
-        ok, witness = is_even_hypergraph(mono)
-        if not ok:
-            raise InternalCheckError(f"color {c} class is not even at {witness}")
-    return ext
 
 
 def n_free_check(g: ColoredHypergraph, k=2):
@@ -732,8 +649,8 @@ def leveled_pairs_preorder(t: RootedLeafTree) -> Leveling:
     """Derive the leveling of a ranked tree.
 
     Ranks must strictly increase from the root toward the leaves along every
-    ancestor chain (ties across incomparable nodes are fine); the defining
-    equivalence with C is then verified exhaustively.
+    ancestor chain (ties across incomparable nodes are fine).
+    `leveling_violation` checks the defining equivalence with C.
     """
     if t.ranks is None:
         raise InputError("leveling needs internal ranks")
@@ -746,15 +663,7 @@ def leveled_pairs_preorder(t: RootedLeafTree) -> Leveling:
     ranks = {}
     for a, b in combinations(range(t.v), 2):
         ranks[(a, b)] = t.ranks[lca(t, a, b) - t.v]
-    lev = Leveling(t.v, ranks)
-
-    rel = c_relation(t)
-    for a, b, c in permutations(range(t.v), 3):
-        lhs = rel.holds(a, b, c)
-        rhs = lev.holds((a, b), (b, c)) and not lev.holds((b, c), (a, b))
-        if lhs != rhs:
-            raise InternalCheckError(f"leveling mismatch with C at {(a, b, c)}")
-    return lev
+    return Leveling(t.v, ranks)
 
 
 def c_monotonic_check(seq, rel: CRelation) -> bool:
@@ -849,6 +758,16 @@ class LeveledObstructionReport:
     swap_map: tuple
     leveling_values: tuple
 
+    @property
+    def holds(self):
+        """All four flags: the argument goes through on the fixture."""
+        return (
+            self.monotonic_sequences_hold
+            and self.map_preserves_c
+            and self.map_breaks_leveling
+            and self.equal_length_isomorphic
+        )
+
 
 def obstruction_fixture() -> RootedLeafTree:
     """The 7-point configuration: two rank-2 chains hanging off a common root.
@@ -864,24 +783,21 @@ def obstruction_fixture() -> RootedLeafTree:
 
 
 def leveled_obstruction_demo() -> LeveledObstructionReport:
-    """Run the three assertions of the leveled nonexistence argument.
+    """Evaluate the three assertions of the leveled nonexistence argument.
 
     (i) both 5-point sequences through the extension point are D-monotonic;
     (ii) the swap b -> b', d -> d' preserves C but not the leveling;
     (iii) equal-length C-monotonic sequences are (C, L)-isomorphic.
-    Any failure is a build-breaking defect, raised as an internal error.
+    Each lands in a flag of the report; `holds` says whether all are true.
     """
     t = obstruction_fixture()
     a, b, bp, d, dp, e = range(6)
     x0 = 6
 
-    ext = extend_c_to_d(t)
-    drel = d_relation(ext)
+    drel = d_relation(extend_c_to_d(t))
     seq1 = (a, b, x0, d, e)
     seq2 = (a, bp, x0, dp, e)
     mono = d_monotonic_check(seq1, drel) and d_monotonic_check(seq2, drel)
-    if not mono:
-        raise InternalCheckError("fixture sequences are not D-monotonic")
 
     rel = c_relation(t)
     lev = leveled_pairs_preorder(t)
@@ -891,24 +807,15 @@ def leveled_obstruction_demo() -> LeveledObstructionReport:
         rel.holds(x, y, z) == rel.holds(swap[x], swap[y], swap[z])
         for x, y, z in permutations(domain, 3)
     )
-    if not c_ok:
-        raise InternalCheckError("the swap map does not preserve C")
 
     holds_image = lev.holds((a, bp), (dp, e))
     holds_source = lev.holds((a, b), (d, e))
-    l_broken = holds_image and not holds_source
-    if not l_broken:
-        raise InternalCheckError("the swap map unexpectedly preserves the leveling")
-
-    iso_ok, witness = monotonic_sequences_isomorphic(rel, lev)
-    if not iso_ok:
-        raise InternalCheckError(f"monotonic sequences differ: {witness}")
 
     return LeveledObstructionReport(
         monotonic_sequences_hold=mono,
         map_preserves_c=c_ok,
-        map_breaks_leveling=l_broken,
-        equal_length_isomorphic=iso_ok,
+        map_breaks_leveling=holds_image and not holds_source,
+        equal_length_isomorphic=monotonic_sequences_isomorphic(rel, lev)[0],
         sequences=(seq1, seq2),
         swap_map=tuple(sorted(swap.items())),
         leveling_values=(
@@ -916,6 +823,93 @@ def leveled_obstruction_demo() -> LeveledObstructionReport:
             ("L(ab; de)", holds_source),
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# verification: postconditions of the expansions, None or the first witness
+# ---------------------------------------------------------------------------
+
+
+def c_to_d_violation(crel: CRelation, drel: DRelation):
+    """First quadruple where D on the extension disagrees with C on the base.
+
+    A witness (x0, x, y, z) breaks the defining rule D(x0 x; yz) <-> C(x; yz);
+    one inside the base breaks the disjunction identity
+    D(ab; cd) <-> C(a; cd) C(b; cd) or C(c; ab) C(d; ab).
+    """
+    if drel.v != crel.v + 1:
+        raise InputError("the D-relation must have exactly one more leaf than C")
+    x0 = crel.v
+    c_cube = _c_cube(crel)
+    d_cube = _d_cube(drel)
+    w = _first(d_cube[x0, :x0, :x0, :x0] != c_cube)
+    if w:
+        return (x0,) + w
+    t1 = c_cube[:, None, :, :]  # C(a; cd)
+    t2 = c_cube[None, :, :, :]  # C(b; cd)
+    t3 = np.transpose(c_cube, (1, 2, 0))[:, :, :, None]  # C(c; ab)
+    t4 = np.transpose(c_cube, (1, 2, 0))[:, :, None, :]  # C(d; ab)
+    return _first(d_cube[:x0, :x0, :x0, :x0] != ((t1 & t2) | (t3 & t4)))
+
+
+def _gamma_cube(circ: CircularOrder):
+    cube = np.zeros((circ.v,) * 3, dtype=bool)
+    for x, y, z in circ.triples:
+        cube[x, y, z] = True
+    return cube
+
+
+def ordered_compatibility_violation(d: DRelation, circ: CircularOrder):
+    """First quadruple where D(xy; zw) meets a forbidden circular arrangement."""
+    dc = _d_cube(d)
+    g = _gamma_cube(circ)[: d.v, : d.v, : d.v]
+    a1 = np.transpose(g, (0, 2, 1))[:, :, :, None] & g[:, :, None, :]
+    b1 = np.moveaxis(g, 0, -1)[None, :, :, :]  # gamma(w, y, z)
+    b2 = np.transpose(g, (2, 1, 0))[:, None, :, :]  # gamma(w, z, x)
+    return _first(dc & (a1 | (b1 & b2)))
+
+
+def colored_extension_violation(t: RootedLeafTree, ext: UnrootedLeafTree):
+    """First failure of the colored expansion t -> ext, as a tagged witness.
+
+    ("splitting", u): the splitting at u plus x0 in its initial sector is not
+    the splitting at u's image; ("color", u): u's color does not ride along;
+    ("even", c, w): color class c of the triple coloring is not even at w.
+    """
+    if t.colors is None:
+        raise InputError("colored extension needs internal colors")
+    if ext.v != t.v + 1 or ext.colors is None:
+        raise InputError("the extension must add one leaf and carry colors")
+    x0 = t.v
+    unrooted = {s.node: s for s in splittings(ext)}
+    for s in splittings(t):
+        expected = tuple(sorted(s.sectors + (s.initial_sector | {x0},), key=min))
+        image = unrooted.get(s.node + 1)
+        if image is None or image.sectors != expected:
+            return ("splitting", s.node)
+        if t.colors[s.node - t.v] != ext.colors[s.node + 1 - ext.v]:
+            return ("color", s.node)
+    triples = triple_coloring(ext)
+    for c in range(triples.n):
+        table = SubsetMap.from_function(
+            triples.v, 3, lambda s: 1 if triples.colors.value_for(s) == c else 0
+        )
+        ok, witness = is_even_hypergraph(ColoredHypergraph(triples.v, 3, 2, table))
+        if not ok:
+            return ("even", c, witness)
+    return None
+
+
+def leveling_violation(crel: CRelation, lev: Leveling):
+    """First triple where C(a; bc) disagrees with L(ab; bc) and not L(bc; ab)."""
+    if lev.v != crel.v:
+        raise InputError("the leveling and C must share their leaves")
+    for a, b, c in permutations(range(crel.v), 3):
+        lhs = crel.holds(a, b, c)
+        rhs = lev.holds((a, b), (b, c)) and not lev.holds((b, c), (a, b))
+        if lhs != rhs:
+            return (a, b, c)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,27 @@ def test_obstruct_eqrel_exits_refuted(capsys):
     assert "candidates_examined" in out
 
 
-def test_obstruct_leveled_exits_ok(capsys):
+def test_obstruct_leveled_exits_ok(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from extensor import treeset
+
     code, out, _ = run(["obstruct", "leveled"], capsys)
     assert code == 0
     assert "map_breaks_leveling" in out
+    # a flag that fails is a refutation (exit 1), not an internal error
+    report = treeset.leveled_obstruction_demo()
+    for flag in (
+        "monotonic_sequences_hold",
+        "map_preserves_c",
+        "map_breaks_leveling",
+        "equal_length_isomorphic",
+    ):
+        broken = replace(report, **{flag: False})
+        monkeypatch.setattr(treeset, "leveled_obstruction_demo", lambda: broken)
+        code, out, _ = run(["obstruct", "leveled", "--machine"], capsys)
+        assert code == 1
+        assert f"{flag}=False" in out
 
 
 def test_gen_extend_verify_chain(tmp_path, capsys):
@@ -142,15 +159,6 @@ def test_selftest_subset(capsys):
     assert "result: PASS" in out
 
 
-def test_worker_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("EXTENSOR_THREADS", "2")
-    code, _, _ = run(["palette", "search", "-n", "2"], capsys)
-    assert code == 0
-    monkeypatch.setenv("EXTENSOR_THREADS", "zero")
-    code, _, err = run(["palette", "search", "-n", "2"], capsys)
-    assert code == 3
-
-
 def test_extend_linear_order(tmp_path, capsys):
     lin = tmp_path / "lin.txt"
     lin.write_text("kind lin v=4\norder = 0,1,2,3\n")
@@ -177,6 +185,21 @@ def test_extend_plane_tree_writes_circular_order(tmp_path, capsys):
     assert code == 0
     assert out.startswith("kind dtree v=4\n")
     assert circ.read_text().startswith("kind circ v=4\n")
+
+
+def test_extend_colored_tree_with_and_without_circular_order(tmp_path, capsys):
+    tree = tmp_path / "t.txt"
+    tree.write_text("kind ctree v=4 n=2\nplane = 1\n(0,(1,(2,3)#1)#0)#0\n")
+    code, plain, _ = run(["extend", "--in", str(tree)], capsys)
+    assert code == 0
+    circ = tmp_path / "circ.txt"
+    code, ordered, _ = run(
+        ["extend", "--in", str(tree), "--circ-out", str(circ)], capsys
+    )
+    assert code == 0
+    assert ordered == plain
+    assert plain.startswith("kind dtree v=5 n=2\n") and "#1" in plain
+    assert circ.read_text().startswith("kind circ v=5\n")
 
 
 def test_interpret_c2d(tmp_path, capsys):

@@ -1,34 +1,38 @@
 """Leaf trees, C/D relations, splittings, expansions, the leveled obstruction."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from extensor.errors import InputError
 from extensor.generate import SplitMix64, random_rooted_tree, random_unrooted_tree
-from extensor.hyperext import is_even_hypergraph
-from extensor.structures import SubsetMap
+from extensor.hyperext import ColoredHypergraph, is_even_hypergraph
+from extensor.structures import SubsetMap, apply_permutation
 from extensor.treeset import (
     CRelation,
     DRelation,
+    Leveling,
     RootedLeafTree,
     UnrootedLeafTree,
     branching_point,
     c_monotonic_check,
     c_monotonic_sequences,
     c_relation,
+    c_to_d_violation,
     check_c_axioms,
     check_d_axioms,
-    colored_extension,
+    colored_extension_violation,
     d_monotonic_check,
     d_relation,
     extend_c_to_d,
     leaf_order,
     leveled_obstruction_demo,
     leveled_pairs_preorder,
+    leveling_violation,
     monotonic_sequences_isomorphic,
     n_free_check,
     obstruction_fixture,
+    ordered_compatibility_violation,
     ordered_extension,
     pair_coloring,
     splittings,
@@ -152,9 +156,76 @@ def test_extension_identity_on_random_trees():
     rng = SplitMix64(57)
     for _ in range(25):
         t = random_rooted_tree(rng, 3 + rng.below(8))
-        ext = extend_c_to_d(t)  # verifies both displayed identities internally
+        ext = extend_c_to_d(t)
+        drel = d_relation(ext)
         assert ext.v == t.v + 1
-        assert check_d_axioms(d_relation(ext)).ok
+        assert check_d_axioms(drel).ok
+        assert c_to_d_violation(c_relation(t), drel) is None
+
+
+def _extension_identity_ok(crel, drel, v):
+    """Pure-Python oracle: both displayed identities, one tuple at a time."""
+    for a in range(v):
+        for b in range(v):
+            for c in range(v):
+                if drel.holds(v, a, b, c) != crel.holds(a, b, c):
+                    return False
+    quads = drel.quadruples
+    triples = crel.triples
+    for quad in combinations(range(v), 4):
+        for w, x, y, z in permutations(quad):
+            lhs = (w, x, y, z) in quads
+            rhs = ((w, y, z) in triples and (x, y, z) in triples) or (
+                (y, w, x) in triples and (z, w, x) in triples
+            )
+            if lhs != rhs:
+                return False
+    return True
+
+
+def test_c_to_d_violation_agrees_with_the_loop_oracle():
+    rng = SplitMix64(58)
+    refuted = 0
+    for _ in range(120):
+        leaves = 3 + rng.below(6)
+        t = random_rooted_tree(rng, leaves)
+        other = random_rooted_tree(rng, leaves)  # usually a different tree
+        crel = c_relation(t)
+        drel = d_relation(extend_c_to_d(t))
+        assert c_to_d_violation(crel, drel) is None
+        assert _extension_identity_ok(crel, drel, t.v)
+        foreign = d_relation(extend_c_to_d(other))
+        verdict = c_to_d_violation(crel, foreign) is None
+        assert verdict == _extension_identity_ok(crel, foreign, t.v)
+        refuted += not verdict
+    assert refuted > 50
+
+
+def test_c_to_d_violation_finds_a_swapped_quadruple():
+    t = caterpillar()  # a,(b,(c,d)); x0 = 4
+    crel = c_relation(t)
+    drel = d_relation(extend_c_to_d(t))
+    assert drel.holds(4, 0, 2, 3) and not drel.holds(4, 2, 0, 3)
+    # the defining rule: D(x0 a; cd) traded for D(x0 c; ad)
+    swapped = DRelation(5, drel.quadruples - {(4, 0, 2, 3)} | {(4, 2, 0, 3)})
+    assert c_to_d_violation(crel, swapped) == (4, 0, 2, 3)
+    # the disjunction identity, inside the base: D(ab; cd) traded for D(ac; bd)
+    assert drel.holds(0, 1, 2, 3) and not drel.holds(0, 2, 1, 3)
+    swapped = DRelation(5, drel.quadruples - {(0, 1, 2, 3)} | {(0, 2, 1, 3)})
+    assert c_to_d_violation(crel, swapped) == (0, 1, 2, 3)
+    with pytest.raises(InputError):
+        c_to_d_violation(crel, d_relation(quartet()))
+
+
+def test_ordered_compatibility_violation_finds_a_shuffled_circle():
+    from extensor.tourney import CircularOrder
+
+    oe = ordered_extension(RootedLeafTree(4, ((0, 5), (1, 6), (2, 3)), plane=True))
+    drel = d_relation(oe.tree)
+    assert ordered_compatibility_violation(drel, oe.circular) is None
+    # separating the cherry {2, 3} around the circle crosses D(x0 0; 23)
+    shuffled = CircularOrder.from_cycle((0, 2, 1, 3, 4), ext=4)
+    assert ordered_compatibility_violation(drel, shuffled) is not None
 
 
 def test_splittings_correspond_under_extension():
@@ -192,9 +263,14 @@ def test_pair_coloring_of_colored_caterpillar():
     assert dict(pc.colors.items()) == expected
 
 
+def colored_caterpillar():
+    return RootedLeafTree(4, ((0, 5), (1, 6), (2, 3)), colors=(0, 0, 1))
+
+
 def test_colored_extension_triple_colors():
-    t = RootedLeafTree(4, ((0, 5), (1, 6), (2, 3)), colors=(0, 0, 1))
-    ext = colored_extension(t)
+    t = colored_caterpillar()
+    ext = extend_c_to_d(t)
+    assert colored_extension_violation(t, ext) is None
     tri = triple_coloring(ext)
     for x in (0, 1, 4):
         assert tri.colors.value_for(tuple(sorted((2, 3, x)))) == 1
@@ -203,22 +279,61 @@ def test_colored_extension_triple_colors():
 def test_single_node_tree_is_monochromatic():
     t = RootedLeafTree(3, ((0, 1, 2),), colors=(0,))
     assert set(pair_coloring(t).colors.values) == {0}
-    tri = triple_coloring(colored_extension(t))
-    assert set(tri.colors.values) == {0}
+    ext = extend_c_to_d(t)
+    assert colored_extension_violation(t, ext) is None
+    assert set(triple_coloring(ext).colors.values) == {0}
 
 
 def test_colored_extension_color_classes_are_even():
     rng = SplitMix64(61)
     for _ in range(20):
         t = random_rooted_tree(rng, 4 + rng.below(6), n_colors=2 + rng.below(2))
-        tri = triple_coloring(colored_extension(t))
+        ext = extend_c_to_d(t)
+        assert colored_extension_violation(t, ext) is None
+        tri = triple_coloring(ext)
         for c in range(tri.n):
             mono = SubsetMap.from_function(
                 tri.v, 3, lambda s: 1 if tri.colors.value_for(s) == c else 0
             )
-            from extensor.hyperext import ColoredHypergraph
-
             assert is_even_hypergraph(ColoredHypergraph(tri.v, 3, 2, mono))[0]
+
+
+def test_colored_extension_violation_finds_a_recolored_node():
+    t = colored_caterpillar()
+    ext = extend_c_to_d(t)
+    recolored = UnrootedLeafTree(ext.v, ext.adj, colors=(1, 0, 1))
+    assert colored_extension_violation(t, recolored) == ("color", 4)
+
+
+def test_colored_extension_violation_finds_a_relabeled_node():
+    t = colored_caterpillar()
+    ext = extend_c_to_d(t)
+    # leaves 0 and 3 trade places: the root's 0 | 123 | x0 no longer matches
+    relabeled = apply_permutation(ext, (3, 1, 2, 0, 4))
+    assert colored_extension_violation(t, relabeled) == ("splitting", 4)
+
+
+def test_colored_extension_violation_finds_an_odd_color_class(monkeypatch):
+    import extensor.treeset as treeset
+
+    t = colored_caterpillar()
+    ext = extend_c_to_d(t)
+    honest = triple_coloring(ext)
+    # no recoloring of a tree's nodes can make a class odd, so tamper with the
+    # triple coloring itself: one triple changes class
+    flipped = SubsetMap.from_function(
+        5, 3, lambda s: honest.colors.value_for(s) ^ (s == (0, 1, 2))
+    )
+    monkeypatch.setattr(
+        treeset, "triple_coloring", lambda _: ColoredHypergraph(5, 3, 2, flipped)
+    )
+    tag, color, _ = colored_extension_violation(t, ext)
+    assert (tag, color) == ("even", 0)
+
+
+def test_colored_extension_violation_needs_colors():
+    with pytest.raises(InputError):
+        colored_extension_violation(cherry(), extend_c_to_d(cherry()))
 
 
 def test_n_free_on_tree_colorings():
@@ -229,8 +344,6 @@ def test_n_free_on_tree_colorings():
 
 
 def test_explicit_path_is_caught():
-    from extensor.hyperext import ColoredHypergraph
-
     # color 0 forms the consecutive path 0-1-2-3 on four vertices
     edges = {(0, 1), (1, 2), (2, 3)}
     table = SubsetMap.from_function(4, 2, lambda s: 0 if s in edges else 1)
@@ -241,8 +354,6 @@ def test_explicit_path_is_caught():
 
 
 def test_monochromatic_complete_graph_is_n_free():
-    from extensor.hyperext import ColoredHypergraph
-
     g = ColoredHypergraph(5, 2, 1, SubsetMap.from_function(5, 2, lambda s: 0))
     assert n_free_check(g)[0]
 
@@ -252,6 +363,16 @@ def test_leveling_of_ranked_caterpillar():
     lev = leveled_pairs_preorder(t)
     assert lev.holds((0, 1), (2, 3))
     assert not lev.holds((2, 3), (0, 1))
+
+
+def test_leveling_violation_finds_a_broken_leveling():
+    t = RootedLeafTree(4, ((0, 5), (1, 6), (2, 3)), ranks=(1, 2, 3))
+    crel = c_relation(t)
+    lev = leveled_pairs_preorder(t)
+    assert leveling_violation(crel, lev) is None
+    # lift {2, 3} to the root's level: C(0; 23) stays, the strict L fails
+    broken = Leveling(4, {**lev.pair_ranks, (2, 3): 1})
+    assert leveling_violation(crel, broken) == (0, 2, 3)
 
 
 def test_leveling_rejects_nonmonotone_ranks():
@@ -285,6 +406,7 @@ def test_monotonic_isomorphism_on_random_leveled_trees():
         t = random_rooted_tree(rng, 3 + rng.below(8), ranked=True)
         rel = c_relation(t)
         lev = leveled_pairs_preorder(t)
+        assert leveling_violation(rel, lev) is None
         ok, witness = monotonic_sequences_isomorphic(rel, lev)
         assert ok, witness
 
@@ -302,6 +424,7 @@ def test_obstruction_demo_assertions():
     assert rep.map_preserves_c
     assert rep.map_breaks_leveling
     assert rep.equal_length_isomorphic
+    assert rep.holds
     assert rep.sequences == ((0, 1, 6, 3, 5), (0, 2, 6, 4, 5))
 
 

@@ -10,6 +10,10 @@ The searcher works on the completion function f mapping each 3-multiset to the
 color that closes it into a member, so axiom (1) holds by construction; axiom
 (2) seeds f, and axiom (3) is propagated to closure after every assignment.
 Exhausting the search tree is therefore a nonexistence proof.
+
+Propagation runs on integer ids (see :func:`search_palette`), and each
+4-multiset is numbered only when propagation first meets it, so no table grows
+with the C(n+3, 4) multisets a search never touches.
 """
 
 from __future__ import annotations
@@ -42,16 +46,6 @@ def _msub(big, small):
 
 def _madd(a, b):
     return tuple(sorted(a + b))
-
-
-def _sub3(member):
-    """The (distinct) 3-sub-multisets of a 4-multiset, with their completions."""
-    out = {}
-    for x in set(member):
-        rest = list(member)
-        rest.remove(x)
-        out[tuple(rest)] = x
-    return out
 
 
 def _pairs_within(member):
@@ -172,65 +166,7 @@ class SearchOutcome:
 
 
 DEFAULT_BUDGET_SMALL = 10**6  # n <= 4
-DEFAULT_BUDGET_LARGE = 10**8  # n in 5..7
-
-
-class _Contradiction(Exception):
-    pass
-
-
-class _State:
-    """Partial completion function plus derived members, with an undo trail."""
-
-    def __init__(self, n):
-        self.n = n
-        self.f = {}
-        self.members = set()
-        self.by_pair = {}  # 2-sub-multiset -> list of members
-        self.trail = []
-
-    def mark(self):
-        return len(self.trail)
-
-    def undo(self, mark):
-        while len(self.trail) > mark:
-            kind, key = self.trail.pop()
-            if kind == "f":
-                del self.f[key]
-            elif kind == "m":
-                self.members.discard(key)
-            else:
-                self.by_pair[key].pop()
-
-    def assign(self, triple, color):
-        cur = self.f.get(triple)
-        if cur is not None:
-            if cur != color:
-                raise _Contradiction
-            return
-        self.f[triple] = color
-        self.trail.append(("f", triple))
-        self.require_member(_madd(triple, (color,)))
-
-    def require_member(self, member):
-        if member in self.members:
-            return
-        self.members.add(member)
-        self.trail.append(("m", member))
-        # axiom 1: every 3-sub-multiset completes inside this member
-        for triple, color in sorted(_sub3(member).items()):
-            self.assign(triple, color)
-        # axiom 3: pair with every member sharing a 2-sub-multiset
-        pending = []
-        for s in sorted(_pairs_within(member)):
-            for other in list(self.by_pair.get(s, ())):
-                pending.append(_madd(_msub(member, s), _msub(other, s)))
-            self.by_pair.setdefault(s, []).append(member)
-            self.trail.append(("p", s))
-            # the member pairs with itself too
-            pending.append(_madd(_msub(member, s), _msub(member, s)))
-        for derived in pending:
-            self.require_member(derived)
+DEFAULT_BUDGET_LARGE = 10**8  # n >= 5
 
 
 def search_palette(n, node_budget=None) -> SearchOutcome:
@@ -238,6 +174,15 @@ def search_palette(n, node_budget=None) -> SearchOutcome:
 
     Variables are the 3-multisets in lexicographic order; values are colors in
     ascending order, so search trees (and node counts) are reproducible.
+
+    Pairs and triples are numbered lexicographically, and a 4-multiset gets a
+    member id the first time propagation meets it, together with its triples
+    (with the colors completing them) and its pair splits as ids.  ``f`` is a
+    list over triple ids, the members present are the undo trail, and axiom 3
+    pairs a new member with the complements filed under each of its pairs.
+    Propagation computes the least fixed point of monotone rules, so whether a
+    branch clashes, and which variable it leaves open first, do not depend on
+    the order in which the worklist is drained: neither do the node counts.
     """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
@@ -246,50 +191,113 @@ def search_palette(n, node_budget=None) -> SearchOutcome:
     if node_budget <= 0:
         raise InputError("node budget must be positive")
 
-    state = _State(n)
-    nodes = 0
-    # axiom 2 seeds: {i,i,j,j} members force f({i,i,j}) = j and f({i,j,j}) = i
-    try:
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                state.require_member(tuple(sorted((i, i, j, j))))
-    except _Contradiction:  # pragma: no cover - seeds never clash
-        return SearchOutcome("proven_none", None, 0)
+    triples = enumerate_multisets(n, 3)
+    triple_id = {t: i for i, t in enumerate(triples)}
+    pairs = enumerate_multisets(n, 2)
+    pair_id = {p: i for i, p in enumerate(pairs)}
+    npairs = len(pairs)
 
-    variables = enumerate_multisets(n, 3)
+    members = []  # member id -> sorted 4-multiset
+    member_id = {}
+    sub3 = []  # member id -> [(triple id, the color completing it)]
+    splits = []  # member id -> [(pair id, complement pair id)]
+    joins = {}  # p * npairs + q -> member id of p + q
+    closes = {}  # t * n + c - 1 -> member id of t + (c,)
 
-    class _Budget(Exception):
-        pass
+    def intern(m):
+        i = member_id.get(m)
+        if i is None:
+            i = member_id[m] = len(members)
+            members.append(m)
+            sub3.append([(triple_id[_msub(m, (x,))], x) for x in sorted(set(m))])
+            splits.append(
+                [(pair_id[s], pair_id[_msub(m, s)]) for s in sorted(_pairs_within(m))]
+            )
+        return i
 
-    def dfs():
-        nonlocal nodes
-        var = next((t for t in variables if t not in state.f), None)
-        if var is None:
-            return True
-        for color in range(1, n + 1):
-            nodes += 1
-            if nodes > node_budget:
-                raise _Budget
-            mark = state.mark()
-            try:
-                state.assign(var, color)
-            except _Contradiction:
-                state.undo(mark)
+    f = [0] * len(triples)  # triple id -> completing color, 0 while open
+    by_pair = [[] for _ in range(npairs)]  # pair id -> complements of members
+    trail = []  # ids of the members present, in the order they were added
+
+    def propagate(m):
+        """Add member m and everything axiom 3 derives; False on a clash.
+
+        A member paired with itself derives a doubled pair {a,a,b,b}, which is
+        an axiom-2 seed, so self-pairs are skipped.  On a clash the members
+        added so far stay on the trail for the caller to undo.
+        """
+        work = [m]
+        while work:
+            m = work.pop()
+            sub = sub3[m]
+            t, c = sub[0]
+            if f[t] == c:  # only member t + (c,), which is m, sets f[t] = c
                 continue
-            if dfs():
-                return True
-            state.undo(mark)
-        return False
+            for t, _ in sub:
+                if f[t]:  # t already completes into another member
+                    return False
+            for t, c in sub:
+                f[t] = c
+            trail.append(m)
+            for s, p in splits[m]:
+                bucket = by_pair[s]
+                for q in bucket:
+                    key = p * npairs + q
+                    j = joins.get(key)
+                    if j is None:
+                        j = joins[key] = intern(_madd(pairs[p], pairs[q]))
+                    work.append(j)
+                bucket.append(p)
+        return True
 
-    try:
-        found = dfs()
-    except _Budget:
-        return SearchOutcome("budget_exhausted", None, nodes)
+    def undo(mark):
+        while len(trail) > mark:
+            m = trail.pop()
+            for t, _ in sub3[m]:
+                f[t] = 0
+            for s, _ in splits[m]:
+                by_pair[s].pop()
 
-    if not found:
+    def first_open(start):
+        try:
+            return f.index(0, start)
+        except ValueError:
+            return None
+
+    # axiom 2 seeds: {i,i,j,j} members force f({i,i,j}) = j and f({i,j,j}) = i
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            if not propagate(intern((i, i, j, j))):  # pragma: no cover - never clash
+                return SearchOutcome("proven_none", None, 0)
+
+    # f only grows along a branch, so the next open variable lies after this one
+    nodes = 0
+    var = first_open(0)
+    stack = [] if var is None else [[var, 0, len(trail)]]  # [var, color, mark]
+    while stack:
+        frame = stack[-1]
+        var, color, mark = frame
+        undo(mark)
+        if color == n:
+            stack.pop()
+            continue
+        frame[1] = color = color + 1
+        nodes += 1
+        if nodes > node_budget:
+            return SearchOutcome("budget_exhausted", None, nodes)
+        key = var * n + color - 1
+        m = closes.get(key)
+        if m is None:
+            m = closes[key] = intern(_madd(triples[var], (color,)))
+        if propagate(m):
+            var = first_open(var + 1)
+            if var is None:
+                break
+            stack.append([var, 0, len(trail)])
+    if var is not None:  # the tree is exhausted without assigning every triple
         return SearchOutcome("proven_none", None, nodes)
 
-    palette = Palette(n, frozenset(state.members))
+    palette = Palette(n, frozenset(members[m] for m in trail))
     check = is_palette(palette)
     if not check.ok:  # pragma: no cover - closure guarantees the axioms
         raise InputError(f"search produced a non-palette: axiom {check.axiom}")

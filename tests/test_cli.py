@@ -152,6 +152,14 @@ def test_machine_output_mode(capsys):
     assert "status=proven_none" in out.splitlines()
 
 
+def test_palette_search_pinned_node_counts(capsys):
+    # the counts perfbench/expected.json pins for the benchmark's search jobs
+    for n, nodes in ((10, 6730), (11, 6963)):
+        code, out, _ = run(["palette", "search", "-n", str(n), "--machine"], capsys)
+        assert code == 1
+        assert out.splitlines() == ["status=proven_none", f"nodes={nodes}"]
+
+
 def test_selftest_subset(capsys):
     code, out, _ = run(["selftest", "--only", "4,5,12"], capsys)
     assert code == 0

@@ -6,7 +6,12 @@ import pytest
 
 from extensor.errors import InputError
 from extensor.palette import (
+    DEFAULT_BUDGET_LARGE,
+    DEFAULT_BUDGET_SMALL,
     Palette,
+    _madd,
+    _msub,
+    _pairs_within,
     canonical_palette,
     derive_involution,
     enumerate_multisets,
@@ -211,3 +216,129 @@ def _contains(member, triple):
         else:
             return False
     return True
+
+
+# -- the tuple-based search, kept as the oracle for the id-indexed one --------
+
+
+class _Contradiction(Exception):
+    pass
+
+
+class _Budget(Exception):
+    pass
+
+
+class _State:
+    """Partial completion function plus derived members, with an undo trail."""
+
+    def __init__(self):
+        self.f = {}
+        self.members = set()
+        self.by_pair = {}  # 2-sub-multiset -> list of members
+        self.trail = []
+
+    def undo(self, mark):
+        while len(self.trail) > mark:
+            kind, key = self.trail.pop()
+            if kind == "f":
+                del self.f[key]
+            elif kind == "m":
+                self.members.discard(key)
+            else:
+                self.by_pair[key].pop()
+
+    def assign(self, triple, color):
+        cur = self.f.get(triple)
+        if cur is not None:
+            if cur != color:
+                raise _Contradiction
+            return
+        self.f[triple] = color
+        self.trail.append(("f", triple))
+        self.require_member(_madd(triple, (color,)))
+
+    def require_member(self, member):
+        if member in self.members:
+            return
+        self.members.add(member)
+        self.trail.append(("m", member))
+        # axiom 1: every 3-sub-multiset completes inside this member
+        for x in sorted(set(member)):
+            self.assign(_msub(member, (x,)), x)
+        # axiom 3: pair with every member sharing a 2-sub-multiset
+        pending = []
+        for s in sorted(_pairs_within(member)):
+            for other in list(self.by_pair.get(s, ())):
+                pending.append(_madd(_msub(member, s), _msub(other, s)))
+            self.by_pair.setdefault(s, []).append(member)
+            self.trail.append(("p", s))
+            # the member pairs with itself too
+            pending.append(_madd(_msub(member, s), _msub(member, s)))
+        for derived in pending:
+            self.require_member(derived)
+
+
+def _reference_search(n, node_budget=None):
+    """(status, nodes, members or None) by recursive tuple propagation."""
+    if node_budget is None:
+        node_budget = DEFAULT_BUDGET_SMALL if n <= 4 else DEFAULT_BUDGET_LARGE
+    state = _State()
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            state.require_member((i, i, j, j))
+    variables = enumerate_multisets(n, 3)
+    nodes = 0
+
+    def dfs():
+        nonlocal nodes
+        var = next((t for t in variables if t not in state.f), None)
+        if var is None:
+            return True
+        for color in range(1, n + 1):
+            nodes += 1
+            if nodes > node_budget:
+                raise _Budget
+            mark = len(state.trail)
+            try:
+                state.assign(var, color)
+            except _Contradiction:
+                state.undo(mark)
+                continue
+            if dfs():
+                return True
+            state.undo(mark)
+        return False
+
+    try:
+        found = dfs()
+    except _Budget:
+        return "budget_exhausted", nodes, None
+    if not found:
+        return "proven_none", nodes, None
+    return "found", nodes, frozenset(state.members)
+
+
+def _fast_search(n, node_budget=None):
+    out = search_palette(n, node_budget=node_budget)
+    members = out.palette.members if out.palette is not None else None
+    return out.status, out.nodes, members
+
+
+def test_search_matches_the_tuple_oracle():
+    for n in range(1, 12):
+        assert _fast_search(n) == _reference_search(n), n
+    for n in (1, 2, 4, 8):
+        assert _fast_search(n)[0] == "found"
+
+
+def test_search_matches_the_tuple_oracle_under_budgets():
+    for n in (6, 7, 9):
+        for budget in (1, 5, 6, 40, 100):
+            assert _fast_search(n, budget) == _reference_search(n, budget), (n, budget)
+
+
+def test_search_builds_member_tables_lazily():
+    # an eager table over all C(63, 4) 4-multisets would take minutes and GBs
+    out = search_palette(60, node_budget=1000)
+    assert (out.status, out.nodes) == ("budget_exhausted", 1001)

@@ -3,8 +3,11 @@
 The candidate space for a one-point extension is pinned down to 3-hypergraphs
 whose boundary triples mirror the relation, leaving only interior triples
 free.  Consistency of every derived pair relation (the cheap prefilter) is a
-popcount condition on 4-subsets: each must carry 0, 1 or 4 hyperedges.  The
-few survivors fall to the singleton-type split and the group check.
+popcount condition on 4-subsets: each must carry 0, 1 or 4 hyperedges.  A
+depth-first search over the interior triples enumerates only the candidates
+that meet it, pruning a subtree as soon as one of its quads is decided and
+fails.  The few survivors fall to the singleton-type split and the group
+check.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-
-import numpy as np
 
 from .errors import InputError
 from .hyperext import ColoredHypergraph
@@ -225,13 +226,52 @@ def _interior_shapes(e: EquivalenceRelation):
     return tuple(sorted(shapes))
 
 
+def _consistent_interiors(n_interior, boundary, qmasks):
+    """Every interior assignment under which each quad carries 0, 1 or 4
+    hyperedges, in ascending order.
+
+    A depth-first search sets the interior bits from the top down.  A quad is
+    filed under its lowest interior bit and checked once that bit is set, when
+    all of its triples are known; if it fails, every candidate below agrees
+    with it on that quad, so the subtree is pruned.  Quads without interior
+    triples are fixed by the boundary alone.
+    """
+    interior = (1 << n_interior) - 1
+    by_low = [[] for _ in range(n_interior)]
+    for qmask in qmasks:
+        free = qmask & interior
+        if free:
+            by_low[(free & -free).bit_length() - 1].append(qmask)
+        elif (boundary & qmask).bit_count() not in (0, 1, 4):
+            return []
+    out = []
+    stack = [(n_interior, 0)]  # (bits still open, interior bits set so far)
+    while stack:
+        i, bits = stack.pop()
+        if not i:
+            out.append(bits)
+            continue
+        i -= 1
+        checks = by_low[i]
+        # the 1-branch is pushed first, so the 0-branch is popped first
+        for b in (bits | 1 << i, bits):
+            full = b | boundary
+            if all((full & q).bit_count() in (0, 1, 4) for q in checks):
+                stack.append((i, b))
+    return out
+
+
 def refute_extension(e: EquivalenceRelation, bound=8, max_interior=24) -> RefutationCertificate:
     """Enumerate every boundary-respecting 3-hypergraph on v+1 vertices and
     certify that none is a transitive one-point extension.
 
-    Interior triples occupy the low bits of a colex-indexed triple bitmask, so
-    the candidate space is a contiguous integer range filtered vectorially by
-    the 0/1/4 popcount condition; survivors get the full treatment.
+    Interior triples occupy the low bits of a colex-indexed triple bitmask,
+    so the candidates are the integers below 2^(interior triples), and
+    ``candidates_examined`` counts all of them.  The survivors of the 0/1/4
+    popcount condition are enumerated directly (:func:`_consistent_interiors`);
+    every candidate the search does not reach fails a named quad, and
+    ``first_consistency_witness`` names the quad for the least of them.
+    Survivors get the full treatment.
     """
     v = e.v
     x0 = v
@@ -244,7 +284,6 @@ def refute_extension(e: EquivalenceRelation, bound=8, max_interior=24) -> Refuta
         raise InputError(f"v+1={v + 1} exceeds the automorphism bound {bound}")
 
     all_triples = list(subsets_colex(v + 1, 3))
-    n_triples = len(all_triples)
     # colex puts the triples avoiding the top vertex first
     assert all(x0 not in t for t in all_triples[:n_interior])
     rank_of = {t: i for i, t in enumerate(all_triples)}
@@ -254,30 +293,23 @@ def refute_extension(e: EquivalenceRelation, bound=8, max_interior=24) -> Refuta
         if e.related(t[0], t[1]):
             boundary |= 1 << i
 
-    total = 1 << n_interior
-    cands = np.arange(total, dtype=np.uint64) | np.uint64(boundary)
-
-    ok = np.ones(total, dtype=bool)
     quads = list(combinations(range(v + 1), 4))
-    for quad in quads:
-        bits = [rank_of[t] for t in combinations(quad, 3)]
-        cnt = sum(
-            ((cands >> np.uint64(b)) & np.uint64(1)).astype(np.uint8) for b in bits
-        )
-        ok &= (cnt == 0) | (cnt == 1) | (cnt == 4)
-
-    survivors_idx = np.nonzero(ok)[0]
+    qmasks = [
+        sum(1 << rank_of[t] for t in combinations(quad, 3)) for quad in quads
+    ]
+    survivors_idx = _consistent_interiors(n_interior, boundary, qmasks)
+    total = 1 << n_interior
     consistency_failed = total - len(survivors_idx)
 
     first_witness = None
-    fails = np.nonzero(~ok)[0]
-    if len(fails):
-        bits_val = int(fails[0])
+    if consistency_failed:
+        # the least integer that is not a survivor; survivors come out ascending
+        bits_val = next(
+            (i for i, s in enumerate(survivors_idx) if i != s), len(survivors_idx)
+        )
         mask = bits_val | boundary
-        for quad in quads:
-            cnt = sum(
-                1 for t in combinations(quad, 3) if (mask >> rank_of[t]) & 1
-            )
+        for quad, qmask in zip(quads, qmasks):
+            cnt = (mask & qmask).bit_count()
             if cnt not in (0, 1, 4):
                 first_witness = (bits_val, quad, cnt)
                 break
@@ -299,15 +331,14 @@ def refute_extension(e: EquivalenceRelation, bound=8, max_interior=24) -> Refuta
         )
 
     counts = {
-        "consistency": int(consistency_failed),
+        "consistency": consistency_failed,
         "forcing": 0,
         "type-split": 0,
         "group": 0,
     }
     survivors = []
     passed = 0
-    for idx in survivors_idx:
-        bits_val = int(idx)
+    for bits_val in survivors_idx:
         cand = candidate_from(bits_val)
         matches = bits_val == forced_interior
         split = any(

@@ -93,11 +93,19 @@ def axiom2_violation(p: Palette):
 
 
 def axiom1_violation(p: Palette):
-    """First 3-multiset without a unique completion, or None."""
+    """First 3-multiset without a unique completion, or None.
+
+    Members are indexed once by their distinct 3-sub-multisets, so each
+    3-multiset is a dictionary lookup rather than a scan of the palette.
+    """
+    containing = {}
+    for m in p.members:
+        for t in set(combinations(m, 3)):
+            containing.setdefault(t, []).append(m)
     for t in enumerate_multisets(p.n, 3):
-        containing = sorted(m for m in p.members if _msub(m, t) is not None)
-        if len(containing) != 1:
-            return (t,) + tuple(containing)
+        found = sorted(containing.get(t, ()))
+        if len(found) != 1:
+            return (t,) + tuple(found)
     return None
 
 

@@ -3,12 +3,14 @@
 Groups are kept as fully enumerated element sets (desk scale): the extension
 predicate needs literal set equality between a stabilizer and an automorphism
 group, which generator-based representations would only give indirectly.
-Permutations are plain image tuples.
+Generators are computed on first use, and only :func:`orbits` and
+:func:`is_regular_action` use them.  Permutations are plain image tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations as all_permutations
 
 from .errors import BoundExceededError, InputError
@@ -83,7 +85,6 @@ def fmt_cycles(p):
 class PermutationGroup:
     v: int
     elements: frozenset
-    generators: tuple
     order: int
 
     @classmethod
@@ -91,8 +92,11 @@ class PermutationGroup:
         elements = frozenset(map(tuple, elements))
         if identity(v) not in elements:
             raise InputError("element set lacks the identity")
-        gens = _greedy_generators(v, elements)
-        return cls(v, elements, gens, len(elements))
+        return cls(v, elements, len(elements))
+
+    @cached_property
+    def generators(self):
+        return _greedy_generators(self.v, self.elements)
 
     def sorted_elements(self):
         return sorted(self.elements)
@@ -101,30 +105,33 @@ class PermutationGroup:
         return tuple(p) in self.elements
 
 
-def _closure(v, gens):
-    els = {identity(v)}
-    frontier = [identity(v)]
-    while frontier:
-        nxt = []
-        for g in gens:
-            for h in frontier:
-                c = compose(g, h)
-                if c not in els:
-                    els.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return els
-
-
 def _greedy_generators(v, elements):
+    """The least elements, in sorted order, that each enlarge the span so far.
+
+    `span` is always the group generated by `gens`.  When `e` joins, the new
+    elements are first the coset `e o span`, which is disjoint from `span`;
+    those are then closed under every generator.  Each element is multiplied
+    by each generator once.
+    """
     gens = []
     span = {identity(v)}
     for e in sorted(elements):
-        if e not in span:
-            gens.append(e)
-            span = _closure(v, gens)
-            if len(span) == len(elements):
-                break
+        if e in span:
+            continue
+        gens.append(e)
+        frontier = [tuple(map(e.__getitem__, h)) for h in span]
+        span.update(frontier)
+        while frontier:
+            nxt = []
+            for g in gens:
+                for h in frontier:
+                    c = tuple(map(g.__getitem__, h))
+                    if c not in span:
+                        span.add(c)
+                        nxt.append(c)
+            frontier = nxt
+        if len(span) == len(elements):
+            break
     return tuple(gens)
 
 

@@ -160,6 +160,22 @@ def test_palette_search_pinned_node_counts(capsys):
         assert out.splitlines() == ["status=proven_none", f"nodes={nodes}"]
 
 
+def test_obstruct_eqrel_discrete_six_pinned_counts(capsys):
+    # the v = 6 refutation summary perfbench/expected.json pins; one candidate,
+    # the edgeless extension, passes, so the command exits 0
+    code, out, _ = run(
+        ["obstruct", "eqrel", "--classes", "1+1+1+1+1+1", "--machine"], capsys
+    )
+    assert code == 0
+    rows = dict(line.split("=", 1) for line in out.splitlines())
+    assert rows["candidates_examined"] == "1048576"
+    assert rows["passed"] == "1"
+    assert rows["failed_consistency"] == "1048223"
+    assert rows["failed_forcing"] == "352"
+    assert rows["failed_group"] == "0"
+    assert rows["failed_type-split"] == "0"
+
+
 def test_selftest_subset(capsys):
     code, out, _ = run(["selftest", "--only", "4,5,12"], capsys)
     assert code == 0

@@ -1,5 +1,9 @@
 """Equivalence relations and the exhaustive extension refutation."""
 
+from itertools import combinations
+from math import comb
+
+import numpy as np
 import pytest
 
 from extensor.eqrel import (
@@ -9,8 +13,10 @@ from extensor.eqrel import (
     singleton_type_report,
 )
 from extensor.errors import InputError
+from extensor.generate import SplitMix64, random_linear_order
 from extensor.hyperext import hyperedges
 from extensor.perm import verify_one_point_extension
+from extensor.structures import subsets_colex
 
 
 def test_forced_extension_two_pairs():
@@ -121,3 +127,83 @@ def test_interior_cap():
     e = EquivalenceRelation.from_classes(8, [{0, 1, 2, 3}, {4, 5, 6, 7}])
     with pytest.raises(InputError):
         refute_extension(e)
+
+
+# -- oracle: the vectorized prefilter ------------------------------------------
+
+
+def _reference_prefilter(e):
+    """All 2^interior candidates as one uint64 array, masked quad by quad.
+
+    Returns the survivors (ascending), the number of candidates that fail the
+    0/1/4 condition and the first consistency witness, as the certificate
+    reports them.
+    """
+    v = e.v
+    n_interior = comb(v, 3)
+    all_triples = list(subsets_colex(v + 1, 3))
+    rank_of = {t: i for i, t in enumerate(all_triples)}
+    boundary = 0
+    for i, t in enumerate(all_triples[n_interior:], start=n_interior):
+        if e.related(t[0], t[1]):
+            boundary |= 1 << i
+
+    total = 1 << n_interior
+    cands = np.arange(total, dtype=np.uint64) | np.uint64(boundary)
+    ok = np.ones(total, dtype=bool)
+    quads = list(combinations(range(v + 1), 4))
+    for quad in quads:
+        bits = [rank_of[t] for t in combinations(quad, 3)]
+        cnt = sum(
+            ((cands >> np.uint64(b)) & np.uint64(1)).astype(np.uint8) for b in bits
+        )
+        ok &= (cnt == 0) | (cnt == 1) | (cnt == 4)
+
+    survivors = [int(i) for i in np.nonzero(ok)[0]]
+    witness = None
+    fails = np.nonzero(~ok)[0]
+    if len(fails):
+        bits_val = int(fails[0])
+        mask = bits_val | boundary
+        for quad in quads:
+            cnt = sum(1 for t in combinations(quad, 3) if (mask >> rank_of[t]) & 1)
+            if cnt not in (0, 1, 4):
+                witness = (bits_val, quad, cnt)
+                break
+    return survivors, total - len(survivors), witness
+
+
+def _partitions(n, largest=None):
+    largest = largest or n
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _relations(seed=5):
+    """Every class shape with 2 <= v <= 6 (28 of them), at the identity
+    labeling and at one seeded relabeling."""
+    rng = SplitMix64(seed)
+    for v in range(2, 7):
+        for shape in _partitions(v):
+            for labels in (list(range(v)), random_linear_order(rng, v).order):
+                blocks, start = [], 0
+                for size in shape:
+                    blocks.append({labels[x] for x in range(start, start + size)})
+                    start += size
+                yield EquivalenceRelation.from_classes(v, blocks)
+
+
+def test_survivor_search_matches_vectorized_prefilter():
+    relations = list(_relations())
+    assert len({(e.v, tuple(sorted(map(len, e.classes)))) for e in relations}) == 28
+    for e in relations:
+        cert = refute_extension(e)
+        survivors, failed, witness = _reference_prefilter(e)
+        assert [s.interior_bits for s in cert.survivors] == survivors, e
+        assert cert.failure_counts["consistency"] == failed, e
+        assert cert.first_consistency_witness == witness, e
+        assert cert.candidates_examined == 1 << cert.interior_triples

@@ -12,6 +12,7 @@ from extensor.palette import (
     _madd,
     _msub,
     _pairs_within,
+    axiom1_violation,
     canonical_palette,
     derive_involution,
     enumerate_multisets,
@@ -342,3 +343,32 @@ def test_search_builds_member_tables_lazily():
     # an eager table over all C(63, 4) 4-multisets would take minutes and GBs
     out = search_palette(60, node_budget=1000)
     assert (out.status, out.nodes) == ("budget_exhausted", 1001)
+
+
+# -- oracle: axiom 1 by scanning every member -----------------------------------
+
+
+def _reference_axiom1(p):
+    for t in enumerate_multisets(p.n, 3):
+        containing = sorted(m for m in p.members if _msub(m, t) is not None)
+        if len(containing) != 1:
+            return (t,) + tuple(containing)
+    return None
+
+
+def test_axiom1_index_matches_member_scan():
+    for n in (1, 2, 4, 8, 16):
+        p = canonical_palette(n)
+        members = p.sorted_members()
+        others = [m for m in enumerate_multisets(n, 4) if m not in p.members]
+        variants = [p]
+        # drop a member: some 3-multiset loses its completion
+        for m in {members[0], members[len(members) // 2], members[-1]}:
+            variants.append(Palette(n, p.members - {m}))
+        # add a member: some 3-multiset gains a second completion
+        for m in others[:1] + others[-1:]:
+            variants.append(Palette(n, p.members | {m}))
+        for q in variants:
+            assert axiom1_violation(q) == _reference_axiom1(q)
+        assert axiom1_violation(p) is None
+        assert all(axiom1_violation(q) is not None for q in variants[1:])

@@ -2,13 +2,16 @@
 
 import pytest
 
+from extensor.eqrel import EquivalenceRelation, forced_extension
 from extensor.errors import BoundExceededError, InputError
+from extensor.generate import SplitMix64, random_colored_hypergraph
 from extensor.hyperext import plain_hypergraph
 from extensor.orient import Orientation, extend_orientation
 from extensor.perm import (
     automorphism_group,
     automorphisms_brute,
     compose,
+    identity,
     invert,
     is_regular_action,
     is_transitive,
@@ -151,3 +154,86 @@ def test_degree_jump_on_transitive_pair():
     aut_e = automorphism_group(ext)
     assert is_transitive(aut_t) and is_transitive(aut_e)
     assert len(orbits(aut_e, 2, mode="tuples")) == 1
+
+
+# -- oracle: generators by full closure ----------------------------------------
+
+
+def _closure(v, gens):
+    els = {identity(v)}
+    frontier = [identity(v)]
+    while frontier:
+        nxt = []
+        for g in gens:
+            for h in frontier:
+                c = compose(g, h)
+                if c not in els:
+                    els.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return els
+
+
+def _reference_generators(v, elements):
+    """Greedy generators that recompute the whole closure after each one."""
+    gens = []
+    span = {identity(v)}
+    for e in sorted(elements):
+        if e not in span:
+            gens.append(e)
+            span = _closure(v, gens)
+            if len(span) == len(elements):
+                break
+    return tuple(gens)
+
+
+def _partitions(n, largest=None):
+    largest = largest or n
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _generator_cases():
+    for v in range(2, 8):
+        yield plain_hypergraph(v, 2, [])
+    for v in range(2, 7):
+        for shape in _partitions(v):
+            blocks, start = [], 0
+            for size in shape:
+                blocks.append(set(range(start, start + size)))
+                start += size
+            e = EquivalenceRelation.from_classes(v, blocks)
+            yield e
+            yield forced_extension(e)
+    rng = SplitMix64(2024)
+    for i in range(20):
+        yield random_colored_hypergraph(rng, 3 + i % 5, 2, 2 + i % 2)
+
+
+def test_generators_match_full_closure_greedy():
+    cases = list(_generator_cases())
+    assert len(cases) == 6 + 2 * 28 + 20  # 28 class shapes on 2..6 points
+    for s in cases:
+        group = automorphism_group(s)
+        assert group.generators == _reference_generators(group.v, group.elements)
+
+
+def test_generator_group_orders_match_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for s in _generator_cases():
+        group = automorphism_group(s)
+        gens = [combinatorics.Permutation(list(g)) for g in group.generators]
+        gens = gens or [combinatorics.Permutation(list(identity(group.v)))]
+        assert combinatorics.PermutationGroup(gens).order() == group.order
+
+
+def test_generators_are_computed_on_first_use():
+    group = automorphism_group(plain_hypergraph(5, 2, []))
+    assert "generators" not in vars(group)
+    assert group.order == 120 and is_transitive(group)
+    assert "generators" not in vars(group)
+    assert group.generators is group.generators

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import InputError
+from .errors import BoundExceededError, InputError
 from .hyperext import ColoredHypergraph
 from .perm import ExtensionReport, verify_one_point_extension
 from .structures import (
@@ -25,8 +25,11 @@ from .structures import (
     apply_permutation,
     flatten,
     induced_substructure,
-    subsets_colex,
+    rank_subset,
 )
+
+# interior triples are enumerated as bits, so C(v, 3) is capped (v <= 6)
+MAX_INTERIOR = 24
 
 
 @dataclass(frozen=True)
@@ -261,7 +264,7 @@ def _consistent_interiors(n_interior, boundary, qmasks):
     return out
 
 
-def refute_extension(e: EquivalenceRelation, bound=8, max_interior=24) -> RefutationCertificate:
+def refute_extension(e: EquivalenceRelation, bound=8) -> RefutationCertificate:
     """Enumerate every boundary-respecting 3-hypergraph on v+1 vertices and
     certify that none is a transitive one-point extension.
 
@@ -276,26 +279,25 @@ def refute_extension(e: EquivalenceRelation, bound=8, max_interior=24) -> Refuta
     v = e.v
     x0 = v
     n_interior = comb(v, 3)
-    if n_interior > max_interior:
-        raise InputError(
-            f"{n_interior} interior triples exceed the cap of {max_interior}"
+    if n_interior > MAX_INTERIOR:
+        raise BoundExceededError(
+            f"{n_interior} interior triples exceed the cap of {MAX_INTERIOR}"
         )
     if v + 1 > bound + 1:
-        raise InputError(f"v+1={v + 1} exceeds the automorphism bound {bound}")
+        raise BoundExceededError(f"v+1={v + 1} exceeds the automorphism bound {bound}")
 
-    all_triples = list(subsets_colex(v + 1, 3))
-    # colex puts the triples avoiding the top vertex first
-    assert all(x0 not in t for t in all_triples[:n_interior])
-    rank_of = {t: i for i, t in enumerate(all_triples)}
-
-    boundary = 0
-    for i, t in enumerate(all_triples[n_interior:], start=n_interior):
-        if e.related(t[0], t[1]):
-            boundary |= 1 << i
+    # colex puts the triples avoiding x0 first, so bit r is the triple of rank
+    # r; the forced candidate's boundary triples mirror the relation, as every
+    # candidate's do
+    forced = forced_extension(e)
+    forced_mask = sum(bit << r for r, bit in enumerate(forced.colors.values))
+    interior = (1 << n_interior) - 1
+    boundary = forced_mask & ~interior
+    forced_interior = forced_mask & interior
 
     quads = list(combinations(range(v + 1), 4))
     qmasks = [
-        sum(1 << rank_of[t] for t in combinations(quad, 3)) for quad in quads
+        sum(1 << rank_subset(t) for t in combinations(quad, 3)) for quad in quads
     ]
     survivors_idx = _consistent_interiors(n_interior, boundary, qmasks)
     total = 1 << n_interior
@@ -314,21 +316,10 @@ def refute_extension(e: EquivalenceRelation, bound=8, max_interior=24) -> Refuta
                 first_witness = (bits_val, quad, cnt)
                 break
 
-    forced = forced_extension(e)
-    forced_interior = 0
-    for i, t in enumerate(all_triples[:n_interior]):
-        if forced.colors.value_for(t) == 1:
-            forced_interior |= 1 << i
-
     def candidate_from(bits_val):
         mask = bits_val | boundary
-
-        def color(triple):
-            return (mask >> rank_of[triple]) & 1
-
-        return ColoredHypergraph(
-            v + 1, 3, 2, SubsetMap.from_function(v + 1, 3, color), ext=x0
-        )
+        colors = tuple(mask >> r & 1 for r in range(len(forced.colors.values)))
+        return ColoredHypergraph(v + 1, 3, 2, SubsetMap(v + 1, 3, colors), ext=x0)
 
     counts = {
         "consistency": consistency_failed,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from .errors import InputError, InternalCheckError
+from .perm import parity
 from .structures import (
     RelationalStructure,
     SubsetMap,
@@ -22,20 +23,8 @@ from .structures import (
 
 def tuple_parity(tup):
     """Parity (0/1) of the rearrangement taking sorted(tup) to tup."""
-    order = sorted(range(len(tup)), key=lambda i: tup[i])
-    # order, read as a permutation, has the same parity as the rearrangement
-    seen = [False] * len(order)
-    par = 0
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        par ^= (length - 1) & 1
-    return par
+    # the argsort, read as a permutation, has the same parity as the rearrangement
+    return parity(sorted(range(len(tup)), key=tup.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -347,9 +336,7 @@ def odd_obstruction(k) -> ObstructionCertificate:
     )
 
     # sigma extended by x0 -> x0 is a (k+1)-cycle on k+2 points: odd parity
-    from .perm import parity as perm_parity
-
-    ext_parity = perm_parity(sigma + (v,))
+    ext_parity = parity(sigma + (v,))
     if ext_parity != 1:
         raise InternalCheckError("extended cycle should be an odd permutation")
 

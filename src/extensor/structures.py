@@ -4,13 +4,17 @@ Every specialized structure in this package (colored hypergraphs, orientations,
 hypertournaments, orders, equivalence relations, leaf trees) flattens to a
 :class:`RelationalStructure`, which is the only shape the automorphism engine
 understands.  Subset-indexed data lives in :class:`SubsetMap`, a total table
-keyed by the colex rank of each k-subset.
+keyed by the colex rank of each k-subset.  The colex order of the k-subsets of
+a v-set and each subset's rank are built once per (v, k) and cached, so a table
+lookup is one dictionary probe; a subset is validated only when the probe
+misses, and an invalid one raises :class:`InputError` there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import singledispatch
+from functools import lru_cache, singledispatch
+from itertools import combinations
 from math import comb
 
 from .errors import InputError
@@ -55,15 +59,19 @@ def unrank_subset(rank, k, v):
     return tuple(out)
 
 
-def subsets_colex(v, k):
-    """Yield all k-subsets of {0..v-1} in colex order."""
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, v):
-        for rest in subsets_colex(top, k - 1):
-            yield rest + (top,)
+@lru_cache(maxsize=128)
+def _colex(v, k):
+    """The k-subsets of {0..v-1} in colex order, and a {subset: rank} index."""
+    # lexicographic order on descending tuples, reversed, is colex order
+    order = tuple(
+        s[::-1] for s in reversed(list(combinations(range(v - 1, -1, -1), k)))
+    )
+    return order, {s: r for r, s in enumerate(order)}
 
+
+def subsets_colex(v, k):
+    """Iterate over all k-subsets of {0..v-1} in colex order."""
+    return iter(_colex(v, k)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +81,14 @@ def subsets_colex(v, k):
 
 @dataclass(frozen=True)
 class SubsetMap:
-    """Total map from the k-subsets of {0..v-1} to values, stored in colex order."""
+    """Total map from the k-subsets of {0..v-1} to values, stored in colex order.
+
+    A subset is looked up in the cached colex index of (v, k), so any key
+    that compares and hashes equal to a valid subset tuple resolves to it,
+    such as ``(True, 2)`` for ``(1, 2)``, ``(0.0, 2)`` for ``(0, 2)`` or a
+    tuple of numpy integers.  Any other key is validated: a valid subset given
+    as a list is accepted, and anything else raises :class:`InputError`.
+    """
 
     v: int
     k: int
@@ -90,21 +105,27 @@ class SubsetMap:
 
     @classmethod
     def from_function(cls, v, k, fn):
-        return cls(v, k, tuple(fn(s) for s in subsets_colex(v, k)))
+        return cls(v, k, tuple(map(fn, _colex(v, k)[0])))
+
+    def _rank(self, subset):
+        index = _colex(self.v, self.k)[1]
+        try:
+            return index[subset]
+        except (KeyError, TypeError):
+            subset = tuple(subset)
+            _check_subset(subset, k=self.k, v=self.v)
+            return index[subset]
 
     def value_for(self, subset):
-        _check_subset(tuple(subset), k=self.k, v=self.v)
-        return self.values[rank_subset(tuple(subset))]
+        return self.values[self._rank(subset)]
 
     def items(self):
-        return zip(subsets_colex(self.v, self.k), self.values)
+        return zip(_colex(self.v, self.k)[0], self.values)
 
     def replace(self, subset, value):
         """Functional update of a single entry."""
-        _check_subset(tuple(subset), k=self.k, v=self.v)
-        r = rank_subset(tuple(subset))
         vals = list(self.values)
-        vals[r] = value
+        vals[self._rank(subset)] = value
         return SubsetMap(self.v, self.k, tuple(vals))
 
 

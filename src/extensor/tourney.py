@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from math import factorial
 
-from .errors import InputError
+from .errors import BoundExceededError, InputError
 from .hyperext import ColoredHypergraph
 from .palette import SearchOutcome, search_palette
 from .perm import automorphism_group, is_transitive as group_is_transitive
@@ -227,9 +228,7 @@ def _perm_rank(p):
     """Lexicographic rank of a permutation of 0..k-1 in one-line notation."""
     k = len(p)
     rank = 0
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
+    fact = factorial(k)
     rest = list(range(k))
     for i in range(k):
         fact //= k - i
@@ -240,9 +239,7 @@ def _perm_rank(p):
 
 
 def _perm_unrank(rank, k):
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
+    fact = factorial(k)
     rest = list(range(k))
     out = []
     for i in range(k):
@@ -266,9 +263,7 @@ def interpret_colored_graph(
     if order.v != t.v:
         raise InputError(f"order is on {order.v} points, tournament on {t.v}")
     pos = {x: i for i, x in enumerate(order.order)}
-    fact = 1
-    for i in range(2, t.k + 1):
-        fact *= i
+    fact = factorial(t.k)
 
     def color(subset):
         descending = tuple(sorted(subset, key=lambda x: -pos[x]))
@@ -289,9 +284,7 @@ def tournament_from_colored(
     """Inverse of the interpretation, given the same background order."""
     if order is None:
         order = LinearOrder.identity(g.v)
-    fact = 1
-    for i in range(2, g.k + 1):
-        fact *= i
+    fact = factorial(g.k)
     if g.n != fact:
         raise InputError(f"expected {fact} colors for arity {g.k}, got {g.n}")
     pos = {x: i for i, x in enumerate(order.order)}
@@ -330,9 +323,7 @@ def nonexistence_report(k, budget=None) -> HypertournamentReport:
     """
     if k < 2:
         raise InputError(f"need k >= 2, got {k}")
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
+    fact = factorial(k)
     power = fact & (fact - 1) == 0
     if k == 2:
         return HypertournamentReport(
@@ -379,7 +370,7 @@ def check_regular_condition(t: Hypertournament, t_ext, x0=None, bound=10) -> Reg
     if x0 != t.v:
         raise InputError(f"extension point must be {t.v}, got {x0}")
     if s.v > bound:
-        raise InputError(f"candidate on {s.v} points exceeds bound {bound}")
+        raise BoundExceededError(f"candidate on {s.v} points exceeds bound {bound}")
     k = t.k
     rows = []
     ok = True

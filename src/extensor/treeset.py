@@ -604,10 +604,10 @@ def triple_coloring(t: UnrootedLeafTree) -> ColoredHypergraph:
     return ColoredHypergraph(t.v, 3, _color_count(t.colors), table)
 
 
-def n_free_check(g: ColoredHypergraph, k=2):
+def n_free_check(g: ColoredHypergraph):
     """(flag, witness): no color class restricted to 4 vertices may be a path
     with exactly the three consecutive edges."""
-    if k != 2 or g.k != 2:
+    if g.k != 2:
         raise InputError("N-freeness is a pair-coloring notion (k=2)")
     for quad in combinations(range(g.v), 4):
         for color in range(g.n):

@@ -272,6 +272,20 @@ def test_palette_reduce_file(tmp_path, capsys):
     assert out == "palette n=2\n{1,1,1,1}\n{1,1,2,2}\n{2,2,2,2}\n"
 
 
+def test_obstruct_eqrel_interior_cap_exits_exceeded(capsys):
+    code, out, err = run(["obstruct", "eqrel", "--classes", "1+1+1+1+1+1+1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "bound exceeded: 35 interior triples exceed the cap of 24\n"
+
+
+def test_obstruct_eqrel_automorphism_bound_exits_exceeded(capsys):
+    code, out, err = run(
+        ["obstruct", "eqrel", "--classes", "2+2", "--bound", "3"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == "bound exceeded: v+1=5 exceeds the automorphism bound 3\n"
+
+
 def test_obstruct_eqrel_bad_shape(capsys):
     code, _, err = run(["obstruct", "eqrel", "--classes", "nope"], capsys)
     assert code == 3

@@ -12,7 +12,7 @@ from extensor.eqrel import (
     refute_extension,
     singleton_type_report,
 )
-from extensor.errors import InputError
+from extensor.errors import BoundExceededError, InputError
 from extensor.generate import SplitMix64, random_linear_order
 from extensor.hyperext import hyperedges
 from extensor.perm import verify_one_point_extension
@@ -125,7 +125,7 @@ def test_refutation_consistency_witness_shape():
 
 def test_interior_cap():
     e = EquivalenceRelation.from_classes(8, [{0, 1, 2, 3}, {4, 5, 6, 7}])
-    with pytest.raises(InputError):
+    with pytest.raises(BoundExceededError):
         refute_extension(e)
 
 

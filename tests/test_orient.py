@@ -1,6 +1,6 @@
 """Orientations: evaluation, agreement, evenness, extension, obstruction."""
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -54,6 +54,13 @@ def test_tuple_parity():
     assert tuple_parity((0, 1, 2)) == 0
     assert tuple_parity((2, 0, 3)) == 1
     assert tuple_parity((3, 0, 2)) == 0
+
+
+def test_tuple_parity_is_inversion_count_parity():
+    for r in range(7):
+        for tup in permutations(range(10), r):
+            inversions = sum(a > b for a, b in combinations(tup, 2))
+            assert tuple_parity(tup) == inversions % 2, tup
 
 
 def test_match_map_swaps_difference():

@@ -1,5 +1,6 @@
 """Subset ranking, subset tables, and the uniform relational view."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -39,7 +40,7 @@ def test_rank_unrank_round_trip():
 
 @pytest.mark.parametrize("v", range(1, 13))
 def test_rank_unrank_bijection(v):
-    for k in range(1, min(v, 5) + 1):
+    for k in range(1, v + 1):
         seen = [rank_subset(s) for s in subsets_colex(v, k)]
         assert seen == list(range(comb(v, k)))
         for r in range(comb(v, k)):
@@ -61,6 +62,54 @@ def test_subset_map_totality():
     assert table.value_for((1, 3)) == 4
     with pytest.raises(InputError):
         SubsetMap(5, 2, (0,) * 9)  # one entry short
+
+
+def test_lookup_agrees_with_rank_formula():
+    for v in range(1, 9):
+        for k in range(1, v + 1):
+            table = SubsetMap(v, k, tuple(range(100, 100 + comb(v, k))))
+            for s in combinations(range(v), k):
+                assert table.value_for(s) == table.values[rank_subset(s)]
+                assert table.value_for(list(s)) == table.values[rank_subset(s)]
+                assert table.replace(s, -1).values[rank_subset(s)] == -1
+            assert list(table.items()) == [
+                (s, table.values[rank_subset(s)]) for s in subsets_colex(v, k)
+            ]
+
+
+@pytest.mark.parametrize(
+    "subset",
+    [
+        (1, 3, 4),  # too long
+        (1,),  # too short
+        (),
+        (3, 1),  # unsorted
+        (2, 2),  # repeated
+        (-1, 2),  # negative
+        (1, 5),  # out of range
+        ("a", "b"),  # non-numeric
+        (None, 1),
+        (0.5, 2),  # not an integer
+        ([0], 1),  # unhashable entry
+        [3, 1],  # list forms take the checked path too
+        [1, 5],
+    ],
+)
+def test_lookup_rejects_malformed_subsets(subset):
+    table = SubsetMap.from_function(5, 2, sum)
+    with pytest.raises(InputError):
+        table.value_for(subset)
+    with pytest.raises(InputError):
+        table.replace(subset, 0)
+
+
+def test_lookup_accepts_keys_equal_to_a_subset():
+    np = pytest.importorskip("numpy")
+    table = SubsetMap.from_function(5, 2, sum)
+    assert table.value_for((True, 2)) == 3
+    assert table.value_for((0.0, 4)) == 4
+    assert table.value_for(tuple(np.array([1, 4]))) == 5
+    assert table.replace((True, 2), 0).value_for((1, 2)) == 0
 
 
 def test_flatten_plain_graph_symmetrizes_edges():

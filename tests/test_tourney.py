@@ -2,7 +2,7 @@
 
 import pytest
 
-from extensor.errors import InputError
+from extensor.errors import BoundExceededError, InputError
 from extensor.generate import (
     SplitMix64,
     random_hypertournament,
@@ -147,3 +147,9 @@ def test_regular_condition_checks_vertex_count():
 def test_hypertournament_validates_orderings():
     with pytest.raises(InputError):
         Hypertournament(3, 2, SubsetMap(3, 2, ((0, 1), (0, 1), (1, 2))))
+
+
+def test_regular_condition_refuses_past_bound():
+    t = Hypertournament(3, 2, SubsetMap(3, 2, ((0, 1), (0, 2), (1, 2))))
+    with pytest.raises(BoundExceededError):
+        check_regular_condition(t, circular_from_linear(LinearOrder((0, 1, 2))), bound=3)

@@ -181,7 +181,15 @@ def parse(text: str):
         if len(parts) == 2 and parts[0] in ("ext", "labeling", "plane", "order", "cycle"):
             if parts[0] in ("order", "cycle"):
                 break
-            meta[parts[0]] = parts[1]
+            if parts[0] == "ext":
+                try:
+                    meta["ext"] = int(parts[1])
+                except ValueError:
+                    raise ParseError(i + 1, f"expected an ext vertex, got {parts[1]!r}")
+            elif parts[0] == "labeling":
+                meta["labeling"] = _parse_int_list(parts[1], i + 1)
+            else:
+                meta[parts[0]] = parts[1]
             body_start = i + 1
         else:
             break
@@ -266,8 +274,7 @@ def _parse_chg(fields, meta, body, offset):
         return c
 
     table = _parse_table(fields, body, offset, value)
-    ext = int(meta["ext"]) if "ext" in meta else None
-    labeling = _parse_int_list(meta["labeling"], 1) if "labeling" in meta else None
+    ext, labeling = meta.get("ext"), meta.get("labeling")
     return ColoredHypergraph(fields["v"], fields["k"], n, table, ext=ext, labeling=labeling)
 
 
@@ -278,8 +285,7 @@ def _parse_orient(fields, meta, body, offset):
         return int(text)
 
     table = _parse_table(fields, body, offset, value)
-    ext = int(meta["ext"]) if "ext" in meta else None
-    return Orientation(fields["v"], fields["k"], table, ext=ext)
+    return Orientation(fields["v"], fields["k"], table, ext=meta.get("ext"))
 
 
 def _parse_htour(fields, body, offset):
@@ -317,7 +323,6 @@ def _parse_lin(fields, body, offset):
 
 
 def _parse_circ(fields, meta, body, offset):
-    ext = int(meta["ext"]) if "ext" in meta else None
     for i, line in enumerate(body):
         line = line.strip()
         if not line:
@@ -325,7 +330,7 @@ def _parse_circ(fields, meta, body, offset):
         if not line.startswith("cycle ="):
             raise ParseError(offset + i, f"expected 'cycle = ...', got {line!r}")
         cycle = _parse_int_list(line.split("=", 1)[1].strip(), offset + i)
-        return CircularOrder.from_cycle(cycle, ext=ext)
+        return CircularOrder.from_cycle(cycle, ext=meta.get("ext"))
     raise ParseError(offset, "missing cycle line")
 
 
@@ -370,7 +375,7 @@ class _TreeParser:
 
     def number(self):
         start = self.pos
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":  # str.isdigit admits "¹", int() does not
             self.pos += 1
         if start == self.pos:
             self.fail("expected a number")

@@ -10,13 +10,19 @@ Constructors construct; `*_violation` functions verify.  The expansions only
 validate their input, and each postcondition lives in one function that
 returns None or the first witness, so a caller checks what it built once.
 
-Paths are kept as node bitmasks, so the axiom scans and the identity between
-D on an extension and C on its base reduce to numpy boolean cubes.
+Paths are kept as node bitmasks, so a relation is computed as a numpy boolean
+cube over its leaves, and the cube is what `CRelation` and `DRelation` store
+(packed, one bit per cell).  The axiom scans and the identity between D on an
+extension and C on its base read the cube; `holds` reads its packed bits, and
+the tuple sets (`triples`, `quadruples`) are views built on first read.
+Relations given as tuples enter through `from_tuples`, which validates them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
@@ -194,8 +200,8 @@ def leaf_order(t: RootedLeafTree):
     return tuple(order)
 
 
-def lca(t: RootedLeafTree, a, b):
-    parent = parent_map(t)
+def _meet(parent, a, b):
+    """The lowest common ancestor of a and b under a `parent_map`."""
     anc = set()
     node = a
     while node is not None:
@@ -207,11 +213,14 @@ def lca(t: RootedLeafTree, a, b):
     return node
 
 
-def _ancestor_masks(t: RootedLeafTree):
+def lca(t: RootedLeafTree, a, b):
+    return _meet(parent_map(t), a, b)
+
+
+def _ancestor_masks(parent, v):
     """Bitmask over node ids of each leaf's path to the root (inclusive)."""
-    parent = parent_map(t)
     masks = []
-    for leaf in range(t.v):
+    for leaf in range(v):
         m = 0
         node = leaf
         while node is not None:
@@ -255,62 +264,107 @@ def _leaf_path_masks_unrooted(t: UnrootedLeafTree):
 
 
 @dataclass(frozen=True)
-class CRelation:
-    v: int
-    triples: frozenset
+class _CubeRelation:
+    """A relation of fixed arity on 0..v-1, stored as its packed boolean cube.
 
-    def holds(self, a, b, c):
-        return (a, b, c) in self.triples
+    `bits` is `np.packbits(cube, axis=None)`, so two relations are equal (and
+    hash alike) iff they have the same v and the same tuple set.  The cube and
+    the tuple set are views, unpacked on first read and cached.
+    """
+
+    arity = 0  # set by each subclass
+    v: int
+    bits: bytes
+
+    @classmethod
+    def _from_cube(cls, cube):
+        return cls(cube.shape[0], np.packbits(cube, axis=None).tobytes())
+
+    @classmethod
+    def from_tuples(cls, v, tuples):
+        """The relation holding exactly `tuples`, each a tuple over 0..v-1."""
+        if not isinstance(v, int) or v < 0:
+            raise InputError(f"v must be a non-negative integer, got {v!r}")
+        points = set()
+        for t in tuples:
+            try:
+                point = tuple(map(operator.index, t))
+            except TypeError:
+                raise InputError(f"{t!r} is not a tuple of integers") from None
+            if len(point) != cls.arity or not all(0 <= x < v for x in point):
+                raise InputError(f"{t!r} is not a {cls.arity}-tuple over 0..{v - 1}")
+            points.add(point)
+        cube = np.zeros((v,) * cls.arity, dtype=bool)
+        if points:
+            cube[tuple(np.array(sorted(points)).T)] = True
+        return cls._from_cube(cube)
+
+    @cached_property
+    def cube(self):
+        """The boolean cube, read-only: cube[p] is True iff p is in the relation."""
+        packed = np.frombuffer(self.bits, dtype=np.uint8)
+        cube = np.unpackbits(packed, count=self.v**self.arity).view(bool)
+        cube = cube.reshape((self.v,) * self.arity)
+        cube.flags.writeable = False
+        return cube
+
+    @cached_property
+    def _tuples(self):
+        """The tuple set, built from the cube on first read."""
+        return frozenset(map(tuple, np.argwhere(self.cube).tolist()))
+
+    def _bit(self, i):
+        """Cell i of the cube in row-major order (the packed bits, high bit first)."""
+        return bool(self.bits[i >> 3] & 0x80 >> (i & 7))
 
 
 @dataclass(frozen=True)
-class DRelation:
-    v: int
-    quadruples: frozenset
+class CRelation(_CubeRelation):
+    arity = 3
+
+    @property
+    def triples(self):
+        return self._tuples
+
+    def holds(self, a, b, c):
+        v = self.v
+        in_range = 0 <= a < v and 0 <= b < v and 0 <= c < v
+        return in_range and self._bit((a * v + b) * v + c)
+
+
+@dataclass(frozen=True)
+class DRelation(_CubeRelation):
+    arity = 4
+
+    @property
+    def quadruples(self):
+        return self._tuples
 
     def holds(self, a, b, c, d):
-        return (a, b, c, d) in self.quadruples
-
-
-def _c_cube(r: CRelation):
-    cube = np.zeros((r.v,) * 3, dtype=bool)
-    if r.triples:
-        idx = np.array(sorted(r.triples))
-        cube[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    return cube
-
-
-def _d_cube(r: DRelation):
-    cube = np.zeros((r.v,) * 4, dtype=bool)
-    if r.quadruples:
-        idx = np.array(sorted(r.quadruples))
-        cube[idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]] = True
-    return cube
+        v = self.v
+        in_range = 0 <= a < v and 0 <= b < v and 0 <= c < v and 0 <= d < v
+        return in_range and self._bit(((a * v + b) * v + c) * v + d)
 
 
 def c_relation(t: RootedLeafTree) -> CRelation:
     """C(a; bc) iff the path from a to the root avoids the path from b to c."""
     v = t.v
-    anc = _ancestor_masks(t)
-    pair_path = [[0] * v for _ in range(v)]
-    for b in range(v):
-        for c in range(v):
-            meet = lca(t, b, c)
-            pair_path[b][c] = (anc[b] ^ anc[c]) | (1 << meet)
+    parent = parent_map(t)
+    anc = _ancestor_masks(parent, v)
+    pair_path = [
+        [(anc[b] ^ anc[c]) | (1 << _meet(parent, b, c)) for c in range(v)]
+        for b in range(v)
+    ]
     anc_a = np.array(anc, dtype=np.int64)
     pp = np.array(pair_path, dtype=np.int64)
-    cube = (anc_a[:, None, None] & pp[None, :, :]) == 0
-    triples = frozenset(map(tuple, np.argwhere(cube).tolist()))
-    return CRelation(v, triples)
+    return CRelation._from_cube((anc_a[:, None, None] & pp[None, :, :]) == 0)
 
 
 def d_relation(t: UnrootedLeafTree) -> DRelation:
     """D(ab; cd) iff the path from a to b avoids the path from c to d."""
-    v = t.v
     paths = np.array(_leaf_path_masks_unrooted(t), dtype=np.int64)
     cube = (paths[:, :, None, None] & paths[None, None, :, :]) == 0
-    quads = frozenset(map(tuple, np.argwhere(cube).tolist()))
-    return DRelation(v, quads)
+    return DRelation._from_cube(cube)
 
 
 @dataclass(frozen=True)
@@ -342,7 +396,7 @@ def _first(bad):
 
 def check_c_axioms(r: CRelation) -> AxiomCheck:
     """Exhaustive evaluation of C1-C4 over the full vertex cube."""
-    c = _c_cube(r)
+    c = r.cube
     v = r.v
     w = _first(c & ~c.transpose(0, 2, 1))
     if w:
@@ -365,7 +419,7 @@ def check_c_axioms(r: CRelation) -> AxiomCheck:
 
 def check_d_axioms(r: DRelation) -> AxiomCheck:
     """Exhaustive evaluation of D1-D4 over the full vertex cube."""
-    d = _d_cube(r)
+    d = r.cube
     v = r.v
     w = _first(d & ~(d.transpose(1, 0, 2, 3) & d.transpose(2, 3, 0, 1)))
     if w:
@@ -540,7 +594,7 @@ def order_compatibility_violation(r: CRelation, order):
     py = pos[None, :, None]
     pz = pos[None, None, :]
     between = ((py < px) & (px < pz)) | ((pz < px) & (px < py))
-    return _first(_c_cube(r) & between)
+    return _first(r.cube & between)
 
 
 def ordered_extension(t: RootedLeafTree, order=None) -> OrderedExtension:
@@ -580,8 +634,9 @@ def pair_coloring(t: RootedLeafTree) -> ColoredHypergraph:
     """Color each leaf pair by the color of its branching node."""
     if t.colors is None:
         raise InputError("tree has no internal colors")
+    parent = parent_map(t)
     table = SubsetMap.from_function(
-        t.v, 2, lambda s: t.colors[lca(t, s[0], s[1]) - t.v]
+        t.v, 2, lambda s: t.colors[_meet(parent, s[0], s[1]) - t.v]
     )
     return ColoredHypergraph(t.v, 2, _color_count(t.colors), table)
 
@@ -660,32 +715,29 @@ def leveled_pairs_preorder(t: RootedLeafTree) -> Leveling:
                 raise InputError(
                     f"rank must increase from node {u} to descendant {kid}"
                 )
+    parent = parent_map(t)
     ranks = {}
     for a, b in combinations(range(t.v), 2):
-        ranks[(a, b)] = t.ranks[lca(t, a, b) - t.v]
+        ranks[(a, b)] = t.ranks[_meet(parent, a, b) - t.v]
     return Leveling(t.v, ranks)
+
+
+def _monotonic(seq, rel):
+    """rel holds on every subsequence of seq of rel's arity."""
+    seq = tuple(seq)
+    if len(set(seq)) != len(seq):
+        raise InputError(f"sequence entries must be distinct: {seq}")
+    return all(rel.holds(*sub) for sub in combinations(seq, rel.arity))
 
 
 def c_monotonic_check(seq, rel: CRelation) -> bool:
     """C(a_i; a_j a_k) for all i < j < k."""
-    seq = tuple(seq)
-    if len(set(seq)) != len(seq):
-        raise InputError(f"sequence entries must be distinct: {seq}")
-    return all(
-        rel.holds(seq[i], seq[j], seq[k])
-        for i, j, k in combinations(range(len(seq)), 3)
-    )
+    return _monotonic(seq, rel)
 
 
 def d_monotonic_check(seq, rel: DRelation) -> bool:
     """D(a_i a_j; a_k a_l) for all i < j < k < l."""
-    seq = tuple(seq)
-    if len(set(seq)) != len(seq):
-        raise InputError(f"sequence entries must be distinct: {seq}")
-    return all(
-        rel.holds(seq[i], seq[j], seq[k], seq[l])
-        for i, j, k, l in combinations(range(len(seq)), 4)
-    )
+    return _monotonic(seq, rel)
 
 
 def c_monotonic_sequences(rel: CRelation, length):
@@ -840,8 +892,8 @@ def c_to_d_violation(crel: CRelation, drel: DRelation):
     if drel.v != crel.v + 1:
         raise InputError("the D-relation must have exactly one more leaf than C")
     x0 = crel.v
-    c_cube = _c_cube(crel)
-    d_cube = _d_cube(drel)
+    c_cube = crel.cube
+    d_cube = drel.cube
     w = _first(d_cube[x0, :x0, :x0, :x0] != c_cube)
     if w:
         return (x0,) + w
@@ -861,7 +913,7 @@ def _gamma_cube(circ: CircularOrder):
 
 def ordered_compatibility_violation(d: DRelation, circ: CircularOrder):
     """First quadruple where D(xy; zw) meets a forbidden circular arrangement."""
-    dc = _d_cube(d)
+    dc = d.cube
     g = _gamma_cube(circ)[: d.v, : d.v, : d.v]
     a1 = np.transpose(g, (0, 2, 1))[:, :, :, None] & g[:, :, None, :]
     b1 = np.moveaxis(g, 0, -1)[None, :, :, :]  # gamma(w, y, z)

@@ -146,6 +146,14 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert "totality" in err
 
 
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"kind chg v=3 k=2 n=2\n(0,1) = \xff\n")
+    code, _, err = run(["verify", "even", "--in", str(bad)], capsys)
+    assert code == 3
+    assert "cannot read" in err and "utf-8" in err
+
+
 def test_machine_output_mode(capsys):
     code, out, _ = run(["palette", "search", "-n", "3", "--machine"], capsys)
     assert code == 1

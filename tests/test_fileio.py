@@ -3,7 +3,7 @@
 import pytest
 
 from extensor.eqrel import EquivalenceRelation
-from extensor.errors import ParseError
+from extensor.errors import ExtensorError, ParseError
 from extensor.fileio import parse, serialize
 from extensor.generate import (
     SplitMix64,
@@ -131,3 +131,58 @@ def test_palette_round_trip_text():
     text = serialize(canonical_palette(2))
     assert text == "palette n=2\n{1,1,1,1}\n{1,1,2,2}\n{2,2,2,2}\n"
     assert parse(text) == canonical_palette(2)
+
+
+def _mutate(rng, data):
+    """1-4 random byte substitutions, deletions or insertions."""
+    data = bytearray(data)
+    for _ in range(1 + rng.below(4)):
+        op = rng.below(3)
+        if op == 0 and data:
+            data[rng.below(len(data))] = rng.below(256)
+        elif op == 1 and data:
+            del data[rng.below(len(data))]
+        else:
+            data.insert(rng.below(len(data) + 1), rng.below(256))
+    return bytes(data)
+
+
+def test_mutated_fixtures_raise_only_package_errors():
+    rng = SplitMix64(83)
+    fixtures = [
+        serialize(random_colored_hypergraph(rng, 5, 2, 3)).encode(),
+        serialize(random_orientation(rng, 5, 3)).encode(),
+        serialize(random_hypertournament(rng, 4, 3)).encode(),
+        serialize(random_rooted_tree(rng, 6, ranked=True)).encode(),
+        serialize(random_unrooted_tree(rng, 6)).encode(),
+        # the metadata lines: ext and labeling
+        serialize(extend_colored(random_colored_hypergraph(rng, 4, 2, 2))).encode(),
+        serialize(circular_from_linear(LinearOrder((2, 0, 1)))).encode(),
+    ]
+    rejected = 0
+    for i in range(20000):
+        # latin-1 maps each byte to one code point, so every mutant is text
+        text = _mutate(rng, fixtures[i % len(fixtures)]).decode("latin-1")
+        try:
+            parse(text)
+        except ExtensorError:
+            rejected += 1
+        except Exception as exc:  # report the input that broke the parser
+            raise AssertionError(f"{type(exc).__name__} on {text!r}") from exc
+    assert rejected > 5000  # the mutations do reach the error paths
+
+
+def test_bad_metadata_value_names_its_line():
+    text = "kind circ v=4\next = 3x\ncycle = 0,1,3,2\n"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == 2
+    text = "kind chg v=2 k=2 n=2 \next = 2\nlabeling = 0,a\n(0,1) = 1\n"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == 3
+
+
+def test_tree_term_numbers_are_ascii_digits():
+    with pytest.raises(ParseError):
+        parse("kind ctree v=2\n(0,1\u00b9)\n")

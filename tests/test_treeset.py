@@ -1,7 +1,8 @@
 """Leaf trees, C/D relations, splittings, expansions, the leveled obstruction."""
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 
 from extensor.errors import InputError
@@ -78,6 +79,112 @@ def test_quartet_relation():
     assert not rel.holds(0, 2, 1, 3)
 
 
+def _root_path(parent, node):
+    path = [node]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    return path
+
+
+def _reference_c_relation(t):
+    """Pure-Python C(a; bc): a's path to the root misses the path from b to c."""
+    parent = {kid: t.v + i for i, kids in enumerate(t.children) for kid in kids}
+    up = {x: _root_path(parent, x) for x in range(t.v)}
+    out = set()
+    for a, b, c in product(range(t.v), repeat=3):
+        meet = next(x for x in up[b] if x in up[c])
+        between = up[b][: up[b].index(meet) + 1] + up[c][: up[c].index(meet)]
+        if not set(between) & set(up[a]):
+            out.add((a, b, c))
+    return out
+
+
+def _reference_d_relation(t):
+    """Pure-Python D(ab; cd): the path from a to b misses the path from c to d."""
+    adj = {u: t.neighbors(u) for u in t.internal_ids()}
+    for u in t.internal_ids():
+        adj.update((nb, (u,)) for nb in t.neighbors(u) if nb < t.v)
+
+    def path(a, b):
+        prev = {a: None}
+        queue = [a]
+        for node in queue:
+            for nb in adj[node]:
+                if nb not in prev:
+                    prev[nb] = node
+                    queue.append(nb)
+        nodes = set()
+        while b is not None:
+            nodes.add(b)
+            b = prev[b]
+        return nodes
+
+    paths = {(a, b): path(a, b) for a, b in product(range(t.v), repeat=2)}
+    return {
+        (a, b, c, d)
+        for a, b, c, d in product(range(t.v), repeat=4)
+        if not paths[a, b] & paths[c, d]
+    }
+
+
+def test_relations_match_the_path_oracles():
+    rng = SplitMix64(49)
+    for _ in range(100):
+        t = random_rooted_tree(rng, 3 + rng.below(8))
+        assert c_relation(t).triples == _reference_c_relation(t)
+        ext = extend_c_to_d(t)
+        assert d_relation(ext).quadruples == _reference_d_relation(ext)
+
+
+def test_holds_agrees_with_tuple_membership_in_and_out_of_range():
+    rng = SplitMix64(50)
+    for _ in range(10):
+        t = random_rooted_tree(rng, 3 + rng.below(5))
+        crel = c_relation(t)
+        drel = d_relation(extend_c_to_d(t))
+        for p in product(range(-1, t.v + 1), repeat=3):
+            assert crel.holds(*p) == (p in crel.triples), p
+        for p in product(range(-1, drel.v + 1), repeat=4):
+            assert drel.holds(*p) == (p in drel.quadruples), p
+    # bools and numpy integers index like the ints they equal
+    rel = c_relation(cherry())
+    assert rel.holds(False, True, 2) and not rel.holds(True, False, 2)
+    assert rel.holds(np.int64(0), 1, np.int64(2))
+
+
+def test_from_tuples_round_trips():
+    rng = SplitMix64(52)
+    for _ in range(20):
+        t = random_rooted_tree(rng, 3 + rng.below(8))
+        crel = c_relation(t)
+        drel = d_relation(extend_c_to_d(t))
+        again = CRelation.from_tuples(crel.v, crel.triples)
+        assert again == crel and hash(again) == hash(crel)
+        again = DRelation.from_tuples(drel.v, drel.quadruples)
+        assert again == drel and hash(again) == hash(drel)
+    assert CRelation.from_tuples(3, []) != CRelation.from_tuples(4, [])
+    assert CRelation.from_tuples(3, [(0, 1, 2)]).triples == {(0, 1, 2)}
+
+
+@pytest.mark.parametrize(
+    "v, tuples",
+    [
+        (3, [(0, 1)]),  # wrong arity
+        (3, [(0, 1, 2, 0)]),
+        (3, [(0, 1, 3)]),  # entry out of range
+        (3, [(-1, 1, 2)]),
+        (3, [(0, 1, "2")]),  # not an integer
+        (3, [(0, 1, 2.0)]),
+        (3, [5]),
+        (-1, []),  # bad point count
+        (2.0, []),
+    ],
+)
+def test_from_tuples_refuses_bad_input(v, tuples):
+    with pytest.raises(InputError):
+        CRelation.from_tuples(v, tuples)
+
+
 def test_axioms_on_random_trees():
     rng = SplitMix64(51)
     for _ in range(60):
@@ -88,7 +195,7 @@ def test_axioms_on_random_trees():
 
 def test_constructed_c2_violation():
     rel = c_relation(cherry())
-    broken = CRelation(3, rel.triples | {(1, 0, 2)})
+    broken = CRelation.from_tuples(3, rel.triples | {(1, 0, 2)})
     check = check_c_axioms(broken)
     assert not check.ok
     # C1 scans first: the inserted triple lacks its mirror
@@ -97,7 +204,7 @@ def test_constructed_c2_violation():
 
 def test_constructed_d2_violation():
     rel = d_relation(quartet())
-    broken = DRelation(4, rel.quadruples | {(0, 2, 1, 3), (2, 0, 1, 3), (1, 3, 0, 2), (3, 1, 0, 2), (0, 2, 3, 1), (2, 0, 3, 1), (1, 3, 2, 0), (3, 1, 2, 0)})
+    broken = DRelation.from_tuples(4, rel.quadruples | {(0, 2, 1, 3), (2, 0, 1, 3), (1, 3, 0, 2), (3, 1, 0, 2), (0, 2, 3, 1), (2, 0, 3, 1), (1, 3, 2, 0), (3, 1, 2, 0)})
     check = check_d_axioms(broken)
     assert not check.ok
     assert check.axiom == "D2"
@@ -207,11 +314,15 @@ def test_c_to_d_violation_finds_a_swapped_quadruple():
     drel = d_relation(extend_c_to_d(t))
     assert drel.holds(4, 0, 2, 3) and not drel.holds(4, 2, 0, 3)
     # the defining rule: D(x0 a; cd) traded for D(x0 c; ad)
-    swapped = DRelation(5, drel.quadruples - {(4, 0, 2, 3)} | {(4, 2, 0, 3)})
+    swapped = DRelation.from_tuples(
+        5, drel.quadruples - {(4, 0, 2, 3)} | {(4, 2, 0, 3)}
+    )
     assert c_to_d_violation(crel, swapped) == (4, 0, 2, 3)
     # the disjunction identity, inside the base: D(ab; cd) traded for D(ac; bd)
     assert drel.holds(0, 1, 2, 3) and not drel.holds(0, 2, 1, 3)
-    swapped = DRelation(5, drel.quadruples - {(0, 1, 2, 3)} | {(0, 2, 1, 3)})
+    swapped = DRelation.from_tuples(
+        5, drel.quadruples - {(0, 1, 2, 3)} | {(0, 2, 1, 3)}
+    )
     assert c_to_d_violation(crel, swapped) == (0, 1, 2, 3)
     with pytest.raises(InputError):
         c_to_d_violation(crel, d_relation(quartet()))

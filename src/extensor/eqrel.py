@@ -18,7 +18,15 @@ from math import comb
 
 from .errors import BoundExceededError, InputError
 from .hyperext import ColoredHypergraph
-from .perm import ExtensionReport, verify_one_point_extension
+# verify_one_point_extension stays bound here: perfbench's tracer test checks,
+# through this binding, that a name imported by another module is patched too
+from .perm import (  # noqa: F401
+    ExtensionReport,
+    _extension_report,
+    _Search,
+    automorphism_group,
+    verify_one_point_extension,
+)
 from .structures import (
     RelationalStructure,
     SubsetMap,
@@ -137,6 +145,21 @@ def _equivalence_failure(others, related):
     return None
 
 
+def _side(h: ColoredHypergraph, c):
+    """(is an equivalence, transitivity witness, singleton count) of the pair
+    relation at c."""
+    others, related = _pair_relation(h, c)
+    witness = _equivalence_failure(others, related)
+    partnered = {x for pair in related for x in pair}
+    singletons = sum(1 for x in others if x not in partnered)
+    return witness is None, witness, singletons
+
+
+def _splits(a_side, x_side):
+    """Both sides are equivalences, and only one of them has singletons."""
+    return a_side[0] and x_side[0] and (a_side[2] > 0) != (x_side[2] > 0)
+
+
 @dataclass(frozen=True)
 class SingletonTypeReport:
     vertex: int
@@ -165,32 +188,9 @@ def singleton_type_report(
     if not 0 <= a <= x0:
         raise InputError(f"vertex {a} out of range")
 
-    def side(c):
-        others, related = _pair_relation(h, c)
-        witness = _equivalence_failure(others, related)
-        partnered = {x for pair in related for x in pair}
-        singletons = sum(1 for x in others if x not in partnered)
-        return witness is None, witness, singletons
-
-    a_ok, a_wit, a_single = side(a)
-    x_ok, x_wit, x_single = side(x0)
-    split = (
-        a != x0
-        and a_ok
-        and x_ok
-        and (a_single > 0) != (x_single > 0)
-    )
-    return SingletonTypeReport(
-        vertex=a,
-        vertex_is_equivalence=a_ok,
-        vertex_witness=a_wit,
-        vertex_singletons=a_single,
-        x0=x0,
-        x0_is_equivalence=x_ok,
-        x0_witness=x_wit,
-        x0_singletons=x_single,
-        type_split=split,
-    )
+    a_side, x_side = _side(h, a), _side(h, x0)
+    split = a != x0 and _splits(a_side, x_side)
+    return SingletonTypeReport(a, *a_side, x0, *x_side, split)
 
 
 # -- exhaustive refutation ------------------------------------------------------
@@ -329,13 +329,13 @@ def refute_extension(e: EquivalenceRelation, bound=8) -> RefutationCertificate:
     }
     survivors = []
     passed = 0
+    aut_e = automorphism_group(e, bound=bound + 1)
     for bits_val in survivors_idx:
         cand = candidate_from(bits_val)
         matches = bits_val == forced_interior
-        split = any(
-            singleton_type_report(e, cand, a).type_split for a in range(v)
-        )
-        report = verify_one_point_extension(e, cand, x0, bound=bound)
+        x_side = _side(cand, x0)
+        split = any(_splits(_side(cand, a), x_side) for a in range(v))
+        report = _extension_report(aut_e, _Search(flatten(cand)), x0)
         refuted = not (report.is_one_point_extension and report.is_transitive)
         if not refuted:
             verdict = "PASSED"

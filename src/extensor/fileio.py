@@ -11,12 +11,14 @@ endings, no trailing whitespace.
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import InputError, ParseError
 from .eqrel import EquivalenceRelation
 from .hyperext import ColoredHypergraph
 from .orient import Orientation
 from .palette import Palette
-from .structures import SubsetMap, subsets_colex
+from .structures import SubsetMap, rank_subset, subsets_colex, unrank_subset
 from .tourney import CircularOrder, Hypertournament, LinearOrder
 from .treeset import RootedLeafTree, UnrootedLeafTree
 
@@ -225,6 +227,8 @@ def _parse_table(fields, body, offset, parse_value):
     v, k = fields["v"], fields.get("k")
     if k is None:
         raise ParseError(1, "header lacks k=<arity>")
+    if v < 0 or k < 0:
+        raise ParseError(1, f"header v and k must be natural numbers, got v={v}, k={k}")
     entries = {}
     for i, line in enumerate(body):
         line = line.strip()
@@ -250,11 +254,16 @@ def _parse_table(fields, body, offset, parse_value):
         if subset in entries:
             raise ParseError(offset + i, f"duplicate entry for subset {subset}")
         entries[subset] = parse_value(right.strip(), offset + i)
-    missing = [s for s in subsets_colex(v, k) if s not in entries]
+    # every entry is a distinct in-range k-subset, so counting decides totality;
+    # the least missing rank is at most len(entries)
+    missing = comb(v, k) - len(entries)
     if missing:
+        ranks = {rank_subset(s) for s in entries}
+        least = next(r for r in range(len(entries) + 1) if r not in ranks)
         raise ParseError(
             offset + len(body),
-            f"totality: no value for subset {missing[0]} (and {len(missing) - 1} more)",
+            f"totality: no value for subset {unrank_subset(least, k, v)} "
+            f"(and {missing - 1} more)",
         )
     return SubsetMap(v, k, tuple(entries[s] for s in subsets_colex(v, k)))
 

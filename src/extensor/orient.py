@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from operator import itemgetter
 
 from .errors import InputError, InternalCheckError
 from .perm import parity
@@ -55,12 +56,11 @@ def evaluate(t: Orientation, tup) -> bool:
 
 @flatten.register
 def _(t: Orientation) -> RelationalStructure:
-    tuples = frozenset(
-        p
-        for s, b in t.bits.items()
-        for p in permutations(s)
-        if tuple_parity(p) == b
-    )
+    # s is sorted, so s's rearrangement by an index pattern has the pattern's parity
+    by_parity = ([], [])
+    for p in permutations(range(t.k)):
+        by_parity[tuple_parity(p)].append(itemgetter(*p))
+    tuples = frozenset(get(s) for s, b in t.bits.items() for get in by_parity[b])
     return RelationalStructure(t.v, (("T", t.k, tuples),))
 
 

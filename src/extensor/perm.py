@@ -1,10 +1,12 @@
 """Permutation-group engine: automorphisms, orbits, stabilizers, extension checks.
 
-Groups are kept as fully enumerated element sets (desk scale): the extension
-predicate needs literal set equality between a stabilizer and an automorphism
-group, which generator-based representations would only give indirectly.
-Generators are computed on first use, and only :func:`orbits` and
-:func:`is_regular_action` use them.  Permutations are plain image tuples.
+Groups are kept as fully enumerated element sets (desk scale), found by one
+backtracking search per structure.  The extension check enumerates only the
+stabilizer of the new point, which it compares with Aut(m) as a set of
+permutations, and decides transitivity by one first-hit search per suborbit
+of that stabilizer; it never enumerates Aut(m_ext).  Generators are computed
+on first use, and only :func:`orbits` and :func:`is_regular_action` use them.
+Permutations are plain image tuples.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations as all_permutations
+from math import factorial, perm
+from operator import itemgetter
 
 from .errors import BoundExceededError, InputError
 from .structures import flatten
@@ -138,6 +142,100 @@ def _greedy_generators(v, elements):
 # -- automorphism search ----------------------------------------------------
 
 
+class _Search:
+    """Backtracking automorphism search over one flattened structure.
+
+    Built once per structure.  Vertices are assigned one per step; a vertex
+    may only go to a vertex with the same degree invariant (how often it sits
+    at each position of each relation), and each check tuple is tested at the
+    step that assigns its last vertex.  The check tuples are reduced without
+    changing which permutations pass:
+
+    - a relation holding more than half of all distinct-entry tuples of its
+      arity is checked through its complement, since a permutation is a
+      bijection on those tuples and preserves a set exactly when it preserves
+      the set's complement;
+    - a relation holding every ordering of each of its sets is checked on one
+      sorted ordering per set, whose image must still lie in the relation;
+    - unary relations need no checks, since the invariant already sends
+      members to members.
+    """
+
+    def __init__(self, s):
+        v = self.v = s.v
+        inv = [[] for _ in range(v)]
+        self.checks = []  # (tuple, set its image must lie in)
+        for _, arity, tuples in s.relations:
+            counts = [[0] * arity for _ in range(v)]
+            for t in tuples:
+                for pos, x in enumerate(t):
+                    counts[x][pos] += 1
+            for x in range(v):
+                inv[x] += counts[x]
+            if arity < 2:
+                continue
+            if 2 * len(tuples) > perm(v, arity):
+                tuples = frozenset(all_permutations(range(v), arity)) - tuples
+            sets = {frozenset(t) for t in tuples}
+            if len(tuples) == len(sets) * factorial(arity):
+                self.checks += [(tuple(sorted(t)), tuples) for t in sets]
+            else:
+                self.checks += [(t, tuples) for t in tuples]
+        classes = {}
+        for x in range(v):
+            classes.setdefault(tuple(inv[x]), []).append(x)
+        self.candidates = [classes[tuple(inv[x])] for x in range(v)]
+
+    def run(self, first=None, image=None, stop=False):
+        """Every automorphism, or only those sending `first` to `image`.
+
+        `first` is assigned before the other vertices; with `stop` the search
+        ends at the first automorphism it finds.  Returns a list of image
+        tuples.
+        """
+        v = self.v
+        order = list(range(v))
+        if first is not None:
+            order.remove(first)
+            order.insert(0, first)
+        cands = [self.candidates[x] for x in order]
+        if first is not None:
+            cands[0] = [image] if image in cands[0] else []
+        step = [0] * v
+        for i, x in enumerate(order):
+            step[x] = i
+        steps = [[] for _ in range(v)]
+        for t, rel in self.checks:
+            steps[max(map(step.__getitem__, t))].append((itemgetter(*t), rel))
+
+        images = [0] * v
+        used = [False] * v
+        found = []
+
+        def backtrack(i):
+            if i == v:
+                found.append(tuple(images))
+                return stop
+            x = order[i]
+            checks = steps[i]
+            for y in cands[i]:
+                if used[y]:
+                    continue
+                images[x] = y
+                for get, rel in checks:
+                    if get(images) not in rel:
+                        break
+                else:
+                    used[y] = True
+                    if backtrack(i + 1):
+                        return True
+                    used[y] = False
+            return False
+
+        backtrack(0)
+        return found
+
+
 def automorphism_group(s, bound=AUTOMORPHISM_BOUND) -> PermutationGroup:
     """Exact automorphism group of a structure, by pruned backtracking.
 
@@ -145,59 +243,11 @@ def automorphism_group(s, bound=AUTOMORPHISM_BOUND) -> PermutationGroup:
     launching a factorial search.
     """
     s = flatten(s)
-    v = s.v
-    if v > bound:
+    if s.v > bound:
         raise BoundExceededError(
-            f"automorphism search refused: v={v} exceeds bound {bound}"
+            f"automorphism search refused: v={s.v} exceeds bound {bound}"
         )
-    if v == 0:
-        return PermutationGroup.from_elements(0, [()])
-
-    rel_sets = [tuples for _, _, tuples in s.relations]
-
-    # Degree invariant per vertex: how often it occupies each position of each
-    # relation.  Images must match invariants exactly.
-    inv = [tuple() for _ in range(v)]
-    for x in range(v):
-        vec = []
-        for _, arity, tuples in s.relations:
-            for pos in range(arity):
-                vec.append(sum(1 for t in tuples if t[pos] == x))
-        inv[x] = tuple(vec)
-    candidates = [[y for y in range(v) if inv[y] == inv[x]] for x in range(v)]
-
-    # tuples grouped by their maximum vertex: checkable as soon as that vertex
-    # is assigned (vertices are assigned in index order).
-    by_max = [[] for _ in range(v)]
-    for tuples in rel_sets:
-        for t in tuples:
-            by_max[max(t)].append((tuples, t))
-
-    images = [0] * v
-    used = [False] * v
-    found = []
-
-    def backtrack(i):
-        if i == v:
-            found.append(tuple(images))
-            return
-        for y in candidates[i]:
-            if used[y]:
-                continue
-            images[i] = y
-            ok = True
-            for tuples, t in by_max[i]:
-                if tuple(images[x] for x in t) not in tuples:
-                    ok = False
-                    break
-            if ok:
-                used[y] = True
-                backtrack(i + 1)
-                used[y] = False
-        images[i] = 0
-
-    backtrack(0)
-    return PermutationGroup.from_elements(v, found)
+    return PermutationGroup.from_elements(s.v, _Search(s).run())
 
 
 def automorphisms_brute(s):
@@ -326,20 +376,30 @@ def verify_one_point_extension(m, m_ext, x0=None, bound=VERIFY_BOUND) -> Extensi
             f"extension check refused: v={fm.v} exceeds bound {bound}"
         )
 
-    aut_m = automorphism_group(fm, bound=bound + 1)
-    aut_e = automorphism_group(fe, bound=bound + 1)
+    return _extension_report(automorphism_group(fm, bound=bound + 1), _Search(fe), x0)
 
-    stab = [g for g in aut_e.elements if g[x0] == x0]
-    restricted = frozenset(g[: fm.v] for g in stab)
 
+def _extension_report(aut_m, search_e, x0) -> ExtensionReport:
+    """The report for an extension by x0 = the highest vertex, from Aut(m) and
+    a search over the extension; Aut(m_ext) itself is never enumerated.
+
+    Only Stab(x0) is enumerated.  Transitivity is decided point by point: an
+    old point y is in the orbit of x0 when one search finds an automorphism
+    sending x0 to y, and then so is its whole Stab(x0)-orbit.
+    """
+    stab = search_e.run(first=x0, image=x0)
+    restricted = frozenset(g[:x0] for g in stab)
     ok = restricted == aut_m.elements
-    witness = None
-    if not ok:
-        witness = min(restricted.symmetric_difference(aut_m.elements))
+    orbit = {x0}
+    for y in range(x0):
+        if y not in orbit:
+            if not search_e.run(first=x0, image=y, stop=True):
+                break
+            orbit.update(h[y] for h in stab)
     return ExtensionReport(
         is_one_point_extension=ok,
-        is_transitive=is_transitive(aut_e),
+        is_transitive=len(orbit) == x0 + 1,
         aut_m_order=aut_m.order,
         stabilizer_order=len(stab),
-        witness=witness,
+        witness=None if ok else min(restricted ^ aut_m.elements),
     )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from extensor import structures
 from extensor.eqrel import EquivalenceRelation
 from extensor.errors import ExtensorError, ParseError
 from extensor.fileio import parse, serialize
@@ -16,6 +17,7 @@ from extensor.generate import (
 from extensor.hyperext import extend_colored
 from extensor.orient import extend_orientation
 from extensor.palette import canonical_palette
+from extensor.structures import subsets_colex
 from extensor.tourney import LinearOrder, circular_from_linear
 
 
@@ -66,6 +68,46 @@ def test_missing_subset_reports_totality_error():
         parse(text)
     assert "totality" in str(err.value)
     assert "(1, 2)" in str(err.value)
+
+
+def test_totality_error_matches_colex_scan():
+    # the message names the colex-first missing subset and counts the rest
+    rng = SplitMix64(89)
+    for v, k in [(2, 2), (3, 2), (5, 2), (5, 3), (6, 4), (7, 3)]:
+        for _ in range(12):
+            table = list(subsets_colex(v, k))
+            kept = [s for s in rng.shuffled(table) if rng.below(3)]
+            missing = [s for s in table if s not in kept]
+            body = "".join(f"({','.join(map(str, s))}) = 0\n" for s in kept)
+            text = f"kind chg v={v} k={k} n=2\n{body}"
+            if not missing:
+                assert parse(text).colors.values == (0,) * len(table)
+                continue
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == (
+                f"line {len(kept) + 2}: totality: no value for subset "
+                f"{missing[0]} (and {len(missing) - 1} more)"
+            )
+
+
+def test_totality_error_builds_no_colex_index(monkeypatch):
+    def refuse(v, k):
+        raise AssertionError(f"colex index of ({v}, {k}) built")
+
+    monkeypatch.setattr(structures, "_colex", refuse)
+    with pytest.raises(ParseError) as err:
+        parse("kind chg v=1500 k=2 n=2\n(0,1) = 1\n")
+    assert str(err.value) == (
+        "line 3: totality: no value for subset (0, 2) (and 1124248 more)"
+    )
+
+
+def test_negative_header_arity_is_a_parse_error():
+    for header in ("kind chg v=3 k=-1 n=2", "kind orient v=-2 k=2"):
+        with pytest.raises(ParseError) as err:
+            parse(header + "\n")
+        assert err.value.line == 1
 
 
 def test_duplicate_vertex_reports_irreflexivity():

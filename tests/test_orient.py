@@ -20,7 +20,7 @@ from extensor.orient import (
     tuple_parity,
 )
 from extensor.perm import verify_one_point_extension
-from extensor.structures import SubsetMap, subsets_colex
+from extensor.structures import SubsetMap, flatten, subsets_colex
 
 
 def cycle_tournament():
@@ -270,3 +270,21 @@ def test_base_structure_extension_disagreement_counts():
     assert is_even_orientation(ext2)[0]
     assert count_disagreements(ext2) == 12
     assert not agree(ext2, (0, 1, 4), (0, 3, 4))
+
+
+def test_flatten_matches_parity_filter_of_every_ordering():
+    rng = SplitMix64(77)
+    for k in range(2, 6):
+        for v in range(k, 8):
+            for t in (
+                random_orientation(rng, v, k),
+                Orientation(v, k, SubsetMap.from_function(v, k, lambda s: 0)),
+                Orientation(v, k, SubsetMap.from_function(v, k, lambda s: 1)),
+            ):
+                expected = {
+                    p
+                    for s, b in t.bits.items()
+                    for p in permutations(s)
+                    if tuple_parity(p) == b
+                }
+                assert flatten(t).relations == (("T", k, frozenset(expected)),)

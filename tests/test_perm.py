@@ -1,13 +1,17 @@
 """Automorphism groups, orbits, and the extension-verification predicate."""
 
+from itertools import combinations, permutations
+
 import pytest
 
 from extensor.eqrel import EquivalenceRelation, forced_extension
 from extensor.errors import BoundExceededError, InputError
-from extensor.generate import SplitMix64, random_colored_hypergraph
-from extensor.hyperext import plain_hypergraph
+from extensor.generate import SplitMix64, random_colored_hypergraph, random_orientation
+from extensor.hyperext import ColoredHypergraph, extend_colored, plain_hypergraph
 from extensor.orient import Orientation, extend_orientation
 from extensor.perm import (
+    ExtensionReport,
+    _Search,
     automorphism_group,
     automorphisms_brute,
     compose,
@@ -20,7 +24,7 @@ from extensor.perm import (
     stabilizer,
     verify_one_point_extension,
 )
-from extensor.structures import SubsetMap, flatten
+from extensor.structures import SubsetMap, flatten, make_structure
 
 
 def k3():
@@ -237,3 +241,146 @@ def test_generators_are_computed_on_first_use():
     assert group.order == 120 and is_transitive(group)
     assert "generators" not in vars(group)
     assert group.generators is group.generators
+
+
+# -- oracle: the backtracker against v! filtering ---------------------------------
+
+
+def _cyclic_closure(g, seeds):
+    out = set()
+    for t in seeds:
+        while t not in out:
+            out.add(t)
+            t = tuple(g[x] for x in t)
+    return out
+
+
+def _random_structure(rng, v):
+    """One to three relations of arity 1-4: empty, reorder-closed, closed under
+    a random permutation, or random at density 1/4, 1/2 or 3/4; a quarter of
+    them are then complemented."""
+    rels = []
+    for r in range(1 + rng.below(3)):
+        arity = 1 + rng.below(4)
+        universe = list(permutations(range(v), arity))
+        kind = rng.below(5)
+        if kind == 0:
+            tuples = set()
+        elif kind == 1:
+            sets = [c for c in combinations(range(v), arity) if rng.below(2)]
+            tuples = {p for c in sets for p in permutations(c)}
+        elif kind == 2:
+            g = rng.shuffled(range(v))
+            tuples = _cyclic_closure(g, [t for t in universe if not rng.below(6)])
+        else:
+            density = 1 + rng.below(3)
+            tuples = {t for t in universe if rng.below(4) < density}
+        if not rng.below(4):
+            tuples = set(universe) - tuples
+        rels.append((f"R{r}", arity, tuples))
+    return make_structure(v, rels)
+
+
+def _reductions(s):
+    """Which check reductions the search took: (complement, one per set)."""
+    search = _Search(s)
+    own = {id(tuples) for _, _, tuples in s.relations}
+    per_rel = {}
+    for _, rel in search.checks:
+        per_rel.setdefault(id(rel), [rel, 0])[1] += 1
+    complemented = any(key not in own for key in per_rel)
+    one_per_set = any(count < len(rel) for rel, count in per_rel.values())
+    return complemented, one_per_set
+
+
+def test_search_matches_brute_force_on_random_structures():
+    rng = SplitMix64(4242)
+    complemented = one_per_set = 0
+    # v! filtering dominates the cost, so v = 7 comes up only 8 times
+    for v in [1 + i % 6 for i in range(200)] + [7] * 8:
+        s = _random_structure(rng, v)
+        brute = set(automorphisms_brute(s))
+        assert automorphism_group(s).elements == brute, s
+        x, y = rng.below(s.v), rng.below(s.v)
+        assert set(_Search(s).run(first=x, image=y)) == {g for g in brute if g[x] == y}
+        hit = _Search(s).run(first=x, image=y, stop=True)
+        assert len(hit) == min(1, sum(1 for g in brute if g[x] == y))
+        c, o = _reductions(s)
+        complemented += c
+        one_per_set += o
+    assert complemented and one_per_set
+
+
+# -- oracle: the extension report from the full group of the extension ------------
+
+
+def _reference_report(m, m_ext):
+    """The report computed from every element of Aut(m_ext)."""
+    fm, fe = flatten(m), flatten(m_ext)
+    x0 = fm.v
+    aut_m = automorphism_group(fm)
+    aut_e = automorphism_group(fe)
+    stab = [g for g in aut_e.elements if g[x0] == x0]
+    restricted = frozenset(g[:x0] for g in stab)
+    ok = restricted == aut_m.elements
+    return ExtensionReport(
+        is_one_point_extension=ok,
+        is_transitive=is_transitive(aut_e),
+        aut_m_order=aut_m.order,
+        stabilizer_order=len(stab),
+        witness=None if ok else min(restricted ^ aut_m.elements),
+    )
+
+
+def _tampered(rng, ext):
+    """A copy of a table extension with one entry changed."""
+    if isinstance(ext, Orientation):
+        table = ext.bits
+        s, b = rng.choice(list(table.items()))
+        return Orientation(ext.v, ext.k, table.replace(s, 1 - b))
+    table = ext.colors
+    s, c = rng.choice(list(table.items()))
+    c = (c + 1 + rng.below(ext.n - 1)) % ext.n
+    return ColoredHypergraph(ext.v, ext.k, ext.n, table.replace(s, c))
+
+
+def _extension_cases():
+    for v in range(2, 7):
+        for shape in _partitions(v):
+            blocks, start = [], 0
+            for size in shape:
+                blocks.append(set(range(start, start + size)))
+                start += size
+            e = EquivalenceRelation.from_classes(v, blocks)
+            yield e, forced_extension(e)
+    rng = SplitMix64(1717)
+    for v in range(3, 8):
+        for n in (2, 4):
+            for _ in range(3):
+                h = random_colored_hypergraph(rng, v, 2, n)
+                yield h, extend_colored(h)
+    for v in range(4, 7):
+        h = random_colored_hypergraph(rng, v, 3, 2)
+        yield h, extend_colored(h)
+        yield h, plain_hypergraph(v + 1, 3, [s for s, c in h.colors.items() if c])
+    for v in range(3, 8):
+        for _ in range(3):
+            t = random_orientation(rng, v, 2)
+            yield t, extend_orientation(t)
+    for v in (5, 6):
+        t = random_orientation(rng, v, 4)
+        yield t, extend_orientation(t)
+
+
+def test_extension_report_matches_full_group_reference():
+    rng = SplitMix64(99)
+    reports = []
+    for m, ext in _extension_cases():
+        for candidate in (ext, _tampered(rng, ext)):
+            rep = verify_one_point_extension(m, candidate)
+            assert rep == _reference_report(m, candidate), (m, candidate)
+            reports.append(rep)
+    assert len(reports) == 2 * (28 + 30 + 6 + 17)
+    assert {r.is_one_point_extension for r in reports} == {True, False}
+    assert {r.is_transitive for r in reports} == {True, False}
+    assert any(r.witness is not None for r in reports)

@@ -13,7 +13,12 @@ Exhausting the search tree is therefore a nonexistence proof.
 
 Propagation runs on integer ids (see :func:`search_palette`), and each
 4-multiset is numbered only when propagation first meets it, so no table grows
-with the C(n+3, 4) multisets a search never touches.
+with the C(n+3, 4) multisets a search never touches.  Each pair keeps its
+partners (the pairs it forms a present member with) as a bit mask, so axiom 3
+derives only members not yet present; a derived member is added at once, and
+the trail of members present doubles as the worklist.  A branch whose own
+member meets an already completed triple is rejected before anything is added,
+and a backtrack restores the masks saved when its variable was reached.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 
 # -- multisets ---------------------------------------------------------------
 
@@ -184,13 +189,23 @@ def search_palette(n, node_budget=None) -> SearchOutcome:
     ascending order, so search trees (and node counts) are reproducible.
 
     Pairs and triples are numbered lexicographically, and a 4-multiset gets a
-    member id the first time propagation meets it, together with its triples
-    (with the colors completing them) and its pair splits as ids.  ``f`` is a
-    list over triple ids, the members present are the undo trail, and axiom 3
-    pairs a new member with the complements filed under each of its pairs.
+    member id the first time propagation meets it, together with the bit mask
+    of its triple ids and its pair splits as ids.  f is held as ``done``, the
+    mask of the triples it assigns (the member present names the color), and
+    ``partners[p]`` is an int whose bit q is set while the member p + q is
+    present.  A member is added (its triples set in ``done``, its partner bits
+    set) when it is derived, so the trail of members present is also the
+    worklist: each trail member's split (s, p) derives the members p + q for
+    the bits q of ``partners[s] & ~partners[p]``, the ones not yet present.
+    Self-pairs derive axiom-2 seeds, which are present.  A branch's own member
+    is tested against ``done`` before anything is added.  Each stack frame
+    keeps ``done`` and a copy of ``partners`` from before its variable is
+    assigned, and a backtrack restores them and cuts the trail back, instead
+    of taking each member off again.
+
     Propagation computes the least fixed point of monotone rules, so whether a
     branch clashes, and which variable it leaves open first, do not depend on
-    the order in which the worklist is drained: neither do the node counts.
+    the order in which members are derived: neither do the node counts.
     """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
@@ -207,7 +222,7 @@ def search_palette(n, node_budget=None) -> SearchOutcome:
 
     members = []  # member id -> sorted 4-multiset
     member_id = {}
-    sub3 = []  # member id -> [(triple id, the color completing it)]
+    triple_bits = []  # member id -> bit mask of the ids of its triples
     splits = []  # member id -> [(pair id, complement pair id)]
     joins = {}  # p * npairs + q -> member id of p + q
     closes = {}  # t * n + c - 1 -> member id of t + (c,)
@@ -217,98 +232,109 @@ def search_palette(n, node_budget=None) -> SearchOutcome:
         if i is None:
             i = member_id[m] = len(members)
             members.append(m)
-            sub3.append([(triple_id[_msub(m, (x,))], x) for x in sorted(set(m))])
+            triple_bits.append(sum(1 << triple_id[_msub(m, (x,))] for x in set(m)))
             splits.append(
                 [(pair_id[s], pair_id[_msub(m, s)]) for s in sorted(_pairs_within(m))]
             )
         return i
 
-    f = [0] * len(triples)  # triple id -> completing color, 0 while open
-    by_pair = [[] for _ in range(npairs)]  # pair id -> complements of members
+    partners = [0] * npairs  # pair id p -> bit q set while member p + q is present
     trail = []  # ids of the members present, in the order they were added
 
-    def propagate(m):
-        """Add member m and everything axiom 3 derives; False on a clash.
+    def add(m, done):
+        for s, p in splits[m]:
+            partners[s] |= 1 << p
+        trail.append(m)
+        return done | triple_bits[m]
 
-        A member paired with itself derives a doubled pair {a,a,b,b}, which is
-        an axiom-2 seed, so self-pairs are skipped.  On a clash the members
-        added so far stay on the trail for the caller to undo.
+    def propagate(m, done):
+        """Add absent member m and everything axiom 3 derives from it.
+
+        ``done`` has bit t set for each completed triple t.  Returns the mask
+        with the new members' triples added, or None on a clash, after which
+        the caller restores ``partners`` and the trail from its frame.
         """
-        work = [m]
-        while work:
-            m = work.pop()
-            sub = sub3[m]
-            t, c = sub[0]
-            if f[t] == c:  # only member t + (c,), which is m, sets f[t] = c
-                continue
-            for t, _ in sub:
-                if f[t]:  # t already completes into another member
-                    return False
-            for t, c in sub:
-                f[t] = c
-            trail.append(m)
-            for s, p in splits[m]:
-                bucket = by_pair[s]
-                for q in bucket:
+        i = len(trail)
+        done = add(m, done)
+        while i < len(trail):
+            for s, p in splits[trail[i]]:
+                missing = partners[s] & ~partners[p]
+                while missing:
+                    low = missing & -missing
+                    missing ^= low
+                    q = low.bit_length() - 1
                     key = p * npairs + q
                     j = joins.get(key)
                     if j is None:
                         j = joins[key] = intern(_madd(pairs[p], pairs[q]))
-                    work.append(j)
-                bucket.append(p)
-        return True
+                    if done & triple_bits[j]:  # a triple of j completes elsewhere
+                        return None
+                    done = add(j, done)
+            i += 1
+        return done
 
-    def undo(mark):
-        while len(trail) > mark:
-            m = trail.pop()
-            for t, _ in sub3[m]:
-                f[t] = 0
-            for s, _ in splits[m]:
-                by_pair[s].pop()
+    full = (1 << len(triples)) - 1
 
-    def first_open(start):
-        try:
-            return f.index(0, start)
-        except ValueError:
-            return None
+    def first_open(done, start):
+        rest = (full ^ done) >> start
+        return start + (rest & -rest).bit_length() - 1 if rest else None
 
-    # axiom 2 seeds: {i,i,j,j} members force f({i,i,j}) = j and f({i,j,j}) = i
+    # axiom 2 seeds: {i,i,j,j} members force f({i,i,j}) = j and f({i,j,j}) = i;
+    # an earlier seed may already have derived a later one
+    done = 0
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            if not propagate(intern((i, i, j, j))):  # pragma: no cover - never clash
-                return SearchOutcome("proven_none", None, 0)
+            m = intern((i, i, j, j))
+            s, p = splits[m][0]
+            if partners[s] >> p & 1:  # m = s + p is already present
+                continue
+            done = None if done & triple_bits[m] else propagate(m, done)
+            if done is None:
+                raise InternalCheckError(f"axiom-2 seed {members[m]} clashes")
 
     # f only grows along a branch, so the next open variable lies after this one
     nodes = 0
-    var = first_open(0)
-    stack = [] if var is None else [[var, 0, len(trail)]]  # [var, color, mark]
+    var = first_open(done, 0)
+    # [var, color, mark, done, partners], the state to restore before each color
+    stack = [] if var is None else [[var, 0, len(trail), done, partners[:]]]
     while stack:
         frame = stack[-1]
-        var, color, mark = frame
-        undo(mark)
-        if color == n:
+        var, color, mark, done, saved = frame
+        if len(trail) > mark:
+            del trail[mark:]
+            partners[:] = saved
+        while color < n:
+            color += 1
+            nodes += 1
+            if nodes > node_budget:
+                return SearchOutcome("budget_exhausted", None, nodes)
+            key = var * n + color - 1
+            m = closes.get(key)
+            if m is None:
+                m = closes[key] = intern(_madd(triples[var], (color,)))
+            if not done & triple_bits[m]:  # var is open, so m is absent
+                break
+        else:
             stack.pop()
             continue
-        frame[1] = color = color + 1
-        nodes += 1
-        if nodes > node_budget:
-            return SearchOutcome("budget_exhausted", None, nodes)
-        key = var * n + color - 1
-        m = closes.get(key)
-        if m is None:
-            m = closes[key] = intern(_madd(triples[var], (color,)))
-        if propagate(m):
-            var = first_open(var + 1)
-            if var is None:
-                break
-            stack.append([var, 0, len(trail)])
+        frame[1] = color
+        done = propagate(m, done)
+        if done is None:
+            continue
+        var = first_open(done, var + 1)
+        if var is None:
+            break
+        stack.append([var, 0, len(trail), done, partners[:]])
     if var is not None:  # the tree is exhausted without assigning every triple
         return SearchOutcome("proven_none", None, nodes)
 
     palette = Palette(n, frozenset(members[m] for m in trail))
     check = is_palette(palette)
-    if not check.ok:  # pragma: no cover - closure guarantees the axioms
-        raise InputError(f"search produced a non-palette: axiom {check.axiom}")
+    if not check.ok:
+        raise InternalCheckError(
+            f"search produced a non-palette: axiom {check.axiom} fails"
+            f" at {check.witness}"
+        )
     return SearchOutcome("found", palette, nodes)
 
 

@@ -1,14 +1,17 @@
 """Multiset enumeration, the palette axioms, search, involution, blending."""
 
+import hashlib
 from math import comb
 
 import pytest
 
-from extensor.errors import InputError
+from extensor import palette as palette_module
+from extensor.errors import InputError, InternalCheckError
 from extensor.palette import (
     DEFAULT_BUDGET_LARGE,
     DEFAULT_BUDGET_SMALL,
     Palette,
+    PaletteCheck,
     _madd,
     _msub,
     _pairs_within,
@@ -334,9 +337,36 @@ def test_search_matches_the_tuple_oracle():
 
 
 def test_search_matches_the_tuple_oracle_under_budgets():
+    # budgets that stop deep inside a branch, after many backtracks: partner
+    # bits a backtrack failed to restore would change every later count
     for n in (6, 7, 9):
         for budget in (1, 5, 6, 40, 100):
             assert _fast_search(n, budget) == _reference_search(n, budget), (n, budget)
+    for n in (10, 11):
+        for budget in (50, 500, 3000):
+            assert _fast_search(n, budget) == _reference_search(n, budget), (n, budget)
+
+
+def test_search_pins_past_the_oracle():
+    # the tuple oracle is too slow past n = 11; these pin the outcomes there
+    assert _fast_search(12)[:2] == ("proven_none", 231456)
+    assert _fast_search(13)[:2] == ("proven_none", 82303)
+    for n, nodes, digest in (
+        (16, 116, "6f31da69a367865cdc75f36dfaacfe022602466b9fad475cec25e63311b2e345"),
+        (32, 491, "6fd9fbe6e30a2e845f791e9773688ff4ca1ed1bbd3a4c38567ac8f47cf63b8fb"),
+    ):
+        out = search_palette(n)
+        assert (out.status, out.nodes) == ("found", nodes), n
+        members = repr(out.palette.sorted_members()).encode()
+        assert hashlib.sha256(members).hexdigest() == digest, n
+
+
+def test_search_reports_a_non_palette_as_a_bug(monkeypatch):
+    monkeypatch.setattr(
+        palette_module, "is_palette", lambda p: PaletteCheck(False, 3, ((1, 1, 1, 1),))
+    )
+    with pytest.raises(InternalCheckError):
+        search_palette(4)
 
 
 def test_search_builds_member_tables_lazily():

@@ -5,7 +5,7 @@ hypertournaments, equivalence relations, and tree-derived C/D-sets, entirely at
 desk scale with exhaustive checking.
 """
 
-from . import (  # noqa: F401  (imports register the flatten/apply views)
+from . import (  # noqa: F401  (imports register the flatten views)
     eqrel,
     fileio,
     generate,
@@ -20,7 +20,6 @@ from . import (  # noqa: F401  (imports register the flatten/apply views)
 from .structures import (  # noqa: F401
     RelationalStructure,
     SubsetMap,
-    apply_permutation,
     flatten,
     induced_substructure,
     rank_subset,

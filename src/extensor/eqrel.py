@@ -27,14 +27,7 @@ from .perm import (  # noqa: F401
     automorphism_group,
     verify_one_point_extension,
 )
-from .structures import (
-    RelationalStructure,
-    SubsetMap,
-    apply_permutation,
-    flatten,
-    induced_substructure,
-    rank_subset,
-)
+from .structures import RelationalStructure, SubsetMap, flatten, rank_subset
 
 # interior triples are enumerated as bits, so C(v, 3) is capped (v <= 6)
 MAX_INTERIOR = 24
@@ -78,24 +71,6 @@ def _(e: EquivalenceRelation) -> RelationalStructure:
         if a != b
     )
     return RelationalStructure(e.v, (("E", 2, tuples),))
-
-
-@apply_permutation.register
-def _(e: EquivalenceRelation, perm) -> EquivalenceRelation:
-    return EquivalenceRelation.from_classes(
-        e.v, [{perm[x] for x in block} for block in e.classes]
-    )
-
-
-@induced_substructure.register
-def _(e: EquivalenceRelation, vertices) -> EquivalenceRelation:
-    sub = sorted(set(vertices))
-    index = {x: i for i, x in enumerate(sub)}
-    blocks = [
-        {index[x] for x in block if x in index}
-        for block in e.classes
-    ]
-    return EquivalenceRelation.from_classes(len(sub), [b for b in blocks if b])
 
 
 # -- the forced candidate ----------------------------------------------------

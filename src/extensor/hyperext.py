@@ -13,13 +13,7 @@ from itertools import combinations
 
 from .errors import InputError
 from .palette import Palette, enumerate_multisets
-from .structures import (
-    RelationalStructure,
-    SubsetMap,
-    apply_permutation,
-    flatten,
-    induced_substructure,
-)
+from .structures import RelationalStructure, SubsetMap, flatten
 
 
 @dataclass(frozen=True)
@@ -81,29 +75,6 @@ def _(h: ColoredHypergraph) -> RelationalStructure:
         )
         rels.append((f"R{color}", h.k, tuples))
     return RelationalStructure(h.v, tuple(rels))
-
-
-@apply_permutation.register
-def _(h: ColoredHypergraph, perm) -> ColoredHypergraph:
-    inv = [0] * h.v
-    for i, x in enumerate(perm):
-        inv[x] = i
-    # color of sigma(S) in the image equals color of S: build by pulling back
-    table = SubsetMap.from_function(
-        h.v, h.k, lambda s: h.colors.value_for(tuple(sorted(inv[x] for x in s)))
-    )
-    return ColoredHypergraph(h.v, h.k, h.n, table)
-
-
-@induced_substructure.register
-def _(h: ColoredHypergraph, vertices) -> ColoredHypergraph:
-    sub = sorted(set(vertices))
-    if len(sub) < h.k:
-        raise InputError(f"need at least k={h.k} vertices, got {len(sub)}")
-    table = SubsetMap.from_function(
-        len(sub), h.k, lambda s: h.colors.value_for(tuple(sub[i] for i in s))
-    )
-    return ColoredHypergraph(len(sub), h.k, h.n, table)
 
 
 # -- evenness -----------------------------------------------------------------

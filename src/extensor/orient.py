@@ -13,13 +13,7 @@ from operator import itemgetter
 
 from .errors import InputError, InternalCheckError
 from .perm import parity
-from .structures import (
-    RelationalStructure,
-    SubsetMap,
-    apply_permutation,
-    flatten,
-    induced_substructure,
-)
+from .structures import RelationalStructure, SubsetMap, flatten
 
 
 def tuple_parity(tup):
@@ -62,35 +56,6 @@ def _(t: Orientation) -> RelationalStructure:
         by_parity[tuple_parity(p)].append(itemgetter(*p))
     tuples = frozenset(get(s) for s, b in t.bits.items() for get in by_parity[b])
     return RelationalStructure(t.v, (("T", t.k, tuples),))
-
-
-@apply_permutation.register
-def _(t: Orientation, perm) -> Orientation:
-    inv = [0] * t.v
-    for i, x in enumerate(perm):
-        inv[x] = i
-
-    def bit(subset):
-        pre = tuple(inv[x] for x in subset)
-        # relation holds on perm(pre-sorted-tuple); its parity relative to the
-        # sorted image determines the stored bit
-        src = tuple(sorted(pre))
-        img = tuple(perm[x] for x in src)
-        return (t.bits.value_for(src) + tuple_parity(img)) % 2
-
-    table = SubsetMap.from_function(t.v, t.k, bit)
-    return Orientation(t.v, t.k, table)
-
-
-@induced_substructure.register
-def _(t: Orientation, vertices) -> Orientation:
-    sub = sorted(set(vertices))
-    if len(sub) < t.k:
-        raise InputError(f"need at least k={t.k} vertices, got {len(sub)}")
-    table = SubsetMap.from_function(
-        len(sub), t.k, lambda s: t.bits.value_for(tuple(sub[i] for i in s))
-    )
-    return Orientation(len(sub), t.k, table)
 
 
 # -- match maps and agreement -------------------------------------------------

@@ -30,18 +30,6 @@ def identity(v):
     return tuple(range(v))
 
 
-def compose(p, q):
-    """(p o q)(x) = p(q(x))."""
-    return tuple(p[x] for x in q)
-
-
-def invert(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
 def parity(p):
     """0 for even, 1 for odd."""
     seen = [False] * len(p)

@@ -184,10 +184,11 @@ def merge_structures(a: RelationalStructure, b: RelationalStructure) -> Relation
 
 
 # ---------------------------------------------------------------------------
-# Shared views: flatten / apply_permutation / induced_substructure.
+# The relational view.
 #
-# Each specialized structure module registers its own implementations; a
-# permutation is an automorphism of flatten(s) exactly when it preserves s.
+# Each specialized structure module registers its flatten view; a permutation
+# is an automorphism of flatten(s) exactly when it preserves s.  Restriction
+# goes through this view only.
 # ---------------------------------------------------------------------------
 
 
@@ -202,34 +203,13 @@ def _(s: RelationalStructure) -> RelationalStructure:
     return s
 
 
-@singledispatch
-def apply_permutation(s, perm):
-    """Relabel vertices of a structure by a permutation (images tuple)."""
-    raise InputError(f"no apply_permutation registered for {type(s).__name__}")
-
-
-@apply_permutation.register
-def _(s: RelationalStructure, perm) -> RelationalStructure:
-    _check_perm(perm, s.v)
-    rels = tuple(
-        (name, arity, frozenset(tuple(perm[x] for x in t) for t in tuples))
-        for name, arity, tuples in s.relations
-    )
-    return RelationalStructure(s.v, rels)
-
-
-@singledispatch
-def induced_substructure(s, vertices):
-    """Restrict to a vertex subset, re-densifying indices.
+def induced_substructure(s, vertices) -> RelationalStructure:
+    """Restrict flatten(s) to a vertex subset, re-densifying indices.
 
     The index map is sorted(vertices)[i] -> i; callers needing it can rebuild
     it from the sorted subset.
     """
-    raise InputError(f"no induced_substructure registered for {type(s).__name__}")
-
-
-@induced_substructure.register
-def _(s: RelationalStructure, vertices) -> RelationalStructure:
+    s = flatten(s)
     sub = sorted(set(vertices))
     if any(x < 0 or x >= s.v for x in sub):
         raise InputError(f"vertices {vertices!r} out of range for v={s.v}")
@@ -246,8 +226,3 @@ def _(s: RelationalStructure, vertices) -> RelationalStructure:
         for name, arity, tuples in s.relations
     )
     return RelationalStructure(len(sub), rels)
-
-
-def _check_perm(perm, v):
-    if len(perm) != v or sorted(perm) != list(range(v)):
-        raise InputError(f"not a permutation of 0..{v - 1}: {perm!r}")

@@ -16,13 +16,7 @@ from .errors import BoundExceededError, InputError
 from .hyperext import ColoredHypergraph
 from .palette import SearchOutcome, search_palette
 from .perm import automorphism_group, is_transitive as group_is_transitive
-from .structures import (
-    RelationalStructure,
-    SubsetMap,
-    apply_permutation,
-    flatten,
-    induced_substructure,
-)
+from .structures import RelationalStructure, SubsetMap, flatten, induced_substructure
 
 
 @dataclass(frozen=True)
@@ -50,34 +44,6 @@ class Hypertournament:
 def _(t: Hypertournament) -> RelationalStructure:
     tuples = frozenset(t.orderings.values)
     return RelationalStructure(t.v, (("T", t.k, tuples),))
-
-
-@apply_permutation.register
-def _(t: Hypertournament, perm) -> Hypertournament:
-    inv = [0] * t.v
-    for i, x in enumerate(perm):
-        inv[x] = i
-
-    def ordering(subset):
-        pre = tuple(sorted(inv[x] for x in subset))
-        return tuple(perm[x] for x in t.orderings.value_for(pre))
-
-    table = SubsetMap.from_function(t.v, t.k, ordering)
-    return Hypertournament(t.v, t.k, table)
-
-
-@induced_substructure.register
-def _(t: Hypertournament, vertices) -> Hypertournament:
-    sub = sorted(set(vertices))
-    if len(sub) < t.k:
-        raise InputError(f"need at least k={t.k} vertices, got {len(sub)}")
-    index = {x: i for i, x in enumerate(sub)}
-    table = SubsetMap.from_function(
-        len(sub),
-        t.k,
-        lambda s: tuple(index[x] for x in t.orderings.value_for(tuple(sub[i] for i in s))),
-    )
-    return Hypertournament(len(sub), t.k, table)
 
 
 # -- linear and circular orders --------------------------------------------------
@@ -115,18 +81,6 @@ def _(o: LinearOrder) -> RelationalStructure:
         (a, b) for a in range(o.v) for b in range(o.v) if a != b and pos[a] < pos[b]
     )
     return RelationalStructure(o.v, (("<", 2, tuples),))
-
-
-@apply_permutation.register
-def _(o: LinearOrder, perm) -> LinearOrder:
-    return LinearOrder(tuple(perm[x] for x in o.order))
-
-
-@induced_substructure.register
-def _(o: LinearOrder, vertices) -> LinearOrder:
-    sub = sorted(set(vertices))
-    index = {x: i for i, x in enumerate(sub)}
-    return LinearOrder(tuple(index[x] for x in o.order if x in index))
 
 
 @dataclass(frozen=True)
@@ -189,25 +143,6 @@ class CircularOrder:
 @flatten.register
 def _(c: CircularOrder) -> RelationalStructure:
     return RelationalStructure(c.v, (("C", 3, c.triples),))
-
-
-@apply_permutation.register
-def _(c: CircularOrder, perm) -> CircularOrder:
-    triples = frozenset(tuple(perm[x] for x in t) for t in c.triples)
-    return CircularOrder(c.v, triples)
-
-
-@induced_substructure.register
-def _(c: CircularOrder, vertices) -> CircularOrder:
-    sub = sorted(set(vertices))
-    if len(sub) < 3:
-        raise InputError("a circular order needs at least 3 points")
-    index = {x: i for i, x in enumerate(sub)}
-    keep = set(sub)
-    triples = frozenset(
-        tuple(index[x] for x in t) for t in c.triples if keep.issuperset(t)
-    )
-    return CircularOrder(len(sub), triples)
 
 
 def circular_from_linear(o: LinearOrder) -> CircularOrder:

@@ -29,13 +29,7 @@ import numpy as np
 
 from .errors import InputError, InternalCheckError
 from .hyperext import ColoredHypergraph, is_even_hypergraph
-from .structures import (
-    RelationalStructure,
-    SubsetMap,
-    apply_permutation,
-    flatten,
-    induced_substructure,
-)
+from .structures import RelationalStructure, SubsetMap, flatten
 from .tourney import CircularOrder
 
 # ---------------------------------------------------------------------------
@@ -211,10 +205,6 @@ def _meet(parent, a, b):
     while node not in anc:
         node = parent[node]
     return node
-
-
-def lca(t: RootedLeafTree, a, b):
-    return _meet(parent_map(t), a, b)
 
 
 def _ancestor_masks(parent, v):
@@ -585,39 +575,17 @@ class OrderedExtension:
     circular: CircularOrder
 
 
-def order_compatibility_violation(r: CRelation, order):
-    """First triple with C(x; yz) but x strictly between y and z in the order."""
-    pos = np.zeros(r.v, dtype=np.int64)
-    for i, leaf in enumerate(order):
-        pos[leaf] = i
-    px = pos[:, None, None]
-    py = pos[None, :, None]
-    pz = pos[None, None, :]
-    between = ((py < px) & (px < pz)) | ((pz < px) & (px < py))
-    return _first(r.cube & between)
-
-
-def ordered_extension(t: RootedLeafTree, order=None) -> OrderedExtension:
+def ordered_extension(t: RootedLeafTree) -> OrderedExtension:
     """Extend a plane tree together with its left-to-right leaf order.
 
-    The input order must satisfy the ordered-C compatibility axiom (automatic
-    for the tree's own embedding, enforced for supplied orders).  The new point
-    closes the order into the counter-clockwise circular order of the extended
-    plane tree; `ordered_compatibility_violation` checks the pair.
+    The tree's own embedding satisfies the ordered-C compatibility axiom by
+    construction.  The new point closes the order into the counter-clockwise
+    circular order of the extended plane tree;
+    `ordered_compatibility_violation` checks the pair.
     """
     if not t.plane:
         raise InputError("ordered extension needs a plane tree")
-    if order is None:
-        order = leaf_order(t)
-    order = tuple(order)
-    if sorted(order) != list(range(t.v)):
-        raise InputError(f"order must arrange 0..{t.v - 1}, got {order!r}")
-    bad = order_compatibility_violation(c_relation(t), order)
-    if bad:
-        raise InputError(
-            f"ordered-C axiom fails at {bad}: the first point lies between the others"
-        )
-    circ = CircularOrder.from_cycle(order + (t.v,), ext=t.v)
+    circ = CircularOrder.from_cycle(leaf_order(t) + (t.v,), ext=t.v)
     return OrderedExtension(extend_c_to_d(t), circ)
 
 
@@ -722,22 +690,16 @@ def leveled_pairs_preorder(t: RootedLeafTree) -> Leveling:
     return Leveling(t.v, ranks)
 
 
-def _monotonic(seq, rel):
-    """rel holds on every subsequence of seq of rel's arity."""
+def monotonic_check(seq, rel) -> bool:
+    """rel holds on every subsequence of seq of rel's arity.
+
+    For a C-relation that is C(a_i; a_j a_k) for all i < j < k; for a
+    D-relation, D(a_i a_j; a_k a_l) for all i < j < k < l.
+    """
     seq = tuple(seq)
     if len(set(seq)) != len(seq):
         raise InputError(f"sequence entries must be distinct: {seq}")
     return all(rel.holds(*sub) for sub in combinations(seq, rel.arity))
-
-
-def c_monotonic_check(seq, rel: CRelation) -> bool:
-    """C(a_i; a_j a_k) for all i < j < k."""
-    return _monotonic(seq, rel)
-
-
-def d_monotonic_check(seq, rel: DRelation) -> bool:
-    """D(a_i a_j; a_k a_l) for all i < j < k < l."""
-    return _monotonic(seq, rel)
 
 
 def c_monotonic_sequences(rel: CRelation, length):
@@ -849,7 +811,7 @@ def leveled_obstruction_demo() -> LeveledObstructionReport:
     drel = d_relation(extend_c_to_d(t))
     seq1 = (a, b, x0, d, e)
     seq2 = (a, bp, x0, dp, e)
-    mono = d_monotonic_check(seq1, drel) and d_monotonic_check(seq2, drel)
+    mono = monotonic_check(seq1, drel) and monotonic_check(seq2, drel)
 
     rel = c_relation(t)
     lev = leveled_pairs_preorder(t)
@@ -1004,121 +966,3 @@ def _(t: UnrootedLeafTree) -> RelationalStructure:
             rels.append((f"P{color}", 3, triples))
     return RelationalStructure(t.v, tuple(rels))
 
-
-@apply_permutation.register
-def _(t: RootedLeafTree, perm) -> RootedLeafTree:
-    if len(perm) != t.v:
-        raise InputError("permutation degree must match the leaf count")
-    children = tuple(
-        tuple(perm[kid] if kid < t.v else kid for kid in kids)
-        for kids in t.children
-    )
-    return RootedLeafTree(t.v, children, colors=t.colors, ranks=t.ranks, plane=t.plane)
-
-
-@induced_substructure.register
-def _(t: RootedLeafTree, vertices) -> RootedLeafTree:
-    keep = sorted(set(vertices))
-    if len(keep) < 2:
-        raise InputError("an induced leaf tree needs at least 2 leaves")
-    relabel = {leaf: i for i, leaf in enumerate(keep)}
-
-    spec = []  # (children-specs, color, rank) in preorder
-
-    def prune(node):
-        """Returns a node spec (int leaf, or index into spec) or None."""
-        if node < t.v:
-            return relabel.get(node)
-        kept = [k for k in (prune(kid) for kid in t.kids(node)) if k is not None]
-        if not kept:
-            return None
-        if len(kept) == 1:
-            return kept[0]
-        idx = len(spec)
-        spec.append(
-            (
-                tuple(kept),
-                t.colors[node - t.v] if t.colors is not None else None,
-                t.ranks[node - t.v] if t.ranks is not None else None,
-            )
-        )
-        return ("internal", idx)
-
-    root_spec = prune(t.root)
-    if not isinstance(root_spec, tuple):
-        raise InputError("induced leaf set does not span an internal node")
-
-    # number internal nodes in preorder of the pruned tree
-    order = []
-
-    def walk(ref):
-        if isinstance(ref, tuple):
-            order.append(ref[1])
-            for kid in spec[ref[1]][0]:
-                walk(kid)
-
-    walk(root_spec)
-    v = len(keep)
-    new_id = {old: v + i for i, old in enumerate(order)}
-    children = tuple(
-        tuple(kid if isinstance(kid, int) else new_id[kid[1]] for kid in spec[old][0])
-        for old in order
-    )
-    colors = tuple(spec[old][1] for old in order) if t.colors is not None else None
-    ranks = tuple(spec[old][2] for old in order) if t.ranks is not None else None
-    return RootedLeafTree(v, children, colors=colors, ranks=ranks, plane=t.plane)
-
-
-@induced_substructure.register
-def _(t: UnrootedLeafTree, vertices) -> UnrootedLeafTree:
-    keep = sorted(set(vertices))
-    if len(keep) < 3:
-        raise InputError("an induced unrooted tree needs at least 3 leaves")
-    relabel = {leaf: i for i, leaf in enumerate(keep)}
-    paths = _leaf_path_masks_unrooted(t)
-    used = 0
-    for a in keep:
-        for b in keep:
-            used |= paths[a][b]
-    adj = {}
-    for u in t.internal_ids():
-        if used >> u & 1:
-            adj[u] = [
-                nb
-                for nb in t.neighbors(u)
-                if (used >> nb & 1) and (nb >= t.v or nb in relabel)
-            ]
-    # contract chains through degree-2 internal nodes
-    changed = True
-    while changed:
-        changed = False
-        for u in list(adj):
-            if len(adj[u]) == 2:
-                a, b = adj[u]
-                for x, y in ((a, b), (b, a)):
-                    if x >= t.v:
-                        adj[x] = [y if nb == u else nb for nb in adj[x]]
-                del adj[u]
-                changed = True
-                break
-    order = sorted(adj)
-    v = len(keep)
-    new_id = {old: v + i for i, old in enumerate(order)}
-    out = tuple(
-        tuple(new_id[nb] if nb >= t.v else relabel[nb] for nb in adj[old])
-        for old in order
-    )
-    colors = (
-        tuple(t.colors[old - t.v] for old in order) if t.colors is not None else None
-    )
-    return UnrootedLeafTree(v, out, colors=colors, plane=t.plane)
-
-
-@apply_permutation.register
-def _(t: UnrootedLeafTree, perm) -> UnrootedLeafTree:
-    if len(perm) != t.v:
-        raise InputError("permutation degree must match the leaf count")
-    adj = tuple(
-        tuple(perm[nb] if nb < t.v else nb for nb in nbrs) for nbrs in t.adj
-    )
-    return UnrootedLeafTree(t.v, adj, colors=t.colors, plane=t.plane)

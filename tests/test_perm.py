@@ -14,9 +14,7 @@ from extensor.perm import (
     _Search,
     automorphism_group,
     automorphisms_brute,
-    compose,
     identity,
-    invert,
     is_regular_action,
     is_transitive,
     orbits,
@@ -25,6 +23,15 @@ from extensor.perm import (
     verify_one_point_extension,
 )
 from extensor.structures import SubsetMap, flatten, make_structure
+
+
+def compose(p, q):
+    """(p o q)(x) = p(q(x))."""
+    return tuple(p[x] for x in q)
+
+
+def invert(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 def k3():

@@ -13,9 +13,10 @@ from extensor.generate import (
     random_linear_order,
     random_orientation,
 )
+from extensor.hyperext import ColoredHypergraph
+from extensor.orient import Orientation, tuple_parity
 from extensor.structures import (
     SubsetMap,
-    apply_permutation,
     flatten,
     induced_substructure,
     make_structure,
@@ -23,6 +24,7 @@ from extensor.structures import (
     subsets_colex,
     unrank_subset,
 )
+from extensor.tourney import Hypertournament, LinearOrder
 
 
 def test_rank_first_subset_is_zero():
@@ -138,24 +140,68 @@ def test_flatten_three_orientation_is_alternating_orbit():
 
 
 def test_induced_substructure_of_triangle():
-    from extensor.hyperext import hyperedges, plain_hypergraph
+    from extensor.hyperext import plain_hypergraph
 
     g = plain_hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
     sub = induced_substructure(g, (0, 2))
-    assert sub.v == 2 and hyperedges(sub) == ((0, 1),)
+    assert sub.v == 2 and sub.relation("R") == (2, {(0, 1), (1, 0)})
+
+
+def test_induced_substructure_needs_a_flatten_view():
+    with pytest.raises(InputError, match="no flatten view"):
+        induced_substructure(object(), (0,))
+
+
+# -- oracle: each kind relabelled on its own table, independently of flatten ---
+
+
+def _reference_apply(s, perm):
+    """The image of s under the vertex relabelling x -> perm[x]."""
+    inv = [0] * len(perm)
+    for i, x in enumerate(perm):
+        inv[x] = i
+    if isinstance(s, LinearOrder):
+        return LinearOrder(tuple(perm[x] for x in s.order))
+
+    def preimage(subset):
+        return tuple(sorted(inv[x] for x in subset))
+
+    if isinstance(s, ColoredHypergraph):
+        # the image colors sigma(S) as s colors S
+        table = SubsetMap.from_function(
+            s.v, s.k, lambda t: s.colors.value_for(preimage(t))
+        )
+        return ColoredHypergraph(s.v, s.k, s.n, table)
+    if isinstance(s, Orientation):
+        # perm carries s's arrangements of src to arrangements of the sorted
+        # image; their parity shifts by that of perm's arrangement of src
+        def bit(subset):
+            src = preimage(subset)
+            shift = tuple_parity(tuple(perm[x] for x in src))
+            return (s.bits.value_for(src) + shift) % 2
+
+        return Orientation(s.v, s.k, SubsetMap.from_function(s.v, s.k, bit))
+    if isinstance(s, Hypertournament):
+        table = SubsetMap.from_function(
+            s.v,
+            s.k,
+            lambda t: tuple(perm[x] for x in s.orderings.value_for(preimage(t))),
+        )
+        return Hypertournament(s.v, s.k, table)
+    raise TypeError(type(s).__name__)
 
 
 def test_apply_identity_is_noop():
     rng = SplitMix64(4)
     h = random_colored_hypergraph(rng, 5, 2, 3)
-    assert apply_permutation(h, (0, 1, 2, 3, 4)) == h
+    assert _reference_apply(h, (0, 1, 2, 3, 4)) == h
 
 
 def test_apply_swap_flips_tournament():
-    from extensor.orient import Orientation, evaluate
+    from extensor.orient import evaluate
 
     t = Orientation(2, 2, SubsetMap(2, 2, (0,)))  # 0 -> 1
-    flipped = apply_permutation(t, (1, 0))
+    flipped = _reference_apply(t, (1, 0))
     assert evaluate(flipped, (1, 0)) and not evaluate(flipped, (0, 1))
 
 
@@ -172,19 +218,21 @@ def _random_structure(rng):
 
 
 def test_flatten_is_faithful_on_random_pairs():
-    # a permutation preserves the structure iff it fixes every flattened relation
+    # flatten commutes with relabelling, so a permutation preserves the
+    # structure iff it fixes every flattened relation
     rng = SplitMix64(2026)
     for _ in range(1000):
         s = _random_structure(rng)
         v = s.v if hasattr(s, "v") else len(s.order)
         perm = tuple(rng.shuffled(range(v)))
-        preserves = apply_permutation(s, perm) == s
+        image = _reference_apply(s, perm)
         flat = flatten(s)
-        is_auto = all(
-            frozenset(tuple(perm[x] for x in t) for t in tuples) == tuples
-            for _, _, tuples in flat.relations
+        moved = tuple(
+            (name, arity, frozenset(tuple(perm[x] for x in t) for t in tuples))
+            for name, arity, tuples in flat.relations
         )
-        assert preserves == is_auto
+        assert flatten(image).relations == moved
+        assert (image == s) == (moved == flat.relations)
 
 
 def test_relational_structure_rejects_bad_tuples():

@@ -57,9 +57,6 @@ class EquivalenceRelation:
     def related(self, a, b):
         return any(a in block and b in block for block in self.classes)
 
-    def class_of(self, a):
-        return next(block for block in self.classes if a in block)
-
 
 @flatten.register
 def _(e: EquivalenceRelation) -> RelationalStructure:

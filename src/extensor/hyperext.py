@@ -1,9 +1,11 @@
 """Edge-colored hypergraphs: evenness, the parity one-point extension, palettes.
 
 A plain k-hypergraph is the n=2 case with color 1 meaning "hyperedge".  For
-n = 2^m the coloring splits into m bit channels, each a plain hypergraph; the
-extension runs channel-wise: subsets through the new point inherit the old
-color, interior subsets take the parity of the hyperedge count inside them.
+n = 2^m a bit labeling reads each color as an m-bit vector.  The extension
+adds a point x0: a subset through x0 keeps the color of its k-part, and an
+interior (k+1)-subset takes the color whose vector is the XOR of the vectors
+of its k-subsets.  Bit by bit this is the plain rule (an interior subset is a
+hyperedge when it holds an odd number of hyperedges) run on each channel.
 """
 
 from __future__ import annotations
@@ -37,9 +39,6 @@ class ColoredHypergraph:
         for s, c in self.colors.items():
             if not 0 <= c < self.n:
                 raise InputError(f"color {c} of {s} outside 0..{self.n - 1}")
-
-    def color_of(self, subset):
-        return self.colors.value_for(subset)
 
 
 def plain_hypergraph(v, k, edges) -> ColoredHypergraph:
@@ -86,7 +85,7 @@ def is_even_hypergraph(h: ColoredHypergraph):
     The witness is the lexicographically least violating (k+1)-subset.
     """
     if h.n != 2:
-        raise InputError("evenness is defined for plain hypergraphs; bit_decompose first")
+        raise InputError("evenness is defined for plain hypergraphs")
     if h.v < h.k + 1:
         raise InputError(f"need v >= k+1 to scan (k+1)-subsets, got v={h.v}")
     for big in combinations(range(h.v), h.k + 1):
@@ -106,21 +105,11 @@ def extend_plain(h: ColoredHypergraph) -> ColoredHypergraph:
     """
     if h.n != 2:
         raise InputError("extend_plain needs a plain hypergraph; use extend_colored")
-    if h.v < h.k + 1:
-        raise InputError(f"need v >= k+1, got v={h.v}")
-    x0 = h.v
-
-    def color(subset):
-        if subset[-1] == x0:
-            return h.colors.value_for(subset[:-1])
-        count = sum(h.colors.value_for(s) for s in combinations(subset, h.k))
-        return count % 2
-
-    table = SubsetMap.from_function(h.v + 1, h.k + 1, color)
-    return ColoredHypergraph(h.v + 1, h.k + 1, 2, table, ext=x0)
+    table = _parity_extension(h, default_labeling(2))
+    return ColoredHypergraph(h.v + 1, h.k + 1, 2, table, ext=h.v)
 
 
-# -- bit channels ---------------------------------------------------------------
+# -- bit labelings --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -136,13 +125,6 @@ class BitLabeling:
         if len(self.vectors) != self.n or set(self.vectors) != set(range(self.n)):
             raise InputError("vectors must be a bijection onto 0..n-1")
 
-    @property
-    def width(self):
-        return self.n.bit_length() - 1
-
-    def bits_of(self, color):
-        return self.vectors[color]
-
     def color_of(self, bits):
         return self.vectors.index(bits)
 
@@ -150,37 +132,6 @@ class BitLabeling:
 def default_labeling(n) -> BitLabeling:
     """Binary expansion of the color index."""
     return BitLabeling(n, tuple(range(n)))
-
-
-def bit_decompose(h: ColoredHypergraph, labeling: BitLabeling | None = None):
-    """Split an n=2^m coloring into m plain hypergraph channels."""
-    labeling = _check_labeling(h.n, labeling)
-    channels = []
-    for bit in range(labeling.width):
-        table = SubsetMap.from_function(
-            h.v, h.k, lambda s, b=bit: (labeling.bits_of(h.colors.value_for(s)) >> b) & 1
-        )
-        channels.append(ColoredHypergraph(h.v, h.k, 2, table))
-    return channels
-
-
-def bit_merge(channels, labeling: BitLabeling | None = None) -> ColoredHypergraph:
-    """Inverse of bit_decompose."""
-    if not channels:
-        raise InputError("need at least one channel")
-    n = 2 ** len(channels)
-    labeling = _check_labeling(n, labeling)
-    v, k = channels[0].v, channels[0].k
-    for ch in channels:
-        if ch.n != 2 or ch.v != v or ch.k != k:
-            raise InputError("channels must be plain hypergraphs on a common vertex set")
-
-    def color(subset):
-        bits = sum(ch.colors.value_for(subset) << i for i, ch in enumerate(channels))
-        return labeling.color_of(bits)
-
-    table = SubsetMap.from_function(v, k, color)
-    return ColoredHypergraph(v, k, n, table)
 
 
 def _check_labeling(n, labeling):
@@ -196,19 +147,35 @@ def _check_labeling(n, labeling):
     return labeling
 
 
+def _parity_extension(h: ColoredHypergraph, labeling: BitLabeling) -> SubsetMap:
+    """Color table of the parity extension of h over x0 = v, under labeling."""
+    if h.v < h.k + 1:
+        raise InputError(f"need v >= k+1, got v={h.v}")
+    x0, value_for, vectors = h.v, h.colors.value_for, labeling.vectors
+
+    def color(subset):
+        if subset[-1] == x0:
+            return value_for(subset[:-1])
+        bits = 0
+        for s in combinations(subset, h.k):
+            bits ^= vectors[value_for(s)]
+        return labeling.color_of(bits)
+
+    return SubsetMap.from_function(h.v + 1, h.k + 1, color)
+
+
 def extend_colored(
     h: ColoredHypergraph, labeling: BitLabeling | None = None
 ) -> ColoredHypergraph:
-    """Channel-wise parity extension of an n=2^m coloring.
+    """Parity extension of an n=2^m coloring.
 
     The interior colors depend on the chosen labeling for n >= 4, so the
     labeling used is recorded on the output.
     """
     labeling = _check_labeling(h.n, labeling)
-    channels = [extend_plain(ch) for ch in bit_decompose(h, labeling)]
-    merged = bit_merge(channels, labeling)
+    table = _parity_extension(h, labeling)
     return ColoredHypergraph(
-        merged.v, merged.k, merged.n, merged.colors, ext=h.v, labeling=labeling.vectors
+        h.v + 1, h.k + 1, h.n, table, ext=h.v, labeling=labeling.vectors
     )
 
 

@@ -1,8 +1,21 @@
-"""k-orientations: agreement combinatorics, the even extension, the odd obstruction.
+"""k-orientations: agreement classes, the even extension, the odd obstruction.
 
 An orientation stores one parity bit per k-subset: bit 0 means the relation
 holds on the even rearrangements of the sorted tuple, bit 1 on the odd ones.
 That is the minimal faithful encoding of a choice of alternating-group coset.
+
+Two near-equal k-subsets agree when the match map between them (the bijection
+that swaps their two symmetric-difference points and fixes the rest) is not a
+partial isomorphism.  Inside a sorted (k+1)-set `big`, let S_i = big - big[i].
+For i < j the match map S_i -> S_j replaces big[j] by big[i], which moves one
+point past the j-i-1 points between them, so it preserves the relation exactly
+when bit(S_i) XOR bit(S_j) = (j-i-1) mod 2.  Hence S_i and S_j agree exactly
+when c[i] == c[j], where
+
+    c[i] = bit(S_i) XOR (i mod 2),
+
+and the agreement classes of `big` are the two level sets of c.  Everything
+below reads agreement off c.
 """
 
 from __future__ import annotations
@@ -58,96 +71,44 @@ def _(t: Orientation) -> RelationalStructure:
     return RelationalStructure(t.v, (("T", t.k, tuples),))
 
 
-# -- match maps and agreement -------------------------------------------------
+# -- agreement ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchMap:
-    """Between near-equal sets: swaps the two symmetric-difference points."""
-
-    source: tuple
-    target: tuple
-    removed: int
-    added: int
-
-    def apply(self, x):
-        return self.added if x == self.removed else x
-
-
-def match_map(a, b) -> MatchMap:
-    sa, sb = set(a), set(b)
-    if len(sa - sb) != 1 or len(sb - sa) != 1 or len(sa) != len(sb):
-        raise InputError(f"sets {a} and {b} are not near-equal")
-    return MatchMap(tuple(sorted(sa)), tuple(sorted(sb)), (sa - sb).pop(), (sb - sa).pop())
-
-
-def _agree_eval(eval_a, eval_b, a, b) -> bool:
-    """Agreement given evaluators for the two subsets' native tuples."""
-    mm = match_map(a, b)
-    native = tuple(sorted(a))
-    image = tuple(mm.apply(x) for x in native)
-    preserved = eval_a(native) == eval_b(image)
-    return not preserved
-
-
-def agree(t: Orientation, a, b) -> bool:
-    """Near-equal sets agree when the match map is NOT a partial isomorphism.
-
-    A set agrees with itself by convention.
-    """
-    a = tuple(sorted(a))
-    b = tuple(sorted(b))
-    if len(a) != t.k or len(b) != t.k:
-        raise InputError(f"agreement is between {t.k}-subsets")
-    if a == b:
-        return True
-
-    def ev(tup):
-        return tuple_parity(tup) == t.bits.value_for(tuple(sorted(tup)))
-
-    return _agree_eval(ev, ev, a, b)
+def _signs(t: Orientation, big):
+    """c[i] = bit(big - big[i]) XOR (i mod 2) for a sorted (k+1)-set big."""
+    return [t.bits.value_for(big[:i] + big[i + 1 :]) ^ (i & 1) for i in range(len(big))]
 
 
 def agreement_classes(t: Orientation, big):
     """Partition the k-subsets of a (k+1)-set into their agreement classes.
 
-    Transitivity of agreement is verified, not assumed; a violation is a hard
-    internal error.  Returns (class_a, class_b) with class_a containing the
-    lexicographically least subset; class_b may be empty.
+    Returns (class_a, class_b), each in lexicographic order, with class_a
+    containing the lexicographically least subset; class_b may be empty.
     """
     big = tuple(sorted(big))
     if len(big) != t.k + 1:
         raise InputError(f"need a {t.k + 1}-subset, got {big}")
-    subs = list(combinations(big, t.k))  # lex order
-    first = subs[0]
-    cls_a = [s for s in subs if agree(t, first, s)]
-    cls_b = [s for s in subs if s not in set(cls_a)]
-    for group in (cls_a, cls_b):
-        for x in group:
-            for y in group:
-                if not agree(t, x, y):
-                    raise InternalCheckError(
-                        f"agreement is not transitive on {big}: {x} vs {y}"
-                    )
-    for x in cls_a:
-        for y in cls_b:
-            if agree(t, x, y):
-                raise InternalCheckError(
-                    f"agreement classes not complete bipartite on {big}: {x} vs {y}"
-                )
-    return tuple(cls_a), tuple(cls_b)
+    c = _signs(t, big)
+    # lex order omits big[k] first and big[0] last
+    lex = [(big[:i] + big[i + 1 :], c[i]) for i in reversed(range(len(big)))]
+    return (
+        tuple(s for s, ci in lex if ci == c[-1]),
+        tuple(s for s, ci in lex if ci != c[-1]),
+    )
+
+
+def _disagreements(t: Orientation, big):
+    """Disagreeing pairs inside big: the product of the two class sizes."""
+    ones = sum(_signs(t, big))
+    return ones * (len(big) - ones)
 
 
 def is_even_orientation(t: Orientation):
-    """(flag, witness): every (k+1)-set must have an even number of disagreeing pairs.
-
-    The disagreement count is the product of the two agreement class sizes.
-    """
+    """(flag, witness): every (k+1)-set must have an even number of disagreeing pairs."""
     if t.v < t.k + 1:
         raise InputError(f"need v >= {t.k + 1} to scan, got v={t.v}")
     for big in combinations(range(t.v), t.k + 1):
-        ca, cb = agreement_classes(t, big)
-        if (len(ca) * len(cb)) % 2:
+        if _disagreements(t, big) % 2:
             return False, big
     return True, None
 
@@ -158,10 +119,14 @@ def is_even_orientation(t: Orientation):
 def extend_orientation(t: Orientation) -> Orientation:
     """Parity one-point extension of a k-orientation, k even.
 
-    Subsets through x0 inherit their k-part's bit.  For an interior
-    (k+1)-subset, the k+1 subsets through x0 inside its closure split into
-    agreement classes of which exactly one is odd (their count k+1 is odd);
-    the new bit is chosen so the interior subset agrees with that class.
+    Subsets through x0 inherit their k-part's bit.  An interior (k+1)-subset
+    I = (y0 < ... < yk) sits with the k+1 subsets I - yj + x0 inside I + x0;
+    those split into two agreement classes, exactly one of odd size since k+1
+    is odd, and I takes the bit that makes it agree with that class.  In the
+    signs c of I + x0 the odd class has sign c[0] XOR ... XOR c[k], in which
+    k/2 of the indices are odd, and I comes last with sign bit(I) XOR 1, so
+
+        bit(I) = 1 XOR (k/2 mod 2) XOR bit(I - y0) XOR ... XOR bit(I - yk).
     """
     if t.k % 2:
         raise InputError(
@@ -169,48 +134,15 @@ def extend_orientation(t: Orientation) -> Orientation:
         )
     if t.v < t.k + 1:
         raise InputError(f"need v >= k+1, got v={t.v}")
-    x0 = t.v
-    bits = {}
-    for s in combinations(range(t.v), t.k):
-        bits[s + (x0,)] = t.bits.value_for(s)
+    x0, value_for = t.v, t.bits.value_for
+    offset = 1 ^ (t.k // 2 & 1)
 
-    def ev_known(tup):
-        sub = tuple(sorted(tup))
-        return tuple_parity(tup) == bits[sub]
+    def bit(subset):
+        if subset[-1] == x0:
+            return value_for(subset[:-1])
+        return offset ^ (sum(map(value_for, combinations(subset, t.k))) & 1)
 
-    for interior in combinations(range(t.v), t.k + 1):
-        through_x0 = [
-            tuple(x for x in interior if x != y) + (x0,) for y in interior
-        ]
-        through_x0.sort()
-        first = through_x0[0]
-        cls_a = [
-            s
-            for s in through_x0
-            if s == first or _agree_eval(ev_known, ev_known, first, s)
-        ]
-        cls_b = [s for s in through_x0 if s not in set(cls_a)]
-        odd = cls_a if len(cls_a) % 2 else cls_b
-        if len(odd) % 2 == 0:
-            raise InternalCheckError(f"no odd agreement class inside {interior}")
-        anchor = min(odd)
-
-        choice = None
-        for b in (0, 1):
-            def ev_candidate(tup, b=b):
-                return tuple_parity(tup) == b
-
-            if _agree_eval(ev_candidate, ev_known, interior, anchor):
-                if choice is not None:
-                    raise InternalCheckError(
-                        f"both bits of {interior} agree with the odd class"
-                    )
-                choice = b
-        if choice is None:
-            raise InternalCheckError(f"no bit of {interior} agrees with the odd class")
-        bits[interior] = choice
-
-    table = SubsetMap.from_function(t.v + 1, t.k + 1, lambda s: bits[s])
+    table = SubsetMap.from_function(t.v + 1, t.k + 1, bit)
     return Orientation(t.v + 1, t.k + 1, table, ext=x0)
 
 
@@ -317,8 +249,4 @@ def odd_obstruction(k) -> ObstructionCertificate:
 
 def count_disagreements(t: Orientation):
     """Total number of disagreeing near-equal pairs of k-subsets."""
-    total = 0
-    for big in combinations(range(t.v), t.k + 1):
-        ca, cb = agreement_classes(t, big)
-        total += len(ca) * len(cb)
-    return total
+    return sum(_disagreements(t, big) for big in combinations(range(t.v), t.k + 1))

@@ -90,9 +90,6 @@ class PermutationGroup:
     def generators(self):
         return _greedy_generators(self.v, self.elements)
 
-    def sorted_elements(self):
-        return sorted(self.elements)
-
     def __contains__(self, p):
         return tuple(p) in self.elements
 

@@ -36,9 +36,6 @@ class Hypertournament:
             if tuple(sorted(t)) != s:
                 raise InputError(f"ordering {t!r} is not an arrangement of {s}")
 
-    def ordering_of(self, subset):
-        return self.orderings.value_for(subset)
-
 
 @flatten.register
 def _(t: Hypertournament) -> RelationalStructure:
@@ -66,12 +63,6 @@ class LinearOrder:
     @classmethod
     def identity(cls, v):
         return cls(tuple(range(v)))
-
-    def position(self, x):
-        return self.order.index(x)
-
-    def less(self, a, b):
-        return self.position(a) < self.position(b)
 
 
 @flatten.register

@@ -259,6 +259,22 @@ def test_verify_transitive_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_extend_one_color_hypergraph(tmp_path, capsys):
+    # one color is 2**0 colors: the extension is the complete 3-hypergraph
+    base = tmp_path / "base.txt"
+    ext = tmp_path / "ext.txt"
+    body = "".join(f"({a},{b}) = 0\n" for b in range(4) for a in range(b))
+    base.write_text("kind chg v=4 k=2 n=1\n" + body)
+    code, _, _ = run(["extend", "--in", str(base), "--out", str(ext)], capsys)
+    assert code == 0
+    code, out, _ = run(
+        ["verify", "extension", "--in", str(base), "--ext", str(ext)], capsys
+    )
+    assert code == 0
+    assert "is_one_point_extension  True" in out
+    assert "is_transitive           True" in out
+
+
 def test_palette_check_file(tmp_path, capsys):
     good = tmp_path / "p.txt"
     good.write_text("palette n=2\n{1,1,1,1}\n{1,1,2,2}\n{2,2,2,2}\n")

@@ -1,6 +1,6 @@
-"""Evenness, the parity extension, bit channels, and palette extraction."""
+"""Evenness, the parity extension, bit labelings, and palette extraction."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,8 +9,6 @@ from extensor.generate import SplitMix64, random_colored_hypergraph, random_plai
 from extensor.hyperext import (
     BitLabeling,
     ColoredHypergraph,
-    bit_decompose,
-    bit_merge,
     canonical_form_violation,
     default_labeling,
     derive_palette,
@@ -96,30 +94,49 @@ def test_interior_flip_breaks_evenness():
 
 
 def test_bit_labeling_validation():
-    assert default_labeling(4).width == 2
     with pytest.raises(InputError):
         BitLabeling(3, (0, 1, 2))
     with pytest.raises(InputError):
         BitLabeling(4, (0, 1, 2, 2))
 
 
-def test_single_channel_decomposition_is_identity():
-    h = random_plain_hypergraph(SplitMix64(5), 5, 2)
-    (channel,) = bit_decompose(h)
-    assert channel.colors == h.colors
+def _reference_extend_colored(h, labeling):
+    """The channel construction: split the colors into bit channels, extend each
+    channel as a plain hypergraph by counting its hyperedges, and merge."""
+    width = h.n.bit_length() - 1
+    channels = [
+        {s: (labeling.vectors[c] >> b) & 1 for s, c in h.colors.items()}
+        for b in range(width)
+    ]
+    x0 = h.v
+
+    def channel_bit(channel, subset):
+        if subset[-1] == x0:
+            return channel[subset[:-1]]
+        return sum(channel[s] for s in combinations(subset, h.k)) % 2
+
+    def color(subset):
+        bits = sum(channel_bit(ch, subset) << b for b, ch in enumerate(channels))
+        return labeling.vectors.index(bits)
+
+    return SubsetMap.from_function(h.v + 1, h.k + 1, color)
 
 
-def test_color_three_sits_in_both_channels():
-    h = ColoredHypergraph(3, 2, 4, SubsetMap(3, 2, (3, 0, 0)))
-    ch0, ch1 = bit_decompose(h)
-    assert ch0.colors.value_for((0, 1)) == 1
-    assert ch1.colors.value_for((0, 1)) == 1
-
-
-def test_bit_round_trip():
-    rng = SplitMix64(8)
-    h = random_colored_hypergraph(rng, 6, 2, 4)
-    assert bit_merge(bit_decompose(h)) == h
+def test_extend_colored_matches_the_channel_construction():
+    rng = SplitMix64(19)
+    for n in (1, 2, 4, 8):
+        for i in range(12):
+            k = 2 + i % 2
+            h = random_colored_hypergraph(rng, k + 1 + rng.below(3), k, n)
+            ext = extend_colored(h)
+            assert ext.colors == _reference_extend_colored(h, default_labeling(n))
+            assert (ext.v, ext.k, ext.n, ext.ext) == (h.v + 1, h.k + 1, n, h.v)
+    for vectors in permutations(range(4)):
+        labeling = BitLabeling(4, vectors)
+        h = random_colored_hypergraph(rng, 5, 2, 4)
+        ext = extend_colored(h, labeling)
+        assert ext.colors == _reference_extend_colored(h, labeling)
+        assert ext.labeling == vectors
 
 
 def test_extend_colored_rejects_non_power_of_two():

@@ -1,6 +1,8 @@
 """Orientations: evaluation, agreement, evenness, extension, obstruction."""
 
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 
@@ -8,19 +10,62 @@ from extensor.errors import InputError
 from extensor.generate import SplitMix64, random_orientation
 from extensor.orient import (
     Orientation,
-    agree,
     agreement_classes,
     base_structure,
     count_disagreements,
     evaluate,
     extend_orientation,
     is_even_orientation,
-    match_map,
     odd_obstruction,
     tuple_parity,
 )
 from extensor.perm import verify_one_point_extension
 from extensor.structures import SubsetMap, flatten, subsets_colex
+
+
+# -- the definition of agreement, as the oracle for the closed form -----------
+
+
+@dataclass(frozen=True)
+class MatchMap:
+    """Between near-equal sets: swaps the two symmetric-difference points."""
+
+    source: tuple
+    target: tuple
+    removed: int
+    added: int
+
+    def apply(self, x):
+        return self.added if x == self.removed else x
+
+
+def match_map(a, b) -> MatchMap:
+    sa, sb = set(a), set(b)
+    if len(sa - sb) != 1 or len(sb - sa) != 1 or len(sa) != len(sb):
+        raise InputError(f"sets {a} and {b} are not near-equal")
+    return MatchMap(tuple(sorted(sa)), tuple(sorted(sb)), (sa - sb).pop(), (sb - sa).pop())
+
+
+def agree(t, a, b):
+    """Near-equal sets agree when the match map is NOT a partial isomorphism.
+
+    A set agrees with itself by convention.
+    """
+    a = tuple(sorted(a))
+    b = tuple(sorted(b))
+    if len(a) != t.k or len(b) != t.k:
+        raise InputError(f"agreement is between {t.k}-subsets")
+    if a == b:
+        return True
+    mm = match_map(a, b)
+    return evaluate(t, a) != evaluate(t, tuple(mm.apply(x) for x in a))
+
+
+def oracle_classes(t, big):
+    """Agreement classes by the definition: those that agree with the lex-least subset first."""
+    subs = list(combinations(sorted(big), t.k))
+    cls_a = tuple(s for s in subs if agree(t, subs[0], s))
+    return cls_a, tuple(s for s in subs if s not in cls_a)
 
 
 def cycle_tournament():
@@ -171,36 +216,61 @@ def test_interior_choice_is_independent_of_odd_class_member():
     # the chosen bit makes the interior subset agree with every member of the
     # odd class, not just the anchor
     rng = SplitMix64(29)
-    for _ in range(20):
-        v = 3 + rng.below(3)
-        t = random_orientation(rng, v, 2)
-        ext = extend_orientation(t)
-        x0 = t.v
-        for interior in combinations(range(v), 3):
-            through = sorted(
-                tuple(x for x in interior if x != y) + (x0,) for y in interior
-            )
-            first = through[0]
-            cls_a = tuple(s for s in through if agree(ext, first, s))
-            cls_b = tuple(s for s in through if s not in cls_a)
-            odd = cls_a if len(cls_a) % 2 else cls_b
-            assert all(agree(ext, interior, member) for member in odd)
+    for k, rounds in ((2, 20), (4, 6), (6, 3)):
+        for _ in range(rounds):
+            v = k + 1 + rng.below(2)
+            t = random_orientation(rng, v, k)
+            ext = extend_orientation(t)
+            x0 = t.v
+            for interior in combinations(range(v), k + 1):
+                through = sorted(
+                    tuple(x for x in interior if x != y) + (x0,) for y in interior
+                )
+                first = through[0]
+                cls_a = tuple(s for s in through if agree(ext, first, s))
+                cls_b = tuple(s for s in through if s not in cls_a)
+                odd = cls_a if len(cls_a) % 2 else cls_b
+                assert all(agree(ext, interior, member) for member in odd)
 
 
 def test_agreement_transitivity_on_random_orientations():
+    # by the definition, agreement is an equivalence on the k-subsets of a
+    # (k+1)-set with agreement_classes as its classes
     rng = SplitMix64(33)
     for i in range(500):
         k = 2 + (i % 3)
         v = k + 2 + rng.below(7 - k)
         t = random_orientation(rng, v, k)
         for big in combinations(range(v), k + 1):
-            ca, cb = agreement_classes(t, big)  # raises if transitivity fails
+            ca, cb = agreement_classes(t, big)
             assert len(ca) + len(cb) == k + 1
+            for x, y in combinations(ca + cb, 2):
+                assert agree(t, x, y) == ((x in ca) == (y in ca)), (big, x, y)
+
+
+def test_agreement_classes_match_the_definition():
+    # every orientation with at most 10 k-subsets, then seeded ones up to k = 6
+    cases = [
+        Orientation(v, k, SubsetMap(v, k, bits))
+        for k in range(2, 10)
+        for v in range(k + 1, 11)
+        if comb(v, k) <= 10
+        for bits in product((0, 1), repeat=comb(v, k))
+    ]
+    rng = SplitMix64(35)
+    cases += [
+        random_orientation(rng, k + 1 + rng.below(3), k) for k in range(2, 7) for _ in range(6)
+    ]
+    for t in cases:
+        disagreements = 0
+        for big in combinations(range(t.v), t.k + 1):
+            ca, cb = oracle_classes(t, big)
+            assert agreement_classes(t, big) == (ca, cb)
+            disagreements += len(ca) * len(cb)
+        assert count_disagreements(t) == disagreements
 
 
 def test_base_structure_bits():
-    from math import comb
-
     b = base_structure(2)
     # subset {2,3} omits the first two points: 1+2 odd
     assert b.bits.value_for((2, 3)) == 1

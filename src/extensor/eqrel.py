@@ -27,7 +27,7 @@ from .perm import (  # noqa: F401
     automorphism_group,
     verify_one_point_extension,
 )
-from .structures import RelationalStructure, SubsetMap, flatten, rank_subset
+from .structures import RelationalStructure, SubsetMap, _faces, flatten
 
 # interior triples are enumerated as bits, so C(v, 3) is capped (v <= 6)
 MAX_INTERIOR = 24
@@ -267,10 +267,8 @@ def refute_extension(e: EquivalenceRelation, bound=8) -> RefutationCertificate:
     boundary = forced_mask & ~interior
     forced_interior = forced_mask & interior
 
-    quads = list(combinations(range(v + 1), 4))
-    qmasks = [
-        sum(1 << rank_subset(t) for t in combinations(quad, 3)) for quad in quads
-    ]
+    quads, ranks = _faces(v + 1, 3, 4)
+    qmasks = [sum(1 << r for r in row) for row in ranks.tolist()]
     survivors_idx = _consistent_interiors(n_interior, boundary, qmasks)
     total = 1 << n_interior
     consistency_failed = total - len(survivors_idx)
@@ -285,7 +283,7 @@ def refute_extension(e: EquivalenceRelation, bound=8) -> RefutationCertificate:
         for quad, qmask in zip(quads, qmasks):
             cnt = (mask & qmask).bit_count()
             if cnt not in (0, 1, 4):
-                first_witness = (bits_val, quad, cnt)
+                first_witness = (bits_val, tuple(quad.tolist()), cnt)
                 break
 
     def candidate_from(bits_val):

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from .errors import InputError
 from .palette import Palette, enumerate_multisets
-from .structures import RelationalStructure, SubsetMap, flatten
+from .structures import RelationalStructure, SubsetMap, _faces, flatten
 
 
 @dataclass(frozen=True)
@@ -88,11 +90,11 @@ def is_even_hypergraph(h: ColoredHypergraph):
         raise InputError("evenness is defined for plain hypergraphs")
     if h.v < h.k + 1:
         raise InputError(f"need v >= k+1 to scan (k+1)-subsets, got v={h.v}")
-    for big in combinations(range(h.v), h.k + 1):
-        count = sum(h.colors.value_for(s) for s in combinations(big, h.k))
-        if count % 2:
-            return False, big
-    return True, None
+    rows, ranks = _faces(h.v, h.k, h.k + 1)
+    odd = np.asarray(h.colors.values)[ranks].sum(axis=1) & 1
+    # rows are in lex order, so argmax finds the least odd (k+1)-subset
+    i = int(odd.argmax())
+    return (False, tuple(rows[i].tolist())) if odd[i] else (True, None)
 
 
 def extend_plain(h: ColoredHypergraph) -> ColoredHypergraph:

@@ -8,14 +8,23 @@ keyed by the colex rank of each k-subset.  The colex order of the k-subsets of
 a v-set and each subset's rank are built once per (v, k) and cached, so a table
 lookup is one dictionary probe; a subset is validated only when the probe
 misses, and an invalid one raises :class:`InputError` there.
+
+Checks that scan every face of a table read it through the face array of
+(v, k, size), also built once and cached: the size-subsets of {0..v-1} in
+lexicographic order as rows of an int array, and for each row the colex ranks
+of its k-subsets in ``combinations(row, k)`` order.  Both come from the
+combinatorial number system in numpy, so a scan over the faces is one gather
+of the table's values, ``values[ranks]``, and nothing is looked up per subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, singledispatch
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+
+import numpy as np
 
 from .errors import InputError
 
@@ -67,6 +76,26 @@ def _colex(v, k):
         s[::-1] for s in reversed(list(combinations(range(v - 1, -1, -1), k)))
     )
     return order, {s: r for r, s in enumerate(order)}
+
+
+@lru_cache(maxsize=128)
+def _faces(v, k, size):
+    """(rows, ranks) of the size-subsets of {0..v-1}, in lexicographic order.
+
+    rows[i] is the i-th size-subset and ranks[i, j] the colex rank of the j-th
+    k-subset of rows[i] in ``combinations(rows[i], k)`` order.
+    """
+    count = comb(v, size)
+    rows = np.fromiter(
+        chain.from_iterable(combinations(range(v), size)), np.intp, count * size
+    ).reshape(count, size)
+    # a k-subset's colex rank is the sum of C(s[i], i + 1) over its positions i
+    ranks = np.zeros((count, comb(size, k)), np.intp)
+    for i, column in enumerate(zip(*combinations(range(size), k))):
+        binom = np.array([comb(x, i + 1) for x in range(v)], np.intp)
+        ranks += binom[rows[:, column]]
+    rows.flags.writeable = ranks.flags.writeable = False
+    return rows, ranks
 
 
 def subsets_colex(v, k):

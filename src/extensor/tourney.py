@@ -90,14 +90,14 @@ class CircularOrder:
             raise InputError(f"cycle must arrange 0..{v - 1}, got {cycle!r}")
         if v < 3:
             raise InputError("a circular order needs at least 3 points")
-        pos = {x: i for i, x in enumerate(cycle)}
-        triples = set()
-        for x, y, z in permutations(range(v), 3):
-            dy = (pos[y] - pos[x]) % v
-            dz = (pos[z] - pos[x]) % v
-            if dy < dz:
-                triples.add((x, y, z))
-        return cls(v, frozenset(triples), ext=ext)
+        # (x, y, z) holds when y comes before z going round from x: the three
+        # rotations of each 3-subsequence of the cycle
+        triples = frozenset(
+            t
+            for x, y, z in combinations(cycle, 3)
+            for t in ((x, y, z), (y, z, x), (z, x, y))
+        )
+        return cls(v, triples, ext=ext)
 
     def holds(self, x, y, z):
         return (x, y, z) in self.triples

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError, InternalCheckError
 from .hyperext import ColoredHypergraph, is_even_hypergraph
-from .structures import RelationalStructure, SubsetMap, flatten
+from .structures import RelationalStructure, SubsetMap, _faces, flatten
 from .tourney import CircularOrder
 
 # ---------------------------------------------------------------------------
@@ -228,23 +228,18 @@ def _leaf_path_masks_unrooted(t: UnrootedLeafTree):
         for nb in t.neighbors(u):
             if nb < t.v:
                 adj.setdefault(nb, []).append(u)
-    paths = [[0] * t.v for _ in range(t.v)]
+    paths = []
     for a in range(t.v):
-        prev = {a: None}
+        # mask[node] is the path from a to node, recorded as the search reaches it
+        mask = {a: 1 << a}
         stack = [a]
         while stack:
             node = stack.pop()
             for nb in adj[node]:
-                if nb not in prev:
-                    prev[nb] = node
+                if nb not in mask:
+                    mask[nb] = mask[node] | 1 << nb
                     stack.append(nb)
-        for b in range(t.v):
-            m = 0
-            node = b
-            while node is not None:
-                m |= 1 << node
-                node = prev[node]
-            paths[a][b] = m
+        paths.append([mask[b] for b in range(t.v)])
     return paths
 
 
@@ -380,8 +375,9 @@ _D_SKIPPED = (
 
 
 def _first(bad):
-    hits = np.argwhere(bad)
-    return tuple(hits[0].tolist()) if len(hits) else None
+    if not bad.any():
+        return None
+    return tuple(np.argwhere(bad)[0].tolist())
 
 
 def check_c_axioms(r: CRelation) -> AxiomCheck:
@@ -627,25 +623,36 @@ def triple_coloring(t: UnrootedLeafTree) -> ColoredHypergraph:
     return ColoredHypergraph(t.v, 3, _color_count(t.colors), table)
 
 
+# An N is a path with three edges on 4 vertices.  Bit j of a local mask is the
+# j-th pair of combinations(range(4), 2); these are the masks of the 12 paths.
+_PAIRS_OF_4 = list(combinations(range(4), 2))
+_N_MASKS = frozenset(
+    sum(1 << _PAIRS_OF_4.index(tuple(sorted(e))) for e in zip(p, p[1:]))
+    for p in permutations(range(4))
+)
+_IS_N = np.zeros(64, dtype=bool)
+_IS_N[sorted(_N_MASKS)] = True
+
+
 def n_free_check(g: ColoredHypergraph):
     """(flag, witness): no color class restricted to 4 vertices may be a path
     with exactly the three consecutive edges."""
     if g.k != 2:
         raise InputError("N-freeness is a pair-coloring notion (k=2)")
-    for quad in combinations(range(g.v), 4):
-        for color in range(g.n):
-            edges = [
-                p for p in combinations(quad, 2) if g.colors.value_for(p) == color
-            ]
-            if len(edges) != 3:
-                continue
-            deg = {x: 0 for x in quad}
-            for a, b in edges:
-                deg[a] += 1
-                deg[b] += 1
-            if sorted(deg.values()) == [1, 1, 2, 2]:
-                return False, (quad, color)
-    return True, None
+    if g.v < 4:
+        return True, None
+    quads, ranks = _faces(g.v, 2, 4)
+    pair_colors = np.asarray(g.colors.values)[ranks]
+    first = None  # (quad index, color) of the first hit in row-major order
+    # not np.unique: it imports numpy.ma, 1.6 MB of peak RSS, for a few colors
+    for color in sorted(set(g.colors.values)):
+        masks = np.packbits(pair_colors == color, axis=1, bitorder="little")[:, 0]
+        hits = np.flatnonzero(_IS_N[masks])
+        if len(hits) and (first is None or hits[0] < first[0]):
+            first = (int(hits[0]), int(color))
+    if first is None:
+        return True, None
+    return False, (tuple(quads[first[0]].tolist()), first[1])
 
 
 # ---------------------------------------------------------------------------
@@ -905,8 +912,8 @@ def colored_extension_violation(t: RootedLeafTree, ext: UnrootedLeafTree):
             return ("color", s.node)
     triples = triple_coloring(ext)
     for c in range(triples.n):
-        table = SubsetMap.from_function(
-            triples.v, 3, lambda s: 1 if triples.colors.value_for(s) == c else 0
+        table = SubsetMap(
+            triples.v, 3, tuple(int(x == c) for x in triples.colors.values)
         )
         ok, witness = is_even_hypergraph(ColoredHypergraph(triples.v, 3, 2, table))
         if not ok:

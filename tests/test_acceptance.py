@@ -19,8 +19,9 @@ REPORT_SHA256 = "29d45ed2a92c9fcda8752c34d71708768b275b074968c9c68ca1061810ce545
 
 @pytest.fixture(scope="session")
 def results():
-    # start from an empty subset index, so this run is the cold-cache one
+    # start from empty subset and face indexes, so this run is the cold-cache one
     structures._colex.cache_clear()
+    structures._faces.cache_clear()
     out = {r.number: r for r in acceptance.run_all(acceptance.DEFAULT_SEED)}
     for r in sorted(out.values(), key=lambda r: r.number):
         print(f"{r.label()}: {'PASS' if r.passed else 'FAIL'}")
@@ -91,3 +92,20 @@ def test_selftest_report_is_byte_identical_across_runs(results):
     second = acceptance.report_text(acceptance.run_all(seed), seed).encode()
     assert first == second
     assert hashlib.sha256(first).hexdigest() == REPORT_SHA256
+
+
+def test_subset_table_probe_counts(monkeypatch):
+    # the criterion-11 scans read the face arrays and never probe a table;
+    # the full count moves only when a check starts or stops probing
+    calls = []
+    value_for = structures.SubsetMap.value_for
+
+    def counted(self, subset):
+        calls.append(None)
+        return value_for(self, subset)
+
+    monkeypatch.setattr(structures.SubsetMap, "value_for", counted)
+    acceptance.run_all(acceptance.DEFAULT_SEED, only={11})
+    assert len(calls) == 0
+    acceptance.run_all(acceptance.DEFAULT_SEED)
+    assert len(calls) == 79_746

@@ -93,6 +93,35 @@ def test_interior_flip_breaks_evenness():
             assert not is_even_hypergraph(flipped)[0]
 
 
+def _reference_is_even(h):
+    """Evenness by the definition: count the hyperedges in each (k+1)-subset."""
+    for big in combinations(range(h.v), h.k + 1):
+        count = sum(h.colors.value_for(s) for s in combinations(big, h.k))
+        if count % 2:
+            return False, big
+    return True, None
+
+
+def test_evenness_matches_the_counting_oracle():
+    rng = SplitMix64(29)
+    cases = []
+    for i in range(120):
+        k = 2 + i % 2
+        v = k + 1 + rng.below(8 - k)
+        h = random_plain_hypergraph(rng, v, k)
+        ext = extend_plain(h)
+        # one flipped interior subset puts the least odd face past row 0
+        interior = rng.choice(list(combinations(range(v), k + 1)))
+        flipped = ext.colors.replace(interior, 1 - ext.colors.value_for(interior))
+        cases += [h, ext, ColoredHypergraph(ext.v, ext.k, 2, flipped)]
+    cases += [random_plain_hypergraph(rng, k + 1, k) for k in (2, 3) for _ in range(10)]
+    cases.append(random_plain_hypergraph(rng, 30, 2))
+    verdicts = [_reference_is_even(h) for h in cases]
+    assert [is_even_hypergraph(h) for h in cases] == verdicts
+    assert sum(ok for ok, _ in verdicts) >= 120
+    assert len({w for _, w in verdicts if w and w != tuple(range(len(w)))}) > 10
+
+
 def test_bit_labeling_validation():
     with pytest.raises(InputError):
         BitLabeling(3, (0, 1, 2))

@@ -3,9 +3,10 @@
 The public names are the top-level functions and classes and the public
 methods of every class.  A caller is a reference, as a name or an attribute,
 from the package itself, the demos or the benchmark's workloads; the tests do
-not count, so a function that only its own tests call is flagged.  A method is
-matched by its bare name, so one that shares a name with some other attribute
-or variable counts as called.  Both scans read the source with `ast` and
+not count, so a function that only its own tests call is flagged.  A top-level
+name is called when it is referenced as a name or an attribute; a method only
+when it is referenced as an attribute, so a local variable or a function that
+shares its name does not count.  Both scans read the source with `ast` and
 import nothing.
 """
 
@@ -46,39 +47,65 @@ def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _referenced(tree):
-    """Every identifier the module reads or writes, as a name or an attribute."""
-    names = set()
+def _references(tree):
+    """(names, attributes) the module reads or writes: bare names, and the
+    attribute part of every `x.attr`."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+            attributes.add(node.attr)
+    return names, attributes
+
+
+def _referenced(tree):
+    """Every identifier the module reads or writes, as a name or an attribute."""
+    return set().union(*_references(tree))
 
 
 def _public_definitions(tree):
-    """(qualified name, bare name) of each public top-level definition and method."""
+    """(qualified name, bare name, is method) of each public top-level
+    definition and method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
-                yield node.name, node.name
+                yield node.name, node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if not item.name.startswith("_"):
-                        yield f"{node.name}.{item.name}", item.name
+                        yield f"{node.name}.{item.name}", item.name, True
+
+
+def _uncalled(modules, callers):
+    """`module.qualified` of each public definition in `modules` ({stem: tree})
+    that no tree in `callers` references."""
+    names, attributes = set(), set()
+    for tree in callers:
+        n, a = _references(tree)
+        names |= n
+        attributes |= a
+    return [
+        f"{stem}.{qualified}"
+        for stem, tree in modules.items()
+        for qualified, name, is_method in _public_definitions(tree)
+        if name not in attributes and (is_method or name not in names)
+    ]
 
 
 def test_every_public_definition_has_a_caller():
-    referenced = set().union(*(_referenced(_tree(path)) for path in CALLERS))
-    uncalled = [
-        f"{path.stem}.{qualified}"
-        for path in sorted(SRC.glob("*.py"))
-        for qualified, name in _public_definitions(_tree(path))
-        if name not in referenced and qualified not in UNCALLED
-    ]
-    assert uncalled == []
+    modules = {path.stem: _tree(path) for path in sorted(SRC.glob("*.py"))}
+    uncalled = _uncalled(modules, [_tree(path) for path in CALLERS])
+    assert [u for u in uncalled if u.split(".", 1)[1] not in UNCALLED] == []
+
+
+def test_a_name_shared_with_a_variable_does_not_call_a_method():
+    modules = {"m": ast.parse("class Box:\n    def size(self):\n        return 1\n")}
+    local = ast.parse("def f():\n    size = Box()\n    return size\n")
+    assert _uncalled(modules, [local]) == ["m.Box.size"]
+    call = ast.parse("def g(box):\n    return box.size()\n")
+    assert _uncalled(modules, [local, call]) == []
 
 
 def test_every_module_import_is_used():

@@ -17,6 +17,8 @@ from extensor.hyperext import ColoredHypergraph
 from extensor.orient import Orientation, tuple_parity
 from extensor.structures import (
     SubsetMap,
+    _colex,
+    _faces,
     flatten,
     induced_substructure,
     make_structure,
@@ -47,6 +49,30 @@ def test_rank_unrank_bijection(v):
         assert seen == list(range(comb(v, k)))
         for r in range(comb(v, k)):
             assert rank_subset(unrank_subset(r, k, v)) == r
+
+
+def test_faces_match_colex_and_combinations():
+    # sizes past v and k = 0 give the empty and single-rank cases
+    for v in range(10):
+        for size in range(v + 2):
+            for k in range(size + 1):
+                rows, ranks = _faces(v, k, size)
+                expected = list(combinations(range(v), size))
+                index = _colex(v, k)[1]
+                assert rows.shape == (len(expected), size)
+                assert ranks.shape == (len(expected), comb(size, k))
+                assert list(map(tuple, rows.tolist())) == expected
+                assert ranks.tolist() == [
+                    [index[s] for s in combinations(row, k)] for row in expected
+                ]
+
+
+def test_faces_are_read_only():
+    rows, ranks = _faces(5, 2, 3)
+    with pytest.raises(ValueError):
+        ranks[0, 0] = 1
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
 
 
 def test_rank_rejects_malformed_subsets():

@@ -1,5 +1,7 @@
 """Hypertournaments, orders, the k! interpretation, and existence reports."""
 
+from itertools import permutations
+
 import pytest
 
 from extensor.errors import BoundExceededError, InputError
@@ -53,6 +55,20 @@ def test_cycle_round_trip():
     circ = CircularOrder.from_cycle((2, 0, 3, 1))
     assert circ.to_cycle() == (0, 3, 1, 2)
     assert CircularOrder.from_cycle(circ.to_cycle()) == circ
+
+
+def test_from_cycle_matches_the_modular_definition():
+    for v in range(3, 9):
+        # (x, y, z) holds when y is fewer steps than z round the cycle from x;
+        # here x, y, z are given by their positions i, j, l on the cycle
+        steps = [
+            (i, j, l)
+            for i, j, l in permutations(range(v), 3)
+            if (j - i) % v < (l - i) % v
+        ]
+        for cycle in permutations(range(v)):
+            expected = frozenset((cycle[i], cycle[j], cycle[l]) for i, j, l in steps)
+            assert CircularOrder.from_cycle(cycle).triples == expected
 
 
 def test_interpret_pair_against_ascending_order():

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from extensor.errors import InputError
-from extensor.generate import SplitMix64, random_rooted_tree, random_unrooted_tree
+from extensor.generate import (
+    SplitMix64,
+    random_colored_hypergraph,
+    random_rooted_tree,
+    random_unrooted_tree,
+)
 from extensor.hyperext import ColoredHypergraph, is_even_hypergraph
 from extensor.structures import SubsetMap, flatten, induced_substructure
 from extensor.treeset import (
@@ -15,6 +20,7 @@ from extensor.treeset import (
     Leveling,
     RootedLeafTree,
     UnrootedLeafTree,
+    _leaf_path_masks_unrooted,
     branching_point,
     c_monotonic_sequences,
     c_relation,
@@ -458,9 +464,69 @@ def test_explicit_path_is_caught():
     assert witness == ((0, 1, 2, 3), 0)
 
 
+def _reference_n_free_check(g):
+    """N-freeness by the definition: the degrees of each 3-edge color class."""
+    for quad in combinations(range(g.v), 4):
+        for color in range(g.n):
+            edges = [p for p in combinations(quad, 2) if g.colors.value_for(p) == color]
+            if len(edges) != 3:
+                continue
+            deg = {x: 0 for x in quad}
+            for a, b in edges:
+                deg[a] += 1
+                deg[b] += 1
+            if sorted(deg.values()) == [1, 1, 2, 2]:
+                return False, (quad, color)
+    return True, None
+
+
+def test_n_free_check_matches_the_degree_oracle():
+    rng = SplitMix64(64)
+    found = 0
+    for _ in range(3000):
+        g = random_colored_hypergraph(rng, 2 + rng.below(9), 2, 1 + rng.below(4))
+        expected = _reference_n_free_check(g)
+        assert n_free_check(g) == expected
+        found += not expected[0]
+    assert 1000 < found < 2500
+
+
 def test_monochromatic_complete_graph_is_n_free():
     g = ColoredHypergraph(5, 2, 1, SubsetMap.from_function(5, 2, lambda s: 0))
     assert n_free_check(g)[0]
+
+
+def _reference_leaf_path_masks(t):
+    """Path masks by walking each leaf back to the search root."""
+    adj = {}
+    for u in t.internal_ids():
+        adj[u] = list(t.neighbors(u))
+        for nb in t.neighbors(u):
+            if nb < t.v:
+                adj.setdefault(nb, []).append(u)
+    paths = [[0] * t.v for _ in range(t.v)]
+    for a in range(t.v):
+        prev = {a: None}
+        stack = [a]
+        while stack:
+            node = stack.pop()
+            for nb in adj[node]:
+                if nb not in prev:
+                    prev[nb] = node
+                    stack.append(nb)
+        for b in range(t.v):
+            node = b
+            while node is not None:
+                paths[a][b] |= 1 << node
+                node = prev[node]
+    return paths
+
+
+def test_leaf_path_masks_match_the_walk_oracle():
+    rng = SplitMix64(65)
+    for _ in range(200):
+        t = random_unrooted_tree(rng, 3 + rng.below(10))
+        assert _leaf_path_masks_unrooted(t) == _reference_leaf_path_masks(t)
 
 
 def test_leveling_of_ranked_caterpillar():

@@ -84,14 +84,14 @@ def criterion_02(seed=DEFAULT_SEED):
     brute_checked = brute_ok = 0
     for h in instances:
         ext = hyperext.extend_colored(h)
-        rep = perm.verify_one_point_extension(h, ext, bound=8)
+        rep = perm.verify_one_point_extension(h, ext)
         one_point += rep.is_one_point_extension
         transitive += rep.is_transitive
         if h.v <= 4:
             # validate the search engine against literal (v+1)! filtering
             brute_checked += 1
             brute = frozenset(perm.automorphisms_brute(flatten(ext)))
-            engine = perm.automorphism_group(flatten(ext), bound=8).elements
+            engine = perm.automorphism_group(flatten(ext)).elements
             brute_ok += brute == engine
     ok = one_point == 50 and transitive == 50 and brute_checked == brute_ok
     lines = [
@@ -112,11 +112,11 @@ def criterion_03(seed=DEFAULT_SEED):
     checked = bad = 0
     for h in _criterion_02_instances(seed):
         ext = hyperext.extend_colored(h)
-        aut_h = perm.automorphism_group(flatten(h), bound=8)
-        aut_e = perm.automorphism_group(flatten(ext), bound=8)
+        aut_h = perm.automorphism_group(flatten(h))
+        aut_e = perm.automorphism_group(flatten(ext))
         # degree jump applies to verified transitive extensions of point-transitive bases
         if perm.is_transitive(aut_h) and perm.is_transitive(aut_e):
-            rep = perm.verify_one_point_extension(h, ext, bound=8)
+            rep = perm.verify_one_point_extension(h, ext)
             if rep.is_one_point_extension:
                 checked += 1
                 if len(perm.orbits(aut_e, 2, "tuples")) != 1:
@@ -219,7 +219,7 @@ def criterion_07(seed=DEFAULT_SEED):
             boundary_bad += 1
         if v <= 5:
             verified += 1
-            rep = perm.verify_one_point_extension(t, ext, bound=8)
+            rep = perm.verify_one_point_extension(t, ext)
             if not rep.is_one_point_extension:
                 verify_bad += 1
     lines = [
@@ -274,12 +274,8 @@ def criterion_09(seed=DEFAULT_SEED):
             round_bad += 1
         if v <= 6:
             aut_checked += 1
-            a1 = perm.automorphism_group(
-                merge_structures(flatten(t), flatten(order)), bound=8
-            )
-            a2 = perm.automorphism_group(
-                merge_structures(flatten(g), flatten(order)), bound=8
-            )
+            a1 = perm.automorphism_group(merge_structures(flatten(t), flatten(order)))
+            a2 = perm.automorphism_group(merge_structures(flatten(g), flatten(order)))
             if a1.elements != a2.elements:
                 aut_bad += 1
     report = tourney.nonexistence_report(3)

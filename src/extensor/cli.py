@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 verified/found, 1 refuted/proven-none, 2 budget or bound
-exceeded, 3 input error.
+Exit codes: 0 verified/found, 1 refuted/proven-none, 2 search budget spent,
+3 input error.  ``--budget N`` on ``verify``, ``orbits``, ``obstruct`` and
+``palette`` caps the search nodes one command may spend (default
+``SEARCH_BUDGET``, 10^6); a command that spends them all exits 2.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import argparse
 import sys
 
 from . import acceptance, eqrel, hyperext, orient, palette, perm, tourney, treeset
-from .errors import BoundExceededError, ExtensorError, InputError, ParseError
+from .errors import SEARCH_BUDGET, BoundExceededError, ExtensorError, InputError, ParseError
 from .fileio import parse, serialize
 from .generate import (
     SplitMix64,
@@ -158,7 +160,7 @@ def cmd_verify(args):
         if not args.ext:
             raise InputError("verify extension needs --ext <file>")
         ext = parse(_read(args.ext))
-        report = perm.verify_one_point_extension(obj, ext, bound=args.bound)
+        report = perm.verify_one_point_extension(obj, ext, budget=args.budget)
         _emit(
             args,
             [
@@ -194,7 +196,7 @@ def cmd_palette(args):
         _emit(args, rows)
         return OK if check.ok else REFUTED
     if args.action == "search":
-        outcome = palette.search_palette(args.n, node_budget=args.budget)
+        outcome = palette.search_palette(args.n, budget=args.budget)
         _emit(args, [("status", outcome.status), ("nodes", outcome.nodes)])
         if outcome.status == "found":
             if args.out:
@@ -236,7 +238,7 @@ def cmd_obstruct(args):
             blocks.append(set(range(start, start + size)))
             start += size
         e = eqrel.EquivalenceRelation.from_classes(start, blocks)
-        cert = eqrel.refute_extension(e, bound=args.bound)
+        cert = eqrel.refute_extension(e, budget=args.budget)
         rows = [
             ("classes", args.classes),
             ("candidates_examined", cert.candidates_examined),
@@ -268,7 +270,7 @@ def cmd_obstruct(args):
 
 def cmd_orbits(args):
     obj = parse(_read(args.infile))
-    group = perm.automorphism_group(flatten(obj), bound=args.bound)
+    group = perm.automorphism_group(flatten(obj), budget=args.budget)
     classes = perm.orbits(group, args.m, mode=args.mode)
     rows = [("group_order", group.order), ("orbit_count", len(classes))]
     for i, cls in enumerate(classes):
@@ -320,14 +322,16 @@ def build_parser():
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, infile=False, out=False, bound=False):
+    def common(p, infile=False, out=False, budget=False):
         p.add_argument("--machine", action="store_true", help="key=value output")
         if infile:
             p.add_argument("--in", dest="infile", required=True, help="input file")
         if out:
             p.add_argument("--out", help="output file (default stdout)")
-        if bound:
-            p.add_argument("--bound", type=int, default=8, help="vertex bound")
+        if budget:
+            p.add_argument(
+                "--budget", type=int, help=f"search nodes (default {SEARCH_BUDGET:_})"
+            )
 
     p = sub.add_parser("gen", help="seeded random structures")
     p.add_argument("kind", choices=["chg", "orient", "htour", "ctree", "dtree"])
@@ -350,29 +354,26 @@ def build_parser():
 
     p = sub.add_parser("verify", help="evenness, axioms, or extension checks")
     p.add_argument("what", choices=["even", "axioms", "extension", "transitive"])
-    common(p, infile=True, bound=True)
+    common(p, infile=True, budget=True)
     p.add_argument("--ext", help="extension file (for extension/transitive)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("palette", help="palette axioms, construction, search")
     p.add_argument("action", choices=["check", "canonical", "search", "reduce"])
     p.add_argument("-n", type=int, default=2)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--machine", action="store_true")
+    common(p, out=True, budget=True)
     p.add_argument("--in", dest="infile", help="palette file")
-    p.add_argument("--out", help="output file")
     p.set_defaults(fn=cmd_palette)
 
     p = sub.add_parser("obstruct", help="nonexistence certificates and demos")
     p.add_argument("target", choices=["orient", "eqrel", "leveled"])
     p.add_argument("-k", type=int, default=3)
     p.add_argument("--classes", default="2+2")
-    p.add_argument("--bound", type=int, default=8)
-    p.add_argument("--machine", action="store_true")
+    common(p, budget=True)
     p.set_defaults(fn=cmd_obstruct)
 
     p = sub.add_parser("orbits", help="orbit classes of a structure's automorphisms")
-    common(p, infile=True, bound=True)
+    common(p, infile=True, budget=True)
     p.add_argument("-m", type=int, default=1)
     p.add_argument("--mode", choices=["tuples", "subsets"], default="tuples")
     p.set_defaults(fn=cmd_orbits)
@@ -400,7 +401,7 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return BAD_INPUT
     except BoundExceededError as exc:
-        print(f"bound exceeded: {exc}", file=sys.stderr)
+        print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXCEEDED
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

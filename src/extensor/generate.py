@@ -100,40 +100,7 @@ def random_rooted_tree(
             next_internal += 1
             nodes[fresh] = [child, -leaf - 1]
             nodes[p][slot] = fresh
-
-    # freeze: preorder internal ids starting at `leaves`
-    order = []
-
-    def walk(node):
-        order.append(node)
-        for kid in nodes[node]:
-            if kid >= 0:
-                walk(kid)
-
-    walk(0)
-    new_id = {old: leaves + i for i, old in enumerate(order)}
-    children = tuple(
-        tuple(new_id[kid] if kid >= 0 else -kid - 1 for kid in nodes[old])
-        for old in order
-    )
-    colors = (
-        tuple(rng.below(n_colors) for _ in order) if n_colors is not None else None
-    )
-    ranks = None
-    if ranked:
-        rank_list = [0] * len(order)
-
-        def walk_rank(node, parent_rank):
-            idx = node - leaves
-            if parent_rank is not None:
-                rank_list[idx] = parent_rank + 1 + rng.below(2)
-            for kid in children[idx]:
-                if kid >= leaves:
-                    walk_rank(kid, rank_list[idx])
-
-        walk_rank(leaves, None)
-        ranks = tuple(rank_list)
-    return RootedLeafTree(leaves, children, colors=colors, ranks=ranks, plane=plane)
+    return _freeze(rng, nodes, leaves, lambda kid: -kid - 1, n_colors, ranked, plane)
 
 
 def random_regular_tree(
@@ -168,8 +135,15 @@ def random_regular_tree(
         parent = next(u for u, kids in nodes.items() if target in kids)
         nodes[parent][nodes[parent].index(target)] = fresh
         count += degree - 1
+    # placeholders take the shuffled labels in preorder
+    labels = iter(rng.shuffled(range(leaves)))
+    return _freeze(rng, nodes, leaves, lambda kid: next(labels), n_colors, ranked, plane)
 
-    labels = rng.shuffled(range(leaves))
+
+def _freeze(rng, nodes, leaves, leaf_label, n_colors, ranked, plane) -> RootedLeafTree:
+    """Freeze a grown tree (internal id -> kids, leaves negative, root 0):
+    preorder internal ids from `leaves` on, leaf_label(kid) for each leaf in
+    preorder, then seeded colors and ranks."""
     order = []
 
     def walk(node):
@@ -180,9 +154,8 @@ def random_regular_tree(
 
     walk(0)
     new_id = {old: leaves + i for i, old in enumerate(order)}
-    counter = iter(labels)
     children = tuple(
-        tuple(new_id[kid] if kid >= 0 else next(counter) for kid in nodes[old])
+        tuple(new_id[kid] if kid >= 0 else leaf_label(kid) for kid in nodes[old])
         for old in order
     )
     colors = (

@@ -1,11 +1,12 @@
 """Edge-colored hypergraphs: evenness, the parity one-point extension, palettes.
 
 A plain k-hypergraph is the n=2 case with color 1 meaning "hyperedge".  For
-n = 2^m a bit labeling reads each color as an m-bit vector.  The extension
-adds a point x0: a subset through x0 keeps the color of its k-part, and an
-interior (k+1)-subset takes the color whose vector is the XOR of the vectors
-of its k-subsets.  Bit by bit this is the plain rule (an interior subset is a
-hyperedge when it holds an odd number of hyperedges) run on each channel.
+n = 2^m each color is read as the m-bit vector of its binary expansion.  The
+extension adds a point x0: a subset through x0 keeps the color of its k-part,
+and an interior (k+1)-subset takes the XOR of the colors of its k-subsets.
+Bit by bit this is the plain rule (an interior subset is a hyperedge when it
+holds an odd number of hyperedges) run on each channel.  Any other bijection
+of colors with bit vectors gives this extension with its colors relabeled.
 """
 
 from __future__ import annotations
@@ -107,77 +108,41 @@ def extend_plain(h: ColoredHypergraph) -> ColoredHypergraph:
     """
     if h.n != 2:
         raise InputError("extend_plain needs a plain hypergraph; use extend_colored")
-    table = _parity_extension(h, default_labeling(2))
+    table = _parity_extension(h)
     return ColoredHypergraph(h.v + 1, h.k + 1, 2, table, ext=h.v)
 
 
-# -- bit labelings --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BitLabeling:
-    """Bijection between colors 0..n-1 and bit-vectors of length log2(n)."""
-
-    n: int
-    vectors: tuple
-
-    def __post_init__(self):
-        if self.n < 1 or self.n & (self.n - 1):
-            raise InputError(f"bit labeling needs a power-of-two color count, got {self.n}")
-        if len(self.vectors) != self.n or set(self.vectors) != set(range(self.n)):
-            raise InputError("vectors must be a bijection onto 0..n-1")
-
-    def color_of(self, bits):
-        return self.vectors.index(bits)
-
-
-def default_labeling(n) -> BitLabeling:
-    """Binary expansion of the color index."""
-    return BitLabeling(n, tuple(range(n)))
-
-
-def _check_labeling(n, labeling):
-    if n < 1 or n & (n - 1):
-        raise InputError(
-            f"color count {n} is not a power of two; no extension exists "
-            "(see the palette nonexistence search)"
-        )
-    if labeling is None:
-        labeling = default_labeling(n)
-    if labeling.n != n:
-        raise InputError(f"labeling is for {labeling.n} colors, structure has {n}")
-    return labeling
-
-
-def _parity_extension(h: ColoredHypergraph, labeling: BitLabeling) -> SubsetMap:
-    """Color table of the parity extension of h over x0 = v, under labeling."""
+def _parity_extension(h: ColoredHypergraph) -> SubsetMap:
+    """Color table of the parity extension of h over x0 = v."""
     if h.v < h.k + 1:
         raise InputError(f"need v >= k+1, got v={h.v}")
-    x0, value_for, vectors = h.v, h.colors.value_for, labeling.vectors
+    x0, value_for = h.v, h.colors.value_for
 
     def color(subset):
         if subset[-1] == x0:
             return value_for(subset[:-1])
         bits = 0
         for s in combinations(subset, h.k):
-            bits ^= vectors[value_for(s)]
-        return labeling.color_of(bits)
+            bits ^= value_for(s)
+        return bits
 
     return SubsetMap.from_function(h.v + 1, h.k + 1, color)
 
 
-def extend_colored(
-    h: ColoredHypergraph, labeling: BitLabeling | None = None
-) -> ColoredHypergraph:
+def extend_colored(h: ColoredHypergraph) -> ColoredHypergraph:
     """Parity extension of an n=2^m coloring.
 
-    The interior colors depend on the chosen labeling for n >= 4, so the
-    labeling used is recorded on the output.
+    The output records the identity labeling, color c as the bit vector c,
+    which the file format writes as its ``labeling`` line.
     """
-    labeling = _check_labeling(h.n, labeling)
-    table = _parity_extension(h, labeling)
+    if h.n & (h.n - 1):
+        raise InputError(
+            f"color count {h.n} is not a power of two; no extension exists "
+            "(see the palette nonexistence search)"
+        )
+    table = _parity_extension(h)
     return ColoredHypergraph(
-        h.v + 1, h.k + 1, h.n, table, ext=h.v, labeling=labeling.vectors
+        h.v + 1, h.k + 1, h.n, table, ext=h.v, labeling=tuple(range(h.n))
     )
 
 

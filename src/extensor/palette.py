@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, _Meter
 
 # -- multisets ---------------------------------------------------------------
 
@@ -178,15 +178,13 @@ class SearchOutcome:
     nodes: int
 
 
-DEFAULT_BUDGET_SMALL = 10**6  # n <= 4
-DEFAULT_BUDGET_LARGE = 10**8  # n >= 5
-
-
-def search_palette(n, node_budget=None) -> SearchOutcome:
+def search_palette(n, budget=None) -> SearchOutcome:
     """Find a palette over n colors or prove none exists.
 
     Variables are the 3-multisets in lexicographic order; values are colors in
-    ascending order, so search trees (and node counts) are reproducible.
+    ascending order, so search trees (and node counts) are reproducible.  Each
+    node spends one unit of `budget` (default ``SEARCH_BUDGET``); the node
+    after the last one ends the search as ``budget_exhausted``.
 
     Pairs and triples are numbered lexicographically, and a 4-multiset gets a
     member id the first time propagation meets it, together with the bit mask
@@ -209,10 +207,7 @@ def search_palette(n, node_budget=None) -> SearchOutcome:
     """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    if node_budget is None:
-        node_budget = DEFAULT_BUDGET_SMALL if n <= 4 else DEFAULT_BUDGET_LARGE
-    if node_budget <= 0:
-        raise InputError("node budget must be positive")
+    budget = _Meter(budget).budget
 
     triples = enumerate_multisets(n, 3)
     triple_id = {t: i for i, t in enumerate(triples)}
@@ -306,7 +301,7 @@ def search_palette(n, node_budget=None) -> SearchOutcome:
         while color < n:
             color += 1
             nodes += 1
-            if nodes > node_budget:
+            if nodes > budget:
                 return SearchOutcome("budget_exhausted", None, nodes)
             key = var * n + color - 1
             m = closes.get(key)

@@ -7,6 +7,11 @@ permutations, and decides transitivity by one first-hit search per suborbit
 of that stabilizer; it never enumerates Aut(m_ext).  Generators are computed
 on first use, and only :func:`orbits` and :func:`is_regular_action` use them.
 Permutations are plain image tuples.
+
+Every search node costs one unit of a budget (``SEARCH_BUDGET`` unless the
+call passes ``budget``), and one public call spends one budget across all the
+searches it runs; when the budget is spent, :class:`BoundExceededError` is
+raised rather than a factorial search left running.
 """
 
 from __future__ import annotations
@@ -17,11 +22,8 @@ from itertools import permutations as all_permutations
 from math import factorial, perm
 from operator import itemgetter
 
-from .errors import BoundExceededError, InputError
+from .errors import InputError, _Meter
 from .structures import flatten
-
-AUTOMORPHISM_BOUND = 10
-VERIFY_BOUND = 8
 
 # -- permutation helpers ----------------------------------------------------
 
@@ -171,12 +173,12 @@ class _Search:
             classes.setdefault(tuple(inv[x]), []).append(x)
         self.candidates = [classes[tuple(inv[x])] for x in range(v)]
 
-    def run(self, first=None, image=None, stop=False):
+    def run(self, meter, first=None, image=None, stop=False):
         """Every automorphism, or only those sending `first` to `image`.
 
         `first` is assigned before the other vertices; with `stop` the search
-        ends at the first automorphism it finds.  Returns a list of image
-        tuples.
+        ends at the first automorphism it finds.  Each call of ``backtrack``
+        spends one unit of `meter`.  Returns a list of image tuples.
         """
         v = self.v
         order = list(range(v))
@@ -196,8 +198,13 @@ class _Search:
         images = [0] * v
         used = [False] * v
         found = []
+        left = meter.left
 
         def backtrack(i):
+            nonlocal left
+            left -= 1
+            if left < 0:
+                raise meter.exhausted("automorphism search")
             if i == v:
                 found.append(tuple(images))
                 return stop
@@ -218,21 +225,18 @@ class _Search:
             return False
 
         backtrack(0)
+        meter.left = left
         return found
 
 
-def automorphism_group(s, bound=AUTOMORPHISM_BOUND) -> PermutationGroup:
-    """Exact automorphism group of a structure, by pruned backtracking.
+def _group(s, meter) -> PermutationGroup:
+    return PermutationGroup.from_elements(s.v, _Search(s).run(meter))
 
-    Refuses structures with more than `bound` vertices rather than silently
-    launching a factorial search.
-    """
-    s = flatten(s)
-    if s.v > bound:
-        raise BoundExceededError(
-            f"automorphism search refused: v={s.v} exceeds bound {bound}"
-        )
-    return PermutationGroup.from_elements(s.v, _Search(s).run())
+
+def automorphism_group(s, budget=None) -> PermutationGroup:
+    """Exact automorphism group of a structure, by pruned backtracking within
+    `budget` search nodes."""
+    return _group(flatten(s), _Meter(budget))
 
 
 def automorphisms_brute(s):
@@ -341,12 +345,13 @@ class ExtensionReport:
     witness: tuple | None
 
 
-def verify_one_point_extension(m, m_ext, x0=None, bound=VERIFY_BOUND) -> ExtensionReport:
+def verify_one_point_extension(m, m_ext, x0=None, budget=None) -> ExtensionReport:
     """Check the defining stabilizer condition and transitivity of an extension.
 
     The stabilizer of x0 in Aut(m_ext), restricted to the original vertices,
     must equal Aut(m) as a set of permutations.  On failure the witness is the
-    least permutation in the symmetric difference.
+    least permutation in the symmetric difference.  The searches for Aut(m),
+    Stab(x0) and the first hits spend one budget.
     """
     fm = flatten(m)
     fe = flatten(m_ext)
@@ -356,15 +361,11 @@ def verify_one_point_extension(m, m_ext, x0=None, bound=VERIFY_BOUND) -> Extensi
         x0 = fm.v
     if x0 != fm.v:
         raise InputError(f"extension point must be the highest index {fm.v}, got {x0}")
-    if fm.v > bound:
-        raise BoundExceededError(
-            f"extension check refused: v={fm.v} exceeds bound {bound}"
-        )
-
-    return _extension_report(automorphism_group(fm, bound=bound + 1), _Search(fe), x0)
+    meter = _Meter(budget)
+    return _extension_report(_group(fm, meter), _Search(fe), x0, meter)
 
 
-def _extension_report(aut_m, search_e, x0) -> ExtensionReport:
+def _extension_report(aut_m, search_e, x0, meter) -> ExtensionReport:
     """The report for an extension by x0 = the highest vertex, from Aut(m) and
     a search over the extension; Aut(m_ext) itself is never enumerated.
 
@@ -372,13 +373,13 @@ def _extension_report(aut_m, search_e, x0) -> ExtensionReport:
     old point y is in the orbit of x0 when one search finds an automorphism
     sending x0 to y, and then so is its whole Stab(x0)-orbit.
     """
-    stab = search_e.run(first=x0, image=x0)
+    stab = search_e.run(meter, first=x0, image=x0)
     restricted = frozenset(g[:x0] for g in stab)
     ok = restricted == aut_m.elements
     orbit = {x0}
     for y in range(x0):
         if y not in orbit:
-            if not search_e.run(first=x0, image=y, stop=True):
+            if not search_e.run(meter, first=x0, image=y, stop=True):
                 break
             orbit.update(h[y] for h in stab)
     return ExtensionReport(

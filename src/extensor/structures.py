@@ -165,24 +165,19 @@ class SubsetMap:
 
 @dataclass(frozen=True)
 class RelationalStructure:
-    """Vertex count plus named relations, each a set of distinct-entry tuples."""
+    """Vertex count plus named relations, each a set of distinct-entry tuples.
+
+    The tuples are trusted: the flatten views build them from validated
+    structures, and raw tuples enter through :func:`make_structure`.
+    """
 
     v: int
     relations: tuple  # of (name, arity, frozenset of tuples)
 
     def __post_init__(self):
-        seen = set()
-        for name, arity, tuples in self.relations:
-            if name in seen:
-                raise InputError(f"duplicate relation name {name!r}")
-            seen.add(name)
-            for t in tuples:
-                if len(t) != arity:
-                    raise InputError(f"tuple {t} does not match arity {arity} of {name}")
-                if len(set(t)) != len(t):
-                    raise InputError(f"tuple {t} in {name} has repeated entries")
-                if any(x < 0 or x >= self.v for x in t):
-                    raise InputError(f"tuple {t} in {name} out of range for v={self.v}")
+        names = [name for name, _, _ in self.relations]
+        if len(set(names)) != len(names):
+            raise InputError(f"duplicate relation name in {names!r}")
 
     def relation(self, name):
         for n, arity, tuples in self.relations:
@@ -192,10 +187,19 @@ class RelationalStructure:
 
 
 def make_structure(v, relations):
-    """Build a RelationalStructure from (name, arity, iterable-of-tuples) triples."""
+    """Build a RelationalStructure from (name, arity, iterable-of-tuples)
+    triples, checking every tuple."""
     rels = tuple(
         (name, arity, frozenset(map(tuple, tuples))) for name, arity, tuples in relations
     )
+    for name, arity, tuples in rels:
+        for t in tuples:
+            if len(t) != arity:
+                raise InputError(f"tuple {t} does not match arity {arity} of {name}")
+            if len(set(t)) != len(t):
+                raise InputError(f"tuple {t} in {name} has repeated entries")
+            if any(x < 0 or x >= v for x in t):
+                raise InputError(f"tuple {t} in {name} out of range for v={v}")
     return RelationalStructure(v, rels)
 
 

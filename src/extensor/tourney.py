@@ -12,11 +12,17 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import factorial
 
-from .errors import BoundExceededError, InputError
+from .errors import InputError
 from .hyperext import ColoredHypergraph
 from .palette import SearchOutcome, search_palette
 from .perm import automorphism_group, is_transitive as group_is_transitive
-from .structures import RelationalStructure, SubsetMap, flatten, induced_substructure
+from .structures import (
+    RelationalStructure,
+    SubsetMap,
+    flatten,
+    induced_substructure,
+    make_structure,
+)
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,8 @@ class CircularOrder:
 
 @flatten.register
 def _(c: CircularOrder) -> RelationalStructure:
-    return RelationalStructure(c.v, (("C", 3, c.triples),))
+    # the triples are not checked on construction, so they are checked here
+    return make_structure(c.v, (("C", 3, c.triples),))
 
 
 def circular_from_linear(o: LinearOrder) -> CircularOrder:
@@ -240,7 +247,7 @@ class HypertournamentReport:
     note: str
 
 
-def nonexistence_report(k, budget=None) -> HypertournamentReport:
+def nonexistence_report(k) -> HypertournamentReport:
     """Existence verdict for one-point transitive extensions of k-hypertournaments.
 
     k = 2 delegates to the even-orientation construction; k = 3 attaches the
@@ -260,7 +267,7 @@ def nonexistence_report(k, budget=None) -> HypertournamentReport:
             palette_outcome=None,
             note="tournaments are 2-orientations; the even 3-orientation extends them",
         )
-    outcome = search_palette(6, node_budget=budget)
+    outcome = search_palette(6)
     note = (
         "3! = 6 colors admit no palette (exhausted search)"
         if k == 3
@@ -282,7 +289,7 @@ class RegularityReport:
     all_regular: bool
 
 
-def check_regular_condition(t: Hypertournament, t_ext, x0=None, bound=10) -> RegularityReport:
+def check_regular_condition(t: Hypertournament, t_ext, x0=None) -> RegularityReport:
     """Necessary condition on extension candidates: every (k+1)-subset must
     carry a regular induced automorphism group of order k+1.
 
@@ -295,13 +302,11 @@ def check_regular_condition(t: Hypertournament, t_ext, x0=None, bound=10) -> Reg
         x0 = t.v
     if x0 != t.v:
         raise InputError(f"extension point must be {t.v}, got {x0}")
-    if s.v > bound:
-        raise BoundExceededError(f"candidate on {s.v} points exceeds bound {bound}")
     k = t.k
     rows = []
     ok = True
     for subset in combinations(range(s.v), k + 1):
-        local = automorphism_group(induced_substructure(s, subset), bound=bound)
+        local = automorphism_group(induced_substructure(s, subset))
         regular = local.order == k + 1 and group_is_transitive(local)
         rows.append((subset, local.order, regular))
         ok = ok and regular

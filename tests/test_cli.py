@@ -1,6 +1,12 @@
 """The command surface: exit codes, file flow, determinism."""
 
+import re
+import shlex
+from pathlib import Path
+
 from extensor.cli import main
+from extensor.fileio import serialize
+from extensor.hyperext import plain_hypergraph
 
 
 def run(argv, capsys):
@@ -297,17 +303,55 @@ def test_palette_reduce_file(tmp_path, capsys):
 
 
 def test_obstruct_eqrel_interior_cap_exits_exceeded(capsys):
-    code, out, err = run(["obstruct", "eqrel", "--classes", "1+1+1+1+1+1+1"], capsys)
+    # 35 interior triples, past the old cap of 24: Aut(e) = S_7 takes 13,700
+    # units, and the candidate search then spends the rest of the budget
+    code, out, err = run(
+        ["obstruct", "eqrel", "--classes", "1+1+1+1+1+1+1", "--budget", "20000"], capsys
+    )
     assert code == 2 and out == ""
-    assert err == "bound exceeded: 35 interior triples exceed the cap of 24\n"
+    assert err == "budget exceeded: eqrel candidate search spent its budget of 20000 nodes\n"
 
 
 def test_obstruct_eqrel_automorphism_bound_exits_exceeded(capsys):
-    code, out, err = run(
-        ["obstruct", "eqrel", "--classes", "2+2", "--bound", "3"], capsys
-    )
+    # Aut(e) of 2+2 takes 25 units
+    code, out, err = run(["obstruct", "eqrel", "--classes", "2+2", "--budget", "3"], capsys)
     assert code == 2 and out == ""
-    assert err == "bound exceeded: v+1=5 exceeds the automorphism bound 3\n"
+    assert err == "budget exceeded: automorphism search spent its budget of 3 nodes\n"
+
+
+def test_orbits_of_edgeless_twelve_points_exits_exceeded(tmp_path, capsys):
+    # 12! automorphisms: refused once 10^6 nodes are spent, not enumerated
+    edgeless = tmp_path / "e.txt"
+    edgeless.write_text(serialize(plain_hypergraph(12, 2, [])))
+    code, out, err = run(["orbits", "--in", str(edgeless)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("budget exceeded: automorphism search")
+
+
+def test_verify_rigid_thirty_point_extension(tmp_path, capsys):
+    # a vertex count says nothing of the work: this one takes 64 nodes
+    base, ext = tmp_path / "base.txt", tmp_path / "ext.txt"
+    gen = ["gen", "chg", "--v", "30", "--k", "2", "--n", "4", "--seed", "7"]
+    assert run(gen + ["--out", str(base)], capsys)[0] == 0
+    assert run(["extend", "--in", str(base), "--out", str(ext)], capsys)[0] == 0
+    verify = ["verify", "extension", "--in", str(base), "--ext", str(ext), "--machine"]
+    code, out, _ = run(verify, capsys)
+    assert code == 0
+    assert "is_one_point_extension=True\n" in out
+    assert "aut_m_order=1\nstabilizer_order=1\n" in out
+    assert run(verify + ["--budget", "63"], capsys)[0] == 2
+
+
+def test_readme_command_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        expected = re.match(r"\s*exit (\d)", comment)
+        argv = shlex.split(command)
+        assert argv[0] == "extensor", line
+        assert run(argv[1:], capsys)[0] == (int(expected.group(1)) if expected else 0), line
 
 
 def test_obstruct_eqrel_bad_shape(capsys):

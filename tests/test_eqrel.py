@@ -71,7 +71,7 @@ def test_transitivity_failure_flagged():
 def test_forced_extension_fails_transitivity():
     for v, blocks in ((4, [{0, 1}, {2, 3}]), (6, [{0, 1, 2}, {3, 4, 5}])):
         e = EquivalenceRelation.from_classes(v, blocks)
-        rep = verify_one_point_extension(e, forced_extension(e), bound=8)
+        rep = verify_one_point_extension(e, forced_extension(e))
         assert rep.is_one_point_extension
         assert not rep.is_transitive
 
@@ -124,9 +124,26 @@ def test_refutation_consistency_witness_shape():
 
 
 def test_interior_cap():
+    # no cap on interior triples is left: 4+4 has 56 (the old cap was 24) and
+    # is refuted within the default budget
     e = EquivalenceRelation.from_classes(8, [{0, 1, 2, 3}, {4, 5, 6, 7}])
+    cert = refute_extension(e)
+    assert (cert.interior_triples, cert.candidates_examined) == (56, 2**56)
+    assert cert.passed == 0 and len(cert.survivors) == 1
+    # the discrete shape on 7 points needs 1,777,490 units and is refused
+    # (about 5 s at the default budget)
+    discrete = EquivalenceRelation.from_classes(7, [{x} for x in range(7)])
     with pytest.raises(BoundExceededError):
-        refute_extension(e)
+        refute_extension(discrete, budget=100_000)
+
+
+def test_refutation_spends_one_budget_exactly():
+    # Aut(e), the candidate DFS and the survivor's searches take 445 units
+    e = EquivalenceRelation.from_classes(6, [{0, 1, 2}, {3, 4, 5}])
+    cert = refute_extension(e)
+    assert refute_extension(e, budget=445) == cert
+    with pytest.raises(BoundExceededError):
+        refute_extension(e, budget=444)
 
 
 # -- oracle: the vectorized prefilter ------------------------------------------

@@ -1,4 +1,4 @@
-"""Evenness, the parity extension, bit labelings, and palette extraction."""
+"""Evenness, the parity extension, and palette extraction."""
 
 from itertools import combinations, permutations
 
@@ -7,10 +7,8 @@ import pytest
 from extensor.errors import InputError
 from extensor.generate import SplitMix64, random_colored_hypergraph, random_plain_hypergraph
 from extensor.hyperext import (
-    BitLabeling,
     ColoredHypergraph,
     canonical_form_violation,
-    default_labeling,
     derive_palette,
     extend_colored,
     extend_plain,
@@ -122,19 +120,13 @@ def test_evenness_matches_the_counting_oracle():
     assert len({w for _, w in verdicts if w and w != tuple(range(len(w)))}) > 10
 
 
-def test_bit_labeling_validation():
-    with pytest.raises(InputError):
-        BitLabeling(3, (0, 1, 2))
-    with pytest.raises(InputError):
-        BitLabeling(4, (0, 1, 2, 2))
-
-
-def _reference_extend_colored(h, labeling):
-    """The channel construction: split the colors into bit channels, extend each
-    channel as a plain hypergraph by counting its hyperedges, and merge."""
+def _reference_extend_colored(h, vectors):
+    """The channel construction: read color c as the bit vector vectors[c],
+    split the colors into bit channels, extend each channel as a plain
+    hypergraph by counting its hyperedges, and merge."""
     width = h.n.bit_length() - 1
     channels = [
-        {s: (labeling.vectors[c] >> b) & 1 for s, c in h.colors.items()}
+        {s: (vectors[c] >> b) & 1 for s, c in h.colors.items()}
         for b in range(width)
     ]
     x0 = h.v
@@ -146,7 +138,7 @@ def _reference_extend_colored(h, labeling):
 
     def color(subset):
         bits = sum(channel_bit(ch, subset) << b for b, ch in enumerate(channels))
-        return labeling.vectors.index(bits)
+        return vectors.index(bits)
 
     return SubsetMap.from_function(h.v + 1, h.k + 1, color)
 
@@ -158,14 +150,19 @@ def test_extend_colored_matches_the_channel_construction():
             k = 2 + i % 2
             h = random_colored_hypergraph(rng, k + 1 + rng.below(3), k, n)
             ext = extend_colored(h)
-            assert ext.colors == _reference_extend_colored(h, default_labeling(n))
+            assert ext.colors == _reference_extend_colored(h, tuple(range(n)))
             assert (ext.v, ext.k, ext.n, ext.ext) == (h.v + 1, h.k + 1, n, h.v)
+            assert ext.labeling == tuple(range(n))
+    # any other bijection of colors with bit vectors gives the same extension
+    # up to relabeling: extend the relabeled coloring and map the colors back
     for vectors in permutations(range(4)):
-        labeling = BitLabeling(4, vectors)
         h = random_colored_hypergraph(rng, 5, 2, 4)
-        ext = extend_colored(h, labeling)
-        assert ext.colors == _reference_extend_colored(h, labeling)
-        assert ext.labeling == vectors
+        relabeled = ColoredHypergraph(
+            h.v, h.k, h.n, SubsetMap(h.v, h.k, tuple(vectors[c] for c in h.colors.values))
+        )
+        ext = extend_colored(relabeled)
+        back = SubsetMap(ext.v, ext.k, tuple(vectors.index(c) for c in ext.colors.values))
+        assert back == _reference_extend_colored(h, vectors)
 
 
 def test_extend_colored_rejects_non_power_of_two():
@@ -198,7 +195,7 @@ def test_extend_colored_is_one_point_extension():
         n = 2 if i % 2 == 0 else 4
         v = 3 + rng.below(4)
         h = random_colored_hypergraph(rng, v, 2, n)
-        rep = verify_one_point_extension(h, extend_colored(h), bound=8)
+        rep = verify_one_point_extension(h, extend_colored(h))
         assert rep.is_one_point_extension
         assert rep.stabilizer_order == rep.aut_m_order
 

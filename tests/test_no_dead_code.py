@@ -24,7 +24,6 @@ CALLERS = [
 # public names (methods as Class.method) that nothing in the program calls,
 # kept on purpose
 UNCALLED = {
-    "make_structure": "the validated entry point for raw relation tuples",
     "check_regular_condition": "its fate is ROADMAP item 2",
     "stabilizer": "the generator-based engine of ROADMAP item 4 will use it",
     "is_regular_action": "the generator-based engine of ROADMAP item 4 will use it",

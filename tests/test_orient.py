@@ -208,7 +208,7 @@ def test_extension_is_one_point_extension():
     for _ in range(15):
         v = 3 + rng.below(3)
         t = random_orientation(rng, v, 2)
-        rep = verify_one_point_extension(t, extend_orientation(t), bound=8)
+        rep = verify_one_point_extension(t, extend_orientation(t))
         assert rep.is_one_point_extension
 
 

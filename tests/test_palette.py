@@ -6,10 +6,8 @@ from math import comb
 import pytest
 
 from extensor import palette as palette_module
-from extensor.errors import InputError, InternalCheckError
+from extensor.errors import SEARCH_BUDGET, InputError, InternalCheckError
 from extensor.palette import (
-    DEFAULT_BUDGET_LARGE,
-    DEFAULT_BUDGET_SMALL,
     Palette,
     PaletteCheck,
     _madd,
@@ -136,17 +134,17 @@ def test_search_five_and_six_prove_none():
 
 
 def test_search_seven_with_budget_is_honest():
-    out = search_palette(7, node_budget=10**5)
+    out = search_palette(7, budget=10**5)
     assert out.status in ("proven_none", "budget_exhausted")
 
 
 def test_search_budget_must_be_positive():
     with pytest.raises(InputError):
-        search_palette(2, node_budget=0)
+        search_palette(2, budget=0)
 
 
 def test_tiny_budget_exhausts():
-    out = search_palette(6, node_budget=5)
+    out = search_palette(6, budget=5)
     assert out.status == "budget_exhausted"
     assert out.nodes == 6
 
@@ -283,10 +281,8 @@ class _State:
             self.require_member(derived)
 
 
-def _reference_search(n, node_budget=None):
+def _reference_search(n, budget=SEARCH_BUDGET):
     """(status, nodes, members or None) by recursive tuple propagation."""
-    if node_budget is None:
-        node_budget = DEFAULT_BUDGET_SMALL if n <= 4 else DEFAULT_BUDGET_LARGE
     state = _State()
     for i in range(1, n + 1):
         for j in range(i, n + 1):
@@ -301,7 +297,7 @@ def _reference_search(n, node_budget=None):
             return True
         for color in range(1, n + 1):
             nodes += 1
-            if nodes > node_budget:
+            if nodes > budget:
                 raise _Budget
             mark = len(state.trail)
             try:
@@ -323,8 +319,8 @@ def _reference_search(n, node_budget=None):
     return "found", nodes, frozenset(state.members)
 
 
-def _fast_search(n, node_budget=None):
-    out = search_palette(n, node_budget=node_budget)
+def _fast_search(n, budget=None):
+    out = search_palette(n, budget=budget)
     members = out.palette.members if out.palette is not None else None
     return out.status, out.nodes, members
 
@@ -371,7 +367,7 @@ def test_search_reports_a_non_palette_as_a_bug(monkeypatch):
 
 def test_search_builds_member_tables_lazily():
     # an eager table over all C(63, 4) 4-multisets would take minutes and GBs
-    out = search_palette(60, node_budget=1000)
+    out = search_palette(60, budget=1000)
     assert (out.status, out.nodes) == ("budget_exhausted", 1001)
 
 

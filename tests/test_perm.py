@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from extensor.eqrel import EquivalenceRelation, forced_extension
-from extensor.errors import BoundExceededError, InputError
+from extensor.errors import BoundExceededError, InputError, _Meter
 from extensor.generate import SplitMix64, random_colored_hypergraph, random_orientation
 from extensor.hyperext import ColoredHypergraph, extend_colored, plain_hypergraph
 from extensor.orient import Orientation, extend_orientation
@@ -64,9 +64,24 @@ def test_path_graph_keeps_only_end_swap():
 
 
 def test_bound_refusal():
-    big = plain_hypergraph(11, 2, [])
+    # the edgeless v = 9 group takes 986,410 nodes; v = 10 needs more than
+    # the default budget of 10^6 and is refused, in about half a second
+    assert automorphism_group(plain_hypergraph(9, 2, []), budget=986_410).order == 362_880
     with pytest.raises(BoundExceededError):
-        automorphism_group(big)
+        automorphism_group(plain_hypergraph(10, 2, []))
+
+
+def test_verify_spends_one_budget_exactly():
+    # Aut(m), Stab(x0) and the first-hit searches together take 64 nodes
+    h = random_colored_hypergraph(SplitMix64(3), 6, 2, 2)
+    ext = extend_colored(h)
+    report = verify_one_point_extension(h, ext)
+    assert report == ExtensionReport(True, False, 4, 4, None)
+    assert verify_one_point_extension(h, ext, budget=64) == report
+    with pytest.raises(BoundExceededError):
+        verify_one_point_extension(h, ext, budget=63)
+    with pytest.raises(InputError):
+        verify_one_point_extension(h, ext, budget=0)
 
 
 def test_group_closure_and_inverses():
@@ -309,8 +324,9 @@ def test_search_matches_brute_force_on_random_structures():
         brute = set(automorphisms_brute(s))
         assert automorphism_group(s).elements == brute, s
         x, y = rng.below(s.v), rng.below(s.v)
-        assert set(_Search(s).run(first=x, image=y)) == {g for g in brute if g[x] == y}
-        hit = _Search(s).run(first=x, image=y, stop=True)
+        found = _Search(s).run(_Meter(), first=x, image=y)
+        assert set(found) == {g for g in brute if g[x] == y}
+        hit = _Search(s).run(_Meter(), first=x, image=y, stop=True)
         assert len(hit) == min(1, sum(1 for g in brute if g[x] == y))
         c, o = _reductions(s)
         complemented += c

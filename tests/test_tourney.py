@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from extensor.errors import BoundExceededError, InputError
+from extensor.errors import InputError
 from extensor.generate import (
     SplitMix64,
     random_hypertournament,
@@ -165,7 +165,10 @@ def test_hypertournament_validates_orderings():
         Hypertournament(3, 2, SubsetMap(3, 2, ((0, 1), (0, 1), (1, 2))))
 
 
-def test_regular_condition_refuses_past_bound():
-    t = Hypertournament(3, 2, SubsetMap(3, 2, ((0, 1), (0, 2), (1, 2))))
-    with pytest.raises(BoundExceededError):
-        check_regular_condition(t, circular_from_linear(LinearOrder((0, 1, 2))), bound=3)
+def test_circular_order_triples_are_checked_when_flattened():
+    # CircularOrder(v, triples) checks nothing itself; its flatten view goes
+    # through make_structure, so bad raw triples never reach the engine
+    assert flatten(CircularOrder.from_cycle((0, 1, 2))).v == 3
+    for bad in ((0, 1, 3), (0, 0, 1), (0, 1)):
+        with pytest.raises(InputError):
+            flatten(CircularOrder(3, frozenset({bad})))

@@ -271,7 +271,7 @@ def cmd_obstruct(args):
 def cmd_orbits(args):
     obj = parse(_read(args.infile))
     group = perm.automorphism_group(flatten(obj), budget=args.budget)
-    classes = perm.orbits(group, args.m, mode=args.mode)
+    classes = perm.orbits(group, args.m, mode=args.mode, budget=args.budget)
     rows = [("group_order", group.order), ("orbit_count", len(classes))]
     for i, cls in enumerate(classes):
         rows.append((f"orbit_{i}", " ".join(map(str, cls))))

@@ -8,21 +8,29 @@ of that stabilizer; it never enumerates Aut(m_ext).  Generators are computed
 on first use, and only :func:`orbits` and :func:`is_regular_action` use them.
 Permutations are plain image tuples.
 
+The search checks each relation on as few tuples as still decide it: one
+ordering per set for a relation closed under all rearrangements of positions,
+and one per alternating coset (the even or the odd orderings of a set) for a
+relation closed only under the even ones, as orientations and circular orders
+are.  A vertex permutation commutes with rearranging positions, so it maps a
+coset into the relation exactly when it maps the coset's representative there.
+
 Every search node costs one unit of a budget (``SEARCH_BUDGET`` unless the
 call passes ``budget``), and one public call spends one budget across all the
 searches it runs; when the budget is spent, :class:`BoundExceededError` is
-raised rather than a factorial search left running.
+raised rather than a factorial search left running.  :func:`orbits` charges
+one unit per m-tuple or m-subset and refuses before enumerating any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations as all_permutations
-from math import factorial, perm
+from itertools import combinations, permutations as all_permutations
+from math import comb, factorial, perm
 from operator import itemgetter
 
-from .errors import InputError, _Meter
+from .errors import BoundExceededError, InputError, _Meter
 from .structures import flatten
 
 # -- permutation helpers ----------------------------------------------------
@@ -144,14 +152,26 @@ class _Search:
       the set's complement;
     - a relation holding every ordering of each of its sets is checked on one
       sorted ordering per set, whose image must still lie in the relation;
+    - a relation of arity k >= 3 closed only under the even rearrangements of
+      positions (A_k, tested on its generators, the 3-cycles (0 1 i)) is
+      checked on one ordering per coset it holds: a set's sorted ordering for
+      its even coset, and that ordering with its last two entries swapped for
+      the odd one.  A vertex permutation commutes with rearranging positions,
+      so it maps a coset into the relation exactly when it maps the coset's
+      representative there; the representative has the coset's vertex set,
+      so it is tested at the same step and every node prunes as before;
     - unary relations need no checks, since the invariant already sends
       members to members.
+
+    The step schedule for a given first vertex is built on the first
+    :meth:`run` with it and reused by every later one.
     """
 
     def __init__(self, s):
         v = self.v = s.v
         inv = [[] for _ in range(v)]
         self.checks = []  # (tuple, set its image must lie in)
+        self.schedules = {}  # first vertex -> (order, candidates, steps)
         for _, arity, tuples in s.relations:
             counts = [[0] * arity for _ in range(v)]
             for t in tuples:
@@ -166,12 +186,33 @@ class _Search:
             sets = {frozenset(t) for t in tuples}
             if len(tuples) == len(sets) * factorial(arity):
                 self.checks += [(tuple(sorted(t)), tuples) for t in sets]
+            elif arity > 2 and _alternating_closed(tuples, arity):
+                for t in map(sorted, sets):
+                    even = tuple(t)
+                    odd = even[:-2] + (even[-1], even[-2])
+                    self.checks += [(r, tuples) for r in (even, odd) if r in tuples]
             else:
                 self.checks += [(t, tuples) for t in tuples]
         classes = {}
         for x in range(v):
             classes.setdefault(tuple(inv[x]), []).append(x)
         self.candidates = [classes[tuple(inv[x])] for x in range(v)]
+
+    def _schedule(self, first):
+        """(order, candidates, steps): the vertices in the order they are
+        assigned, their candidate images, and the checks due at each step."""
+        v = self.v
+        order = list(range(v))
+        if first is not None:
+            order.remove(first)
+            order.insert(0, first)
+        step = [0] * v
+        for i, x in enumerate(order):
+            step[x] = i
+        steps = [[] for _ in range(v)]
+        for t, rel in self.checks:
+            steps[max(map(step.__getitem__, t))].append((itemgetter(*t), rel))
+        return order, [self.candidates[x] for x in order], steps
 
     def run(self, meter, first=None, image=None, stop=False):
         """Every automorphism, or only those sending `first` to `image`.
@@ -181,19 +222,12 @@ class _Search:
         spends one unit of `meter`.  Returns a list of image tuples.
         """
         v = self.v
-        order = list(range(v))
+        if first not in self.schedules:
+            self.schedules[first] = self._schedule(first)
+        order, cands, steps = self.schedules[first]
         if first is not None:
-            order.remove(first)
-            order.insert(0, first)
-        cands = [self.candidates[x] for x in order]
-        if first is not None:
+            cands = cands.copy()
             cands[0] = [image] if image in cands[0] else []
-        step = [0] * v
-        for i, x in enumerate(order):
-            step[x] = i
-        steps = [[] for _ in range(v)]
-        for t, rel in self.checks:
-            steps[max(map(step.__getitem__, t))].append((itemgetter(*t), rel))
 
         images = [0] * v
         used = [False] * v
@@ -229,6 +263,17 @@ class _Search:
         return found
 
 
+def _alternating_closed(tuples, k):
+    """Whether a set of k-tuples is closed under the even rearrangements of
+    positions, tested on the 3-cycles (0 1 i), i = 2..k-1, which generate A_k."""
+    for i in range(2, k):
+        p = list(range(k))
+        p[0], p[1], p[i] = 1, i, 0
+        if frozenset(map(itemgetter(*p), tuples)) != tuples:
+            return False
+    return True
+
+
 def _group(s, meter) -> PermutationGroup:
     return PermutationGroup.from_elements(s.v, _Search(s).run(meter))
 
@@ -255,12 +300,22 @@ def automorphisms_brute(s):
 # -- orbits and actions -----------------------------------------------------
 
 
-def orbits(group: PermutationGroup, m, mode="tuples"):
-    """Orbit classes of the group acting on m-tuples (distinct entries) or m-subsets."""
+def orbits(group: PermutationGroup, m, mode="tuples", budget=None):
+    """Orbit classes of the group acting on m-tuples (distinct entries) or m-subsets.
+
+    Each m-tuple or m-subset costs one unit of `budget`; when there are more
+    than it allows, :class:`BoundExceededError` is raised before any is built.
+    """
     if mode not in ("tuples", "subsets"):
         raise InputError(f"mode must be 'tuples' or 'subsets', got {mode!r}")
-    if m > group.v:
-        raise InputError(f"m={m} exceeds degree {group.v}")
+    if not 0 <= m <= group.v:
+        raise InputError(f"m={m} is not in 0..{group.v}")
+    meter = _Meter(budget)
+    count = perm(group.v, m) if mode == "tuples" else comb(group.v, m)
+    if count > meter.left:
+        raise BoundExceededError(
+            f"orbits on {count} {mode} exceed the budget of {meter.budget} units"
+        )
 
     if mode == "tuples":
         items = list(all_permutations(range(group.v), m))
@@ -269,9 +324,7 @@ def orbits(group: PermutationGroup, m, mode="tuples"):
             return apply_to_tuple(g, item)
 
     else:
-        from itertools import combinations
-
-        items = [tuple(c) for c in combinations(range(group.v), m)]
+        items = list(combinations(range(group.v), m))
 
         def act(g, item):
             return tuple(sorted(g[x] for x in item))

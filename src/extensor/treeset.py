@@ -149,6 +149,11 @@ class UnrootedLeafTree:
     def neighbors(self, node):
         return self.adj[node - self.v]
 
+    @cached_property
+    def leaf_paths(self):
+        """The masks of :func:`_leaf_path_masks_unrooted`, computed once per tree."""
+        return _leaf_path_masks_unrooted(self)
+
 
 # ---------------------------------------------------------------------------
 # structural helpers
@@ -347,7 +352,7 @@ def c_relation(t: RootedLeafTree) -> CRelation:
 
 def d_relation(t: UnrootedLeafTree) -> DRelation:
     """D(ab; cd) iff the path from a to b avoids the path from c to d."""
-    paths = np.array(_leaf_path_masks_unrooted(t), dtype=np.int64)
+    paths = np.array(t.leaf_paths, dtype=np.int64)
     cube = (paths[:, :, None, None] & paths[None, None, :, :]) == 0
     return DRelation._from_cube(cube)
 
@@ -609,7 +614,7 @@ def triple_coloring(t: UnrootedLeafTree) -> ColoredHypergraph:
     """Color each leaf triple by the color of its median node."""
     if t.colors is None:
         raise InputError("tree has no internal colors")
-    paths = _leaf_path_masks_unrooted(t)
+    paths = t.leaf_paths
 
     def color(s):
         a, b, c = s

@@ -1,5 +1,6 @@
 """The command surface: exit codes, file flow, determinism."""
 
+import hashlib
 import re
 import shlex
 from pathlib import Path
@@ -326,6 +327,23 @@ def test_orbits_of_edgeless_twelve_points_exits_exceeded(tmp_path, capsys):
     code, out, err = run(["orbits", "--in", str(edgeless)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("budget exceeded: automorphism search")
+
+
+def test_orbits_are_refused_past_the_budget_before_enumerating(tmp_path, capsys):
+    # the rigid 30-point graph has 30*29*28*27*26 = 17,100,720 5-tuples: refused
+    # before any is built; its 870 ordered pairs are listed as they always were
+    base = tmp_path / "base.txt"
+    gen = ["gen", "chg", "--v", "30", "--k", "2", "--n", "4", "--seed", "7"]
+    assert run(gen + ["--out", str(base)], capsys)[0] == 0
+    code, out, err = run(["orbits", "--in", str(base), "-m", "5"], capsys)
+    assert code == 2 and out == ""
+    assert err == "budget exceeded: orbits on 17100720 tuples exceed the budget of 1000000 units\n"
+    code, out, _ = run(["orbits", "--in", str(base), "-m", "2"], capsys)
+    assert code == 0 and "orbit_count  870\n" in out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "3070c8dfdc939f9c33204662b5c0bd38a4d4556ebca42cbd6a3ccb580eb2f6d7"
+    code, _, err = run(["orbits", "--in", str(base), "-m", "2", "--budget", "869"], capsys)
+    assert code == 2 and err.startswith("budget exceeded: orbits on 870 tuples")
 
 
 def test_verify_rigid_thirty_point_extension(tmp_path, capsys):

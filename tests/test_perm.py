@@ -1,14 +1,22 @@
 """Automorphism groups, orbits, and the extension-verification predicate."""
 
 from itertools import combinations, permutations
+from math import factorial
+from operator import itemgetter
 
 import pytest
 
 from extensor.eqrel import EquivalenceRelation, forced_extension
 from extensor.errors import BoundExceededError, InputError, _Meter
-from extensor.generate import SplitMix64, random_colored_hypergraph, random_orientation
+from extensor.generate import (
+    SplitMix64,
+    random_colored_hypergraph,
+    random_hypertournament,
+    random_orientation,
+    random_unrooted_tree,
+)
 from extensor.hyperext import ColoredHypergraph, extend_colored, plain_hypergraph
-from extensor.orient import Orientation, extend_orientation
+from extensor.orient import Orientation, extend_orientation, tuple_parity
 from extensor.perm import (
     ExtensionReport,
     _Search,
@@ -23,6 +31,7 @@ from extensor.perm import (
     verify_one_point_extension,
 )
 from extensor.structures import SubsetMap, flatten, make_structure
+from extensor.tourney import CircularOrder
 
 
 def compose(p, q):
@@ -111,6 +120,19 @@ def test_cycle_tournament_pair_orbits():
     cls = orbits(automorphism_group(cycle_tournament()), 2, mode="tuples")
     assert len(cls) == 2
     assert {len(c) for c in cls} == {3}
+
+
+def test_orbits_spend_one_unit_per_item():
+    group = automorphism_group(k3())
+    assert orbits(group, 2, budget=6) == [tuple(permutations(range(3), 2))]
+    assert len(orbits(group, 2, "subsets", budget=3)) == 1
+    with pytest.raises(BoundExceededError):
+        orbits(group, 2, budget=5)
+    with pytest.raises(BoundExceededError):
+        orbits(group, 2, "subsets", budget=2)
+    for m in (-1, 4):
+        with pytest.raises(InputError):
+            orbits(group, m)
 
 
 def test_stabilizer_of_triangle_vertex():
@@ -304,15 +326,18 @@ def _random_structure(rng, v):
 
 
 def _reductions(s):
-    """Which check reductions the search took: (complement, one per set)."""
+    """Which check reductions the search took: (complement, one per set, one
+    per alternating coset), read off how many tuples each check stands for."""
     search = _Search(s)
     own = {id(tuples) for _, _, tuples in s.relations}
     per_rel = {}
-    for _, rel in search.checks:
-        per_rel.setdefault(id(rel), [rel, 0])[1] += 1
+    for t, rel in search.checks:
+        per_rel.setdefault(id(rel), [rel, 0, len(t)])[1] += 1
     complemented = any(key not in own for key in per_rel)
-    one_per_set = any(count < len(rel) for rel, count in per_rel.values())
-    return complemented, one_per_set
+    spans = [(len(rel) // count, k) for rel, count, k in per_rel.values()]
+    one_per_set = any(span == factorial(k) for span, k in spans)
+    one_per_coset = any(k > 2 and span == factorial(k) // 2 for span, k in spans)
+    return complemented, one_per_set, one_per_coset
 
 
 def test_search_matches_brute_force_on_random_structures():
@@ -328,10 +353,99 @@ def test_search_matches_brute_force_on_random_structures():
         assert set(found) == {g for g in brute if g[x] == y}
         hit = _Search(s).run(_Meter(), first=x, image=y, stop=True)
         assert len(hit) == min(1, sum(1 for g in brute if g[x] == y))
-        c, o = _reductions(s)
+        c, o, _ = _reductions(s)
         complemented += c
         one_per_set += o
     assert complemented and one_per_set
+
+
+# -- the coset rule: one check per alternating coset -------------------------------
+
+
+def _coset_union(rng, v, k):
+    """Per k-set the even coset, the odd one, both or neither; complemented in
+    a quarter of the draws."""
+    tuples = set()
+    for s in combinations(range(v), k):
+        pick = rng.below(4)  # bit 0: the even orderings, bit 1: the odd ones
+        tuples.update(p for p in permutations(s) if pick >> tuple_parity(p) & 1)
+    if not rng.below(4):
+        tuples = set(permutations(range(v), k)) - tuples
+    return make_structure(v, [("R", k, tuples)])
+
+
+def _three_cycle_closed(rng, v):
+    """A random set of 4-tuples closed under the position 3-cycle (0 1 2) only."""
+    get = itemgetter(1, 2, 0, 3)
+    tuples = set()
+    for t in permutations(range(v), 4):
+        if not rng.below(5):
+            tuples.update((t, get(t), get(get(t))))
+    return make_structure(v, [("R", 4, tuples)])
+
+
+def _coset_cases():
+    rng = SplitMix64(3131)
+    for k, vs in ((3, (3, 4, 5, 6, 7)), (4, (4, 5, 6)), (5, (5, 6))):
+        for v in vs:
+            yield flatten(random_orientation(rng, v, k))
+    for v in range(3, 8):
+        yield flatten(CircularOrder.from_cycle(rng.shuffled(range(v))))
+    for k, vs in ((3, (3, 4, 5, 6)), (4, (4, 5, 6)), (5, (5, 6))):
+        for v in vs:
+            for _ in range(4):
+                yield _coset_union(rng, v, k)
+    for v in (4, 5, 5, 6, 6, 6):
+        yield _three_cycle_closed(rng, v)
+
+
+def test_coset_rule_matches_brute_force():
+    rng = SplitMix64(5151)
+    by_rule = [0, 0]
+    for s in _coset_cases():
+        brute = set(automorphisms_brute(s))
+        search = _Search(s)
+        assert set(search.run(_Meter())) == brute, s
+        # two images per first vertex on one search, so its schedule is reused
+        for x in {rng.below(s.v), rng.below(s.v)}:
+            for y in {rng.below(s.v), x}:
+                expected = {g for g in brute if g[x] == y}
+                assert set(search.run(_Meter(), first=x, image=y)) == expected, s
+                hit = search.run(_Meter(), first=x, image=y, stop=True)
+                assert len(hit) == min(1, len(expected)) and set(hit) <= expected
+        by_rule[_reductions(s)[2]] += 1
+    assert all(by_rule), by_rule
+
+
+def test_coset_rule_is_taken_on_orientations_and_circular_orders_only():
+    rng = SplitMix64(77)
+    for k in (3, 4, 5):
+        assert _reductions(flatten(random_orientation(rng, 7, k))) == (False, False, True)
+    circular = CircularOrder.from_cycle(rng.shuffled(range(7)))
+    assert _reductions(flatten(circular)) == (False, False, True)
+    for k in (3, 4):
+        assert _reductions(flatten(random_hypertournament(rng, 7, k))) == (False,) * 3
+    assert _reductions(flatten(random_unrooted_tree(rng, 7))) == (False,) * 3
+    assert not _reductions(_three_cycle_closed(rng, 6))[2]
+
+
+def test_search_reuses_one_schedule_per_first_vertex():
+    search = _Search(flatten(random_orientation(SplitMix64(8), 6, 4)))
+    for y in range(6):
+        search.run(_Meter(), first=0, image=y, stop=True)
+    search.run(_Meter())
+    assert set(search.schedules) == {0, None}
+
+
+def test_orientation_verify_units_are_unchanged():
+    # a k = 4 orientation on 6 points spends 1,149 units, as it did when every
+    # ordering of every 4-set was checked
+    t = random_orientation(SplitMix64(2), 6, 4)
+    ext = extend_orientation(t)
+    report = ExtensionReport(True, False, 2, 2, None)
+    assert verify_one_point_extension(t, ext, budget=1149) == report
+    with pytest.raises(BoundExceededError):
+        verify_one_point_extension(t, ext, budget=1148)
 
 
 # -- oracle: the extension report from the full group of the extension ------------

@@ -529,6 +529,22 @@ def test_leaf_path_masks_match_the_walk_oracle():
         assert _leaf_path_masks_unrooted(t) == _reference_leaf_path_masks(t)
 
 
+def test_leaf_path_masks_are_computed_once_per_tree(monkeypatch):
+    # criterion 11 reads them through d_relation and triple_coloring of each of
+    # its 500 extensions: 501 computations per selftest (1,001 when each read
+    # recomputed them)
+    from extensor import acceptance
+    import extensor.treeset as treeset
+
+    calls = []
+    compute = treeset._leaf_path_masks_unrooted
+    monkeypatch.setattr(
+        treeset, "_leaf_path_masks_unrooted", lambda t: calls.append(t) or compute(t)
+    )
+    acceptance.run_all(acceptance.DEFAULT_SEED, only={11})
+    assert len(calls) == 501
+
+
 def test_leveling_of_ranked_caterpillar():
     t = RootedLeafTree(4, ((0, 5), (1, 6), (2, 3)), ranks=(1, 2, 3))
     lev = leveled_pairs_preorder(t)

@@ -21,7 +21,7 @@ from .generate import (
     random_rooted_tree,
     random_unrooted_tree,
 )
-from .structures import flatten, merge_structures, subsets_colex
+from .structures import _boundary_violation, flatten, merge_structures
 
 DEFAULT_SEED = 20260809
 
@@ -211,11 +211,7 @@ def criterion_07(seed=DEFAULT_SEED):
         even, _ = orient.is_even_orientation(ext)
         if not even:
             even_bad += 1
-        x0 = t.v
-        if any(
-            ext.bits.value_for(s + (x0,)) != t.bits.value_for(s)
-            for s in subsets_colex(t.v, t.k)
-        ):
+        if _boundary_violation(t.bits, ext.bits) is not None:
             boundary_bad += 1
         if v <= 5:
             verified += 1

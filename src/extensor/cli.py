@@ -183,13 +183,21 @@ def cmd_verify(args):
 # -- palette ---------------------------------------------------------------------
 
 
+def _read_palette(args):
+    if not args.infile:
+        raise InputError(f"palette {args.action} needs --in <palette file>")
+    p = parse(_read(args.infile))
+    if not isinstance(p, palette.Palette):
+        raise InputError(f"palette {args.action} needs a palette file, got {type(p).__name__}")
+    return p
+
+
 def cmd_palette(args):
     if args.action == "canonical":
         _write_out(args, serialize(palette.canonical_palette(args.n)))
         return OK
     if args.action == "check":
-        p = parse(_read(args.infile))
-        check = palette.is_palette(p)
+        check = palette.is_palette(_read_palette(args))
         rows = [("palette", "Ok" if check.ok else f"violates axiom {check.axiom}")]
         if not check.ok:
             rows.append(("witness", check.witness))
@@ -205,8 +213,7 @@ def cmd_palette(args):
             return OK
         return EXCEEDED if outcome.status == "budget_exhausted" else REFUTED
     if args.action == "reduce":
-        p = parse(_read(args.infile))
-        _write_out(args, serialize(palette.reduce_palette(p)))
+        _write_out(args, serialize(palette.reduce_palette(_read_palette(args))))
         return OK
     raise InputError(f"unknown palette action {args.action!r}")
 
@@ -285,6 +292,8 @@ def cmd_interpret(args):
         if not isinstance(obj, tourney.Hypertournament):
             raise InputError("htour2chg needs a hypertournament file")
         order = parse(_read(args.order)) if args.order else None
+        if order is not None and not isinstance(order, tourney.LinearOrder):
+            raise InputError(f"--order needs a linear order file, got {type(order).__name__}")
         out = tourney.interpret_colored_graph(obj, order)
     elif args.mode == "c2d":
         if not isinstance(obj, treeset.RootedLeafTree):
@@ -305,8 +314,12 @@ def cmd_interpret(args):
 
 def cmd_selftest(args):
     only = None
-    if args.only:
-        only = {int(x) for x in args.only.split(",")}
+    if args.only is not None:
+        known = range(1, len(acceptance.ALL_CRITERIA) + 1)
+        parts = args.only.split(",")
+        if not all(x.strip().isdecimal() and int(x) in known for x in parts):
+            raise InputError(f"--only wants criterion numbers 1..{len(known)}, got {args.only!r}")
+        only = {int(x) for x in parts}
     results = acceptance.run_all(seed=args.seed, only=only)
     sys.stdout.write(acceptance.report_text(results, args.seed))
     return OK if all(r.passed for r in results) else REFUTED

@@ -208,9 +208,9 @@ def parse(text: str):
     if tag == "eqrel":
         return _parse_eqrel(fields, body, offset)
     if tag == "lin":
-        return _parse_lin(fields, body, offset)
+        return LinearOrder(_order_line(body, offset, "order"))
     if tag == "circ":
-        return _parse_circ(fields, meta, body, offset)
+        return CircularOrder.from_cycle(_order_line(body, offset, "cycle"), ext=meta.get("ext"))
     if tag in ("ctree", "dtree"):
         return _parse_tree(tag, fields, meta, body, offset)
     raise ParseError(1, f"unknown kind tag {tag!r}")
@@ -320,27 +320,16 @@ def _parse_eqrel(fields, body, offset):
         raise ParseError(offset + len(body), str(exc))
 
 
-def _parse_lin(fields, body, offset):
+def _order_line(body, offset, key):
+    """The int list on the first non-blank body line, which must read `key = ...`."""
     for i, line in enumerate(body):
         line = line.strip()
         if not line:
             continue
-        if not line.startswith("order ="):
-            raise ParseError(offset + i, f"expected 'order = ...', got {line!r}")
-        return LinearOrder(_parse_int_list(line.split("=", 1)[1].strip(), offset + i))
-    raise ParseError(offset, "missing order line")
-
-
-def _parse_circ(fields, meta, body, offset):
-    for i, line in enumerate(body):
-        line = line.strip()
-        if not line:
-            continue
-        if not line.startswith("cycle ="):
-            raise ParseError(offset + i, f"expected 'cycle = ...', got {line!r}")
-        cycle = _parse_int_list(line.split("=", 1)[1].strip(), offset + i)
-        return CircularOrder.from_cycle(cycle, ext=meta.get("ext"))
-    raise ParseError(offset, "missing cycle line")
+        if not line.startswith(f"{key} ="):
+            raise ParseError(offset + i, f"expected '{key} = ...', got {line!r}")
+        return _parse_int_list(line.split("=", 1)[1].strip(), offset + i)
+    raise ParseError(offset, f"missing {key} line")
 
 
 def _parse_palette(lines):

@@ -7,6 +7,8 @@ and an interior (k+1)-subset takes the XOR of the colors of its k-subsets.
 Bit by bit this is the plain rule (an interior subset is a hyperedge when it
 holds an odd number of hyperedges) run on each channel.  Any other bijection
 of colors with bit vectors gives this extension with its colors relabeled.
+The extension rule, its boundary check and the evenness scan are the parity
+layer of :mod:`extensor.structures`, shared with orientations (offset 0 here).
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
 from .errors import InputError
 from .palette import Palette, enumerate_multisets
-from .structures import RelationalStructure, SubsetMap, _faces, flatten
+from .structures import RelationalStructure, SubsetMap, flatten
+from .structures import _boundary_violation, _odd_face, _parity_extension
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,8 @@ def is_even_hypergraph(h: ColoredHypergraph):
         raise InputError("evenness is defined for plain hypergraphs")
     if h.v < h.k + 1:
         raise InputError(f"need v >= k+1 to scan (k+1)-subsets, got v={h.v}")
-    rows, ranks = _faces(h.v, h.k, h.k + 1)
-    odd = np.asarray(h.colors.values)[ranks].sum(axis=1) & 1
-    # rows are in lex order, so argmax finds the least odd (k+1)-subset
-    i = int(odd.argmax())
-    return (False, tuple(rows[i].tolist())) if odd[i] else (True, None)
+    bad = _odd_face(h.colors)
+    return bad is None, bad
 
 
 def extend_plain(h: ColoredHypergraph) -> ColoredHypergraph:
@@ -108,25 +106,8 @@ def extend_plain(h: ColoredHypergraph) -> ColoredHypergraph:
     """
     if h.n != 2:
         raise InputError("extend_plain needs a plain hypergraph; use extend_colored")
-    table = _parity_extension(h)
+    table = _parity_extension(h.colors)
     return ColoredHypergraph(h.v + 1, h.k + 1, 2, table, ext=h.v)
-
-
-def _parity_extension(h: ColoredHypergraph) -> SubsetMap:
-    """Color table of the parity extension of h over x0 = v."""
-    if h.v < h.k + 1:
-        raise InputError(f"need v >= k+1, got v={h.v}")
-    x0, value_for = h.v, h.colors.value_for
-
-    def color(subset):
-        if subset[-1] == x0:
-            return value_for(subset[:-1])
-        bits = 0
-        for s in combinations(subset, h.k):
-            bits ^= value_for(s)
-        return bits
-
-    return SubsetMap.from_function(h.v + 1, h.k + 1, color)
 
 
 def extend_colored(h: ColoredHypergraph) -> ColoredHypergraph:
@@ -140,7 +121,7 @@ def extend_colored(h: ColoredHypergraph) -> ColoredHypergraph:
             f"color count {h.n} is not a power of two; no extension exists "
             "(see the palette nonexistence search)"
         )
-    table = _parity_extension(h)
+    table = _parity_extension(h.colors)
     return ColoredHypergraph(
         h.v + 1, h.k + 1, h.n, table, ext=h.v, labeling=tuple(range(h.n))
     )
@@ -152,10 +133,7 @@ def canonical_form_violation(h: ColoredHypergraph, h_ext: ColoredHypergraph, x0)
         raise InputError("extension must add one vertex and one arity at equal n")
     if x0 != h.v:
         raise InputError(f"extension point must be {h.v}, got {x0}")
-    for s in combinations(range(h.v), h.k):
-        if h_ext.colors.value_for(s + (x0,)) != h.colors.value_for(s):
-            return s
-    return None
+    return _boundary_violation(h.colors, h_ext.colors)
 
 
 # -- palette extraction ---------------------------------------------------------

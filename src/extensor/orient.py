@@ -14,8 +14,14 @@ when c[i] == c[j], where
 
     c[i] = bit(S_i) XOR (i mod 2),
 
-and the agreement classes of `big` are the two level sets of c.  Everything
-below reads agreement off c.
+and the agreement classes of `big` are the two level sets of c.  Agreement is
+read off c, and evenness off the bits alone: if `ones` of the k+1 signs are 1,
+big has ones * (k+1-ones) disagreeing pairs.  That count is odd only when k is
+odd and ones is odd, and since k+1 = 2m has m odd indices, ones = m + sum of
+the bits (mod 2).  So for odd k a (k+1)-set is odd exactly when its bits do
+not sum to (k+1)/2 mod 2, and every even-k orientation is even.  The evenness
+scan and the extension rule are the parity layer of :mod:`extensor.structures`,
+shared with hypergraphs.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from operator import itemgetter
 from .errors import InputError, InternalCheckError
 from .perm import parity
 from .structures import RelationalStructure, SubsetMap, flatten
+from .structures import _odd_face, _parity_extension
 
 
 def tuple_parity(tup):
@@ -97,20 +104,15 @@ def agreement_classes(t: Orientation, big):
     )
 
 
-def _disagreements(t: Orientation, big):
-    """Disagreeing pairs inside big: the product of the two class sizes."""
-    ones = sum(_signs(t, big))
-    return ones * (len(big) - ones)
-
-
 def is_even_orientation(t: Orientation):
-    """(flag, witness): every (k+1)-set must have an even number of disagreeing pairs."""
+    """(flag, witness): every (k+1)-set must have an even number of disagreeing pairs.
+
+    The witness is the lexicographically least odd (k+1)-set.
+    """
     if t.v < t.k + 1:
         raise InputError(f"need v >= {t.k + 1} to scan, got v={t.v}")
-    for big in combinations(range(t.v), t.k + 1):
-        if _disagreements(t, big) % 2:
-            return False, big
-    return True, None
+    bad = _odd_face(t.bits, (t.k + 1) // 2) if t.k % 2 else None
+    return bad is None, bad
 
 
 # -- the even extension ---------------------------------------------------------
@@ -132,18 +134,8 @@ def extend_orientation(t: Orientation) -> Orientation:
         raise InputError(
             f"k={t.k} is odd: no even extension exists, see odd_obstruction"
         )
-    if t.v < t.k + 1:
-        raise InputError(f"need v >= k+1, got v={t.v}")
-    x0, value_for = t.v, t.bits.value_for
-    offset = 1 ^ (t.k // 2 & 1)
-
-    def bit(subset):
-        if subset[-1] == x0:
-            return value_for(subset[:-1])
-        return offset ^ (sum(map(value_for, combinations(subset, t.k))) & 1)
-
-    table = SubsetMap.from_function(t.v + 1, t.k + 1, bit)
-    return Orientation(t.v + 1, t.k + 1, table, ext=x0)
+    table = _parity_extension(t.bits, 1 ^ (t.k // 2 & 1))
+    return Orientation(t.v + 1, t.k + 1, table, ext=t.v)
 
 
 # -- fixtures and the odd obstruction -------------------------------------------
@@ -248,5 +240,7 @@ def odd_obstruction(k) -> ObstructionCertificate:
 
 
 def count_disagreements(t: Orientation):
-    """Total number of disagreeing near-equal pairs of k-subsets."""
-    return sum(_disagreements(t, big) for big in combinations(range(t.v), t.k + 1))
+    """Total number of disagreeing near-equal pairs of k-subsets: in each
+    (k+1)-set, the product of its two agreement class sizes."""
+    ones = (sum(_signs(t, big)) for big in combinations(range(t.v), t.k + 1))
+    return sum(x * (t.k + 1 - x) for x in ones)

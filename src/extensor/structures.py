@@ -15,6 +15,10 @@ lexicographic order as rows of an int array, and for each row the colex ranks
 of its k-subsets in ``combinations(row, k)`` order.  Both come from the
 combinatorial number system in numpy, so a scan over the faces is one gather
 of the table's values, ``values[ranks]``, and nothing is looked up per subset.
+
+The parity layer of colored hypergraphs and orientations lives here too: the
+one-point extension in canonical boundary form, its boundary check, and the
+evenness scan, which is one such gather.
 """
 
 from __future__ import annotations
@@ -101,6 +105,49 @@ def _faces(v, k, size):
 def subsets_colex(v, k):
     """Iterate over all k-subsets of {0..v-1} in colex order."""
     return iter(_colex(v, k)[0])
+
+
+# ---------------------------------------------------------------------------
+# The parity layer, shared by colored hypergraphs and orientations
+# ---------------------------------------------------------------------------
+
+
+def _parity_extension(table, offset=0):
+    """Table over x0 = v of the parity one-point extension of a k-subset table.
+
+    A set S + x0 keeps the value of S, and an interior (k+1)-set takes
+    ``offset`` XOR the values of its k-subsets.  Colex order lists the interior
+    sets first and the sets through x0 last, in the order of their k-parts, so
+    the boundary is ``table.values`` as it stands.
+    """
+    v, k, value_for = table.v, table.k, table.value_for
+    if v < k + 1:
+        raise InputError(f"need v >= k+1, got v={v}")
+    interior = []
+    for big in _colex(v, k + 1)[0]:
+        value = offset
+        for s in combinations(big, k):
+            value ^= value_for(s)
+        interior.append(value)
+    return SubsetMap(v + 1, k + 1, (*interior, *table.values))
+
+
+def _boundary_violation(table, ext):
+    """Lex-least k-subset S whose value in ``table`` differs from that of
+    S + x0 in the (k+1)-subset table ``ext`` over x0 = v, or None."""
+    boundary = ext.values[len(ext.values) - len(table.values) :]
+    order = _colex(table.v, table.k)[0]
+    return min((s for s, a, b in zip(order, table.values, boundary) if a != b), default=None)
+
+
+def _odd_face(table, offset=0):
+    """Lex-least (k+1)-subset whose k-subsets' 0/1 values do not sum to
+    ``offset`` mod 2, or None; needs v >= k+1."""
+    rows, ranks = _faces(table.v, table.k, table.k + 1)
+    odd = (np.asarray(table.values)[ranks].sum(axis=1) ^ offset) & 1
+    # rows are in lex order, so argmax finds the least odd face
+    i = int(odd.argmax())
+    return tuple(rows[i].tolist()) if odd[i] else None
 
 
 # ---------------------------------------------------------------------------

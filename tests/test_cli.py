@@ -5,6 +5,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from extensor.cli import main
 from extensor.fileio import serialize
 from extensor.hyperext import plain_hypergraph
@@ -397,3 +399,39 @@ def test_selftest_is_deterministic_across_processes(tmp_path):
     second = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert first == second
     assert b"result: PASS" in first
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["palette", "check"], "palette check needs --in"),
+        (["palette", "reduce"], "palette reduce needs --in"),
+        (["palette", "check", "--in", "{chg}"], "palette check needs a palette file"),
+        (["palette", "reduce", "--in", "{chg}"], "palette reduce needs a palette file"),
+        (
+            ["interpret", "htour2chg", "--in", "{htour}", "--order", "{chg}"],
+            "--order needs a linear order file",
+        ),
+        (["selftest", "--only", "x"], "--only wants criterion numbers"),
+        (["selftest", "--only", ""], "--only wants criterion numbers"),
+        (["selftest", "--only", "13"], "--only wants criterion numbers"),
+    ],
+    ids=[
+        "palette-check-no-in",
+        "palette-reduce-no-in",
+        "palette-check-not-a-palette",
+        "palette-reduce-not-a-palette",
+        "htour2chg-order-not-an-order",
+        "selftest-only-not-a-number",
+        "selftest-only-empty",
+        "selftest-only-unknown-criterion",
+    ],
+)
+def test_bad_command_input_exits_3_with_one_line(argv, expected, tmp_path, capsys):
+    files = {"chg": tmp_path / "chg.txt", "htour": tmp_path / "htour.txt"}
+    for kind, path in files.items():
+        assert run(["gen", kind, "--v", "4", "--seed", "1", "--out", str(path)], capsys)[0] == 0
+    code, out, err = run([a.format(**files) for a in argv], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error: " + expected) and err.count("\n") == 1

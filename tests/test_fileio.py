@@ -228,3 +228,19 @@ def test_bad_metadata_value_names_its_line():
 def test_tree_term_numbers_are_ascii_digits():
     with pytest.raises(ParseError):
         parse("kind ctree v=2\n(0,1\u00b9)\n")
+
+
+def test_order_line_diagnostics():
+    # (text, line, message) for the missing-line and wrong-prefix cases of both kinds
+    cases = [
+        ("kind lin v=3\n", 2, "missing order line"),
+        ("kind lin v=3\n\n\n", 2, "missing order line"),
+        ("kind lin v=3\n\ncycle = 0,1,2\n", 3, "expected 'order = ...', got 'cycle = 0,1,2'"),
+        ("kind circ v=3\next = 2\n", 3, "missing cycle line"),
+        ("kind circ v=3\nfoo\n", 2, "expected 'cycle = ...', got 'foo'"),
+        ("kind circ v=3\next = 2\n\norder = 0,1,2\n", 4, "expected 'cycle = ...', got 'order = 0,1,2'"),
+    ]
+    for text, line, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.message) == (line, message), text

@@ -13,10 +13,22 @@ from extensor.generate import (
     random_linear_order,
     random_orientation,
 )
-from extensor.hyperext import ColoredHypergraph
-from extensor.orient import Orientation, tuple_parity
+from extensor.hyperext import (
+    ColoredHypergraph,
+    canonical_form_violation,
+    extend_colored,
+    extend_plain,
+)
+from extensor.orient import (
+    Orientation,
+    _signs,
+    extend_orientation,
+    is_even_orientation,
+    tuple_parity,
+)
 from extensor.structures import (
     SubsetMap,
+    _boundary_violation,
     _colex,
     _faces,
     flatten,
@@ -73,6 +85,123 @@ def test_faces_are_read_only():
         ranks[0, 0] = 1
     with pytest.raises(ValueError):
         rows[0, 0] = 1
+
+
+# -- the parity layer against the per-set loops it replaced ---------------------
+
+
+def _loop_hypergraph_extension(h):
+    """The colored extension set by set: S + x0 keeps the color of S, and an
+    interior (k+1)-set takes the XOR of its k-subsets' colors."""
+    x0, value_for = h.v, h.colors.value_for
+
+    def color(subset):
+        if subset[-1] == x0:
+            return value_for(subset[:-1])
+        bits = 0
+        for s in combinations(subset, h.k):
+            bits ^= value_for(s)
+        return bits
+
+    return SubsetMap.from_function(h.v + 1, h.k + 1, color)
+
+
+def _loop_orientation_extension(t):
+    """The even extension set by set: S + x0 keeps the bit of S, and an interior
+    (k+1)-set takes 1 XOR (k/2 mod 2) XOR the parity of its k-subsets' bits."""
+    x0, value_for = t.v, t.bits.value_for
+    offset = 1 ^ (t.k // 2 & 1)
+
+    def bit(subset):
+        if subset[-1] == x0:
+            return value_for(subset[:-1])
+        return offset ^ (sum(map(value_for, combinations(subset, t.k))) & 1)
+
+    return SubsetMap.from_function(t.v + 1, t.k + 1, bit)
+
+
+def _loop_boundary_violation(table, ext, order=None):
+    """First k-subset S, in lex order or the given one, where S + x0 has
+    another value in ext than S has in table."""
+    x0 = table.v
+    for s in order or combinations(range(table.v), table.k):
+        if ext.value_for(s + (x0,)) != table.value_for(s):
+            return s
+    return None
+
+
+def _loop_is_even_orientation(t):
+    """Evenness set by set: the disagreeing pairs of a (k+1)-set are the
+    product of its two agreement class sizes, read off the signs."""
+    for big in combinations(range(t.v), t.k + 1):
+        ones = sum(_signs(t, big))
+        if ones * (len(big) - ones) % 2:
+            return False, big
+    return True, None
+
+
+def _tamper_boundary(rng, ext, v, k, n):
+    """ext with 1-3 distinct sets S + x0 given another of the n values."""
+    for s in rng.shuffled(combinations(range(v), k))[: 1 + rng.below(3)]:
+        old = ext.value_for(s + (v,))
+        ext = ext.replace(s + (v,), (old + 1 + rng.below(n - 1)) % n)
+    return ext
+
+
+def test_hypergraph_extension_and_boundary_match_the_loops():
+    rng = SplitMix64(51)
+    colex_first_differs = 0
+    for k in range(2, 8):
+        for v in range(k + 1, 11):
+            for n in (2, 4, 8):
+                h = random_colored_hypergraph(rng, v, k, n)
+                ext = extend_colored(h)
+                assert ext.colors == _loop_hypergraph_extension(h)
+                if n == 2:
+                    assert extend_plain(h).colors == ext.colors
+                assert canonical_form_violation(h, ext, v) is None
+                bad = _tamper_boundary(rng, ext.colors, v, k, n)
+                witness = _loop_boundary_violation(h.colors, bad)
+                assert witness is not None
+                tampered = ColoredHypergraph(v + 1, k + 1, n, bad)
+                assert canonical_form_violation(h, tampered, v) == witness
+                colex = _loop_boundary_violation(h.colors, bad, subsets_colex(v, k))
+                colex_first_differs += colex != witness
+    # the witness is the lex-least mismatch, which the colex-least often is not
+    assert colex_first_differs >= 5
+
+
+def test_orientation_extension_and_boundary_match_the_loops():
+    rng = SplitMix64(53)
+    for k in (2, 4, 6):
+        for v in range(k + 1, 11):
+            t = random_orientation(rng, v, k)
+            ext = extend_orientation(t)
+            assert ext.bits == _loop_orientation_extension(t)
+            assert _boundary_violation(t.bits, ext.bits) is None
+            bad = _tamper_boundary(rng, ext.bits, v, k, 2)
+            assert _boundary_violation(t.bits, bad) == _loop_boundary_violation(t.bits, bad)
+
+
+def test_orientation_evenness_matches_the_sign_loop():
+    rng = SplitMix64(57)
+    cases = []
+    for k in range(2, 8):
+        for v in range(k + 1, 11):
+            t = random_orientation(rng, v, k)
+            cases.append(t)
+            if k % 2 == 0:
+                # the extension is even; one flipped interior set makes it odd
+                ext = extend_orientation(t)
+                interior = rng.choice(list(combinations(range(v), k + 1)))
+                flipped = ext.bits.replace(interior, 1 - ext.bits.value_for(interior))
+                cases += [ext, Orientation(ext.v, ext.k, flipped)]
+    verdicts = [_loop_is_even_orientation(t) for t in cases]
+    assert [is_even_orientation(t) for t in cases] == verdicts
+    for k in (3, 5, 7):
+        found = [w for t, (ok, w) in zip(cases, verdicts) if t.k == k]
+        assert None in found
+        assert any(w is not None and w != tuple(range(k + 1)) for w in found)
 
 
 def test_rank_rejects_malformed_subsets():

@@ -13,6 +13,7 @@ check.  The DFS pops and the automorphism searches spend one budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -27,7 +28,7 @@ from .perm import (  # noqa: F401
     _Search,
     verify_one_point_extension,
 )
-from .structures import RelationalStructure, SubsetMap, _faces, flatten
+from .structures import RelationalStructure, SubsetMap, _colex, _faces, flatten
 
 
 @dataclass(frozen=True)
@@ -89,15 +90,22 @@ def forced_extension(e: EquivalenceRelation) -> ColoredHypergraph:
 # -- derived pair relations and the type split --------------------------------
 
 
+@lru_cache(maxsize=128)
+def _pair_ranks(v, c):
+    """The vertices of {0..v-1} other than c, and each pair (b, d) of them
+    with the colex rank of the triple {b, c, d}."""
+    others = tuple(x for x in range(v) if x != c)
+    index = _colex(v, 3)[1]
+    return others, tuple(
+        ((b, d), index[tuple(sorted((b, c, d)))]) for b, d in combinations(others, 2)
+    )
+
+
 def _pair_relation(h: ColoredHypergraph, c):
     """The relation "b ~ d iff {b, c, d} is a hyperedge" on the other vertices."""
-    others = [x for x in range(h.v) if x != c]
-    related = {
-        (b, d)
-        for b, d in combinations(others, 2)
-        if h.colors.value_for(tuple(sorted((b, c, d)))) == 1
-    }
-    return others, related
+    others, ranked = _pair_ranks(h.v, c)
+    values = h.colors.values
+    return others, {pair for pair, r in ranked if values[r] == 1}
 
 
 def _equivalence_failure(others, related):

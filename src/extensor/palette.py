@@ -11,14 +11,17 @@ color that closes it into a member, so axiom (1) holds by construction; axiom
 (2) seeds f, and axiom (3) is propagated to closure after every assignment.
 Exhausting the search tree is therefore a nonexistence proof.
 
-Propagation runs on integer ids (see :func:`search_palette`), and each
-4-multiset is numbered only when propagation first meets it, so no table grows
-with the C(n+3, 4) multisets a search never touches.  Each pair keeps its
-partners (the pairs it forms a present member with) as a bit mask, so axiom 3
-derives only members not yet present; a derived member is added at once, and
-the trail of members present doubles as the worklist.  A branch whose own
-member meets an already completed triple is rejected before anything is added,
-and a backtrack restores the masks saved when its variable was reached.
+The search works on classes of pairs, by this lemma.  A pair is a
+2-multiset of colors, and p ~ q means that p + q is a member.  Axiom 2 makes
+every pair go with itself ({i,j} + {i,j} = {i,i,j,j}), and axiom 3 makes ~
+transitive, so ~ is an equivalence on the C(n+1, 2) pairs and the members
+present are exactly the p + q with p ~ q.  Axiom 1 fails (some triple is
+completed twice) exactly when a class holds two pairs that share a color, so
+every class is a partial involution on the colors, and the self-pairs form one
+class: the structure :func:`derive_involution` reads off a palette.  Triple
+{a,b,c} is completed exactly when c lies in the color support of the class of
+{a,b}.  So the search keeps a union-find over pairs with an undo log, and no
+table grows with the C(n+3, 4) multisets or the C(n+2, 3) triples.
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 
-from .errors import InputError, InternalCheckError, _Meter
+from .errors import (
+    SEARCH_BUDGET,
+    BoundExceededError,
+    InputError,
+    InternalCheckError,
+    _Meter,
+)
 
 # -- multisets ---------------------------------------------------------------
 
@@ -178,152 +187,167 @@ class SearchOutcome:
     nodes: int
 
 
+class _PairClasses:
+    """The classes of color pairs under p ~ q, that is p + q is a member.
+
+    Pairs are numbered lexicographically (``pair_id[a][b]`` for colors a, b).
+    ``root[p]`` names the class of pair p, and ``members`` and ``support``
+    give each root its pairs and the bit mask of their colors (bit x for color
+    x).  Each pair starts alone, as {i,j} + {i,j} = {i,i,j,j} makes it.
+    """
+
+    def __init__(self, n):
+        self.pairs = enumerate_multisets(n, 2)
+        self.pair_id = [[0] * (n + 1) for _ in range(n + 1)]
+        for p, (a, b) in enumerate(self.pairs):
+            self.pair_id[a][b] = self.pair_id[b][a] = p
+        self.root = list(range(len(self.pairs)))
+        self.members = [[p] for p in self.root]
+        self.support = [1 << a | 1 << b for a, b in self.pairs]
+        self.log = []  # (kept, absorbed, old size, old support) for each merge
+
+    def merge(self, p, q):
+        """Merge the classes of pairs p and q to closure; False on a clash.
+
+        Classes A and B clash when their supports overlap.  Otherwise every
+        pair of B with every pair of A makes a member, whose two other splits
+        are queued for merging, and the smaller class moves into the larger.
+        A clash leaves the classes half merged: :meth:`undo` restores them.
+        """
+        pairs, pair_id, root = self.pairs, self.pair_id, self.root
+        members, support, log = self.members, self.support, self.log
+        queue = [(p, q)]
+        for p, q in queue:
+            keep, gone = root[p], root[q]
+            if keep == gone:
+                continue
+            if support[keep] & support[gone]:
+                return False
+            if len(members[keep]) < len(members[gone]):
+                keep, gone = gone, keep
+            kept, absorbed = members[keep], members[gone]
+            for s in absorbed:
+                w, x = pairs[s]
+                row_w, row_x = pair_id[w], pair_id[x]
+                for t in kept:
+                    y, z = pairs[t]
+                    u, v = row_w[y], row_x[z]
+                    if root[u] != root[v]:
+                        queue.append((u, v))
+                    u, v = row_w[z], row_x[y]
+                    if root[u] != root[v]:
+                        queue.append((u, v))
+            log.append((keep, gone, len(kept), support[keep]))
+            support[keep] |= support[gone]
+            for s in absorbed:
+                root[s] = keep
+            kept += absorbed
+        return True
+
+    def undo(self, mark):
+        """Take the merges logged after the first ``mark`` back off."""
+        root, members, support, log = self.root, self.members, self.support, self.log
+        while len(log) > mark:
+            keep, gone, size, old = log.pop()
+            kept = members[keep]
+            for s in kept[size:]:
+                root[s] = gone
+            del kept[size:]
+            support[keep] = old
+
+
 def search_palette(n, budget=None) -> SearchOutcome:
     """Find a palette over n colors or prove none exists.
 
-    Variables are the 3-multisets in lexicographic order; values are colors in
-    ascending order, so search trees (and node counts) are reproducible.  Each
-    node spends one unit of `budget` (default ``SEARCH_BUDGET``); the node
-    after the last one ends the search as ``budget_exhausted``.
+    Variables are the 3-multisets {a,b,c} in lexicographic order, read as the
+    pair {a,b} with a color c >= b; values are colors in ascending order, so
+    search trees (and node counts) are reproducible.  Each color tried costs
+    one node of `budget` (default ``SEARCH_BUDGET``); the node after the last
+    one ends the search as ``budget_exhausted``.  More than ``SEARCH_BUDGET``
+    color pairs raise :class:`BoundExceededError` before any table is built.
 
-    Pairs and triples are numbered lexicographically, and a 4-multiset gets a
-    member id the first time propagation meets it, together with the bit mask
-    of its triple ids and its pair splits as ids.  f is held as ``done``, the
-    mask of the triples it assigns (the member present names the color), and
-    ``partners[p]`` is an int whose bit q is set while the member p + q is
-    present.  A member is added (its triples set in ``done``, its partner bits
-    set) when it is derived, so the trail of members present is also the
-    worklist: each trail member's split (s, p) derives the members p + q for
-    the bits q of ``partners[s] & ~partners[p]``, the ones not yet present.
-    Self-pairs derive axiom-2 seeds, which are present.  A branch's own member
-    is tested against ``done`` before anything is added.  Each stack frame
-    keeps ``done`` and a copy of ``partners`` from before its variable is
-    assigned, and a backtrack restores them and cuts the trail back, instead
-    of taking each member off again.
+    The state is the partition of the pairs into classes (see the module
+    docstring), kept in a :class:`_PairClasses`.  Variable {a,b,c} is open
+    while c is outside the support of {a,b}, and color x can close it unless
+    x lies in the support of {a,b}, {a,c} or {b,c}, since {a,b,c,x} would
+    then share a completed triple; such colors are counted as nodes without
+    being tried.  Assigning x merges the classes of {a,b} and {c,x}, and a
+    backtrack undoes the merges logged since its frame was pushed.
 
     Propagation computes the least fixed point of monotone rules, so whether a
     branch clashes, and which variable it leaves open first, do not depend on
-    the order in which members are derived: neither do the node counts.
+    the order in which merges run: neither do the node counts.
     """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
     budget = _Meter(budget).budget
+    npairs = n * (n + 1) // 2
+    if npairs > SEARCH_BUDGET:
+        raise BoundExceededError(
+            f"palette search on {npairs} color pairs exceeds the limit of"
+            f" {SEARCH_BUDGET} pairs"
+        )
 
-    triples = enumerate_multisets(n, 3)
-    triple_id = {t: i for i, t in enumerate(triples)}
-    pairs = enumerate_multisets(n, 2)
-    pair_id = {p: i for i, p in enumerate(pairs)}
-    npairs = len(pairs)
+    classes = _PairClasses(n)
+    pairs, pair_id, root = classes.pairs, classes.pair_id, classes.root
+    support, log = classes.support, classes.log
 
-    members = []  # member id -> sorted 4-multiset
-    member_id = {}
-    triple_bits = []  # member id -> bit mask of the ids of its triples
-    splits = []  # member id -> [(pair id, complement pair id)]
-    joins = {}  # p * npairs + q -> member id of p + q
-    closes = {}  # t * n + c - 1 -> member id of t + (c,)
+    full = (1 << n + 1) - 2  # bit x for each color x
 
-    def intern(m):
-        i = member_id.get(m)
-        if i is None:
-            i = member_id[m] = len(members)
-            members.append(m)
-            triple_bits.append(sum(1 << triple_id[_msub(m, (x,))] for x in set(m)))
-            splits.append(
-                [(pair_id[s], pair_id[_msub(m, s)]) for s in sorted(_pairs_within(m))]
-            )
-        return i
+    def first_open(p, c):
+        """The first open variable (pair, color) at or after (p, c), or None."""
+        while True:
+            free = ~support[root[p]] & full >> c << c
+            if free:
+                return p, (free & -free).bit_length() - 1
+            p += 1
+            if p == npairs:
+                return None
+            c = pairs[p][1]
 
-    partners = [0] * npairs  # pair id p -> bit q set while member p + q is present
-    trail = []  # ids of the members present, in the order they were added
-
-    def add(m, done):
-        for s, p in splits[m]:
-            partners[s] |= 1 << p
-        trail.append(m)
-        return done | triple_bits[m]
-
-    def propagate(m, done):
-        """Add absent member m and everything axiom 3 derives from it.
-
-        ``done`` has bit t set for each completed triple t.  Returns the mask
-        with the new members' triples added, or None on a clash, after which
-        the caller restores ``partners`` and the trail from its frame.
-        """
-        i = len(trail)
-        done = add(m, done)
-        while i < len(trail):
-            for s, p in splits[trail[i]]:
-                missing = partners[s] & ~partners[p]
-                while missing:
-                    low = missing & -missing
-                    missing ^= low
-                    q = low.bit_length() - 1
-                    key = p * npairs + q
-                    j = joins.get(key)
-                    if j is None:
-                        j = joins[key] = intern(_madd(pairs[p], pairs[q]))
-                    if done & triple_bits[j]:  # a triple of j completes elsewhere
-                        return None
-                    done = add(j, done)
-            i += 1
-        return done
-
-    full = (1 << len(triples)) - 1
-
-    def first_open(done, start):
-        rest = (full ^ done) >> start
-        return start + (rest & -rest).bit_length() - 1 if rest else None
-
-    # axiom 2 seeds: {i,i,j,j} members force f({i,i,j}) = j and f({i,j,j}) = i;
-    # an earlier seed may already have derived a later one
-    done = 0
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            m = intern((i, i, j, j))
-            s, p = splits[m][0]
-            if partners[s] >> p & 1:  # m = s + p is already present
-                continue
-            done = None if done & triple_bits[m] else propagate(m, done)
-            if done is None:
-                raise InternalCheckError(f"axiom-2 seed {members[m]} clashes")
+    # axiom 2 seeds: the self-pairs form one class
+    if not all(classes.merge(pair_id[1][1], pair_id[i][i]) for i in range(2, n + 1)):
+        raise InternalCheckError("the axiom-2 seeds clash")
 
     # f only grows along a branch, so the next open variable lies after this one
     nodes = 0
-    var = first_open(done, 0)
-    # [var, color, mark, done, partners], the state to restore before each color
-    stack = [] if var is None else [[var, 0, len(trail), done, partners[:]]]
+    var = first_open(0, 1)
+    # [pair, color c, last color tried, log mark]
+    stack = [] if var is None else [[*var, 0, len(log)]]
     while stack:
         frame = stack[-1]
-        var, color, mark, done, saved = frame
-        if len(trail) > mark:
-            del trail[mark:]
-            partners[:] = saved
-        while color < n:
-            color += 1
-            nodes += 1
-            if nodes > budget:
-                return SearchOutcome("budget_exhausted", None, nodes)
-            key = var * n + color - 1
-            m = closes.get(key)
-            if m is None:
-                m = closes[key] = intern(_madd(triples[var], (color,)))
-            if not done & triple_bits[m]:  # var is open, so m is absent
-                break
-        else:
+        p, c, color, mark = frame
+        classes.undo(mark)
+        a, b = pairs[p]
+        taken = support[root[p]] | support[root[pair_id[a][c]]]
+        taken |= support[root[pair_id[b][c]]]
+        viable = ~taken & full >> color + 1 << color + 1
+        x = (viable & -viable).bit_length() - 1 if viable else n
+        nodes += x - color
+        if nodes > budget:
+            return SearchOutcome("budget_exhausted", None, budget + 1)
+        if not viable:
             stack.pop()
             continue
-        frame[1] = color
-        done = propagate(m, done)
-        if done is None:
+        frame[2] = x
+        if not classes.merge(p, pair_id[c][x]):
             continue
-        var = first_open(done, var + 1)
+        var = first_open(p, c + 1)
         if var is None:
             break
-        stack.append([var, 0, len(trail), done, partners[:]])
+        stack.append([*var, 0, len(log)])
     if var is not None:  # the tree is exhausted without assigning every triple
         return SearchOutcome("proven_none", None, nodes)
 
-    palette = Palette(n, frozenset(members[m] for m in trail))
+    palette = Palette(
+        n,
+        frozenset(
+            _madd(pairs[s], pairs[t])
+            for r in range(npairs)
+            if root[r] == r
+            for s, t in combinations_with_replacement(classes.members[r], 2)
+        ),
+    )
     check = is_palette(palette)
     if not check.ok:
         raise InternalCheckError(

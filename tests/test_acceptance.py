@@ -108,4 +108,4 @@ def test_subset_table_probe_counts(monkeypatch):
     acceptance.run_all(acceptance.DEFAULT_SEED, only={11})
     assert len(calls) == 0
     acceptance.run_all(acceptance.DEFAULT_SEED)
-    assert len(calls) == 45_849
+    assert len(calls) == 44_517

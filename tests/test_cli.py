@@ -30,6 +30,16 @@ def test_palette_search_found_exits_ok(capsys):
     assert "found" in out
 
 
+def test_palette_search_refuses_too_many_colors_at_once(capsys):
+    # 12,502,500 color pairs: refused before any table over them is built
+    code, out, err = run(["palette", "search", "-n", "5000"], capsys)
+    assert code == 2 and out == ""
+    assert err == (
+        "budget exceeded: palette search on 12502500 color pairs exceeds the"
+        " limit of 1000000 pairs\n"
+    )
+
+
 def test_palette_canonical_output(capsys):
     code, out, _ = run(["palette", "canonical", "-n", "2"], capsys)
     assert code == 0

@@ -6,10 +6,16 @@ from math import comb
 import pytest
 
 from extensor import palette as palette_module
-from extensor.errors import SEARCH_BUDGET, InputError, InternalCheckError
+from extensor.errors import (
+    SEARCH_BUDGET,
+    BoundExceededError,
+    InputError,
+    InternalCheckError,
+)
 from extensor.palette import (
     Palette,
     PaletteCheck,
+    _PairClasses,
     _madd,
     _msub,
     _pairs_within,
@@ -220,7 +226,7 @@ def _contains(member, triple):
     return True
 
 
-# -- the tuple-based search, kept as the oracle for the id-indexed one --------
+# -- the tuple-based search, kept as the oracle for the pair-class one --------
 
 
 class _Contradiction(Exception):
@@ -333,8 +339,8 @@ def test_search_matches_the_tuple_oracle():
 
 
 def test_search_matches_the_tuple_oracle_under_budgets():
-    # budgets that stop deep inside a branch, after many backtracks: partner
-    # bits a backtrack failed to restore would change every later count
+    # budgets that stop deep inside a branch, after many backtracks: a merge
+    # a backtrack failed to undo would change every later count
     for n in (6, 7, 9):
         for budget in (1, 5, 6, 40, 100):
             assert _fast_search(n, budget) == _reference_search(n, budget), (n, budget)
@@ -355,6 +361,165 @@ def test_search_pins_past_the_oracle():
         assert (out.status, out.nodes) == ("found", nodes), n
         members = repr(out.palette.sorted_members()).encode()
         assert hashlib.sha256(members).hexdigest() == digest, n
+
+
+# -- the member-id search, kept as the oracle for the pair-class one ----------
+
+
+def _member_id_search(n, budget=SEARCH_BUDGET):
+    """(status, nodes, members or None) by partner masks over member ids.
+
+    Pairs and triples are numbered lexicographically; a 4-multiset gets a
+    member id when propagation first meets it.  ``done`` masks the completed
+    triples, ``partners[p]`` has bit q set while p + q is a member, and the
+    trail of members present is also the worklist.  Each frame keeps ``done``
+    and a copy of ``partners`` to restore on backtracking.
+    """
+    triples = enumerate_multisets(n, 3)
+    triple_id = {t: i for i, t in enumerate(triples)}
+    pairs = enumerate_multisets(n, 2)
+    pair_id = {p: i for i, p in enumerate(pairs)}
+    npairs = len(pairs)
+    members, member_id, triple_bits, splits = [], {}, [], []
+    joins, closes = {}, {}
+
+    def intern(m):
+        i = member_id.get(m)
+        if i is None:
+            i = member_id[m] = len(members)
+            members.append(m)
+            triple_bits.append(sum(1 << triple_id[_msub(m, (x,))] for x in set(m)))
+            splits.append(
+                [(pair_id[s], pair_id[_msub(m, s)]) for s in sorted(_pairs_within(m))]
+            )
+        return i
+
+    partners = [0] * npairs
+    trail = []
+
+    def add(m, done):
+        for s, p in splits[m]:
+            partners[s] |= 1 << p
+        trail.append(m)
+        return done | triple_bits[m]
+
+    def propagate(m, done):
+        i = len(trail)
+        done = add(m, done)
+        while i < len(trail):
+            for s, p in splits[trail[i]]:
+                missing = partners[s] & ~partners[p]
+                while missing:
+                    low = missing & -missing
+                    missing ^= low
+                    q = low.bit_length() - 1
+                    key = p * npairs + q
+                    j = joins.get(key)
+                    if j is None:
+                        j = joins[key] = intern(_madd(pairs[p], pairs[q]))
+                    if done & triple_bits[j]:
+                        return None
+                    done = add(j, done)
+            i += 1
+        return done
+
+    full = (1 << len(triples)) - 1
+
+    def first_open(done, start):
+        rest = (full ^ done) >> start
+        return start + (rest & -rest).bit_length() - 1 if rest else None
+
+    done = 0
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            m = intern((i, i, j, j))
+            s, p = splits[m][0]
+            if partners[s] >> p & 1:
+                continue
+            done = None if done & triple_bits[m] else propagate(m, done)
+            assert done is not None, f"axiom-2 seed {members[m]} clashes"
+    nodes = 0
+    var = first_open(done, 0)
+    stack = [] if var is None else [[var, 0, len(trail), done, partners[:]]]
+    while stack:
+        frame = stack[-1]
+        var, color, mark, done, saved = frame
+        if len(trail) > mark:
+            del trail[mark:]
+            partners[:] = saved
+        while color < n:
+            color += 1
+            nodes += 1
+            if nodes > budget:
+                return "budget_exhausted", nodes, None
+            key = var * n + color - 1
+            m = closes.get(key)
+            if m is None:
+                m = closes[key] = intern(_madd(triples[var], (color,)))
+            if not done & triple_bits[m]:
+                break
+        else:
+            stack.pop()
+            continue
+        frame[1] = color
+        done = propagate(m, done)
+        if done is None:
+            continue
+        var = first_open(done, var + 1)
+        if var is None:
+            break
+        stack.append([var, 0, len(trail), done, partners[:]])
+    if var is not None:
+        return "proven_none", nodes, None
+    return "found", nodes, frozenset(members[m] for m in trail)
+
+
+def test_search_matches_the_member_id_oracle():
+    for n in range(1, 14):
+        assert _fast_search(n) == _member_id_search(n), n
+
+
+def test_search_matches_the_member_id_oracle_under_budgets():
+    # stops deep inside branches, after many backtracks and undone merges; the
+    # last two budgets sit on either side of n = 12's proven_none at 231,456
+    for n in (8, 10):
+        for budget in (1, 5, 17, 100, 1000):
+            assert _fast_search(n, budget) == _member_id_search(n, budget), (n, budget)
+    for budget in (1, 17, 1000, 50_000, 231_455, 231_456):
+        assert _fast_search(12, budget) == _member_id_search(12, budget), budget
+
+
+def test_pair_classes_merge_to_closure_clash_and_undo():
+    classes = _PairClasses(4)
+    pid, root = classes.pair_id, classes.root
+
+    def state():
+        return root[:], [m[:] for m in classes.members], classes.support[:]
+
+    fresh = state()
+    # {1,1} ~ {2,3} makes {1,1,2,3} a member, whose split {1,2} | {1,3}
+    # shares a color: a clash found only in the closure
+    assert not classes.merge(pid[1][1], pid[2][3])
+    assert classes.log
+    classes.undo(0)
+    assert state() == fresh
+    # {1,2} ~ {3,4} makes {1,2,3,4} a member, so its other splits join too
+    assert classes.merge(pid[1][2], pid[3][4])
+    assert root[pid[1][3]] == root[pid[2][4]] != root[pid[1][2]]
+    assert root[pid[1][4]] == root[pid[2][3]] != root[pid[1][3]]
+    merged, mark = state(), len(classes.log)
+    assert not classes.merge(pid[1][2], pid[1][3])  # they share color 1
+    assert classes.merge(pid[1][1], pid[2][2])
+    classes.undo(mark)
+    assert state() == merged
+    classes.undo(0)
+    assert state() == fresh
+
+
+def test_search_refuses_more_pairs_than_the_search_budget():
+    # C(1415, 2) = 1,000,405 color pairs: refused before a table is built
+    with pytest.raises(BoundExceededError, match="1000405 color pairs"):
+        search_palette(1414, budget=1)
 
 
 def test_search_reports_a_non_palette_as_a_bug(monkeypatch):

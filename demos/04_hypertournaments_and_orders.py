@@ -19,7 +19,7 @@ from extensor.tourney import (
 
 lin = LinearOrder((0, 1, 2, 3))
 circ = circular_from_linear(lin)
-print("linear order 0<1<2<3 closes into the cycle", circ.to_cycle())
+print("linear order 0<1<2<3 closes into the cycle", circ.cycle)
 report = verify_one_point_extension(lin, circ)
 print("one-point:", report.is_one_point_extension, "| transitive:", report.is_transitive)
 

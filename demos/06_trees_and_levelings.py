@@ -43,7 +43,7 @@ print("extension D axioms:", check_d_axioms(drel).ok)
 print("D on the extension agrees with C (violation):", c_to_d_violation(c_relation(t), drel))
 
 ordered = ordered_extension(t)
-print("leaf order closes into the circular order", ordered.circular.to_cycle())
+print("leaf order closes into the circular order", ordered.circular.cycle)
 print("circular compatibility (violation):",
       ordered_compatibility_violation(drel, ordered.circular))
 

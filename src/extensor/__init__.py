@@ -21,7 +21,6 @@ from .structures import (  # noqa: F401
     RelationalStructure,
     SubsetMap,
     flatten,
-    induced_substructure,
     rank_subset,
     subsets_colex,
     unrank_subset,

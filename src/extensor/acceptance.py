@@ -53,7 +53,7 @@ def criterion_01(seed=DEFAULT_SEED):
         h = random_plain_hypergraph(rng, v, k)
         ext = hyperext.extend_plain(h)
         even, _ = hyperext.is_even_hypergraph(ext)
-        boundary = hyperext.canonical_form_violation(h, ext, h.v) is None
+        boundary = hyperext.canonical_form_violation(h, ext) is None
         if not (even and boundary):
             bad += 1
     return _result(

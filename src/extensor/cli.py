@@ -139,12 +139,9 @@ def cmd_verify(args):
             check = treeset.check_c_axioms(treeset.c_relation(obj))
         elif isinstance(obj, treeset.UnrootedLeafTree):
             check = treeset.check_d_axioms(treeset.d_relation(obj))
-        elif isinstance(obj, tourney.CircularOrder):
-            ok, witness = obj.validate()
-            _emit(args, [("axioms", "Ok" if ok else "violated"), ("witness", witness)])
-            return OK if ok else REFUTED
-        elif isinstance(obj, eqrel.EquivalenceRelation):
-            # partition validity is enforced structurally at parse time
+        elif isinstance(obj, (tourney.CircularOrder, eqrel.EquivalenceRelation)):
+            # a cycle and a partition are checked when parsed, and their
+            # relations satisfy the axioms by construction
             _emit(args, [("axioms", "Ok")])
             return OK
         else:

@@ -312,7 +312,7 @@ def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertifica
         matches = bits_val == forced_interior
         x_side = _side(cand, x0)
         split = any(_splits(_side(cand, a), x_side) for a in range(v))
-        report = _extension_report(aut_e, _Search(flatten(cand)), x0, meter)
+        report = _extension_report(aut_e, _Search(flatten(cand)), meter)
         refuted = not (report.is_one_point_extension and report.is_transitive)
         if not refuted:
             verdict = "PASSED"

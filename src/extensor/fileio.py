@@ -59,7 +59,7 @@ def serialize(obj) -> str:
         lines.append(f"kind circ v={obj.v}")
         if obj.ext is not None:
             lines.append(f"ext = {obj.ext}")
-        lines.append("cycle = " + ",".join(map(str, obj.to_cycle())))
+        lines.append("cycle = " + ",".join(map(str, obj.cycle)))
     elif isinstance(obj, RootedLeafTree):
         header = f"kind ctree v={obj.v}"
         if obj.colors is not None:

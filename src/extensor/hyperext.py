@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InputError
-from .palette import Palette, enumerate_multisets
+from .palette import Palette, _msub, enumerate_multisets
 from .structures import RelationalStructure, SubsetMap, flatten
 from .structures import _boundary_violation, _odd_face, _parity_extension
 
@@ -127,12 +127,11 @@ def extend_colored(h: ColoredHypergraph) -> ColoredHypergraph:
     )
 
 
-def canonical_form_violation(h: ColoredHypergraph, h_ext: ColoredHypergraph, x0):
-    """First k-subset where color(S + x0) in the extension differs from color(S)."""
+def canonical_form_violation(h: ColoredHypergraph, h_ext: ColoredHypergraph):
+    """First k-subset where color(S + x0) in the extension differs from color(S),
+    x0 = v being the new point."""
     if h_ext.v != h.v + 1 or h_ext.k != h.k + 1 or h_ext.n != h.n:
         raise InputError("extension must add one vertex and one arity at equal n")
-    if x0 != h.v:
-        raise InputError(f"extension point must be {h.v}, got {x0}")
     return _boundary_violation(h.colors, h_ext.colors)
 
 
@@ -150,7 +149,7 @@ class PaletteExtraction:
 
 
 def derive_palette(
-    h: ColoredHypergraph, h_ext: ColoredHypergraph, x0=None, slice_color=None
+    h: ColoredHypergraph, h_ext: ColoredHypergraph, slice_color=None
 ) -> PaletteExtraction:
     """Read a palette off a candidate extension.
 
@@ -159,9 +158,7 @@ def derive_palette(
     alone.  The induced members form a palette over the realized part of the
     domain.  For k > 2 the 4-multiset slice at `slice_color` is taken.
     """
-    if x0 is None:
-        x0 = h.v
-    bad = canonical_form_violation(h, h_ext, x0)
+    bad = canonical_form_violation(h, h_ext)
     if bad is not None:
         raise InputError(f"not in canonical form: color changes at subset {bad}")
     if h.k > 2:
@@ -195,7 +192,7 @@ def derive_palette(
         pad = (slice_color + 1,) * (h.k - 2)
         slice_mapping = {}
         for t, c in mapping.items():
-            core = _strip_pad(t, pad)
+            core = _msub(t, pad)
             if core is not None:
                 slice_mapping[core] = c
 
@@ -213,14 +210,3 @@ def derive_palette(
         complete=not missing,
         inconsistency=None,
     )
-
-
-def _strip_pad(multiset, pad):
-    """Remove the padding colors from a (k+1)-multiset, or None if absent."""
-    rest = list(multiset)
-    for x in pad:
-        if x in rest:
-            rest.remove(x)
-        else:
-            return None
-    return tuple(rest)

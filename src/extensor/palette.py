@@ -131,9 +131,10 @@ def axiom3_violation(p: Palette):
             by_pair.setdefault(s, []).append(m)
     for s in sorted(by_pair):
         bucket = by_pair[s]
-        for a in bucket:
-            for b in bucket:
-                derived = _madd(_msub(a, s), _msub(b, s))
+        rests = [_msub(m, s) for m in bucket]
+        for a, rest_a in zip(bucket, rests):
+            for b, rest_b in zip(bucket, rests):
+                derived = _madd(rest_a, rest_b)
                 if derived not in p.members:
                     return (a, b, derived)
     return None

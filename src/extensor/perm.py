@@ -1,11 +1,11 @@
-"""Permutation-group engine: automorphisms, orbits, stabilizers, extension checks.
+"""Permutation-group engine: automorphisms, orbits and extension checks.
 
 Groups are kept as fully enumerated element sets (desk scale), found by one
 backtracking search per structure.  The extension check enumerates only the
 stabilizer of the new point, which it compares with Aut(m) as a set of
 permutations, and decides transitivity by one first-hit search per suborbit
 of that stabilizer; it never enumerates Aut(m_ext).  Generators are computed
-on first use, and only :func:`orbits` and :func:`is_regular_action` use them.
+on first use, and only :func:`orbits` uses them.
 Permutations are plain image tuples.
 
 The search checks each relation on as few tuples as still decide it: one
@@ -354,36 +354,8 @@ def orbit_of(group: PermutationGroup, x):
     return tuple(sorted({g[x] for g in group.elements}))
 
 
-def stabilizer(group: PermutationGroup, x) -> PermutationGroup:
-    if not 0 <= x < group.v:
-        raise InputError(f"vertex {x} out of range")
-    return PermutationGroup.from_elements(
-        group.v, [g for g in group.elements if g[x] == x]
-    )
-
-
 def is_transitive(group: PermutationGroup) -> bool:
     return len(orbit_of(group, 0)) == group.v if group.v else True
-
-
-def is_regular_action(group: PermutationGroup, subset) -> bool:
-    """Regularity of the action induced on an invariant subset."""
-    subset = tuple(sorted(set(subset)))
-    for g in group.generators:
-        image = tuple(sorted(g[x] for x in subset))
-        if image != subset:
-            raise InputError(
-                f"subset {subset} is not invariant; generator {fmt_cycles(g)} moves it"
-            )
-    induced = {tuple(g[x] for x in subset) for g in group.elements}
-    # transitive and free on the subset
-    transitive = len({im[0] for im in induced}) == len(subset)
-    free = all(
-        all(im[i] != subset[i] for i in range(len(subset)))
-        for im in induced
-        if im != tuple(subset)
-    )
-    return transitive and free
 
 
 # -- extension verification -------------------------------------------------
@@ -398,34 +370,33 @@ class ExtensionReport:
     witness: tuple | None
 
 
-def verify_one_point_extension(m, m_ext, x0=None, budget=None) -> ExtensionReport:
+def verify_one_point_extension(m, m_ext, budget=None) -> ExtensionReport:
     """Check the defining stabilizer condition and transitivity of an extension.
 
-    The stabilizer of x0 in Aut(m_ext), restricted to the original vertices,
-    must equal Aut(m) as a set of permutations.  On failure the witness is the
-    least permutation in the symmetric difference.  The searches for Aut(m),
-    Stab(x0) and the first hits spend one budget.
+    The new point x0 is the highest vertex of m_ext.  The stabilizer of x0 in
+    Aut(m_ext), restricted to the original vertices, must equal Aut(m) as a
+    set of permutations.  On failure the witness is the least permutation in
+    the symmetric difference.  The searches for Aut(m), Stab(x0) and the
+    first hits spend one budget.
     """
     fm = flatten(m)
     fe = flatten(m_ext)
     if fe.v != fm.v + 1:
         raise InputError(f"extension must add exactly one vertex: {fm.v} -> {fe.v}")
-    if x0 is None:
-        x0 = fm.v
-    if x0 != fm.v:
-        raise InputError(f"extension point must be the highest index {fm.v}, got {x0}")
     meter = _Meter(budget)
-    return _extension_report(_group(fm, meter), _Search(fe), x0, meter)
+    return _extension_report(_group(fm, meter), _Search(fe), meter)
 
 
-def _extension_report(aut_m, search_e, x0, meter) -> ExtensionReport:
-    """The report for an extension by x0 = the highest vertex, from Aut(m) and
-    a search over the extension; Aut(m_ext) itself is never enumerated.
+def _extension_report(aut_m, search_e, meter) -> ExtensionReport:
+    """The report for an extension by x0 = the highest vertex (aut_m.v), from
+    Aut(m) and a search over the extension; Aut(m_ext) itself is never
+    enumerated.
 
     Only Stab(x0) is enumerated.  Transitivity is decided point by point: an
     old point y is in the orbit of x0 when one search finds an automorphism
     sending x0 to y, and then so is its whole Stab(x0)-orbit.
     """
+    x0 = aut_m.v
     stab = search_e.run(meter, first=x0, image=x0)
     restricted = frozenset(g[:x0] for g in stab)
     ok = restricted == aut_m.elements

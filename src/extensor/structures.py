@@ -214,8 +214,8 @@ class SubsetMap:
 class RelationalStructure:
     """Vertex count plus named relations, each a set of distinct-entry tuples.
 
-    The tuples are trusted: the flatten views build them from validated
-    structures, and raw tuples enter through :func:`make_structure`.
+    The tuples are trusted: each flatten view builds them from a structure
+    that its constructor validated.
     """
 
     v: int
@@ -231,23 +231,6 @@ class RelationalStructure:
             if n == name:
                 return arity, tuples
         raise InputError(f"no relation named {name!r}")
-
-
-def make_structure(v, relations):
-    """Build a RelationalStructure from (name, arity, iterable-of-tuples)
-    triples, checking every tuple."""
-    rels = tuple(
-        (name, arity, frozenset(map(tuple, tuples))) for name, arity, tuples in relations
-    )
-    for name, arity, tuples in rels:
-        for t in tuples:
-            if len(t) != arity:
-                raise InputError(f"tuple {t} does not match arity {arity} of {name}")
-            if len(set(t)) != len(t):
-                raise InputError(f"tuple {t} in {name} has repeated entries")
-            if any(x < 0 or x >= v for x in t):
-                raise InputError(f"tuple {t} in {name} out of range for v={v}")
-    return RelationalStructure(v, rels)
 
 
 def merge_structures(a: RelationalStructure, b: RelationalStructure) -> RelationalStructure:
@@ -267,8 +250,7 @@ def merge_structures(a: RelationalStructure, b: RelationalStructure) -> Relation
 # The relational view.
 #
 # Each specialized structure module registers its flatten view; a permutation
-# is an automorphism of flatten(s) exactly when it preserves s.  Restriction
-# goes through this view only.
+# is an automorphism of flatten(s) exactly when it preserves s.
 # ---------------------------------------------------------------------------
 
 
@@ -281,28 +263,3 @@ def flatten(s) -> RelationalStructure:
 @flatten.register
 def _(s: RelationalStructure) -> RelationalStructure:
     return s
-
-
-def induced_substructure(s, vertices) -> RelationalStructure:
-    """Restrict flatten(s) to a vertex subset, re-densifying indices.
-
-    The index map is sorted(vertices)[i] -> i; callers needing it can rebuild
-    it from the sorted subset.
-    """
-    s = flatten(s)
-    sub = sorted(set(vertices))
-    if any(x < 0 or x >= s.v for x in sub):
-        raise InputError(f"vertices {vertices!r} out of range for v={s.v}")
-    index = {x: i for i, x in enumerate(sub)}
-    keep = set(sub)
-    rels = tuple(
-        (
-            name,
-            arity,
-            frozenset(
-                tuple(index[x] for x in t) for t in tuples if keep.issuperset(t)
-            ),
-        )
-        for name, arity, tuples in s.relations
-    )
-    return RelationalStructure(len(sub), rels)

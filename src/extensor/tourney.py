@@ -4,25 +4,22 @@ A k-hypertournament fixes one ordering per k-subset.  Against a background
 linear order it is interdefinable with an edge-colored k-hypergraph on k!
 colors (one per permutation), which routes the extension question through the
 palette dichotomy: k! is a power of two only for k = 2.
+
+A linear order is stored as its vertices from least to greatest, and a
+circular order as its cycle; a circular order's triples are derived from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import combinations
 from math import factorial
 
 from .errors import InputError
 from .hyperext import ColoredHypergraph
 from .palette import SearchOutcome, search_palette
-from .perm import automorphism_group, is_transitive as group_is_transitive
-from .structures import (
-    RelationalStructure,
-    SubsetMap,
-    flatten,
-    induced_substructure,
-    make_structure,
-)
+from .structures import RelationalStructure, SubsetMap, flatten
 
 
 @dataclass(frozen=True)
@@ -82,65 +79,51 @@ def _(o: LinearOrder) -> RelationalStructure:
 
 @dataclass(frozen=True)
 class CircularOrder:
-    """Ternary cyclic-order relation stored as its full triple set."""
+    """Cyclic order, stored as its cycle rotated to start at vertex 0.
 
-    v: int
-    triples: frozenset
+    (x, y, z) holds when y comes before z going round the cycle from x.
+    """
+
+    cycle: tuple
     ext: int | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        v = len(self.cycle)
+        if sorted(self.cycle) != list(range(v)):
+            raise InputError(f"cycle must arrange 0..{v - 1}, got {self.cycle!r}")
+        if v < 3:
+            raise InputError("a circular order needs at least 3 points")
+        if self.cycle[0] != 0:
+            raise InputError(f"cycle must start at 0, got {self.cycle!r}")
+
+    @property
+    def v(self):
+        return len(self.cycle)
 
     @classmethod
     def from_cycle(cls, cycle, ext=None):
+        """The circular order of any rotation of `cycle`."""
         cycle = tuple(cycle)
-        v = len(cycle)
-        if sorted(cycle) != list(range(v)):
-            raise InputError(f"cycle must arrange 0..{v - 1}, got {cycle!r}")
-        if v < 3:
-            raise InputError("a circular order needs at least 3 points")
-        # (x, y, z) holds when y comes before z going round from x: the three
-        # rotations of each 3-subsequence of the cycle
-        triples = frozenset(
+        # an arrangement is rotated to start at 0; anything else is rejected as given
+        start = cycle.index(0) if sorted(cycle) == list(range(len(cycle))) else 0
+        return cls(cycle[start:] + cycle[:start], ext=ext)
+
+    @cached_property
+    def triples(self):
+        """The three rotations of each 3-subsequence of the cycle."""
+        return frozenset(
             t
-            for x, y, z in combinations(cycle, 3)
+            for x, y, z in combinations(self.cycle, 3)
             for t in ((x, y, z), (y, z, x), (z, x, y))
         )
-        return cls(v, triples, ext=ext)
 
     def holds(self, x, y, z):
         return (x, y, z) in self.triples
 
-    def to_cycle(self):
-        """Canonical arrangement starting at vertex 0."""
-        others = [x for x in range(self.v) if x != 0]
-        position = {
-            y: sum(1 for z in others if z != y and self.holds(0, z, y)) for y in others
-        }
-        others.sort(key=position.__getitem__)
-        return (0, *others)
-
-    def validate(self):
-        """Exhaustive check of cyclic closure, antisymmetry, and cut transitivity."""
-        for x, y, z in permutations(range(self.v), 3):
-            h = self.holds(x, y, z)
-            if h != self.holds(y, z, x):
-                return False, ("closure", (x, y, z))
-            if h == self.holds(x, z, y):
-                return False, ("antisymmetry", (x, y, z))
-        for x in range(self.v):
-            others = [y for y in range(self.v) if y != x]
-            for a in others:
-                for b in others:
-                    for c in others:
-                        if len({a, b, c}) == 3:
-                            if self.holds(x, a, b) and self.holds(x, b, c):
-                                if not self.holds(x, a, c):
-                                    return False, ("cut transitivity", (x, a, b, c))
-        return True, None
-
 
 @flatten.register
 def _(c: CircularOrder) -> RelationalStructure:
-    # the triples are not checked on construction, so they are checked here
-    return make_structure(c.v, (("C", 3, c.triples),))
+    return RelationalStructure(c.v, (("C", 3, c.triples),))
 
 
 def circular_from_linear(o: LinearOrder) -> CircularOrder:
@@ -281,33 +264,3 @@ def nonexistence_report(k) -> HypertournamentReport:
         palette_outcome=outcome,
         note=note,
     )
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    per_subset: tuple  # (subset, order, regular)
-    all_regular: bool
-
-
-def check_regular_condition(t: Hypertournament, t_ext, x0=None) -> RegularityReport:
-    """Necessary condition on extension candidates: every (k+1)-subset must
-    carry a regular induced automorphism group of order k+1.
-
-    Any failing subset refutes the candidate.
-    """
-    s = flatten(t_ext)
-    if s.v != t.v + 1:
-        raise InputError(f"candidate must add one vertex: {t.v} -> {s.v}")
-    if x0 is None:
-        x0 = t.v
-    if x0 != t.v:
-        raise InputError(f"extension point must be {t.v}, got {x0}")
-    k = t.k
-    rows = []
-    ok = True
-    for subset in combinations(range(s.v), k + 1):
-        local = automorphism_group(induced_substructure(s, subset))
-        regular = local.order == k + 1 and group_is_transitive(local)
-        rows.append((subset, local.order, regular))
-        ok = ok and regular
-    return RegularityReport(tuple(rows), ok)

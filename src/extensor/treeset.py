@@ -738,13 +738,13 @@ def c_monotonic_sequences(rel: CRelation, length):
     return out
 
 
-def monotonic_sequences_isomorphic(rel: CRelation, lev: Leveling, max_length=5):
-    """Whether all equal-length C-monotonic sequences induce isomorphic
-    (C, L)-substructures under the index-aligned map.
+def monotonic_sequences_isomorphic(rel: CRelation, lev: Leveling):
+    """Whether all equal-length C-monotonic sequences, of each length 2..5,
+    induce isomorphic (C, L)-substructures under the index-aligned map.
 
     Returns (flag, witness); the witness names the two offending sequences.
     """
-    for length in range(2, max_length + 1):
+    for length in range(2, 6):
         seqs = c_monotonic_sequences(rel, length)
         if len(seqs) < 2:
             continue
@@ -879,10 +879,11 @@ def c_to_d_violation(crel: CRelation, drel: DRelation):
 
 
 def _gamma_cube(circ: CircularOrder):
-    cube = np.zeros((circ.v,) * 3, dtype=bool)
-    for x, y, z in circ.triples:
-        cube[x, y, z] = True
-    return cube
+    """gamma(x, y, z) as a boolean cube: y comes before z going round from x,
+    that is 0 < d[x, y] < d[x, z] for d[x, y] the steps from x on to y."""
+    pos = np.argsort(circ.cycle)  # the cycle is a permutation: this inverts it
+    d = (pos[None, :] - pos[:, None]) % circ.v
+    return (d[:, :, None] > 0) & (d[:, :, None] < d[:, None, :])
 
 
 def ordered_compatibility_violation(d: DRelation, circ: CircularOrder):

@@ -130,6 +130,16 @@ def test_verify_axioms_on_tree(tmp_path, capsys):
     assert "C5" in out
 
 
+def test_verify_axioms_on_circular_order(tmp_path, capsys):
+    circ = tmp_path / "c.txt"
+    circ.write_text("kind circ v=4\ncycle = 2,0,3,1\n")
+    code, out, _ = run(["verify", "axioms", "--in", str(circ)], capsys)
+    assert code == 0
+    assert out == "axioms  Ok\n"
+    code, out, _ = run(["verify", "axioms", "--in", str(circ), "--machine"], capsys)
+    assert (code, out) == (0, "axioms=Ok\n")
+
+
 def test_interpret_htour2chg(tmp_path, capsys):
     t = tmp_path / "t.txt"
     code, _, _ = run(

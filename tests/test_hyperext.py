@@ -70,7 +70,7 @@ def test_extension_is_even_and_canonical_for_random_inputs():
         h = random_plain_hypergraph(rng, v, k)
         ext = extend_plain(h)
         assert is_even_hypergraph(ext) == (True, None)
-        assert canonical_form_violation(h, ext, h.v) is None
+        assert canonical_form_violation(h, ext) is None
 
 
 def test_interior_flip_breaks_evenness():
@@ -253,7 +253,7 @@ def test_canonical_form_violation_detected():
         2,
         ext.colors.replace((0, 1, 5), 1 - ext.colors.value_for((0, 1, 5))),
     )
-    assert canonical_form_violation(h, broken, 5) == (0, 1)
+    assert canonical_form_violation(h, broken) == (0, 1)
     with pytest.raises(InputError):
         derive_palette(h, broken)
 

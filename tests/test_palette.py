@@ -12,6 +12,7 @@ from extensor.errors import (
     InputError,
     InternalCheckError,
 )
+from extensor.generate import SplitMix64
 from extensor.palette import (
     Palette,
     PaletteCheck,
@@ -92,6 +93,43 @@ def test_exchange_axiom_passes_on_all_found_palettes():
 
     for n in (1, 2, 4, 8):
         assert axiom3_violation(canonical_palette(n)) is None
+
+
+def _reference_axiom3_violation(p):
+    """The exchange scan with both remainders taken again for every ordered
+    pair of a bucket."""
+    by_pair = {}
+    for m in sorted(p.members):
+        for s in sorted(_pairs_within(m)):
+            by_pair.setdefault(s, []).append(m)
+    for s in sorted(by_pair):
+        bucket = by_pair[s]
+        for a in bucket:
+            for b in bucket:
+                derived = _madd(_msub(a, s), _msub(b, s))
+                if derived not in p.members:
+                    return (a, b, derived)
+    return None
+
+
+def test_exchange_scan_matches_the_reference_on_tampered_palettes():
+    from extensor.palette import axiom3_violation
+
+    damaged = []
+    for n in (4, 8):
+        full = canonical_palette(n).members
+        damaged += [Palette(n, full - {m}) for m in sorted(full)]
+    full = canonical_palette(16).members
+    members = sorted(full)
+    rng = SplitMix64(16)
+    damaged += [Palette(16, full - {members[rng.below(len(members))]}) for _ in range(20)]
+    damaged += [canonical_palette(16)]
+    found = 0
+    for p in damaged:
+        witness = axiom3_violation(p)
+        assert witness == _reference_axiom3_violation(p), p.n
+        found += witness is not None
+    assert found >= len(damaged) // 2
 
 
 def test_canonical_palettes_pass():

@@ -32,8 +32,6 @@ from extensor.structures import (
     _colex,
     _faces,
     flatten,
-    induced_substructure,
-    make_structure,
     rank_subset,
     subsets_colex,
     unrank_subset,
@@ -159,12 +157,12 @@ def test_hypergraph_extension_and_boundary_match_the_loops():
                 assert ext.colors == _loop_hypergraph_extension(h)
                 if n == 2:
                     assert extend_plain(h).colors == ext.colors
-                assert canonical_form_violation(h, ext, v) is None
+                assert canonical_form_violation(h, ext) is None
                 bad = _tamper_boundary(rng, ext.colors, v, k, n)
                 witness = _loop_boundary_violation(h.colors, bad)
                 assert witness is not None
                 tampered = ColoredHypergraph(v + 1, k + 1, n, bad)
-                assert canonical_form_violation(h, tampered, v) == witness
+                assert canonical_form_violation(h, tampered) == witness
                 colex = _loop_boundary_violation(h.colors, bad, subsets_colex(v, k))
                 colex_first_differs += colex != witness
     # the witness is the lex-least mismatch, which the colex-least often is not
@@ -294,17 +292,9 @@ def test_flatten_three_orientation_is_alternating_orbit():
     assert tuples == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
 
 
-def test_induced_substructure_of_triangle():
-    from extensor.hyperext import plain_hypergraph
-
-    g = plain_hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
-    sub = induced_substructure(g, (0, 2))
-    assert sub.v == 2 and sub.relation("R") == (2, {(0, 1), (1, 0)})
-
-
-def test_induced_substructure_needs_a_flatten_view():
+def test_flatten_needs_a_registered_view():
     with pytest.raises(InputError, match="no flatten view"):
-        induced_substructure(object(), (0,))
+        flatten(object())
 
 
 # -- oracle: each kind relabelled on its own table, independently of flatten ---
@@ -388,12 +378,3 @@ def test_flatten_is_faithful_on_random_pairs():
         )
         assert flatten(image).relations == moved
         assert (image == s) == (moved == flat.relations)
-
-
-def test_relational_structure_rejects_bad_tuples():
-    with pytest.raises(InputError):
-        make_structure(3, [("R", 2, [(0, 0)])])
-    with pytest.raises(InputError):
-        make_structure(3, [("R", 2, [(0, 3)])])
-    with pytest.raises(InputError):
-        make_structure(3, [("R", 2, [(0, 1, 2)])])

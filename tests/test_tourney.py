@@ -2,6 +2,7 @@
 
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from extensor.errors import InputError
@@ -12,11 +13,11 @@ from extensor.generate import (
 )
 from extensor.perm import automorphism_group, verify_one_point_extension
 from extensor.structures import SubsetMap, flatten, merge_structures
+from extensor.treeset import _gamma_cube
 from extensor.tourney import (
     CircularOrder,
     Hypertournament,
     LinearOrder,
-    check_regular_condition,
     circular_from_linear,
     interpret_colored_graph,
     nonexistence_report,
@@ -36,12 +37,72 @@ def test_two_point_order_extends():
     assert circ.holds(0, 1, 2) and not circ.holds(1, 0, 2)
 
 
+def _axiom_violation(v, triples):
+    """First failure of cyclic closure, antisymmetry or cut transitivity of a
+    set of triples over 0..v-1, scanned exhaustively, or None."""
+
+    def holds(*t):
+        return t in triples
+
+    for x, y, z in permutations(range(v), 3):
+        h = holds(x, y, z)
+        if h != holds(y, z, x):
+            return "closure", (x, y, z)
+        if h == holds(x, z, y):
+            return "antisymmetry", (x, y, z)
+    for x in range(v):
+        others = [y for y in range(v) if y != x]
+        for a, b, c in permutations(others, 3):
+            if holds(x, a, b) and holds(x, b, c) and not holds(x, a, c):
+                return "cut transitivity", (x, a, b, c)
+    return None
+
+
+def _cycles():
+    """Every cycle starting at 0 for v = 3..7, and seeded ones at v = 8."""
+    for v in range(3, 8):
+        for rest in permutations(range(1, v)):
+            yield (0, *rest)
+    rng = SplitMix64(8)
+    for _ in range(20):
+        yield (0, *rng.shuffled(range(1, 8)))
+
+
 def test_circular_invariants_exhaustively():
     for v in range(2, 8):
         rng = SplitMix64(v)
         circ = circular_from_linear(random_linear_order(rng, v))
-        ok, witness = circ.validate()
-        assert ok, witness
+        assert _axiom_violation(circ.v, circ.triples) is None
+    for cycle in _cycles():
+        assert _axiom_violation(len(cycle), CircularOrder(cycle).triples) is None, cycle
+
+
+def test_axiom_oracle_catches_broken_triple_sets():
+    triples = CircularOrder((0, 1, 2, 3)).triples
+    ascending = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+    descending = {(0, 2, 1), (2, 1, 0), (1, 0, 2)}
+    assert _axiom_violation(4, triples - {(0, 1, 2)}) == ("closure", (0, 1, 2))
+    assert _axiom_violation(4, triples | descending) == ("antisymmetry", (0, 1, 2))
+    flipped = (triples - ascending) | descending
+    assert _axiom_violation(4, flipped) == ("cut transitivity", (1, 0, 2, 3))
+
+
+def test_gamma_cube_matches_the_triples():
+    for cycle in _cycles():
+        circ = CircularOrder(cycle)
+        expected = np.zeros((circ.v,) * 3, dtype=bool)
+        for t in circ.triples:
+            expected[t] = True
+        assert np.array_equal(_gamma_cube(circ), expected), cycle
+
+
+def test_every_rotation_is_the_same_circular_order():
+    for cycle in _cycles():
+        circ = CircularOrder(cycle)
+        for i in range(1, circ.v):
+            rotated = CircularOrder.from_cycle(cycle[i:] + cycle[:i])
+            assert rotated == circ and hash(rotated) == hash(circ)
+            assert rotated.cycle == cycle
 
 
 def test_circular_extension_verifies_transitive():
@@ -53,8 +114,8 @@ def test_circular_extension_verifies_transitive():
 
 def test_cycle_round_trip():
     circ = CircularOrder.from_cycle((2, 0, 3, 1))
-    assert circ.to_cycle() == (0, 3, 1, 2)
-    assert CircularOrder.from_cycle(circ.to_cycle()) == circ
+    assert circ.cycle == (0, 3, 1, 2)
+    assert CircularOrder.from_cycle(circ.cycle) == circ
 
 
 def test_from_cycle_matches_the_modular_definition():
@@ -132,43 +193,28 @@ def test_nonexistence_reports():
     assert not five.factorial_is_power_of_two
 
 
-def test_regular_condition_on_circular_extension():
-    t = Hypertournament(3, 2, SubsetMap(3, 2, ((0, 1), (0, 2), (1, 2))))
-    circ = circular_from_linear(LinearOrder((0, 1, 2)))
-    report = check_regular_condition(t, circ)
-    assert report.all_regular
-    assert all(order == 3 for _, order, _ in report.per_subset)
-
-
-def test_regular_condition_rejects_rigid_candidate():
-    # a candidate with a rainbow triple has a trivial local group there
-    t = Hypertournament(3, 2, SubsetMap(3, 2, ((0, 1), (0, 2), (1, 2))))
-    from extensor.hyperext import ColoredHypergraph
-
-    rainbow = {(0, 1): 0, (0, 2): 1, (1, 2): 2}
-    rigid = ColoredHypergraph(
-        4, 2, 3, SubsetMap.from_function(4, 2, lambda s: rainbow.get(s, 0))
-    )
-    report = check_regular_condition(t, rigid)
-    assert not report.all_regular
-    assert any(order == 1 for _, order, _ in report.per_subset)
-
-
-def test_regular_condition_checks_vertex_count():
-    t = Hypertournament(3, 2, SubsetMap(3, 2, ((0, 1), (0, 2), (1, 2))))
-    with pytest.raises(InputError):
-        check_regular_condition(t, circular_from_linear(LinearOrder((0, 1, 2, 3))))
-
-
 def test_hypertournament_validates_orderings():
     with pytest.raises(InputError):
         Hypertournament(3, 2, SubsetMap(3, 2, ((0, 1), (0, 1), (1, 2))))
 
 
-def test_circular_order_triples_are_checked_when_flattened():
-    # CircularOrder(v, triples) checks nothing itself; its flatten view goes
-    # through make_structure, so bad raw triples never reach the engine
-    assert flatten(CircularOrder.from_cycle((0, 1, 2))).v == 3
-    for bad in ((0, 1, 3), (0, 0, 1), (0, 1)):
-        with pytest.raises(InputError):
-            flatten(CircularOrder(3, frozenset({bad})))
+def test_circular_order_constructor_rejects_bad_cycles():
+    assert flatten(CircularOrder((0, 1, 2))).relation("C")[1] == {
+        (0, 1, 2),
+        (1, 2, 0),
+        (2, 0, 1),
+    }
+    cases = (
+        ((0, 1, 1), r"cycle must arrange 0\.\.2, got \(0, 1, 1\)"),
+        ((0, 2), r"cycle must arrange 0\.\.1, got \(0, 2\)"),
+        ((0, 1), "a circular order needs at least 3 points"),
+        ((1, 0, 2), r"cycle must start at 0, got \(1, 0, 2\)"),
+    )
+    for cycle, message in cases:
+        with pytest.raises(InputError, match=message):
+            CircularOrder(cycle)
+    # from_cycle rotates an arrangement and passes anything else on as given
+    with pytest.raises(InputError, match=r"got \(2, 0, 0\)"):
+        CircularOrder.from_cycle((2, 0, 0))
+    with pytest.raises(InputError, match="at least 3 points"):
+        CircularOrder.from_cycle((1, 0))

@@ -7,10 +7,17 @@ kinds, one `{...}` line per class for equivalence relations, an `order =` /
 `cycle =` line for linear and circular orders, and a Newick-style term with
 `#color` / `@rank` annotations for trees.  Serialization is bit-exact: LF
 endings, no trailing whitespace.
+
+Parsing trusts no header: `v` must match the body, `ext` must be a point and
+`labeling` an arrangement of the colors, or a ParseError names the line.
+A table body is read in one pass: a subset spelled as serialization writes it
+is looked up in a cached text index of (v, k), and only other spellings are
+parsed and checked entry by entry.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from .errors import InputError, ParseError
@@ -23,8 +30,15 @@ from .tourney import CircularOrder, Hypertournament, LinearOrder
 from .treeset import RootedLeafTree, UnrootedLeafTree
 
 
-def _fmt_subset(s):
-    return "(" + ",".join(map(str, s)) + ")"
+@lru_cache(maxsize=128)
+def _subset_index(v, k):
+    """{`(a,b,...)`: colex rank} over the k-subsets of {0..v-1}, in colex order."""
+    return {"(" + ",".join(map(str, s)) + ")": r for r, s in enumerate(subsets_colex(v, k))}
+
+
+def _table_lines(table, fmt=str):
+    texts = _subset_index(table.v, table.k)
+    return [f"{text} = {fmt(x)}" for text, x in zip(texts, table.values)]
 
 
 def serialize(obj) -> str:
@@ -36,18 +50,15 @@ def serialize(obj) -> str:
             lines.append(f"ext = {obj.ext}")
         if obj.labeling is not None:
             lines.append("labeling = " + ",".join(map(str, obj.labeling)))
-        for s, c in obj.colors.items():
-            lines.append(f"{_fmt_subset(s)} = {c}")
+        lines += _table_lines(obj.colors)
     elif isinstance(obj, Orientation):
         lines.append(f"kind orient v={obj.v} k={obj.k}")
         if obj.ext is not None:
             lines.append(f"ext = {obj.ext}")
-        for s, b in obj.bits.items():
-            lines.append(f"{_fmt_subset(s)} = {b}")
+        lines += _table_lines(obj.bits)
     elif isinstance(obj, Hypertournament):
         lines.append(f"kind htour v={obj.v} k={obj.k}")
-        for s, t in obj.orderings.items():
-            lines.append(f"{_fmt_subset(s)} = " + ",".join(map(str, t)))
+        lines += _table_lines(obj.orderings, lambda t: ",".join(map(str, t)))
     elif isinstance(obj, EquivalenceRelation):
         lines.append(f"kind eqrel v={obj.v}")
         for block in sorted(obj.classes, key=min):
@@ -175,7 +186,7 @@ def parse(text: str):
     if "v" not in fields:
         raise ParseError(1, "header lacks v=<count>")
 
-    meta = {}
+    meta, where = {}, {}  # metadata values and their line numbers
     body_start = 1
     for i in range(1, len(lines)):
         stripped = lines[i].strip()
@@ -192,9 +203,19 @@ def parse(text: str):
                 meta["labeling"] = _parse_int_list(parts[1], i + 1)
             else:
                 meta[parts[0]] = parts[1]
+            where[parts[0]] = i + 1
             body_start = i + 1
         else:
             break
+    v, n = fields["v"], fields.get("n")
+    if "ext" in meta and not 0 <= meta["ext"] < v:
+        raise ParseError(where["ext"], f"ext {meta['ext']} out of range for v={v}")
+    # only a header with n=<colors> has a labeling to check; chg without n
+    # fails on its header line
+    if "labeling" in meta and n is not None and sorted(meta["labeling"]) != list(range(n)):
+        raise ParseError(
+            where["labeling"], f"labeling must arrange 0..{n - 1}, got {meta['labeling']}"
+        )
 
     body = lines[body_start:]
     offset = body_start + 1  # 1-based line number of the first body line
@@ -208,9 +229,10 @@ def parse(text: str):
     if tag == "eqrel":
         return _parse_eqrel(fields, body, offset)
     if tag == "lin":
-        return LinearOrder(_order_line(body, offset, "order"))
+        return _order_line(body, offset, "order", v, LinearOrder)
     if tag == "circ":
-        return CircularOrder.from_cycle(_order_line(body, offset, "cycle"), ext=meta.get("ext"))
+        ext = meta.get("ext")
+        return _order_line(body, offset, "cycle", v, lambda c: CircularOrder.from_cycle(c, ext))
     if tag in ("ctree", "dtree"):
         return _parse_tree(tag, fields, meta, body, offset)
     raise ParseError(1, f"unknown kind tag {tag!r}")
@@ -229,43 +251,58 @@ def _parse_table(fields, body, offset, parse_value):
         raise ParseError(1, "header lacks k=<arity>")
     if v < 0 or k < 0:
         raise ParseError(1, f"header v and k must be natural numbers, got v={v}, k={k}")
-    entries = {}
-    for i, line in enumerate(body):
-        line = line.strip()
-        if not line:
-            continue
-        if "=" not in line or not line.startswith("("):
-            raise ParseError(offset + i, f"expected '(subset) = value', got {line!r}")
-        left, right = line.split("=", 1)
-        left = left.strip()
-        if not (left.startswith("(") and left.endswith(")")):
-            raise ParseError(offset + i, f"malformed subset {left!r}")
-        subset = _parse_int_list(left[1:-1], offset + i)
-        if len(set(subset)) != len(subset):
-            raise ParseError(
-                offset + i, f"irreflexivity: duplicate vertex in subset {subset}"
-            )
-        if tuple(sorted(subset)) != subset:
-            raise ParseError(offset + i, f"subset {subset} is not sorted")
-        if any(x < 0 or x >= v for x in subset):
-            raise ParseError(offset + i, f"subset {subset} out of range for v={v}")
-        if len(subset) != k:
-            raise ParseError(offset + i, f"subset {subset} is not a {k}-subset")
-        if subset in entries:
-            raise ParseError(offset + i, f"duplicate entry for subset {subset}")
-        entries[subset] = parse_value(right.strip(), offset + i)
+    total = comb(v, k)
+    # A line whose subset is spelled as serialize writes it is found in the text
+    # index, and that makes it a valid, in-range, sorted k-subset; any other line
+    # is checked in full.  A body of fewer lines than subsets is never total, so
+    # it builds no index: C(v, k) can be far larger than the input.  For k = 0
+    # the index would admit `()`, which is no integer list.
+    index = _subset_index(v, k) if k and len(body) >= total else {}
+    values = {}  # colex rank -> value
+    for at, line in enumerate(body, offset):
+        left, eq, right = line.partition("=")
+        rank = index.get(left.strip()) if eq else None
+        if rank is None:
+            rank = _checked_rank(line, at, v, k)
+            if rank is None:
+                continue
+        if rank in values:
+            raise ParseError(at, f"duplicate entry for subset {unrank_subset(rank, k, v)}")
+        values[rank] = parse_value(right.strip(), at)
     # every entry is a distinct in-range k-subset, so counting decides totality;
-    # the least missing rank is at most len(entries)
-    missing = comb(v, k) - len(entries)
+    # the least missing rank is at most len(values)
+    missing = total - len(values)
     if missing:
-        ranks = {rank_subset(s) for s in entries}
-        least = next(r for r in range(len(entries) + 1) if r not in ranks)
+        least = next(r for r in range(len(values) + 1) if r not in values)
         raise ParseError(
             offset + len(body),
             f"totality: no value for subset {unrank_subset(least, k, v)} "
             f"(and {missing - 1} more)",
         )
-    return SubsetMap(v, k, tuple(entries[s] for s in subsets_colex(v, k)))
+    return SubsetMap(v, k, tuple(map(values.__getitem__, range(total))))
+
+
+def _checked_rank(line, at, v, k):
+    """Colex rank of the subset on table line `at`, or None for a blank line;
+    a line that is not `(subset) = ...` with a sorted in-range k-subset raises."""
+    line = line.strip()
+    if not line:
+        return None
+    if "=" not in line or not line.startswith("("):
+        raise ParseError(at, f"expected '(subset) = value', got {line!r}")
+    left = line.split("=", 1)[0].strip()
+    if not (left.startswith("(") and left.endswith(")")):
+        raise ParseError(at, f"malformed subset {left!r}")
+    subset = _parse_int_list(left[1:-1], at)
+    if len(set(subset)) != len(subset):
+        raise ParseError(at, f"irreflexivity: duplicate vertex in subset {subset}")
+    if tuple(sorted(subset)) != subset:
+        raise ParseError(at, f"subset {subset} is not sorted")
+    if any(x < 0 or x >= v for x in subset):
+        raise ParseError(at, f"subset {subset} out of range for v={v}")
+    if len(subset) != k:
+        raise ParseError(at, f"subset {subset} is not a {k}-subset")
+    return rank_subset(subset)
 
 
 def _parse_chg(fields, meta, body, offset):
@@ -320,15 +357,22 @@ def _parse_eqrel(fields, body, offset):
         raise ParseError(offset + len(body), str(exc))
 
 
-def _order_line(body, offset, key):
-    """The int list on the first non-blank body line, which must read `key = ...`."""
-    for i, line in enumerate(body):
+def _order_line(body, offset, key, v, build):
+    """`build` of the int list on the first non-blank body line, which must
+    read `key = ...` and list v points."""
+    for at, line in enumerate(body, offset):
         line = line.strip()
         if not line:
             continue
         if not line.startswith(f"{key} ="):
-            raise ParseError(offset + i, f"expected '{key} = ...', got {line!r}")
-        return _parse_int_list(line.split("=", 1)[1].strip(), offset + i)
+            raise ParseError(at, f"expected '{key} = ...', got {line!r}")
+        points = _parse_int_list(line.split("=", 1)[1].strip(), at)
+        if len(points) != v:
+            raise ParseError(at, f"{key} lists {len(points)} points, header says v={v}")
+        try:
+            return build(points)
+        except InputError as exc:
+            raise ParseError(at, str(exc))
     raise ParseError(offset, f"missing {key} line")
 
 

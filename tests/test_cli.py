@@ -140,6 +140,25 @@ def test_verify_axioms_on_circular_order(tmp_path, capsys):
     assert (code, out) == (0, "axioms=Ok\n")
 
 
+def test_untrusted_header_exits_3_with_its_line(tmp_path, capsys):
+    cases = [
+        (["extend"], "kind lin v=9\norder = 0,2,1\n", "line 2: order lists 3 points"),
+        (["verify", "axioms"], "kind circ v=3\next = 99\ncycle = 0,1,2\n", "line 2: ext 99"),
+        (
+            ["extend"],
+            "kind chg v=2 k=2 n=3\next = 1\nlabeling = 5,5,5\n(0,1) = 1\n",
+            "line 3: labeling must arrange 0..2",
+        ),
+        (["verify", "axioms"], "kind chg v=1000 k=5 n=2\n(0,1,2,3,4) = 1\n", "line 3: totality"),
+    ]
+    path = tmp_path / "in.txt"
+    for argv, text, message in cases:
+        path.write_text(text)
+        code, out, err = run([*argv, "--in", str(path)], capsys)
+        assert (code, out) == (3, ""), text
+        assert err.startswith(f"input error: {message}"), err
+
+
 def test_interpret_htour2chg(tmp_path, capsys):
     t = tmp_path / "t.txt"
     code, _, _ = run(

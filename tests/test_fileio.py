@@ -1,8 +1,11 @@
 """The text format: canonical serialization, parsing, diagnostics."""
 
+from math import comb
+from time import perf_counter
+
 import pytest
 
-from extensor import structures
+from extensor import fileio, structures
 from extensor.eqrel import EquivalenceRelation
 from extensor.errors import ExtensorError, ParseError
 from extensor.fileio import parse, serialize
@@ -17,7 +20,7 @@ from extensor.generate import (
 from extensor.hyperext import extend_colored
 from extensor.orient import extend_orientation
 from extensor.palette import canonical_palette
-from extensor.structures import subsets_colex
+from extensor.structures import rank_subset, subsets_colex, unrank_subset
 from extensor.tourney import LinearOrder, circular_from_linear
 
 
@@ -100,6 +103,17 @@ def test_totality_error_builds_no_colex_index(monkeypatch):
         parse("kind chg v=1500 k=2 n=2\n(0,1) = 1\n")
     assert str(err.value) == (
         "line 3: totality: no value for subset (0, 2) (and 1124248 more)"
+    )
+
+    # C(1000, 5) is about 8.25e12: a one-line body must be refused without
+    # building or allocating anything of the table's size
+    monkeypatch.setattr(fileio, "_subset_index", refuse)
+    start = perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse("kind chg v=1000 k=5 n=2\n(0,1,2,3,4) = 1\n")
+    assert perf_counter() - start < 0.5
+    assert str(err.value) == (
+        "line 3: totality: no value for subset (0, 1, 2, 3, 5) (and 8250291250198 more)"
     )
 
 
@@ -244,3 +258,181 @@ def test_order_line_diagnostics():
         with pytest.raises(ParseError) as err:
             parse(text)
         assert (err.value.line, err.value.message) == (line, message), text
+
+
+def test_header_v_ext_and_labeling_are_checked():
+    chg = "kind chg v=3 k=2 n=3\n{}(0,1) = 1\n(0,2) = 0\n(1,2) = 2\n"
+    cases = [
+        ("kind lin v=9\norder = 0,2,1\n", 2, "order lists 3 points, header says v=9"),
+        ("kind lin v=2\norder = 0,2,1\n", 2, "order lists 3 points, header says v=2"),
+        ("kind lin v=3\norder = 0,2,2\n", 2, "not an arrangement of 0..2"),
+        ("kind circ v=4\n\ncycle = 0,2,1\n", 3, "cycle lists 3 points, header says v=4"),
+        ("kind circ v=3\next = 99\ncycle = 0,1,2\n", 2, "ext 99 out of range for v=3"),
+        ("kind circ v=3\next = -1\ncycle = 0,1,2\n", 2, "ext -1 out of range for v=3"),
+        ("kind circ v=2\ncycle = 0,1\n", 2, "a circular order needs at least 3 points"),
+        (chg.format("ext = 99\n"), 2, "ext 99 out of range for v=3"),
+        (chg.format("ext = 3\n"), 2, "ext 3 out of range for v=3"),
+        (chg.format("ext = 2\nlabeling = 5,5,5\n"), 3, "labeling must arrange 0..2, got (5, 5, 5)"),
+        (chg.format("labeling = 0,1\n"), 2, "labeling must arrange 0..2, got (0, 1)"),
+        (chg.format("labeling = 0,1,1\n"), 2, "labeling must arrange 0..2, got (0, 1, 1)"),
+        ("kind orient v=3 k=2\next = 3\n(0,1) = 1\n(0,2) = 0\n(1,2) = 1\n", 2,
+         "ext 3 out of range for v=3"),
+    ]
+    for text, line, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.message) == (line, message), text
+    h = parse(chg.format("ext = 2\nlabeling = 2,0,1\n"))
+    assert (h.ext, h.labeling) == (2, (2, 0, 1))
+    assert parse("kind circ v=3\next = 2\ncycle = 1,2,0\n").ext == 2
+
+
+def _reference_parse_table(fields, body, offset, parse_value):
+    """The table parser before the subset-text index, kept as the oracle: it
+    builds, checks and ranks a tuple for every line."""
+    v, k = fields["v"], fields.get("k")
+    if k is None:
+        raise ParseError(1, "header lacks k=<arity>")
+    if v < 0 or k < 0:
+        raise ParseError(1, f"header v and k must be natural numbers, got v={v}, k={k}")
+    entries = {}
+    for i, line in enumerate(body):
+        line = line.strip()
+        if not line:
+            continue
+        if "=" not in line or not line.startswith("("):
+            raise ParseError(offset + i, f"expected '(subset) = value', got {line!r}")
+        left, right = line.split("=", 1)
+        left = left.strip()
+        if not (left.startswith("(") and left.endswith(")")):
+            raise ParseError(offset + i, f"malformed subset {left!r}")
+        subset = fileio._parse_int_list(left[1:-1], offset + i)
+        if len(set(subset)) != len(subset):
+            raise ParseError(
+                offset + i, f"irreflexivity: duplicate vertex in subset {subset}"
+            )
+        if tuple(sorted(subset)) != subset:
+            raise ParseError(offset + i, f"subset {subset} is not sorted")
+        if any(x < 0 or x >= v for x in subset):
+            raise ParseError(offset + i, f"subset {subset} out of range for v={v}")
+        if len(subset) != k:
+            raise ParseError(offset + i, f"subset {subset} is not a {k}-subset")
+        if subset in entries:
+            raise ParseError(offset + i, f"duplicate entry for subset {subset}")
+        entries[subset] = parse_value(right.strip(), offset + i)
+    missing = comb(v, k) - len(entries)
+    if missing:
+        ranks = {rank_subset(s) for s in entries}
+        least = next(r for r in range(len(entries) + 1) if r not in ranks)
+        raise ParseError(
+            offset + len(body),
+            f"totality: no value for subset {unrank_subset(least, k, v)} "
+            f"(and {missing - 1} more)",
+        )
+    return structures.SubsetMap(v, k, tuple(entries[s] for s in subsets_colex(v, k)))
+
+
+def _fmt(subset):
+    return "(" + ",".join(map(str, subset)) + ")"
+
+
+def _line_faults(line, v):
+    """Spellings of one `(subset) = value` body line: each breaks one check of
+    a table line, except the last group, which must read as the line itself."""
+    left, value = line.split(" = ")
+    s = tuple(int(x) for x in left[1:-1].split(","))
+    return [
+        # the line shape: no '(' in front, or no '=' at all
+        f"{left[1:]} = {value}",
+        left,
+        f"{left} {value}",
+        # a malformed subset, and entries that are no integer list
+        f"{left[:-1]} = {value}",
+        f"{left}x = {value}",
+        f"({left[1:-1]},a) = {value}",
+        f"() = {value}",
+        # irreflexivity, sorting, range and arity
+        f"{_fmt((s[0],) + s[:-1])} = {value}",
+        f"{_fmt(s[::-1])} = {value}",
+        f"{_fmt(s[:-1] + (v,))} = {value}",
+        f"{_fmt(s[1:])} = {value}",
+        f"{_fmt(s + (v,))} = {value}",
+        # values: out of range, not a number, not a bit, an empty list entry
+        f"{left} = 9",
+        f"{left} = z",
+        f"{left} = {value},",
+        f"{left} =",
+        # read as the line itself
+        "( " + ", ".join(map(str, s)) + f" ) = {value}",
+        f"{left}={value}",
+        f"\t {left} = {value}  ",
+        f"{left} = +{value}",
+        f"{left} = 0{value}",
+    ]
+
+
+def _table_corpus(rng):
+    """Table texts: each fault of `_line_faults` and a blank line at the first,
+    a middle and the last body line; a duplicate line there; each line deleted
+    there; all of that also on a body one line short of total (which builds no
+    subset-text index) and on a shuffled body; then tables of arity 0 and of
+    arity above v."""
+    fixtures = [
+        serialize(random_colored_hypergraph(rng, 5, 2, 3)),
+        serialize(random_orientation(rng, 5, 3)),
+        serialize(random_hypertournament(rng, 4, 3)),
+        serialize(extend_colored(random_colored_hypergraph(rng, 4, 2, 2))),
+        serialize(random_colored_hypergraph(rng, 4, 3, 2)),
+    ]
+    for text in fixtures:
+        lines = text.splitlines()
+        cut = next(i for i, line in enumerate(lines) if line.startswith("("))
+        head, full = lines[:cut], lines[cut:]
+        v = int(head[0].split()[2][2:])
+        for body in (full, full[:-1], full[1:], list(rng.shuffled(full))):
+            yield "\n".join(head + body) + "\n"
+            for at in sorted({0, len(body) // 2, len(body) - 1}):
+                variants = _line_faults(body[at], v)
+                variants += ["", "   ", body[at - 1] if at else body[-1]]
+                for variant in variants:
+                    yield "\n".join(head + body[:at] + [variant] + body[at + 1 :]) + "\n"
+                yield "\n".join(head + body[:at] + body[at + 1 :]) + "\n"
+    # arities at the edges: `()` is no integer list, and k > v has no subsets
+    for head in ("kind chg v=3 k=0 n=2", "kind orient v=0 k=0", "kind htour v=2 k=3"):
+        for body in ("", "() = 1\n", "(0,1,2) = 1\n"):
+            yield f"{head}\n{body}"
+
+
+def _outcome(text):
+    try:
+        obj = parse(text)
+    except ExtensorError as exc:
+        return type(exc).__name__, str(exc)
+    return obj, serialize(obj)
+
+
+def test_table_parser_matches_the_reference(monkeypatch):
+    texts = list(_table_corpus(SplitMix64(97)))
+    got = [_outcome(text) for text in texts]
+    monkeypatch.setattr(fileio, "_parse_table", _reference_parse_table)
+    want = [_outcome(text) for text in texts]
+    for text, g, w in zip(texts, got, want):
+        assert g == w, text
+    # the corpus reaches every check of a table line, and valid spellings too
+    errors = " ".join(w[1] for w in want if w[0] == "ParseError")
+    for fragment in (
+        "expected '(subset) = value'",
+        "malformed subset",
+        "expected a comma list of integers",
+        "irreflexivity",
+        "is not sorted",
+        "out of range for v=",
+        "-subset",
+        "duplicate entry",
+        "outside 0..",
+        "expected a color index",
+        "expected a bit",
+        "totality",
+    ):
+        assert fragment in errors, fragment
+    assert sum(w[0] not in ("ParseError", "InputError") for w in want) > 100

@@ -8,8 +8,9 @@ kinds, one `{...}` line per class for equivalence relations, an `order =` /
 `#color` / `@rank` annotations for trees.  Serialization is bit-exact: LF
 endings, no trailing whitespace.
 
-Parsing trusts no header: `v` must match the body, `ext` must be a point and
-`labeling` an arrangement of the colors, or a ParseError names the line.
+Parsing trusts no header: `v` must match the body, `ext` must be a point,
+`labeling` an arrangement of the colors and `plane` 0 or 1, and a kind takes
+only its own metadata (`_METADATA`), or a ParseError names the line.
 A table body is read in one pass: a subset spelled as serialization writes it
 is looked up in a cached text index of (v, k), and only other spellings are
 parsed and checked entry by entry.
@@ -159,6 +160,19 @@ def _tree_term_unrooted(t: UnrootedLeafTree) -> str:
 # ---------------------------------------------------------------------------
 
 
+# the metadata lines each kind takes
+_METADATA = {
+    "chg": ("ext", "labeling"),
+    "orient": ("ext",),
+    "circ": ("ext",),
+    "htour": (),
+    "eqrel": (),
+    "lin": (),
+    "ctree": ("plane",),
+    "dtree": ("plane",),
+}
+
+
 def parse(text: str):
     """Parse a serialized structure; inverse of serialize up to canonical order."""
     lines = text.splitlines()
@@ -194,6 +208,8 @@ def parse(text: str):
         if len(parts) == 2 and parts[0] in ("ext", "labeling", "plane", "order", "cycle"):
             if parts[0] in ("order", "cycle"):
                 break
+            if tag in _METADATA and parts[0] not in _METADATA[tag]:
+                raise ParseError(i + 1, f"kind {tag} takes no {parts[0]} line")
             if parts[0] == "ext":
                 try:
                     meta["ext"] = int(parts[1])
@@ -201,8 +217,10 @@ def parse(text: str):
                     raise ParseError(i + 1, f"expected an ext vertex, got {parts[1]!r}")
             elif parts[0] == "labeling":
                 meta["labeling"] = _parse_int_list(parts[1], i + 1)
+            elif parts[1] in ("0", "1"):  # plane
+                meta["plane"] = parts[1]
             else:
-                meta[parts[0]] = parts[1]
+                raise ParseError(i + 1, f"plane must be 0 or 1, got {parts[1]!r}")
             where[parts[0]] = i + 1
             body_start = i + 1
         else:

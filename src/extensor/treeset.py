@@ -10,11 +10,15 @@ Constructors construct; `*_violation` functions verify.  The expansions only
 validate their input, and each postcondition lives in one function that
 returns None or the first witness, so a caller checks what it built once.
 
-Paths are kept as node bitmasks, so a relation is computed as a numpy boolean
-cube over its leaves, and the cube is what `CRelation` and `DRelation` store
-(packed, one bit per cell).  The axiom scans and the identity between D on an
-extension and C on its base read the cube; `holds` reads its packed bits, and
-the tuple sets (`triples`, `quadruples`) are views built on first read.
+Each tree caches one table of distances d from its leaves (and root r) to
+every node.  Buneman's four-point condition reads both relations off it as
+numpy boolean cubes: C(a; bc) iff d(a,r) + d(b,c) < d(a,b) + d(c,r), and
+D(ab; cd) iff d(a,b) + d(c,d) < d(a,c) + d(b,d).  The cube is what `CRelation`
+and `DRelation` store (packed, one bit per cell); the axiom scans read it,
+`holds` reads its packed bits, and the tuple sets (`triples`, `quadruples`)
+are views built on first read.  The same table gives each branching node as a
+median, the node of least distance sum, and each splitting: leaf b lies in
+the sector of u's neighbour nb iff d(b,nb) < d(b,u).
 Relations given as tuples enter through `from_tuples`, which validates them.
 """
 
@@ -23,11 +27,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 
 import numpy as np
 
-from .errors import InputError, InternalCheckError
+from .errors import BoundExceededError, InputError, InternalCheckError
 from .hyperext import ColoredHypergraph, is_even_hypergraph
 from .structures import RelationalStructure, SubsetMap, _faces, flatten
 from .tourney import CircularOrder
@@ -67,15 +71,7 @@ class RootedLeafTree:
                 appears[kid] = v + i
         if set(appears) != set(range(v + m)) - {v}:
             raise InputError("children lists must cover every non-root node once")
-        # reachability from the root (guards against disjoint cycles)
-        seen = set()
-        stack = [v]
-        while stack:
-            node = stack.pop()
-            seen.add(node)
-            if node >= v:
-                stack.extend(self.children[node - v])
-        if len(seen) != v + m:
+        if (self.distances < 0).any():  # a cycle apart from the root
             raise InputError("tree is not connected")
         for name, ann in (("colors", self.colors), ("ranks", self.ranks)):
             if ann is not None and len(ann) != m:
@@ -90,6 +86,12 @@ class RootedLeafTree:
 
     def kids(self, node):
         return self.children[node - self.v]
+
+    @cached_property
+    def distances(self):
+        """`_distances` from the leaves and the root: rows 0..v, node v the root."""
+        edges = [(u, kid) for u in self.internal_ids() for kid in self.kids(u)]
+        return _distances(self.v + len(self.children), edges, range(self.v + 1))
 
 
 @dataclass(frozen=True)
@@ -129,16 +131,7 @@ class UnrootedLeafTree:
             raise InputError("leaves must be exactly 0..v-1")
         if v + len(edges) != v + m - 1:
             raise InputError("not a tree (wrong edge count)")
-        seen = set()
-        stack = [v]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node >= v:
-                stack.extend(self.adj[node - v])
-        if len(seen) != v + m:
+        if (self.distances < 0).any():
             raise InputError("tree is not connected")
         if self.colors is not None and len(self.colors) != m:
             raise InputError(f"colors must annotate all {m} internal nodes")
@@ -150,9 +143,11 @@ class UnrootedLeafTree:
         return self.adj[node - self.v]
 
     @cached_property
-    def leaf_paths(self):
-        """The masks of :func:`_leaf_path_masks_unrooted`, computed once per tree."""
-        return _leaf_path_masks_unrooted(self)
+    def distances(self):
+        """`_distances` from the leaves: rows 0..v-1."""
+        # each edge once: from its internal end, or from the larger of two
+        edges = [(u, nb) for u in self.internal_ids() for nb in self.neighbors(u) if nb < u]
+        return _distances(self.v + len(self.adj), edges, range(self.v))
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +161,6 @@ def parent_map(t: RootedLeafTree):
         for kid in t.kids(u):
             parent[kid] = u
     return parent
-
-
-def leaves_below(t: RootedLeafTree):
-    out = {}
-
-    def walk(node):
-        if node < t.v:
-            return frozenset((node,))
-        acc = frozenset()
-        for kid in t.kids(node):
-            acc |= walk(kid)
-        out[node] = acc
-        return acc
-
-    walk(t.root)
-    return out
 
 
 def leaf_order(t: RootedLeafTree):
@@ -199,53 +178,35 @@ def leaf_order(t: RootedLeafTree):
     return tuple(order)
 
 
-def _meet(parent, a, b):
-    """The lowest common ancestor of a and b under a `parent_map`."""
-    anc = set()
-    node = a
-    while node is not None:
-        anc.add(node)
-        node = parent[node]
-    node = b
-    while node not in anc:
-        node = parent[node]
-    return node
-
-
-def _ancestor_masks(parent, v):
-    """Bitmask over node ids of each leaf's path to the root (inclusive)."""
-    masks = []
-    for leaf in range(v):
-        m = 0
-        node = leaf
-        while node is not None:
-            m |= 1 << node
-            node = parent[node]
-        masks.append(m)
-    return masks
-
-
-def _leaf_path_masks_unrooted(t: UnrootedLeafTree):
-    """masks[a][b] = node bitmask of the path between leaves a and b."""
-    adj = {}
-    for u in t.internal_ids():
-        adj[u] = list(t.neighbors(u))
-        for nb in t.neighbors(u):
-            if nb < t.v:
-                adj.setdefault(nb, []).append(u)
-    paths = []
-    for a in range(t.v):
-        # mask[node] is the path from a to node, recorded as the search reaches it
-        mask = {a: 1 << a}
-        stack = [a]
-        while stack:
-            node = stack.pop()
+def _distances(n, edges, sources):
+    """dist[i][x], the number of edges between node sources[i] and node x of
+    the n-node graph with these edges (-1 where no path joins them)."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    rows = []
+    for s in sources:
+        row = [-1] * n
+        row[s] = 0
+        queue = [s]
+        for node in queue:
+            step = row[node] + 1
             for nb in adj[node]:
-                if nb not in mask:
-                    mask[nb] = mask[node] | 1 << nb
-                    stack.append(nb)
-        paths.append([mask[b] for b in range(t.v)])
-    return paths
+                if row[nb] < 0:
+                    row[nb] = step
+                    queue.append(nb)
+        rows.append(row)
+    return np.array(rows, dtype=np.intp)
+
+
+def _distance_sums(t, k):
+    """(rows, sums): the leaf k-subsets in the row order of `_faces(v, k, k)`,
+    and per row the distances from its points (and from the root, in a rooted
+    tree) to each node, summed.  A row's median is the node of least sum."""
+    rows = _faces(t.v, k, k)[0]
+    extra = t.distances[t.root] if isinstance(t, RootedLeafTree) else 0
+    return rows, sum((t.distances.take(col, axis=0) for col in rows.T), extra)
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +297,31 @@ class DRelation(_CubeRelation):
         return in_range and self._bit(((a * v + b) * v + c) * v + d)
 
 
+# the D3 scan builds v^5-cell boolean temporaries, 0.9 GB each at 62 leaves
+_MAX_LEAVES = 62
+
+
+def _refuse_large(t):
+    if t.v > _MAX_LEAVES:
+        raise BoundExceededError(
+            f"relations are computed for at most {_MAX_LEAVES} leaves, "
+            f"the tree has {t.v}"
+        )
+
+
 def c_relation(t: RootedLeafTree) -> CRelation:
     """C(a; bc) iff the path from a to the root avoids the path from b to c."""
-    v = t.v
-    parent = parent_map(t)
-    anc = _ancestor_masks(parent, v)
-    pair_path = [
-        [(anc[b] ^ anc[c]) | (1 << _meet(parent, b, c)) for c in range(v)]
-        for b in range(v)
-    ]
-    anc_a = np.array(anc, dtype=np.int64)
-    pp = np.array(pair_path, dtype=np.int64)
-    return CRelation._from_cube((anc_a[:, None, None] & pp[None, :, :]) == 0)
+    _refuse_large(t)
+    d = t.distances[: t.v, : t.v]
+    up = t.distances[t.root, : t.v]  # d(x, r)
+    return CRelation._from_cube(np.add.outer(up, d) < np.add.outer(d, up))
 
 
 def d_relation(t: UnrootedLeafTree) -> DRelation:
     """D(ab; cd) iff the path from a to b avoids the path from c to d."""
-    paths = np.array(t.leaf_paths, dtype=np.int64)
-    cube = (paths[:, :, None, None] & paths[None, None, :, :]) == 0
-    return DRelation._from_cube(cube)
+    _refuse_large(t)
+    pairs = np.add.outer(t.distances[:, : t.v], t.distances[:, : t.v])
+    return DRelation._from_cube(pairs < pairs.transpose(0, 2, 1, 3))
 
 
 @dataclass(frozen=True)
@@ -457,46 +424,22 @@ class Splitting:
 
 
 def splittings(t):
-    if isinstance(t, RootedLeafTree):
-        below = leaves_below(t)
-        every = frozenset(range(t.v))
-        out = []
-        for u in t.internal_ids():
-            sectors = tuple(
-                sorted(
-                    (
-                        below[kid] if kid >= t.v else frozenset((kid,))
-                        for kid in t.kids(u)
-                    ),
-                    key=min,
-                )
-            )
-            out.append(Splitting(u, sectors, every - below[u]))
-        return out
-    if isinstance(t, UnrootedLeafTree):
-        out = []
-        for u in t.internal_ids():
-            sectors = []
-            for nb in t.neighbors(u):
-                if nb < t.v:
-                    sectors.append(frozenset((nb,)))
-                else:
-                    component = set()
-                    stack = [nb]
-                    seen = {u, nb}
-                    while stack:
-                        node = stack.pop()
-                        if node < t.v:
-                            component.add(node)
-                            continue
-                        for nxt in t.neighbors(node):
-                            if nxt not in seen:
-                                seen.add(nxt)
-                                stack.append(nxt)
-                    sectors.append(frozenset(component))
-            out.append(Splitting(u, tuple(sorted(sectors, key=min)), None))
-        return out
-    raise InputError(f"no splittings for {type(t).__name__}")
+    rooted = isinstance(t, RootedLeafTree)
+    if not rooted and not isinstance(t, UnrootedLeafTree):
+        raise InputError(f"no splittings for {type(t).__name__}")
+    leaves = range(t.v)
+    to = t.distances[: t.v].T.tolist()  # to[x][b] = d(b, x) for a leaf b
+    out = []
+    for u in t.internal_ids():
+        # b is in the sector of neighbour nb iff nb is nearer to b than u is;
+        # a rooted tree's initial sector, on the parent's side, is the rest
+        sectors = [
+            frozenset(compress(leaves, map(operator.gt, to[u], to[nb])))
+            for nb in (t.kids(u) if rooted else t.neighbors(u))
+        ]
+        initial = frozenset(leaves).difference(*sectors) if rooted else None
+        out.append(Splitting(u, tuple(sorted(sectors, key=min)), initial))
+    return out
 
 
 def branching_point(t, points) -> Splitting:
@@ -507,28 +450,19 @@ def branching_point(t, points) -> Splitting:
     points = tuple(points)
     if len(set(points)) != len(points):
         raise InputError(f"points must be distinct, got {points}")
-    hits = []
     if isinstance(t, RootedLeafTree):
         if len(points) != 2:
             raise InputError("rooted branching points take a leaf pair")
-        a, b = points
-        for s in splittings(t):
-            ia = next((i for i, sec in enumerate(s.sectors) if a in sec), None)
-            ib = next((i for i, sec in enumerate(s.sectors) if b in sec), None)
-            if ia is not None and ib is not None and ia != ib:
-                hits.append(s)
     elif isinstance(t, UnrootedLeafTree):
         if len(points) != 3:
             raise InputError("unrooted branching points take a leaf triple")
-        for s in splittings(t):
-            idx = [
-                next((i for i, sec in enumerate(s.sectors) if p in sec), None)
-                for p in points
-            ]
-            if None not in idx and len(set(idx)) == 3:
-                hits.append(s)
     else:
         raise InputError(f"no branching points for {type(t).__name__}")
+    hits = []
+    for s in splittings(t):
+        idx = {next((i for i, sec in enumerate(s.sectors) if p in sec), None) for p in points}
+        if None not in idx and len(idx) == len(points):
+            hits.append(s)
     if len(hits) != 1:
         raise InternalCheckError(
             f"expected a unique branching point for {points}, found {len(hits)}"
@@ -599,33 +533,35 @@ def _color_count(colors):
     return max(colors) + 1
 
 
+def _median_coloring(t, k, nodes):
+    """Color each leaf k-subset, listed as `_distance_sums` lists them, by the
+    color of its node in `nodes`."""
+    colex = np.empty_like(nodes)
+    colex[_faces(t.v, k, k)[1][:, 0]] = nodes
+    table = SubsetMap(t.v, k, tuple(np.asarray(t.colors)[colex - t.v].tolist()))
+    return ColoredHypergraph(t.v, k, _color_count(t.colors), table)
+
+
 def pair_coloring(t: RootedLeafTree) -> ColoredHypergraph:
-    """Color each leaf pair by the color of its branching node."""
+    """Color each leaf pair by the color of its branching node, the median of
+    the pair and the root."""
     if t.colors is None:
         raise InputError("tree has no internal colors")
-    parent = parent_map(t)
-    table = SubsetMap.from_function(
-        t.v, 2, lambda s: t.colors[_meet(parent, s[0], s[1]) - t.v]
-    )
-    return ColoredHypergraph(t.v, 2, _color_count(t.colors), table)
+    return _median_coloring(t, 2, _distance_sums(t, 2)[1].argmin(axis=1))
 
 
 def triple_coloring(t: UnrootedLeafTree) -> ColoredHypergraph:
     """Color each leaf triple by the color of its median node."""
     if t.colors is None:
         raise InputError("tree has no internal colors")
-    paths = t.leaf_paths
-
-    def color(s):
-        a, b, c = s
-        common = paths[a][b] & paths[a][c] & paths[b][c]
-        node = common.bit_length() - 1
-        if common != 1 << node:
-            raise InternalCheckError(f"median of {s} is not a single node")
-        return t.colors[node - t.v]
-
-    table = SubsetMap.from_function(t.v, 3, color)
-    return ColoredHypergraph(t.v, 3, _color_count(t.colors), table)
+    rows, sums = _distance_sums(t, 3)
+    d = t.distances
+    a, b, c = rows.T
+    # in a tree the least sum is half the perimeter of the triple
+    off = np.flatnonzero(2 * sums.min(axis=1) != d[a, b] + d[a, c] + d[b, c])
+    if len(off):
+        raise InternalCheckError(f"median of {tuple(rows[off[0]].tolist())} is not a single node")
+    return _median_coloring(t, 3, sums.argmin(axis=1))
 
 
 # An N is a path with three edges on 4 vertices.  Bit j of a local mask is the
@@ -695,11 +631,9 @@ def leveled_pairs_preorder(t: RootedLeafTree) -> Leveling:
                 raise InputError(
                     f"rank must increase from node {u} to descendant {kid}"
                 )
-    parent = parent_map(t)
-    ranks = {}
-    for a, b in combinations(range(t.v), 2):
-        ranks[(a, b)] = t.ranks[_meet(parent, a, b) - t.v]
-    return Leveling(t.v, ranks)
+    pairs, sums = _distance_sums(t, 2)
+    meets = zip(pairs.tolist(), sums.argmin(axis=1).tolist())
+    return Leveling(t.v, {(a, b): t.ranks[u - t.v] for (a, b), u in meets})
 
 
 def monotonic_check(seq, rel) -> bool:

@@ -3,6 +3,7 @@
 import hashlib
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,41 @@ def test_untrusted_header_exits_3_with_its_line(tmp_path, capsys):
         code, out, err = run([*argv, "--in", str(path)], capsys)
         assert (code, out) == (3, ""), text
         assert err.startswith(f"input error: {message}"), err
+
+
+def test_metadata_the_kind_does_not_take_exits_3_with_its_line(tmp_path, capsys):
+    table = "(0,1) = 1\n(0,2) = 0\n(1,2) = 1\n"
+    cases = [
+        ("kind lin v=3\next = 1\norder = 0,1,2\n", "line 2: kind lin takes no ext line"),
+        ("kind orient v=3 k=2\nlabeling = 0,1\n" + table, "line 2: kind orient takes no labeling"),
+        ("kind chg v=3 k=2 n=2\nplane = 1\n" + table, "line 2: kind chg takes no plane line"),
+        ("kind ctree v=3\next = 1\n(0,(1,2))\n", "line 2: kind ctree takes no ext line"),
+        ("kind dtree v=4\nplane = 2\n(0,(1,2),3)\n", "line 2: plane must be 0 or 1, got '2'"),
+    ]
+    path = tmp_path / "in.txt"
+    for text, message in cases:
+        path.write_text(text)
+        code, out, err = run(["extend", "--in", str(path)], capsys)
+        assert (code, out) == (3, ""), text
+        assert err.startswith(f"input error: {message}"), err
+
+
+def test_trees_past_63_nodes_verify_and_past_62_leaves_are_refused(tmp_path, capsys):
+    # 40 leaves take more than 63 node ids, which no int64 node bitmask holds
+    path = tmp_path / "tree.txt"
+    for kind in ("ctree", "dtree"):
+        argv = ["gen", kind, "--leaves", "40", "--seed", "3", "--out", str(path)]
+        assert run(argv, capsys)[0] == 0
+        code, out, _ = run(["verify", "axioms", "--in", str(path)], capsys)
+        assert code == 0 and re.match(r"axioms +Ok\n", out), out
+    path.write_text("kind ctree v=63\n(" + ",".join(map(str, range(63))) + ")\n")
+    start = time.perf_counter()
+    code, out, err = run(["verify", "axioms", "--in", str(path)], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "budget exceeded: relations are computed for at most 62 leaves, the tree has 63\n"
+    )
 
 
 def test_interpret_htour2chg(tmp_path, capsys):

@@ -5,10 +5,11 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from extensor.errors import InputError
+from extensor.errors import BoundExceededError, InputError, InternalCheckError
 from extensor.generate import (
     SplitMix64,
     random_colored_hypergraph,
+    random_regular_tree,
     random_rooted_tree,
     random_unrooted_tree,
 )
@@ -19,8 +20,8 @@ from extensor.treeset import (
     DRelation,
     Leveling,
     RootedLeafTree,
+    Splitting,
     UnrootedLeafTree,
-    _leaf_path_masks_unrooted,
     branching_point,
     c_monotonic_sequences,
     c_relation,
@@ -41,6 +42,7 @@ from extensor.treeset import (
     ordered_compatibility_violation,
     ordered_extension,
     pair_coloring,
+    parent_map,
     splittings,
     triple_coloring,
 )
@@ -495,16 +497,18 @@ def test_monochromatic_complete_graph_is_n_free():
     assert n_free_check(g)[0]
 
 
-def _reference_leaf_path_masks(t):
-    """Path masks by walking each leaf back to the search root."""
+def _reference_path_masks(t):
+    """masks[s][x]: node bitmask of the path from source s to node x, found by
+    walking x back to s.  The sources are the leaves, then the root of a
+    rooted tree."""
+    around = t.kids if isinstance(t, RootedLeafTree) else t.neighbors
     adj = {}
     for u in t.internal_ids():
-        adj[u] = list(t.neighbors(u))
-        for nb in t.neighbors(u):
-            if nb < t.v:
-                adj.setdefault(nb, []).append(u)
-    paths = [[0] * t.v for _ in range(t.v)]
-    for a in range(t.v):
+        for nb in around(u):
+            adj.setdefault(u, set()).add(nb)
+            adj.setdefault(nb, set()).add(u)
+    masks = []
+    for a in range(t.v + isinstance(t, RootedLeafTree)):
         prev = {a: None}
         stack = [a]
         while stack:
@@ -513,35 +517,262 @@ def _reference_leaf_path_masks(t):
                 if nb not in prev:
                     prev[nb] = node
                     stack.append(nb)
-        for b in range(t.v):
-            node = b
+        row = []
+        for x in range(len(adj)):
+            mask, node = 0, x
             while node is not None:
-                paths[a][b] |= 1 << node
+                mask |= 1 << node
                 node = prev[node]
-    return paths
+            row.append(mask)
+        masks.append(row)
+    return masks
 
 
-def test_leaf_path_masks_match_the_walk_oracle():
+def test_distances_match_the_walk_oracle():
+    # a path of m nodes has m - 1 edges
     rng = SplitMix64(65)
     for _ in range(200):
-        t = random_unrooted_tree(rng, 3 + rng.below(10))
-        assert _leaf_path_masks_unrooted(t) == _reference_leaf_path_masks(t)
+        leaves = 3 + rng.below(10)
+        for t in (random_unrooted_tree(rng, leaves), random_rooted_tree(rng, leaves)):
+            expected = [[m.bit_count() - 1 for m in row] for row in _reference_path_masks(t)]
+            assert t.distances.tolist() == expected
 
 
-def test_leaf_path_masks_are_computed_once_per_tree(monkeypatch):
-    # criterion 11 reads them through d_relation and triple_coloring of each of
-    # its 500 extensions: 501 computations per selftest (1,001 when each read
-    # recomputed them)
+def test_distances_are_computed_once_per_tree(monkeypatch):
+    # criterion 11 reads each tree's table through its constructor, the
+    # relations, the splittings and the colorings: one computation per tree
+    # object, 1,003 per selftest (the unrooted path masks that the table
+    # replaces were computed 501 times)
     from extensor import acceptance
     import extensor.treeset as treeset
 
-    calls = []
-    compute = treeset._leaf_path_masks_unrooted
-    monkeypatch.setattr(
-        treeset, "_leaf_path_masks_unrooted", lambda t: calls.append(t) or compute(t)
-    )
+    calls, built = [], []
+    compute = treeset._distances
+    monkeypatch.setattr(treeset, "_distances", lambda *a: calls.append(a) or compute(*a))
+    for cls in (RootedLeafTree, UnrootedLeafTree):
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda t, init=cls.__post_init__: built.append(t) or init(t)
+        )
     acceptance.run_all(acceptance.DEFAULT_SEED, only={11})
-    assert len(calls) == 501
+    assert len(calls) == len(built) == 1003
+
+
+# The traversals that the distance table replaced, kept as oracles: the
+# leaf sets below each node, the per-neighbour search for the sectors, the
+# meet by ancestor walk, and the triple median as the one node common to the
+# three leaf-to-leaf paths.
+
+
+def _reference_leaves_below(t):
+    out = {}
+
+    def walk(node):
+        if node < t.v:
+            return frozenset((node,))
+        acc = frozenset()
+        for kid in t.kids(node):
+            acc |= walk(kid)
+        out[node] = acc
+        return acc
+
+    walk(t.root)
+    return out
+
+
+def _reference_splittings(t):
+    if isinstance(t, RootedLeafTree):
+        below = _reference_leaves_below(t)
+        every = frozenset(range(t.v))
+        out = []
+        for u in t.internal_ids():
+            sectors = tuple(
+                sorted(
+                    (
+                        below[kid] if kid >= t.v else frozenset((kid,))
+                        for kid in t.kids(u)
+                    ),
+                    key=min,
+                )
+            )
+            out.append(Splitting(u, sectors, every - below[u]))
+        return out
+    if isinstance(t, UnrootedLeafTree):
+        out = []
+        for u in t.internal_ids():
+            sectors = []
+            for nb in t.neighbors(u):
+                if nb < t.v:
+                    sectors.append(frozenset((nb,)))
+                else:
+                    component = set()
+                    stack = [nb]
+                    seen = {u, nb}
+                    while stack:
+                        node = stack.pop()
+                        if node < t.v:
+                            component.add(node)
+                            continue
+                        for nxt in t.neighbors(node):
+                            if nxt not in seen:
+                                seen.add(nxt)
+                                stack.append(nxt)
+                    sectors.append(frozenset(component))
+            out.append(Splitting(u, tuple(sorted(sectors, key=min)), None))
+        return out
+    raise InputError(f"no splittings for {type(t).__name__}")
+
+
+def _reference_branching_point(t, points):
+    points = tuple(points)
+    if len(set(points)) != len(points):
+        raise InputError(f"points must be distinct, got {points}")
+    hits = []
+    if isinstance(t, RootedLeafTree):
+        if len(points) != 2:
+            raise InputError("rooted branching points take a leaf pair")
+        a, b = points
+        for s in _reference_splittings(t):
+            ia = next((i for i, sec in enumerate(s.sectors) if a in sec), None)
+            ib = next((i for i, sec in enumerate(s.sectors) if b in sec), None)
+            if ia is not None and ib is not None and ia != ib:
+                hits.append(s)
+    elif isinstance(t, UnrootedLeafTree):
+        if len(points) != 3:
+            raise InputError("unrooted branching points take a leaf triple")
+        for s in _reference_splittings(t):
+            idx = [
+                next((i for i, sec in enumerate(s.sectors) if p in sec), None)
+                for p in points
+            ]
+            if None not in idx and len(set(idx)) == 3:
+                hits.append(s)
+    else:
+        raise InputError(f"no branching points for {type(t).__name__}")
+    if len(hits) != 1:
+        raise InternalCheckError(
+            f"expected a unique branching point for {points}, found {len(hits)}"
+        )
+    return hits[0]
+
+
+def _reference_meet(parent, a, b):
+    anc = set()
+    node = a
+    while node is not None:
+        anc.add(node)
+        node = parent[node]
+    node = b
+    while node not in anc:
+        node = parent[node]
+    return node
+
+
+def _reference_pair_coloring(t):
+    parent = parent_map(t)
+    table = SubsetMap.from_function(
+        t.v, 2, lambda s: t.colors[_reference_meet(parent, s[0], s[1]) - t.v]
+    )
+    return ColoredHypergraph(t.v, 2, max(t.colors) + 1, table)
+
+
+def _reference_pair_ranks(t):
+    parent = parent_map(t)
+    ranks = {}
+    for a, b in combinations(range(t.v), 2):
+        ranks[(a, b)] = t.ranks[_reference_meet(parent, a, b) - t.v]
+    return ranks
+
+
+def _reference_triple_coloring(t):
+    # the leaf-to-leaf masks, which test_distances_match_the_walk_oracle ties
+    # to the table
+    paths = [row[: t.v] for row in _reference_path_masks(t)]
+
+    def color(s):
+        a, b, c = s
+        common = paths[a][b] & paths[a][c] & paths[b][c]
+        node = common.bit_length() - 1
+        if common != 1 << node:
+            raise InternalCheckError(f"median of {s} is not a single node")
+        return t.colors[node - t.v]
+
+    table = SubsetMap.from_function(t.v, 3, color)
+    return ColoredHypergraph(t.v, 3, max(t.colors) + 1, table)
+
+
+def _seeded_trees(rng, rounds):
+    """Per round, a rooted tree (plain, regular, colored, ranked or plane, in
+    turn), its extension, and an unrooted tree: 3 * rounds trees."""
+    for i in range(rounds):
+        leaves = 3 + rng.below(8)
+        colors = 1 + rng.below(3)
+        if i % 5 == 0:
+            t = random_rooted_tree(rng, leaves)
+        elif i % 5 == 1:
+            degree = 2 + rng.below(3)
+            t = random_regular_tree(rng, degree + (degree - 1) * rng.below(4), degree)
+        elif i % 5 == 2:
+            t = random_rooted_tree(rng, leaves, n_colors=colors)
+        elif i % 5 == 3:
+            t = random_rooted_tree(rng, leaves, n_colors=colors, ranked=True)
+        else:
+            t = random_rooted_tree(rng, leaves, n_colors=colors, plane=True)
+        yield t
+        yield extend_c_to_d(t)
+        yield random_unrooted_tree(rng, leaves, n_colors=colors if i % 2 else None)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InputError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+
+
+def test_the_distance_table_matches_the_old_traversals():
+    rng = SplitMix64(66)
+    trees = list(_seeded_trees(rng, 80))
+    assert len(trees) == 240
+    for t in trees:
+        rooted = isinstance(t, RootedLeafTree)
+        if rooted:
+            assert c_relation(t).triples == _reference_c_relation(t)
+        else:
+            assert d_relation(t).quadruples == _reference_d_relation(t)
+        assert splittings(t) == _reference_splittings(t)
+        size = 2 if rooted else 3
+        subsets = list(combinations(range(t.v), size))
+        picks = [subsets[rng.below(len(subsets))] for _ in range(12)]
+        for points in picks + [(0,) * size, (0, 1, 2, 0)[: size + 1]]:
+            assert _outcome(branching_point, t, points) == _outcome(
+                _reference_branching_point, t, points
+            )
+        if t.colors is not None and rooted:
+            assert pair_coloring(t) == _reference_pair_coloring(t)
+        elif t.colors is not None:
+            assert triple_coloring(t) == _reference_triple_coloring(t)
+        if rooted and t.ranks is not None:
+            assert list(leveled_pairs_preorder(t).pair_ranks.items()) == list(
+                _reference_pair_ranks(t).items()
+            )
+
+
+def test_relations_past_63_nodes():
+    # node ids past 62 overflow an int64 bitmask; the distance table has no
+    # such limit.  D on the extension is pinned by its identity with C.
+    t = random_regular_tree(SplitMix64(83), 33, 2)  # 65 nodes
+    crel = c_relation(t)
+    assert crel.triples == _reference_c_relation(t)
+    drel = d_relation(extend_c_to_d(t))  # 66 nodes
+    assert c_to_d_violation(crel, drel) is None and check_d_axioms(drel).ok
+
+
+def test_relations_refuse_more_than_62_leaves():
+    assert check_c_axioms(c_relation(RootedLeafTree(62, (tuple(range(62)),)))).ok
+    with pytest.raises(BoundExceededError, match="at most 62 leaves, the tree has 63"):
+        c_relation(RootedLeafTree(63, (tuple(range(63)),)))
+    with pytest.raises(BoundExceededError):
+        d_relation(UnrootedLeafTree(63, (tuple(range(63)),)))
 
 
 def test_leveling_of_ranked_caterpillar():

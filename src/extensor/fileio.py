@@ -402,6 +402,8 @@ def _parse_palette(lines):
         n = int(head[1][2:])
     except ValueError:
         raise ParseError(1, f"malformed palette header {lines[0]!r}")
+    if n < 1:
+        raise ParseError(1, f"a palette needs n >= 1, got n={n}")
     members = set()
     for i, line in enumerate(lines[1:], start=2):
         line = line.strip()
@@ -409,7 +411,10 @@ def _parse_palette(lines):
             continue
         if not (line.startswith("{") and line.endswith("}")):
             raise ParseError(i, f"expected a member line {{...}}, got {line!r}")
-        members.add(tuple(sorted(_parse_int_list(line[1:-1], i))))
+        member = tuple(sorted(_parse_int_list(line[1:-1], i)))
+        if len(member) != 4 or not all(1 <= c <= n for c in member):
+            raise ParseError(i, f"a member is four colors in 1..{n}, got {line!r}")
+        members.add(member)
     return Palette(n, frozenset(members))
 
 

@@ -6,28 +6,40 @@ A palette over n colors is a set A of 4-multisets satisfying
   (2) every {i,i,j,j} is a member (including i = j),
   (3) if {i,i',j,j'} and {i,i',k,k'} are members, so is {j,j',k,k'}.
 
-The searcher works on the completion function f mapping each 3-multiset to the
-color that closes it into a member, so axiom (1) holds by construction; axiom
-(2) seeds f, and axiom (3) is propagated to closure after every assignment.
-Exhausting the search tree is therefore a nonexistence proof.
+A pair is a 2-multiset of colors, and p ~ q means that p + q is a member.
+Axiom 2 makes every pair go with itself ({i,j} + {i,j} = {i,i,j,j}), and
+axiom 3 makes ~ transitive, so ~ is an equivalence on the C(n+1, 2) pairs and
+the members are exactly the p + q with p ~ q.  Axiom 1 fails (some triple is
+completed twice) exactly when a class holds two pairs that share a color.
 
-The search works on classes of pairs, by this lemma.  A pair is a
-2-multiset of colors, and p ~ q means that p + q is a member.  Axiom 2 makes
-every pair go with itself ({i,j} + {i,j} = {i,i,j,j}), and axiom 3 makes ~
-transitive, so ~ is an equivalence on the C(n+1, 2) pairs and the members
-present are exactly the p + q with p ~ q.  Axiom 1 fails (some triple is
-completed twice) exactly when a class holds two pairs that share a color, so
-every class is a partial involution on the colors, and the self-pairs form one
-class: the structure :func:`derive_involution` reads off a palette.  Triple
-{a,b,c} is completed exactly when c lies in the color support of the class of
-{a,b}.  So the search keeps a union-find over pairs with an undo log, and no
-table grows with the C(n+3, 4) multisets or the C(n+2, 3) triples.
+The search assigns the completion function f, which maps each 3-multiset to
+the color closing it into a member, so axiom 1 holds by construction; axiom 2
+seeds f, and axiom 3 is propagated to closure after every assignment, so
+exhausting the search tree is a nonexistence proof.  Its state is a union-find
+over pairs with an undo log: triple {a,b,c} is completed exactly when c lies
+in the color support of the class of {a,b}, and no table grows with the
+C(n+3, 4) multisets or the C(n+2, 3) triples.
+
+A palette is a group.  Each class C is an involution of the colors: for {a,b}
+in C, axiom 1 closes {a,b,c} by one color d, and {c,d} ~ {a,b}.  The
+self-pairs are the identity class, and the others are fixed-point-free (a
+class holding {c,c} and {a,b} would complete {a,c,c} twice).  Classes
+compose: regrouping the members {a,h(a),x,h(x)} and {h(a),gh(a),h(x),gh(x)}
+gives {a,x} ~ {h(a),h(x)} ~ {gh(a),gh(x)}, so {x,gh(x)} ~ {a,gh(a)} for every
+x, and gh is the class of {a,gh(a)}.  So the classes form a group of
+involutions, which is elementary abelian, and the class of {a,b} is its one
+element sending a to b: it acts regularly, and n = 2^m.  Naming the color
+h_1^b_1...h_m^b_m(1) by the bit vector b, for a basis h_1..h_m, turns the
+members into the 4-multisets whose vectors XOR to zero: every palette is
+:func:`canonical_palette` relabeled, the boolean Steiner quadruple system
+(Hanani, *On quadruple systems*, 1960).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations
+from functools import cached_property
+from itertools import combinations, combinations_with_replacement
 
 from .errors import (
     SEARCH_BUDGET,
@@ -85,6 +97,15 @@ class Palette:
     def sorted_members(self):
         return sorted(self.members)
 
+    @cached_property
+    def _completions(self):
+        """The completion map {3-multiset: [colors closing it into a member]}."""
+        closing = {}
+        for m in self.members:
+            for x in set(m):
+                closing.setdefault(_msub(m, (x,)), []).append(x)
+        return closing
+
 
 @dataclass(frozen=True)
 class PaletteCheck:
@@ -109,15 +130,10 @@ def axiom2_violation(p: Palette):
 def axiom1_violation(p: Palette):
     """First 3-multiset without a unique completion, or None.
 
-    Members are indexed once by their distinct 3-sub-multisets, so each
-    3-multiset is a dictionary lookup rather than a scan of the palette.
-    """
-    containing = {}
-    for m in p.members:
-        for t in set(combinations(m, 3)):
-            containing.setdefault(t, []).append(m)
+    Each is a lookup in the completion map, built once per palette."""
+    closing = p._completions
     for t in enumerate_multisets(p.n, 3):
-        found = sorted(containing.get(t, ()))
+        found = sorted(_madd(t, (x,)) for x in closing.get(t, ()))
         if len(found) != 1:
             return (t,) + tuple(found)
     return None
@@ -167,15 +183,23 @@ def canonical_palette(n) -> Palette:
 
 
 def palettes_equivalent(a: Palette, b: Palette):
-    """Color relabeling carrying a onto b, or None (tries all n! bijections)."""
+    """Color relabeling carrying a onto b, or None if their color counts differ.
+
+    Both must be palettes; the map sends color 1's basis orbit in a onto b's."""
     if a.n != b.n:
         return None
-    for perm in permutations(range(1, a.n + 1)):
-        relabel = {c: perm[c - 1] for c in range(1, a.n + 1)}
-        image = frozenset(tuple(sorted(relabel[c] for c in m)) for m in a.members)
-        if image == b.members:
-            return relabel
-    return None
+    orbits = []
+    for p in (a, b):
+        involution = _involution_reader(p)
+        orbit = [1]
+        for c in range(2, p.n + 1):
+            if c not in orbit:  # the first color the basis so far misses
+                g = involution(1, c)
+                orbit += [g[x - 1] for x in orbit]
+        orbits.append(orbit)
+    relabel = dict(sorted(zip(*orbits)))
+    image = frozenset(tuple(sorted(relabel[c] for c in m)) for m in a.members)
+    return relabel if image == b.members else None
 
 
 # -- exhaustive search with propagation ---------------------------------------
@@ -361,64 +385,39 @@ def search_palette(n, budget=None) -> SearchOutcome:
 # -- involution and blending reduction ----------------------------------------
 
 
-class PaletteFixedPointError(InputError):
-    """g(c) = c found: the {i0,j0,c,c} member collides with axiom 2's {i0,i0,c,c}."""
-
-    def __init__(self, color, member):
-        self.color = color
-        self.member = member
-        super().__init__(
-            f"involution has fixed point at color {color} (member {member}); "
-            "a fixed-point-free pairing needs an even color count"
-        )
+def _involution_reader(p: Palette):
+    """Check p; return (a, b) -> the involution c -> the color closing {a, b, c},
+    read off the completion map that the axiom-1 scan built."""
+    check = is_palette(p)
+    if not check.ok:
+        raise InputError(f"not a palette: axiom {check.axiom} fails at {check.witness}")
+    closing, colors = p._completions, range(1, p.n + 1)
+    return lambda a, b: tuple(closing[_madd((a, b), (c,))][0] for c in colors)
 
 
 def derive_involution(p: Palette, i0, j0):
     """The pairing g(c) = the unique l with {i0,j0,c,l} in the palette.
 
-    Returns g as a tuple indexed by color-1.  Fixed points raise
-    :class:`PaletteFixedPointError` (they signal an odd color count).
-    """
-    check = is_palette(p)
-    if not check.ok:
-        raise InputError(f"not a palette: axiom {check.axiom} fails at {check.witness}")
+    Returns g as a tuple indexed by color-1, a fixed-point-free involution."""
+    involution = _involution_reader(p)
     if i0 == j0 or not (1 <= i0 <= p.n and 1 <= j0 <= p.n):
         raise InputError(f"need two distinct colors in 1..{p.n}, got {i0}, {j0}")
-    g = []
-    for c in range(1, p.n + 1):
-        t = tuple(sorted((i0, j0, c)))
-        member = next(m for m in p.members if _msub(m, t) is not None)
-        ell = _msub(member, t)[0]
-        if ell == c:
-            raise PaletteFixedPointError(c, member)
-        g.append(ell)
-    g = tuple(g)
-    for c in range(1, p.n + 1):
-        if g[g[c - 1] - 1] != c:
-            raise InputError(f"pairing is not an involution at color {c}")
-    return g
+    return involution(i0, j0)
 
 
 def reduce_palette(p: Palette) -> Palette:
-    """Blend g-paired colors together, halving the color count.
+    """Blend colors paired by g = derive_involution(p, 1, 2), halving the count.
 
     Colors are relabeled so each g-orbit {c, g(c)} maps to the rank of its
     minimum; the image of the member set is a palette over n/2 colors.
     """
+    involution = _involution_reader(p)
     if p.n % 2:
-        if p.n >= 2:
-            derive_involution(p, 1, 2)  # surfaces the parity evidence by raising
         raise InputError(f"cannot reduce a palette over odd n={p.n}")
-    g = derive_involution(p, 1, 2)
-    reps = sorted({min(c, g[c - 1]) for c in range(1, p.n + 1)})
-    orbit_index = {}
-    for idx, r in enumerate(reps, start=1):
-        orbit_index[r] = idx
-        orbit_index[g[r - 1]] = idx
-    members = frozenset(
-        tuple(sorted(orbit_index[c] for c in m)) for m in p.members
-    )
-    out = Palette(p.n // 2, members)
+    low = {c: min(c, x) for c, x in enumerate(involution(1, 2), start=1)}
+    rank = {r: i for i, r in enumerate(sorted(set(low.values())), start=1)}
+    members = (tuple(sorted(rank[low[c]] for c in m)) for m in p.members)
+    out = Palette(p.n // 2, frozenset(members))
     check = is_palette(out)
     if not check.ok:
         raise InputError(f"blended set is not a palette: axiom {check.axiom}")

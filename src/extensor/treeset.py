@@ -297,8 +297,11 @@ class DRelation(_CubeRelation):
         return in_range and self._bit(((a * v + b) * v + c) * v + d)
 
 
-# the D3 scan builds v^5-cell boolean temporaries, 0.9 GB each at 62 leaves
+# relations are built for at most this many leaves: the D-relation cube of 62
+# leaves has 14.8 M cells, and building it peaks at about 160 MB
 _MAX_LEAVES = 62
+# cells per slice of the D3 scan; every tree of at most 11 leaves takes one slice
+_D3_SLICE_CELLS = 1 << 22
 
 
 def _refuse_large(t):
@@ -385,11 +388,14 @@ def check_d_axioms(r: DRelation) -> AxiomCheck:
     w = _first(d & d.transpose(0, 2, 1, 3))
     if w:
         return AxiomCheck(False, "D2", w, _D_SKIPPED)
-    x = np.moveaxis(d, 0, -1)[None, :, :, :, :]  # D(vx; yz) at [w,x,y,z,v]
-    y = d[:, :, :, None, :]  # D(wx; yv) at [w,x,y,z,v]
-    w = _first(d[:, :, :, :, None] & ~x & ~y)
-    if w:
-        return AxiomCheck(False, "D3", w, _D_SKIPPED)
+    # D3 in ascending slices of w, so the first witness is the first in the cube
+    not_x = ~np.moveaxis(d, 0, -1)  # not D(vx; yz) at [x,y,z,v]
+    not_y = ~d[:, :, :, None, :]  # not D(wx; yv) at [w,x,y,z,v]
+    rows = max(1, _D3_SLICE_CELLS // max(1, v**4))
+    for w0 in range(0, v, rows):
+        w = _first(d[w0 : w0 + rows, :, :, :, None] & not_x & not_y[w0 : w0 + rows])
+        if w:
+            return AxiomCheck(False, "D3", (w0 + w[0], *w[1:]), _D_SKIPPED)
     ar = np.arange(v)
     diag = d[:, :, ar, ar]  # D(wx; yy) at [w,x,y]
     need = (ar[:, None, None] != ar[None, None, :]) & (

@@ -160,6 +160,21 @@ def test_untrusted_header_exits_3_with_its_line(tmp_path, capsys):
         assert err.startswith(f"input error: {message}"), err
 
 
+def test_palette_file_errors_exit_3_with_their_line(tmp_path, capsys):
+    cases = [
+        ("palette n=0\n", "line 1: a palette needs n >= 1, got n=0"),
+        ("palette n=2\n{1,1,1,1}\n{1,2,3}\n", "line 3: a member is four colors in 1..2"),
+        ("palette n=2\n{1,1,2,3}\n", "line 2: a member is four colors in 1..2"),
+    ]
+    path = tmp_path / "in.txt"
+    for text, message in cases:
+        path.write_text(text)
+        for action in ("check", "reduce"):
+            code, out, err = run(["palette", action, "--in", str(path)], capsys)
+            assert (code, out) == (3, ""), text
+            assert err.startswith(f"input error: {message}"), err
+
+
 def test_metadata_the_kind_does_not_take_exits_3_with_its_line(tmp_path, capsys):
     table = "(0,1) = 1\n(0,2) = 0\n(1,2) = 1\n"
     cases = [

@@ -189,6 +189,27 @@ def test_palette_round_trip_text():
     assert parse(text) == canonical_palette(2)
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("palette n=0\n", 1, "a palette needs n >= 1, got n=0"),
+        ("palette n=-2\n{1,1,1,1}\n", 1, "a palette needs n >= 1, got n=-2"),
+        ("palette n=2\n{1,1,1,1}\n{1,2,3}\n", 3, "a member is four colors in 1..2, got '{1,2,3}'"),
+        ("palette n=2\n{1,1,1,1,1}\n", 2, "a member is four colors in 1..2, got '{1,1,1,1,1}'"),
+        (  # blank lines count
+            "palette n=2\n{1,1,1,1}\n\n{1,1,2,3}\n",
+            4,
+            "a member is four colors in 1..2, got '{1,1,2,3}'",
+        ),
+        ("palette n=2\n{0,1,1,1}\n", 2, "a member is four colors in 1..2, got '{0,1,1,1}'"),
+    ],
+)
+def test_palette_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.message) == (line, message)
+
+
 def _mutate(rng, data):
     """1-4 random byte substitutions, deletions or insertions."""
     data = bytearray(data)

@@ -1,7 +1,9 @@
 """Multiset enumeration, the palette axioms, search, involution, blending."""
 
 import hashlib
+from itertools import permutations
 from math import comb
+from time import perf_counter
 
 import pytest
 
@@ -601,3 +603,136 @@ def test_axiom1_index_matches_member_scan():
             assert axiom1_violation(q) == _reference_axiom1(q)
         assert axiom1_violation(p) is None
         assert all(axiom1_violation(q) is not None for q in variants[1:])
+
+
+# -- oracles: the n! equivalence search and the per-color member scan ---------
+
+
+def _reference_palettes_equivalent(a, b):
+    if a.n != b.n:
+        return None
+    for perm in permutations(range(1, a.n + 1)):
+        relabel = {c: perm[c - 1] for c in range(1, a.n + 1)}
+        image = frozenset(tuple(sorted(relabel[c] for c in m)) for m in a.members)
+        if image == b.members:
+            return relabel
+    return None
+
+
+def _reference_derive_involution(p, i0, j0):
+    check = is_palette(p)
+    if not check.ok:
+        raise InputError(f"not a palette: axiom {check.axiom} fails at {check.witness}")
+    if i0 == j0 or not (1 <= i0 <= p.n and 1 <= j0 <= p.n):
+        raise InputError(f"need two distinct colors in 1..{p.n}, got {i0}, {j0}")
+    g = []
+    for c in range(1, p.n + 1):
+        t = tuple(sorted((i0, j0, c)))
+        member = next(m for m in p.members if _msub(m, t) is not None)
+        ell = _msub(member, t)[0]
+        if ell == c:
+            raise InputError(f"involution has fixed point at color {c} (member {member})")
+        g.append(ell)
+    g = tuple(g)
+    for c in range(1, p.n + 1):
+        if g[g[c - 1] - 1] != c:
+            raise InputError(f"pairing is not an involution at color {c}")
+    return g
+
+
+def _relabeled(p, rng):
+    perm = rng.shuffled(range(1, p.n + 1))
+    return Palette(p.n, frozenset(tuple(sorted(perm[c - 1] for c in m)) for m in p.members))
+
+
+def _carries(relabel, a, b):
+    """relabel is a bijection of the colors 1..n that maps a's members onto b's."""
+    colors = list(range(1, a.n + 1))
+    image = frozenset(tuple(sorted(relabel[c] for c in m)) for m in a.members)
+    return sorted(relabel) == sorted(relabel.values()) == colors and image == b.members
+
+
+def _palette_corpus():
+    """Canonical and found palettes, each with two seeded relabelings."""
+    rng = SplitMix64(23)
+    base = [canonical_palette(n) for n in (1, 2, 4, 8)]
+    base += [search_palette(n).palette for n in (2, 4, 8, 16)]
+    return [q for p in base for q in (p, _relabeled(p, rng), _relabeled(p, rng))]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+def test_equivalence_matches_the_permutation_search():
+    small = [p for p in _palette_corpus() if p.n <= 8]
+    assert len(small) == 21
+    for a in small:
+        for b in small:
+            relabel = palettes_equivalent(a, b)
+            assert (relabel is None) == (_reference_palettes_equivalent(a, b) is None)
+            assert (relabel is None) == (a.n != b.n)
+            if relabel is not None:
+                assert _carries(relabel, a, b)
+
+
+def test_involution_matches_the_member_scan():
+    rng = SplitMix64(24)
+    for p in _palette_corpus():
+        if p.n <= 8:  # every anchor pair, and anchors out of range or equal
+            anchors = [(i, j) for i in range(p.n + 2) for j in range(p.n + 2)]
+        else:
+            anchors = [(1 + rng.below(p.n), 1 + rng.below(p.n)) for _ in range(20)]
+        for i0, j0 in anchors:
+            want = _outcome(_reference_derive_involution, p, i0, j0)
+            assert _outcome(derive_involution, p, i0, j0) == want
+
+
+def test_reduction_quotients_relabeled_palettes():
+    for p in _palette_corpus():
+        if p.n == 1:
+            continue
+        g = _reference_derive_involution(p, 1, 2)
+        reduced = reduce_palette(p)
+        assert is_palette(reduced).ok and reduced.n == p.n // 2
+        # colors c and g(c) blend, and the blend keeps the order of the minima
+        low = {c: min(c, g[c - 1]) for c in range(1, p.n + 1)}
+        rank = {r: i for i, r in enumerate(sorted(set(low.values())), start=1)}
+        image = frozenset(tuple(sorted(rank[low[c]] for c in m)) for m in p.members)
+        assert reduced.members == image
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_equivalence_of_large_relabeled_palettes_is_fast(n):
+    p = canonical_palette(n)
+    q = _relabeled(p, SplitMix64(n))
+    start = perf_counter()
+    relabel = palettes_equivalent(q, p)
+    assert perf_counter() - start < 1
+    assert _carries(relabel, q, p)
+
+
+def test_non_palettes_are_refused():
+    p = canonical_palette(4)
+    broken = [
+        Palette(4, p.members - {(1, 1, 2, 2)}),  # axiom 2
+        Palette(4, p.members - {(1, 2, 3, 4)}),  # axiom 1: {1,2,3} has no completion
+        Palette(4, p.members | {(1, 1, 1, 2)}),  # axiom 1: {1,1,2} has two
+    ]
+    for q in broken:
+        check = is_palette(q)
+        message = f"not a palette: axiom {check.axiom} fails at {check.witness}"
+        for call in (
+            lambda: palettes_equivalent(q, p),
+            lambda: palettes_equivalent(p, q),
+            lambda: derive_involution(q, 1, 2),
+            lambda: reduce_palette(q),
+        ):
+            with pytest.raises(InputError) as info:
+                call()
+            assert str(info.value) == message
+    # unequal color counts are told apart before either side is checked
+    assert palettes_equivalent(broken[0], canonical_palette(2)) is None

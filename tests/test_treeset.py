@@ -1,5 +1,6 @@
 """Leaf trees, C/D relations, splittings, expansions, the leveled obstruction."""
 
+import tracemalloc
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -773,6 +774,87 @@ def test_relations_refuse_more_than_62_leaves():
         c_relation(RootedLeafTree(63, (tuple(range(63)),)))
     with pytest.raises(BoundExceededError):
         d_relation(UnrootedLeafTree(63, (tuple(range(63)),)))
+
+
+def _reference_check_d_axioms(r):
+    """check_d_axioms with D3 as one expression over the v^5 cube."""
+    d, ar = r.cube, np.arange(r.v)
+    checks = [
+        ("D1", d & ~(d.transpose(1, 0, 2, 3) & d.transpose(2, 3, 0, 1))),
+        ("D2", d & d.transpose(0, 2, 1, 3)),
+        (
+            "D3",
+            d[:, :, :, :, None]
+            & ~np.moveaxis(d, 0, -1)[None, :, :, :, :]
+            & ~d[:, :, :, None, :],
+        ),
+        (
+            "D4",
+            ~d[:, :, ar, ar]
+            & (ar[:, None, None] != ar[None, None, :])
+            & (ar[None, :, None] != ar[None, None, :]),
+        ),
+    ]
+    for name, bad in checks:
+        if bad.any():
+            return (name, tuple(np.argwhere(bad)[0].tolist()))
+    return None
+
+
+def _d1_orbit(w, x, y, z):
+    """The quadruples D1 ties to D(wx; yz)."""
+    return {
+        (a, b, c, e)
+        for p, q in (((w, x), (y, z)), ((y, z), (w, x)))
+        for a, b in (p, p[::-1])
+        for c, e in (q, q[::-1])
+    }
+
+
+def test_d3_scan_in_slices_matches_the_whole_cube(monkeypatch):
+    import extensor.treeset as treeset
+
+    rng = SplitMix64(84)
+    relations = []
+    for _ in range(40):
+        rel = d_relation(random_unrooted_tree(rng, 4 + rng.below(6)))
+        quads = sorted(rel.quadruples)
+        # drop whole D1 orbits, so D3 is reached: every quadruple through a point
+        # below `low`, which moves the first D3 witness to w >= low, and a few more
+        low = rng.below(rel.v - 1)
+        cut = {q for q in quads if min(q) < low}
+        for _ in range(1 + rng.below(3)):
+            cut |= _d1_orbit(*quads[rng.below(len(quads))])
+        extra = _d1_orbit(*(rng.below(rel.v) for _ in range(4)))
+        relations += [
+            DRelation.from_tuples(rel.v, rel.quadruples - cut),
+            DRelation.from_tuples(rel.v, rel.quadruples | extra),
+        ]
+    expected = [_reference_check_d_axioms(r) for r in relations]
+    assert sum(e is not None and e[0] == "D3" for e in expected) > 20
+    later = 0
+    for cells in (None, 1, 2):
+        for r, want in zip(relations, expected):
+            if cells is not None:  # one or two values of w per slice
+                monkeypatch.setattr(treeset, "_D3_SLICE_CELLS", cells * r.v**4)
+            check = check_d_axioms(r)
+            assert (check.ok, check.axiom, check.witness) == (
+                want is None,
+                *(want or (None, None)),
+            )
+            later += cells == 1 and check.axiom == "D3" and check.witness[0] > 0
+    assert later > 20  # witnesses found past the first slice
+
+
+def test_d3_scan_memory_on_40_leaves():
+    tree = random_unrooted_tree(SplitMix64(3), 40)  # gen dtree --leaves 40 --seed 3
+    tracemalloc.start()
+    try:
+        assert check_d_axioms(d_relation(tree)).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_leveling_of_ranked_caterpillar():

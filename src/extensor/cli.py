@@ -36,10 +36,17 @@ def _read(path):
         raise InputError(f"cannot read {path}: {exc}")
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
+
+
 def _write_out(args, text):
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -97,7 +104,13 @@ def cmd_gen(args):
 
 def cmd_extend(args):
     obj = parse(_read(args.infile))
-    if isinstance(obj, hyperext.ColoredHypergraph):
+    if args.circ_out:
+        if not (isinstance(obj, treeset.RootedLeafTree) and obj.plane):
+            raise InputError("--circ-out needs a plane rooted tree (kind ctree, plane = 1)")
+        oe = treeset.ordered_extension(obj)
+        _write(args.circ_out, serialize(oe.circular))
+        ext = oe.tree
+    elif isinstance(obj, hyperext.ColoredHypergraph):
         ext = hyperext.extend_colored(obj)
     elif isinstance(obj, orient.Orientation):
         ext = orient.extend_orientation(obj)
@@ -106,13 +119,7 @@ def cmd_extend(args):
     elif isinstance(obj, eqrel.EquivalenceRelation):
         ext = eqrel.forced_extension(obj)
     elif isinstance(obj, treeset.RootedLeafTree):
-        if obj.plane and args.circ_out:
-            oe = treeset.ordered_extension(obj)
-            ext = oe.tree
-            with open(args.circ_out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(serialize(oe.circular))
-        else:
-            ext = treeset.extend_c_to_d(obj)
+        ext = treeset.extend_c_to_d(obj)
     else:
         raise InputError(f"no extension is defined for {type(obj).__name__}")
     _write_out(args, serialize(ext))
@@ -202,11 +209,10 @@ def cmd_palette(args):
         return OK if check.ok else REFUTED
     if args.action == "search":
         outcome = palette.search_palette(args.n, budget=args.budget)
+        if outcome.status == "found" and args.out:
+            _write(args.out, serialize(outcome.palette))
         _emit(args, [("status", outcome.status), ("nodes", outcome.nodes)])
         if outcome.status == "found":
-            if args.out:
-                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(serialize(outcome.palette))
             return OK
         return EXCEEDED if outcome.status == "budget_exhausted" else REFUTED
     if args.action == "reduce":

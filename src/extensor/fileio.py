@@ -8,9 +8,10 @@ kinds, one `{...}` line per class for equivalence relations, an `order =` /
 `#color` / `@rank` annotations for trees.  Serialization is bit-exact: LF
 endings, no trailing whitespace.
 
-Parsing trusts no header: `v` must match the body, `ext` must be a point,
-`labeling` an arrangement of the colors and `plane` 0 or 1, and a kind takes
-only its own metadata (`_METADATA`), or a ParseError names the line.
+Parsing trusts no header: `v` must match the body, a table kind's `k` lie in
+2..v (and chg's `n` be at least 1), `ext` must be a point, `labeling` an
+arrangement of the colors and `plane` 0 or 1, and a kind takes only its own
+metadata (`_METADATA`), or a ParseError names the line.
 A table body is read in one pass: a subset spelled as serialization writes it
 is looked up in a cached text index of (v, k), and only other spellings are
 parsed and checked entry by entry.
@@ -19,7 +20,9 @@ parsed and checked entry by entry.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import comb
+from operator import gt
 
 from .errors import InputError, ParseError
 from .eqrel import EquivalenceRelation
@@ -72,22 +75,15 @@ def serialize(obj) -> str:
         if obj.ext is not None:
             lines.append(f"ext = {obj.ext}")
         lines.append("cycle = " + ",".join(map(str, obj.cycle)))
-    elif isinstance(obj, RootedLeafTree):
-        header = f"kind ctree v={obj.v}"
+    elif isinstance(obj, (RootedLeafTree, UnrootedLeafTree)):
+        tag = "ctree" if isinstance(obj, RootedLeafTree) else "dtree"
+        header = f"kind {tag} v={obj.v}"
         if obj.colors is not None:
             header += f" n={max(obj.colors) + 1}"
         lines.append(header)
         if obj.plane:
             lines.append("plane = 1")
-        lines.append(_tree_term_rooted(obj))
-    elif isinstance(obj, UnrootedLeafTree):
-        header = f"kind dtree v={obj.v}"
-        if obj.colors is not None:
-            header += f" n={max(obj.colors) + 1}"
-        lines.append(header)
-        if obj.plane:
-            lines.append("plane = 1")
-        lines.append(_tree_term_unrooted(obj))
+        lines.append(_tree_term(obj))
     elif isinstance(obj, Palette):
         lines.append(f"palette n={obj.n}")
         for m in obj.sorted_members():
@@ -106,53 +102,30 @@ def _annotations(t, node):
     return out
 
 
-def _tree_term_rooted(t: RootedLeafTree) -> str:
-    def term(node):
-        if node < t.v:
-            return str(node)
-        kids = t.kids(node)
+def _tree_term(t) -> str:
+    """The Newick term of a tree, from its root or, unrooted, from the internal
+    neighbour of leaf 0.  A node lists its neighbours in their (cyclic) order
+    after its parent; a non-plane node sorts them by the least leaf of each
+    one's sector, where leaf b is in nb's sector at u iff d(b, nb) < d(b, u)."""
+    rooted = isinstance(t, RootedLeafTree)
+    neighbors = t.kids if rooted else t.neighbors
+    to = t.distances[: t.v].T.tolist()  # to[x][b] = d(b, x) for a leaf b
+
+    def least_leaf(nb, u):
+        return next(compress(range(t.v), map(gt, to[u], to[nb])))
+
+    def term(u, parent):
+        if u < t.v:
+            return str(u)
+        kids = list(neighbors(u))
+        if parent in kids:
+            i = kids.index(parent)
+            kids = kids[i + 1 :] + kids[:i]
         if not t.plane:
-            kids = sorted(kids, key=lambda k: _min_leaf(t, k))
-        return "(" + ",".join(term(k) for k in kids) + ")" + _annotations(t, node)
+            kids.sort(key=lambda nb: least_leaf(nb, u))
+        return "(" + ",".join(term(k, u) for k in kids) + ")" + _annotations(t, u)
 
-    return term(t.root)
-
-
-def _min_leaf(t: RootedLeafTree, node):
-    if node < t.v:
-        return node
-    return min(_min_leaf(t, k) for k in t.kids(node))
-
-
-def _tree_term_unrooted(t: UnrootedLeafTree) -> str:
-    # display-root at the internal neighbor of leaf 0; children keep the cyclic
-    # order starting after the parent edge
-    root = next(u for u in t.internal_ids() if 0 in t.neighbors(u))
-
-    def subtree_min(node, parent):
-        if node < t.v:
-            return node
-        return min(subtree_min(nb, node) for nb in t.neighbors(node) if nb != parent)
-
-    def term(node, parent):
-        if node < t.v:
-            return str(node)
-        nbrs = list(t.neighbors(node))
-        if parent is not None:
-            i = nbrs.index(parent)
-            kids = nbrs[i + 1 :] + nbrs[:i]
-        else:
-            kids = nbrs
-        if not t.plane:
-            kids = sorted(kids, key=lambda k: subtree_min(k, node))
-        return (
-            "("
-            + ",".join(term(k, node) for k in kids)
-            + ")"
-            + _annotations(t, node)
-        )
-
-    return term(root, None)
+    return term(t.root if rooted else t.distances[0].tolist().index(1), None)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +172,8 @@ def parse(text: str):
             raise ParseError(1, f"non-integer header value {part!r}")
     if "v" not in fields:
         raise ParseError(1, "header lacks v=<count>")
+    if tag in ("chg", "orient", "htour"):
+        _check_table_header(tag, fields)
 
     meta, where = {}, {}  # metadata values and their line numbers
     body_start = 1
@@ -263,19 +238,28 @@ def _parse_int_list(text, line):
         raise ParseError(line, f"expected a comma list of integers, got {text!r}")
 
 
-def _parse_table(fields, body, offset, parse_value):
-    v, k = fields["v"], fields.get("k")
+def _check_table_header(tag, fields):
+    """Refuse, at line 1, a table kind's header without a k that some table
+    of the kind admits (2 <= k <= v), or a chg header without colors."""
+    v, k, n = fields["v"], fields.get("k"), fields.get("n")
+    if tag == "chg" and n is None:
+        raise ParseError(1, "chg header lacks n=<colors>")
     if k is None:
         raise ParseError(1, "header lacks k=<arity>")
-    if v < 0 or k < 0:
-        raise ParseError(1, f"header v and k must be natural numbers, got v={v}, k={k}")
+    if not 2 <= k <= v:
+        raise ParseError(1, f"kind {tag} needs 2 <= k <= v, got k={k}, v={v}")
+    if tag == "chg" and n < 1:
+        raise ParseError(1, f"need at least one color, got n={n}")
+
+
+def _parse_table(fields, body, offset, parse_value):
+    v, k = fields["v"], fields["k"]
     total = comb(v, k)
     # A line whose subset is spelled as serialize writes it is found in the text
     # index, and that makes it a valid, in-range, sorted k-subset; any other line
     # is checked in full.  A body of fewer lines than subsets is never total, so
-    # it builds no index: C(v, k) can be far larger than the input.  For k = 0
-    # the index would admit `()`, which is no integer list.
-    index = _subset_index(v, k) if k and len(body) >= total else {}
+    # it builds no index: C(v, k) can be far larger than the input.
+    index = _subset_index(v, k) if len(body) >= total else {}
     values = {}  # colex rank -> value
     for at, line in enumerate(body, offset):
         left, eq, right = line.partition("=")
@@ -324,9 +308,7 @@ def _checked_rank(line, at, v, k):
 
 
 def _parse_chg(fields, meta, body, offset):
-    n = fields.get("n")
-    if n is None:
-        raise ParseError(1, "chg header lacks n=<colors>")
+    n = fields["n"]
 
     def value(text, line):
         try:
@@ -353,11 +335,16 @@ def _parse_orient(fields, meta, body, offset):
 
 
 def _parse_htour(fields, body, offset):
-    def value(text, line):
-        return _parse_int_list(text, line)
-
-    table = _parse_table(fields, body, offset, value)
-    return Hypertournament(fields["v"], fields["k"], table)
+    v, k = fields["v"], fields["k"]
+    table = _parse_table(fields, body, offset, _parse_int_list)
+    try:
+        return Hypertournament(v, k, table)
+    except InputError as exc:
+        # an ordering that does not arrange its subset: name the first one's line
+        rank = next(r for r, (s, t) in enumerate(table.items()) if tuple(sorted(t)) != s)
+        lines = enumerate(body, offset)
+        at = next(at for at, line in lines if _checked_rank(line, at, v, k) == rank)
+        raise ParseError(at, str(exc))
 
 
 def _parse_eqrel(fields, body, offset):
@@ -525,17 +512,11 @@ def _parse_tree(tag, fields, meta, body, offset):
                 ranks=ranks if has_ranks else None,
                 plane=plane,
             )
-        # dtree: the term is display-rooted; rebuild adjacency
-        adj = [list(kids) for kids in children]
-        for i, kids in enumerate(children):
-            for kid in kids:
-                if kid >= v:
-                    adj[kid - v].insert(0, v + i)
-        return UnrootedLeafTree(
-            v,
-            tuple(tuple(x) for x in adj),
-            colors=colors if has_colors else None,
-            plane=plane,
+        # dtree: the term is display-rooted; a node's parent leads its neighbours
+        parent = {kid: u for u, kids in enumerate(children, v) for kid in kids}
+        adj = tuple(
+            ((parent[u],) if u in parent else ()) + kids for u, kids in enumerate(children, v)
         )
+        return UnrootedLeafTree(v, adj, colors=colors if has_colors else None, plane=plane)
     except InputError as exc:
         raise ParseError(line_no, str(exc))

@@ -12,7 +12,7 @@ from .hyperext import ColoredHypergraph
 from .orient import Orientation
 from .structures import SubsetMap, subsets_colex
 from .tourney import Hypertournament, LinearOrder
-from .treeset import RootedLeafTree, UnrootedLeafTree
+from .treeset import RootedLeafTree, UnrootedLeafTree, unroot
 
 _MASK = (1 << 64) - 1
 
@@ -176,35 +176,6 @@ def _freeze(rng, nodes, leaves, leaf_label, n_colors, ranked, plane) -> RootedLe
         walk_rank(leaves, None)
         ranks = tuple(rank_list)
     return RootedLeafTree(leaves, children, colors=colors, ranks=ranks, plane=plane)
-
-
-def unroot(t: RootedLeafTree) -> UnrootedLeafTree:
-    """Forget the rooting, contracting a degree-2 root if needed."""
-    from .treeset import parent_map
-
-    if t.v < 3:
-        raise InputError("need at least 3 leaves to unroot")
-    parent = parent_map(t)
-    adj = {
-        u: list(((parent[u],) if parent[u] is not None else ()) + tuple(t.kids(u)))
-        for u in t.internal_ids()
-    }
-    keep = list(t.internal_ids())
-    root_kids = t.kids(t.root)
-    if len(root_kids) == 2:
-        a, b = root_kids
-        if a >= t.v:
-            adj[a] = [b if x == t.root else x for x in adj[a]]
-        if b >= t.v:
-            adj[b] = [a if x == t.root else x for x in adj[b]]
-        del adj[t.root]
-        keep.remove(t.root)
-    new_id = {u: t.v + i for i, u in enumerate(keep)}
-    out_adj = tuple(tuple(new_id.get(x, x) for x in adj[u]) for u in keep)
-    colors = (
-        tuple(t.colors[u - t.v] for u in keep) if t.colors is not None else None
-    )
-    return UnrootedLeafTree(t.v, out_adj, colors=colors, plane=t.plane)
 
 
 def random_unrooted_tree(rng: SplitMix64, leaves, n_colors=None) -> UnrootedLeafTree:

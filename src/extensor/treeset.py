@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BoundExceededError, InputError, InternalCheckError
 from .hyperext import ColoredHypergraph, is_even_hypergraph
-from .structures import RelationalStructure, SubsetMap, _faces, flatten
+from .structures import RelationalStructure, SubsetMap, _faces, flatten, merge_structures
 from .tourney import CircularOrder
 
 # ---------------------------------------------------------------------------
@@ -449,36 +449,42 @@ def splittings(t):
 
 
 def branching_point(t, points) -> Splitting:
-    """The unique splitting separating a leaf pair (rooted) or triple (unrooted).
-
-    Uniqueness is verified by scanning all splittings, not assumed.
-    """
+    """The splitting at the branching node of a leaf pair (rooted) or triple
+    (unrooted): the median of the points, and of the root in a rooted tree,
+    which puts each point in a sector of its own."""
     points = tuple(points)
     if len(set(points)) != len(points):
         raise InputError(f"points must be distinct, got {points}")
-    if isinstance(t, RootedLeafTree):
-        if len(points) != 2:
-            raise InputError("rooted branching points take a leaf pair")
-    elif isinstance(t, UnrootedLeafTree):
-        if len(points) != 3:
-            raise InputError("unrooted branching points take a leaf triple")
-    else:
+    rooted = isinstance(t, RootedLeafTree)
+    if not rooted and not isinstance(t, UnrootedLeafTree):
         raise InputError(f"no branching points for {type(t).__name__}")
-    hits = []
-    for s in splittings(t):
-        idx = {next((i for i, sec in enumerate(s.sectors) if p in sec), None) for p in points}
-        if None not in idx and len(idx) == len(points):
-            hits.append(s)
-    if len(hits) != 1:
-        raise InternalCheckError(
-            f"expected a unique branching point for {points}, found {len(hits)}"
-        )
-    return hits[0]
+    if rooted and len(points) != 2:
+        raise InputError("rooted branching points take a leaf pair")
+    if not rooted and len(points) != 3:
+        raise InputError("unrooted branching points take a leaf triple")
+    leaves = [x for x in range(t.v) if x in points]
+    if len(leaves) != len(points):
+        raise InputError(f"points must be leaves 0..{t.v - 1}, got {points}")
+    sums = t.distances[leaves].sum(axis=0) + (t.distances[t.root] if rooted else 0)
+    return splittings(t)[int(sums.argmin()) - t.v]
 
 
 # ---------------------------------------------------------------------------
 # the C -> D extension
 # ---------------------------------------------------------------------------
+
+
+def _adjacency(t: RootedLeafTree, parent, shift):
+    """Per internal node of t, its neighbours: its parent first (if it has
+    one), then its kids in order, with each internal id moved by `shift`."""
+
+    def node(x):
+        return x if x < t.v else x + shift
+
+    return [
+        tuple(map(node, (() if parent[u] is None else (parent[u],)) + t.kids(u)))
+        for u in t.internal_ids()
+    ]
 
 
 def extend_c_to_d(t: RootedLeafTree) -> UnrootedLeafTree:
@@ -489,20 +495,25 @@ def extend_c_to_d(t: RootedLeafTree) -> UnrootedLeafTree:
     """
     if t.v < 2:
         raise InputError("need at least 2 leaves")
-    x0 = t.v
-
-    def remap(node):
-        return node if node < t.v else node + 1
-
-    parent = parent_map(t)
-    adj = []
-    for u in t.internal_ids():
-        kids = tuple(remap(k) for k in t.kids(u))
-        if u == t.root:
-            adj.append(kids + (x0,))
-        else:
-            adj.append((remap(parent[u]),) + kids)
+    adj = _adjacency(t, parent_map(t), 1)
+    adj[0] += (t.v,)  # x0 follows the root's kids
     return UnrootedLeafTree(t.v + 1, tuple(adj), colors=t.colors, plane=t.plane)
+
+
+def unroot(t: RootedLeafTree) -> UnrootedLeafTree:
+    """Forget the rooting, contracting a degree-2 root if needed."""
+    if t.v < 3:
+        raise InputError("need at least 3 leaves to unroot")
+    parent = parent_map(t)
+    kids = t.kids(t.root)
+    # a degree-2 root is dropped: its kids become each other's parent, and
+    # every other internal id moves down one
+    drop = int(len(kids) == 2)
+    if drop:
+        parent.update(zip(kids, kids[::-1]))
+    adj = _adjacency(t, parent, -drop)[drop:]
+    colors = t.colors[drop:] if t.colors is not None else None
+    return UnrootedLeafTree(t.v, tuple(adj), colors=colors, plane=t.plane)
 
 
 # ---------------------------------------------------------------------------
@@ -535,17 +546,13 @@ def ordered_extension(t: RootedLeafTree) -> OrderedExtension:
 # ---------------------------------------------------------------------------
 
 
-def _color_count(colors):
-    return max(colors) + 1
-
-
 def _median_coloring(t, k, nodes):
     """Color each leaf k-subset, listed as `_distance_sums` lists them, by the
     color of its node in `nodes`."""
     colex = np.empty_like(nodes)
     colex[_faces(t.v, k, k)[1][:, 0]] = nodes
     table = SubsetMap(t.v, k, tuple(np.asarray(t.colors)[colex - t.v].tolist()))
-    return ColoredHypergraph(t.v, k, _color_count(t.colors), table)
+    return ColoredHypergraph(t.v, k, max(t.colors) + 1, table)
 
 
 def pair_coloring(t: RootedLeafTree) -> ColoredHypergraph:
@@ -884,38 +891,19 @@ def leveling_violation(crel: CRelation, lev: Leveling):
 # ---------------------------------------------------------------------------
 
 
+def _tree_view(t, name, arity, tuples, coloring):
+    """The relation on distinct leaves, merged with the flattened coloring of
+    a colored tree."""
+    distinct = frozenset(x for x in tuples if len(set(x)) == arity)
+    view = RelationalStructure(t.v, ((name, arity, distinct),))
+    return view if t.colors is None else merge_structures(view, flatten(coloring(t)))
+
+
 @flatten.register
 def _(t: RootedLeafTree) -> RelationalStructure:
-    rel = c_relation(t)
-    triples = frozenset(x for x in rel.triples if len(set(x)) == 3)
-    rels = [("C", 3, triples)]
-    if t.colors is not None:
-        pc = pair_coloring(t)
-        for color in range(pc.n):
-            pairs = frozenset(
-                p
-                for s, c in pc.colors.items()
-                if c == color
-                for p in (s, (s[1], s[0]))
-            )
-            rels.append((f"P{color}", 2, pairs))
-    return RelationalStructure(t.v, tuple(rels))
+    return _tree_view(t, "C", 3, c_relation(t).triples, pair_coloring)
 
 
 @flatten.register
 def _(t: UnrootedLeafTree) -> RelationalStructure:
-    rel = d_relation(t)
-    quads = frozenset(x for x in rel.quadruples if len(set(x)) == 4)
-    rels = [("D", 4, quads)]
-    if t.colors is not None:
-        tc = triple_coloring(t)
-        for color in range(tc.n):
-            triples = frozenset(
-                p
-                for s, c in tc.colors.items()
-                if c == color
-                for p in permutations(s)
-            )
-            rels.append((f"P{color}", 3, triples))
-    return RelationalStructure(t.v, tuple(rels))
-
+    return _tree_view(t, "D", 4, d_relation(t).quadruples, triple_coloring)

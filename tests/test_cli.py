@@ -151,6 +151,12 @@ def test_untrusted_header_exits_3_with_its_line(tmp_path, capsys):
             "line 3: labeling must arrange 0..2",
         ),
         (["verify", "axioms"], "kind chg v=1000 k=5 n=2\n(0,1,2,3,4) = 1\n", "line 3: totality"),
+        (["extend"], "kind chg v=3 k=2 n=0\n(0,1) = 0\n", "line 1: need at least one color"),
+        (
+            ["orbits"],
+            "kind htour v=3 k=2\n(0,1) = 1,0\n(0,2) = 0,1\n(1,2) = 2,1\n",
+            "line 3: ordering (0, 1) is not an arrangement of (0, 2)",
+        ),
     ]
     path = tmp_path / "in.txt"
     for argv, text, message in cases:
@@ -235,6 +241,36 @@ def test_missing_file_is_input_error(capsys):
     code, _, err = run(["verify", "even", "--in", "/nonexistent/file"], capsys)
     assert code == 3
     assert "input error" in err
+
+
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    tree = tmp_path / "t.txt"
+    tree.write_text("kind ctree v=3\nplane = 1\n(0,(1,2))\n")
+    missing = tmp_path / "missing" / "x.txt"
+    for argv in (
+        ["palette", "canonical", "-n", "4", "--out", str(missing)],
+        ["palette", "search", "-n", "2", "--out", str(missing)],
+        ["extend", "--in", str(tree), "--circ-out", str(missing)],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith(f"input error: cannot write {missing}: ") and err.count("\n") == 1
+    assert not missing.parent.exists()
+
+
+def test_circular_order_output_needs_a_plane_rooted_tree(tmp_path, capsys):
+    inputs = {
+        "tree": "kind ctree v=3\n(0,(1,2))\n",
+        "chg": "kind chg v=3 k=2 n=2\n(0,1) = 1\n(0,2) = 0\n(1,2) = 1\n",
+    }
+    circ = tmp_path / "circ.txt"
+    for name, text in inputs.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        code, out, err = run(["extend", "--in", str(path), "--circ-out", str(circ)], capsys)
+        assert (code, out) == (3, ""), name
+        assert err == "input error: --circ-out needs a plane rooted tree (kind ctree, plane = 1)\n"
+    assert not circ.exists()
 
 
 def test_malformed_file_is_input_error(tmp_path, capsys):

@@ -14,6 +14,7 @@ from extensor.generate import (
     random_colored_hypergraph,
     random_hypertournament,
     random_orientation,
+    random_regular_tree,
     random_rooted_tree,
     random_unrooted_tree,
 )
@@ -22,6 +23,7 @@ from extensor.orient import extend_orientation
 from extensor.palette import canonical_palette
 from extensor.structures import rank_subset, subsets_colex, unrank_subset
 from extensor.tourney import LinearOrder, circular_from_linear
+from extensor.treeset import RootedLeafTree, UnrootedLeafTree, extend_c_to_d
 
 
 def _round_trip(obj):
@@ -183,6 +185,94 @@ def test_plane_flag_round_trips():
     assert parse(text).plane
 
 
+# The two tree writers that the single Newick routine replaced, kept as the
+# oracle: a rooted tree sorts each node's kids by a recursive least-leaf walk,
+# and an unrooted one is written from the internal neighbour of leaf 0, each
+# node listing its neighbours cyclically after its parent.
+
+
+def _reference_min_leaf(t, node):
+    if node < t.v:
+        return node
+    return min(_reference_min_leaf(t, k) for k in t.kids(node))
+
+
+def _reference_tree_term_rooted(t):
+    def term(node):
+        if node < t.v:
+            return str(node)
+        kids = t.kids(node)
+        if not t.plane:
+            kids = sorted(kids, key=lambda k: _reference_min_leaf(t, k))
+        return "(" + ",".join(term(k) for k in kids) + ")" + fileio._annotations(t, node)
+
+    return term(t.root)
+
+
+def _reference_tree_term_unrooted(t):
+    root = next(u for u in t.internal_ids() if 0 in t.neighbors(u))
+
+    def subtree_min(node, parent):
+        if node < t.v:
+            return node
+        return min(subtree_min(nb, node) for nb in t.neighbors(node) if nb != parent)
+
+    def term(node, parent):
+        if node < t.v:
+            return str(node)
+        nbrs = list(t.neighbors(node))
+        if parent is not None:
+            i = nbrs.index(parent)
+            kids = nbrs[i + 1 :] + nbrs[:i]
+        else:
+            kids = nbrs
+        if not t.plane:
+            kids = sorted(kids, key=lambda k: subtree_min(k, node))
+        return "(" + ",".join(term(k, node) for k in kids) + ")" + fileio._annotations(t, node)
+
+    return term(root, None)
+
+
+def _reference_serialize_tree(t):
+    rooted = isinstance(t, RootedLeafTree)
+    header = f"kind {'ctree' if rooted else 'dtree'} v={t.v}"
+    if t.colors is not None:
+        header += f" n={max(t.colors) + 1}"
+    lines = [header] + (["plane = 1"] if t.plane else [])
+    term = _reference_tree_term_rooted(t) if rooted else _reference_tree_term_unrooted(t)
+    return "\n".join(lines + [term]) + "\n"
+
+
+def _seeded_trees(rng, rounds):
+    """Per round, a rooted tree (plain, colored, ranked, plane or regular, in
+    turn), its extension, and an unrooted tree: 3 * rounds trees."""
+    for i in range(rounds):
+        leaves = 3 + rng.below(12)
+        colors = 1 + rng.below(3)
+        if i % 5 == 0:
+            t = random_rooted_tree(rng, leaves)
+        elif i % 5 == 1:
+            t = random_rooted_tree(rng, leaves, n_colors=colors, plane=rng.below(2) == 1)
+        elif i % 5 == 2:
+            t = random_rooted_tree(rng, leaves, n_colors=colors, ranked=True)
+        elif i % 5 == 3:
+            t = random_rooted_tree(rng, leaves, plane=True)
+        else:
+            degree = 2 + rng.below(3)
+            t = random_regular_tree(rng, degree + (degree - 1) * rng.below(5), degree)
+        yield t
+        yield extend_c_to_d(t)
+        yield random_unrooted_tree(rng, leaves, n_colors=colors if i % 2 else None)
+
+
+def test_tree_writer_matches_the_two_reference_writers():
+    trees = list(_seeded_trees(SplitMix64(101), 1000))
+    assert len(trees) == 3000
+    assert any(t.plane for t in trees if isinstance(t, UnrootedLeafTree))
+    for t in trees:
+        assert serialize(t) == _reference_serialize_tree(t), t
+
+
 def test_palette_round_trip_text():
     text = serialize(canonical_palette(2))
     assert text == "palette n=2\n{1,1,1,1}\n{1,1,2,2}\n{2,2,2,2}\n"
@@ -298,6 +388,19 @@ def test_header_v_ext_and_labeling_are_checked():
         (chg.format("labeling = 0,1,1\n"), 2, "labeling must arrange 0..2, got (0, 1, 1)"),
         ("kind orient v=3 k=2\next = 3\n(0,1) = 1\n(0,2) = 0\n(1,2) = 1\n", 2,
          "ext 3 out of range for v=3"),
+        # a table kind's arity and colors are faults of line 1, before any entry
+        ("kind chg v=3 k=1 n=2\n(0) = 1\n", 1, "kind chg needs 2 <= k <= v, got k=1, v=3"),
+        ("kind orient v=3 k=1\n(0) = 1\n", 1, "kind orient needs 2 <= k <= v, got k=1, v=3"),
+        ("kind htour v=3 k=1\n(0) = 0\n", 1, "kind htour needs 2 <= k <= v, got k=1, v=3"),
+        ("kind chg v=2 k=3 n=2\n", 1, "kind chg needs 2 <= k <= v, got k=3, v=2"),
+        (chg.replace("n=3", "n=0").format(""), 1, "need at least one color, got n=0"),
+        (chg.replace(" n=3", "").format(""), 1, "chg header lacks n=<colors>"),
+        ("kind orient v=3\n(0,1) = 1\n", 1, "header lacks k=<arity>"),
+        # an htour ordering that does not arrange its subset, at its entry
+        ("kind htour v=3 k=2\n(0,1) = 1,0\n(0,2) = 0,1\n(1,2) = 2,1\n", 3,
+         "ordering (0, 1) is not an arrangement of (0, 2)"),
+        ("kind htour v=3 k=2\n\n(1,2) = 2,1\n( 0, 2 ) = 2,0\n(0,1) = 0,2\n", 5,
+         "ordering (0, 2) is not an arrangement of (0, 1)"),
     ]
     for text, line, message in cases:
         with pytest.raises(ParseError) as err:

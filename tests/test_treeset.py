@@ -15,7 +15,8 @@ from extensor.generate import (
     random_unrooted_tree,
 )
 from extensor.hyperext import ColoredHypergraph, is_even_hypergraph
-from extensor.structures import SubsetMap
+from extensor.perm import automorphism_group
+from extensor.structures import RelationalStructure, SubsetMap
 from extensor.treeset import (
     CRelation,
     DRelation,
@@ -756,6 +757,65 @@ def test_the_distance_table_matches_the_old_traversals():
             assert list(leveled_pairs_preorder(t).pair_ranks.items()) == list(
                 _reference_pair_ranks(t).items()
             )
+
+
+def test_branching_points_of_points_that_are_not_leaves_are_input_errors():
+    t = random_rooted_tree(SplitMix64(67), 5)
+    for points in ((0, 99), (0, -1), (1.5, 2)):
+        with pytest.raises(InputError, match="points must be leaves 0..4"):
+            branching_point(t, points)
+    u = extend_c_to_d(t)
+    for points in ((0, 1, 99), (0, 1, -1), (1.5, 2, 3)):
+        with pytest.raises(InputError, match="points must be leaves 0..5"):
+            branching_point(u, points)
+    # numpy integers are leaves as well
+    assert branching_point(t, np.array([0, 4])) == branching_point(t, (0, 4))
+    assert branching_point(u, np.array([0, 4, 5])) == branching_point(u, (0, 4, 5))
+
+
+# The two tree views that the C or D relation merged with the flattened
+# coloring replaced, kept as the oracle: each symmetrised its coloring's color
+# classes into relations P0, P1, ... of its own.
+
+
+def _reference_rooted_view(t):
+    rel = c_relation(t)
+    rels = [("C", 3, frozenset(x for x in rel.triples if len(set(x)) == 3))]
+    pc = pair_coloring(t)
+    for color in range(pc.n):
+        pairs = frozenset(
+            p for s, c in pc.colors.items() if c == color for p in (s, (s[1], s[0]))
+        )
+        rels.append((f"P{color}", 2, pairs))
+    return RelationalStructure(t.v, tuple(rels))
+
+
+def _reference_unrooted_view(t):
+    rel = d_relation(t)
+    rels = [("D", 4, frozenset(x for x in rel.quadruples if len(set(x)) == 4))]
+    tc = triple_coloring(t)
+    for color in range(tc.n):
+        triples = frozenset(
+            p for s, c in tc.colors.items() if c == color for p in permutations(s)
+        )
+        rels.append((f"P{color}", 3, triples))
+    return RelationalStructure(t.v, tuple(rels))
+
+
+def test_colored_tree_views_have_the_reference_groups():
+    rng = SplitMix64(68)
+    for _ in range(300):
+        leaves, colors = 3 + rng.below(6), 1 + rng.below(3)
+        rooted = random_rooted_tree(rng, leaves, n_colors=colors)
+        unrooted = random_unrooted_tree(rng, leaves, n_colors=colors)
+        cases = (
+            (rooted, _reference_rooted_view),
+            (extend_c_to_d(rooted), _reference_unrooted_view),
+            (unrooted, _reference_unrooted_view),
+        )
+        for t, reference in cases:
+            want = automorphism_group(reference(t)).elements
+            assert automorphism_group(t).elements == want, t
 
 
 def test_relations_past_63_nodes():

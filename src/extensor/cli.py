@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 verified/found, 1 refuted/proven-none, 2 search budget spent,
-3 input error.  ``--budget N`` on ``verify``, ``orbits``, ``obstruct`` and
-``palette`` caps the search nodes one command may spend (default
-``SEARCH_BUDGET``, 10^6); a command that spends them all exits 2.
+3 input error, including a usage error that argparse reports.  ``--budget N``
+on ``verify``, ``orbits``, ``obstruct`` and ``palette`` caps the search nodes
+one command may spend (default ``SEARCH_BUDGET``, 10^6); a command that spends
+them all exits 2.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def cmd_verify(args):
 
     if args.what in ("extension", "transitive"):
         if not args.ext:
-            raise InputError("verify extension needs --ext <file>")
+            raise InputError(f"verify {args.what} needs --ext <file>")
         ext = parse(_read(args.ext))
         report = perm.verify_one_point_extension(obj, ext, budget=args.budget)
         _emit(
@@ -409,8 +410,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 means a spent budget here
+        raise SystemExit(BAD_INPUT if exc.code == 2 else exc.code) from None
     try:
         return args.fn(args)
     except ParseError as exc:

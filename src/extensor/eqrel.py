@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .errors import InputError, _Meter
@@ -28,7 +28,7 @@ from .perm import (  # noqa: F401
     _Search,
     verify_one_point_extension,
 )
-from .structures import RelationalStructure, SubsetMap, _colex, _faces, flatten
+from .structures import RelationalStructure, SubsetMap, _colex, _faces, _orderings, flatten
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,8 @@ class EquivalenceRelation:
 
 @flatten.register
 def _(e: EquivalenceRelation) -> RelationalStructure:
-    tuples = frozenset(
-        (a, b)
-        for block in e.classes
-        for a in block
-        for b in block
-        if a != b
-    )
-    return RelationalStructure(e.v, (("E", 2, tuples),))
+    reps = tuple(chain.from_iterable(combinations(sorted(block), 2) for block in e.classes))
+    return RelationalStructure(e.v, (("E", 2, _orderings(reps)),), (reps,))
 
 
 # -- the forced candidate ----------------------------------------------------

@@ -114,18 +114,31 @@ def _tree_term(t) -> str:
     def least_leaf(nb, u):
         return next(compress(range(t.v), map(gt, to[u], to[nb])))
 
-    def term(u, parent):
+    # a stack of nodes to write, each with the neighbour it was reached from,
+    # and of the text that closes a node or separates two of its children
+    out, stack = [], [(t.root if rooted else t.distances[0].tolist().index(1), None)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        u, parent = item
         if u < t.v:
-            return str(u)
+            out.append(str(u))
+            continue
         kids = list(neighbors(u))
         if parent in kids:
             i = kids.index(parent)
             kids = kids[i + 1 :] + kids[:i]
         if not t.plane:
             kids.sort(key=lambda nb: least_leaf(nb, u))
-        return "(" + ",".join(term(k, u) for k in kids) + ")" + _annotations(t, u)
-
-    return term(t.root if rooted else t.distances[0].tolist().index(1), None)
+        out.append("(")
+        stack.append(")" + _annotations(t, u))
+        for i in reversed(range(len(kids))):
+            stack.append((kids[i], u))
+            if i:
+                stack.append(",")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +446,39 @@ class _TreeParser:
             self.fail("expected a number")
         return int(self.text[start : self.pos])
 
-    def term(self):
-        """Returns (node-spec) where a leaf is an int and an internal node is
-        (children list, color, rank)."""
-        if self.peek() == "(":
-            self.take("(")
-            kids = [self.term()]
-            while self.peek() == ",":
-                self.take(",")
-                kids.append(self.term())
-            self.take(")")
-            color = rank = None
-            if self.peek() == "#":
-                self.take("#")
-                color = self.number()
-            if self.peek() == "@":
-                self.take("@")
-                rank = self.number()
-            return (kids, color, rank)
-        return self.number()
+    def term(self, v):
+        """(internals, leaves): the internal nodes in preorder, node v + i being
+        the i-th, each as (children, color, rank), and the leaf labels in the
+        order they appear.  A term that is one leaf has no internal nodes.
+
+        The nodes not yet closed are kept on a stack, so nesting depth costs
+        no recursion."""
+        internals, leaves, stack = [], [], []  # stack: (index, children so far)
+        while True:
+            while self.peek() == "(":
+                self.take("(")
+                stack.append((len(internals), []))
+                internals.append(None)
+            node = self.number()
+            leaves.append(node)
+            while stack:
+                stack[-1][1].append(node)
+                if self.peek() == ",":
+                    self.take(",")
+                    break
+                self.take(")")
+                index, kids = stack.pop()
+                color = rank = None
+                if self.peek() == "#":
+                    self.take("#")
+                    color = self.number()
+                if self.peek() == "@":
+                    self.take("@")
+                    rank = self.number()
+                internals[index] = (tuple(kids), color, rank)
+                node = v + index
+            else:
+                return internals, leaves
 
 
 def _parse_tree(tag, fields, meta, body, offset):
@@ -465,34 +492,16 @@ def _parse_tree(tag, fields, meta, body, offset):
     if term_line is None:
         raise ParseError(offset, "missing tree term")
     parser = _TreeParser(term_line, line_no)
-    root = parser.term()
+    v = fields["v"]
+    internals, leaves = parser.term(v)
     if parser.pos != len(term_line):
         parser.fail("trailing characters after tree term")
-    if isinstance(root, int):
+    if not internals:
         raise ParseError(line_no, "tree term must have an internal root")
-    v = fields["v"]
+    for leaf in leaves:
+        if not 0 <= leaf < v:
+            raise ParseError(line_no, f"leaf label {leaf} out of range for v={v}")
     plane = meta.get("plane") == "1"
-
-    internals = []  # (children-ids, color, rank) in discovery order
-
-    def build(spec, next_id):
-        """Assign internal ids in preorder; returns (id, next_id)."""
-        if isinstance(spec, int):
-            if not 0 <= spec < v:
-                raise ParseError(line_no, f"leaf label {spec} out of range for v={v}")
-            return spec, next_id
-        my_id = next_id
-        internals.append(None)
-        slot = my_id - v
-        next_id += 1
-        kid_ids = []
-        for kid in spec[0]:
-            kid_id, next_id = build(kid, next_id)
-            kid_ids.append(kid_id)
-        internals[slot] = (tuple(kid_ids), spec[1], spec[2])
-        return my_id, next_id
-
-    build(root, v)
     children = tuple(spec[0] for spec in internals)
     colors = tuple(spec[1] for spec in internals)
     ranks = tuple(spec[2] for spec in internals)

@@ -14,11 +14,12 @@ layer of :mod:`extensor.structures`, shared with orientations (offset 0 here).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress, repeat
+from operator import eq
 
 from .errors import InputError
 from .palette import Palette, _msub, enumerate_multisets
-from .structures import RelationalStructure, SubsetMap, flatten
+from .structures import RelationalStructure, SubsetMap, _orderings, flatten, subsets_colex
 from .structures import _boundary_violation, _odd_face, _parity_extension
 
 
@@ -63,21 +64,15 @@ def hyperedges(h: ColoredHypergraph):
 
 @flatten.register
 def _(h: ColoredHypergraph) -> RelationalStructure:
-    from itertools import permutations as perms
-
-    def orbit(subset):
-        return frozenset(perms(subset))
-
-    if h.n == 2:
-        tuples = frozenset(t for s, c in h.colors.items() if c == 1 for t in orbit(s))
-        return RelationalStructure(h.v, (("R", h.k, tuples),))
-    rels = []
-    for color in range(h.n):
-        tuples = frozenset(
-            t for s, c in h.colors.items() if c == color for t in orbit(s)
-        )
-        rels.append((f"R{color}", h.k, tuples))
-    return RelationalStructure(h.v, tuple(rels))
+    # one relation per color (only color 1 for n = 2), each the orderings of its sets
+    colors = (1,) if h.n == 2 else range(h.n)
+    reps = tuple(
+        tuple(compress(subsets_colex(h.v, h.k), map(eq, h.colors.values, repeat(c))))
+        for c in colors
+    )
+    names = ("R",) if h.n == 2 else [f"R{c}" for c in colors]
+    rels = tuple((name, h.k, _orderings(r)) for name, r in zip(names, reps))
+    return RelationalStructure(h.v, rels, reps)
 
 
 # -- evenness -----------------------------------------------------------------

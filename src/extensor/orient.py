@@ -32,7 +32,7 @@ from operator import itemgetter
 
 from .errors import InputError, InternalCheckError
 from .perm import parity
-from .structures import RelationalStructure, SubsetMap, flatten
+from .structures import RelationalStructure, SubsetMap, _even_orderings, flatten
 from .structures import _odd_face, _parity_extension
 
 
@@ -70,12 +70,11 @@ def evaluate(t: Orientation, tup) -> bool:
 
 @flatten.register
 def _(t: Orientation) -> RelationalStructure:
-    # s is sorted, so s's rearrangement by an index pattern has the pattern's parity
-    by_parity = ([], [])
-    for p in permutations(range(t.k)):
-        by_parity[tuple_parity(p)].append(itemgetter(*p))
-    tuples = frozenset(get(s) for s, b in t.bits.items() for get in by_parity[b])
-    return RelationalStructure(t.v, (("T", t.k, tuples),))
+    # per k-set one ordering of the coset it holds: the sorted set for bit 0,
+    # and for bit 1 that set with its last two entries swapped
+    swap = itemgetter(*range(t.k - 2), t.k - 1, t.k - 2)
+    reps = tuple(swap(s) if b else s for s, b in t.bits.items())
+    return RelationalStructure(t.v, (("T", t.k, _even_orderings(reps, t.k)),), (reps,))
 
 
 # -- agreement ------------------------------------------------------------------

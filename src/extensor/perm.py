@@ -24,14 +24,15 @@ one unit per m-tuple or m-subset and refuses before enumerating any.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations as all_permutations
+from itertools import chain, combinations, filterfalse, permutations as all_permutations, repeat
 from math import comb, factorial, perm
 from operator import itemgetter
 
 from .errors import BoundExceededError, InputError, _Meter
-from .structures import flatten
+from .structures import _orderings, flatten
 
 # -- permutation helpers ----------------------------------------------------
 
@@ -151,7 +152,10 @@ class _Search:
       bijection on those tuples and preserves a set exactly when it preserves
       the set's complement;
     - a relation holding every ordering of each of its sets is checked on one
-      sorted ordering per set, whose image must still lie in the relation;
+      sorted ordering per set, whose image must still lie in the relation.
+      The colored-hypergraph and equivalence-relation views (and the colorings
+      of colored trees) supply these orderings as their representatives; the
+      complement of such a relation takes the sets they leave out;
     - a relation of arity k >= 3 closed only under the even rearrangements of
       positions (A_k, tested on its generators, the 3-cycles (0 1 i)) is
       checked on one ordering per coset it holds: a set's sorted ordering for
@@ -159,9 +163,19 @@ class _Search:
       the odd one.  A vertex permutation commutes with rearranging positions,
       so it maps a coset into the relation exactly when it maps the coset's
       representative there; the representative has the coset's vertex set,
-      so it is tested at the same step and every node prunes as before;
+      so it is tested at the same step and every node prunes as before.
+      Orientations and circular orders supply these as their representatives;
     - unary relations need no checks, since the invariant already sends
       members to members.
+
+    A relation with representatives (``s.reps``) is compiled from them alone:
+    they are its checks, and under S_k or A_k a vertex sits equally often at
+    every position, so its invariant is read off how many representatives
+    contain it.  Relations without them (tree C- and D-relations,
+    hypertournaments, linear orders, hand-built structures), and the
+    complement of a dense one not closed under S_k, are scanned tuple by tuple
+    for the reductions above.  On the views' representatives the two
+    compilations give the same candidates and checks.
 
     The step schedule for a given first vertex is built on the first
     :meth:`run` with it and reused by every later one.
@@ -172,17 +186,33 @@ class _Search:
         inv = [[] for _ in range(v)]
         self.checks = []  # (tuple, set its image must lie in)
         self.schedules = {}  # first vertex -> (order, candidates, steps)
-        for _, arity, tuples in s.relations:
-            counts = [[0] * arity for _ in range(v)]
-            for t in tuples:
-                for pos, x in enumerate(t):
-                    counts[x][pos] += 1
-            for x in range(v):
-                inv[x] += counts[x]
+        for (_, arity, tuples), reps in zip(s.relations, s.reps or repeat(None)):
+            per = len(tuples) // len(reps) if reps else 1  # tuples per representative
+            if per > 1:
+                # under S_k and A_k a vertex sits at each position of per / k
+                # of the tuples each representative through it stands for
+                occ = Counter(chain.from_iterable(reps))
+                for x in range(v):
+                    inv[x] += [occ[x] * per // arity] * arity
+            else:
+                counts = [[0] * arity for _ in range(v)]
+                for t in tuples:
+                    for pos, x in enumerate(t):
+                        counts[x][pos] += 1
+                for x in range(v):
+                    inv[x] += counts[x]
             if arity < 2:
                 continue
             if 2 * len(tuples) > perm(v, arity):
-                tuples = frozenset(all_permutations(range(v), arity)) - tuples
+                if per == factorial(arity):
+                    reps = list(filterfalse(tuples.__contains__, combinations(range(v), arity)))
+                    tuples = _orderings(reps)
+                else:
+                    tuples = frozenset(all_permutations(range(v), arity)) - tuples
+                    reps = None
+            if reps is not None:
+                self.checks += [(r, tuples) for r in reps]
+                continue
             sets = {frozenset(t) for t in tuples}
             if len(tuples) == len(sets) * factorial(arity):
                 self.checks += [(tuple(sorted(t)), tuples) for t in sets]

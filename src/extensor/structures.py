@@ -23,10 +23,11 @@ evenness scan, which is one such gather.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, singledispatch
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from math import comb
+from operator import itemgetter
 
 import numpy as np
 
@@ -216,15 +217,30 @@ class RelationalStructure:
 
     The tuples are trusted: each flatten view builds them from a structure
     that its constructor validated.
+
+    ``reps``, when given, is aligned with ``relations``; each entry is None or
+    the representatives the view generated that relation from.  A relation
+    is the disjoint union of the orbits of its representatives under one group
+    of rearrangements of positions, told apart by how many tuples each
+    representative stands for: all k! orderings (S_k), the k!/2 even ones of
+    a k >= 3 tuple (A_k, so one representative per alternating coset), or the
+    tuple alone (then the representatives are the tuples).  The automorphism
+    search checks a relation on its representatives and reads its degree
+    invariant off them, instead of recovering both from the tuples.
     """
 
     v: int
     relations: tuple  # of (name, arity, frozenset of tuples)
+    reps: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         names = [name for name, _, _ in self.relations]
         if len(set(names)) != len(names):
             raise InputError(f"duplicate relation name in {names!r}")
+        if self.reps is not None and len(self.reps) != len(self.relations):
+            raise InputError(
+                f"{len(self.reps)} representative lists for {len(self.relations)} relations"
+            )
 
     def relation(self, name):
         for n, arity, tuples in self.relations:
@@ -243,7 +259,34 @@ def merge_structures(a: RelationalStructure, b: RelationalStructure) -> Relation
         if name in names_a:
             name = "m." + name
         rels.append((name, arity, tuples))
-    return RelationalStructure(a.v, tuple(rels))
+    reps = None
+    if a.reps is not None or b.reps is not None:
+        reps = tuple(
+            chain.from_iterable(s.reps or (None,) * len(s.relations) for s in (a, b))
+        )
+    return RelationalStructure(a.v, tuple(rels), reps)
+
+
+def _orderings(reps):
+    """Every ordering of every representative: their orbits under S_k."""
+    return frozenset(chain.from_iterable(map(permutations, reps)))
+
+
+@lru_cache(maxsize=16)
+def _even_patterns(k):
+    """Itemgetters for the even rearrangements of k >= 2 positions, those
+    with an even number of inversions."""
+    return tuple(
+        itemgetter(*p)
+        for p in permutations(range(k))
+        if not sum(a > b for a, b in combinations(p, 2)) % 2
+    )
+
+
+def _even_orderings(reps, k):
+    """The even rearrangements of every k-tuple representative: their orbits
+    under A_k, the alternating cosets they stand for."""
+    return frozenset(chain.from_iterable(map(get, reps) for get in _even_patterns(k)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from math import factorial
 from .errors import InputError
 from .hyperext import ColoredHypergraph
 from .palette import SearchOutcome, search_palette
-from .structures import RelationalStructure, SubsetMap, flatten
+from .structures import RelationalStructure, SubsetMap, _even_orderings, flatten
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,15 @@ class CircularOrder:
         return cls(cycle[start:] + cycle[:start], ext=ext)
 
     @cached_property
+    def _reps(self):
+        """Per 3-subsequence of the cycle, its rotation that starts at its least
+        entry: the representative of the alternating coset it holds."""
+        return tuple(min(r, r[1:] + r[:1], r[2:] + r[:2]) for r in combinations(self.cycle, 3))
+
+    @cached_property
     def triples(self):
         """The three rotations of each 3-subsequence of the cycle."""
-        return frozenset(
-            t
-            for x, y, z in combinations(self.cycle, 3)
-            for t in ((x, y, z), (y, z, x), (z, x, y))
-        )
+        return _even_orderings(self._reps, 3)
 
     def holds(self, x, y, z):
         return (x, y, z) in self.triples
@@ -123,7 +125,7 @@ class CircularOrder:
 
 @flatten.register
 def _(c: CircularOrder) -> RelationalStructure:
-    return RelationalStructure(c.v, (("C", 3, c.triples),))
+    return RelationalStructure(c.v, (("C", 3, c.triples),), (c._reps,))
 
 
 def circular_from_linear(o: LinearOrder) -> CircularOrder:

@@ -165,16 +165,13 @@ def parent_map(t: RootedLeafTree):
 
 def leaf_order(t: RootedLeafTree):
     """Leaves in left-to-right order of the (plane) embedding."""
-    order = []
-
-    def walk(node):
+    order, stack = [], [t.root]
+    while stack:
+        node = stack.pop()
         if node < t.v:
             order.append(node)
         else:
-            for kid in t.kids(node):
-                walk(kid)
-
-    walk(t.root)
+            stack.extend(reversed(t.kids(node)))
     return tuple(order)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from extensor.cli import main
-from extensor.fileio import serialize
+from extensor.fileio import parse, serialize
 from extensor.hyperext import plain_hypergraph
 
 
@@ -214,6 +214,31 @@ def test_trees_past_63_nodes_verify_and_past_62_leaves_are_refused(tmp_path, cap
     assert err == (
         "budget exceeded: relations are computed for at most 62 leaves, the tree has 63\n"
     )
+
+
+def _caterpillar(leaves, plane=False):
+    """The ctree (0,(1,(2,...))): each internal node holds one leaf and the
+    next internal node, so the term nests leaves - 1 deep."""
+    term = "".join(f"({x}," for x in range(leaves - 2))
+    term += f"({leaves - 2},{leaves - 1})" + ")" * (leaves - 2)
+    return f"kind ctree v={leaves}\n" + ("plane = 1\n" if plane else "") + term + "\n"
+
+
+def test_deep_trees_parse_write_and_extend_without_recursion(tmp_path, capsys):
+    # a 1,100-leaf caterpillar nests past the interpreter's recursion limit
+    leaves = 1100
+    text = _caterpillar(leaves)
+    assert serialize(parse(text)) == text
+    tree, ext, circ = tmp_path / "tree.txt", tmp_path / "ext.txt", tmp_path / "circ.txt"
+    tree.write_text(_caterpillar(leaves, plane=True))
+    argv = ["extend", "--in", str(tree), "--out", str(ext), "--circ-out", str(circ)]
+    assert run(argv, capsys) == (0, "", "")
+    ext_text = ext.read_text()
+    assert ext_text.startswith(f"kind dtree v={leaves + 1}\n")
+    assert serialize(parse(ext_text)) == ext_text
+    # the caterpillar's leaves, read left to right, close into the cycle
+    cycle = ",".join(map(str, range(leaves + 1)))
+    assert circ.read_text() == f"kind circ v={leaves + 1}\next = {leaves}\ncycle = {cycle}\n"
 
 
 def test_interpret_htour2chg(tmp_path, capsys):
@@ -561,3 +586,48 @@ def test_bad_command_input_exits_3_with_one_line(argv, expected, tmp_path, capsy
     assert code == 3
     assert out == ""
     assert err.startswith("input error: " + expected) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbits", "--in", "a.txt", "-m", "2", "--mode", "bogus"],
+        ["orbits", "-m", "2"],
+        ["verify", "bogus", "--in", "a.txt"],
+        ["bogus"],
+        [],
+    ],
+    ids=["bad-choice", "missing-in", "bad-what", "bad-command", "no-command"],
+)
+def test_usage_errors_exit_3_not_the_budget_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3
+    assert out == "" and err.startswith("usage: extensor") and "error: " in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: extensor orbits")
+
+
+def test_console_usage_error_exits_3():
+    import subprocess
+    import sys
+
+    cmd = [sys.executable, "-m", "extensor.cli", "orbits", "--in", "a.txt", "--mode", "bogus"]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 3 and done.stdout == ""
+    assert "argument --mode: invalid choice: 'bogus'" in done.stderr
+
+
+@pytest.mark.parametrize("what", ["extension", "transitive"])
+def test_verify_without_ext_names_the_mode_given(what, tmp_path, capsys):
+    base = tmp_path / "base.txt"
+    base.write_text("kind chg v=3 k=2 n=2\n(0,1) = 1\n(0,2) = 0\n(1,2) = 1\n")
+    code, out, err = run(["verify", what, "--in", str(base)], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"input error: verify {what} needs --ext <file>\n"

@@ -1,7 +1,9 @@
 """Automorphism groups, orbits, and the extension-verification predicate."""
 
+from collections import Counter
+from dataclasses import replace
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, perm
 from operator import itemgetter
 
 import pytest
@@ -13,10 +15,11 @@ from extensor.generate import (
     random_colored_hypergraph,
     random_hypertournament,
     random_orientation,
+    random_rooted_tree,
     random_unrooted_tree,
 )
 from extensor.hyperext import ColoredHypergraph, extend_colored, plain_hypergraph
-from extensor.orient import Orientation, extend_orientation, tuple_parity
+from extensor.orient import Orientation, evaluate, extend_orientation, tuple_parity
 from extensor.perm import (
     ExtensionReport,
     _Search,
@@ -30,6 +33,7 @@ from extensor.perm import (
 )
 from extensor.structures import RelationalStructure, SubsetMap, flatten
 from extensor.tourney import CircularOrder
+from extensor.treeset import RootedLeafTree, UnrootedLeafTree, pair_coloring, triple_coloring
 
 
 def compose(p, q):
@@ -516,3 +520,205 @@ def test_extension_report_matches_full_group_reference():
     assert {r.is_one_point_extension for r in reports} == {True, False}
     assert {r.is_transitive for r in reports} == {True, False}
     assert any(r.witness is not None for r in reports)
+
+
+# -- oracle: the views' representatives and the search compiled from them ---------
+
+
+def _rep_orbits(reps, per, k):
+    """Each representative rearranged by the group of positions that stands
+    for `per` tuples per representative: S_k, A_k (k >= 3) or the identity;
+    None for any other count."""
+    if per == factorial(k):
+        group = list(permutations(range(k)))
+    elif k >= 3 and 2 * per == factorial(k):
+        group = [p for p in permutations(range(k)) if not parity(p)]
+    elif per == 1:
+        group = [tuple(range(k))]
+    else:
+        return None
+    return [tuple(r[i] for i in p) for r in reps for p in group]
+
+
+def _reference_relations(obj):
+    """The relations of obj's view, in order, read off obj's own definition;
+    None for a relation the view gives no representatives."""
+    v = obj.v
+    if isinstance(obj, ColoredHypergraph):
+        colors = [1] if obj.n == 2 else range(obj.n)
+        return [
+            {p for s, c in obj.colors.items() if c == color for p in permutations(s)}
+            for color in colors
+        ]
+    if isinstance(obj, Orientation):
+        return [{t for t in permutations(range(v), obj.k) if evaluate(obj, t)}]
+    if isinstance(obj, EquivalenceRelation):
+        return [{t for t in permutations(range(v), 2) if obj.related(*t)}]
+    if isinstance(obj, CircularOrder):
+        pos = {x: i for i, x in enumerate(obj.cycle)}
+        return [
+            {(x, y, z) for x, y, z in permutations(range(v), 3)
+             if (pos[y] - pos[x]) % v < (pos[z] - pos[x]) % v}
+        ]
+    coloring = pair_coloring if isinstance(obj, RootedLeafTree) else triple_coloring
+    return [None] + _reference_relations(coloring(obj))
+
+
+def _reps_violation(s, reference):
+    """The first relation with representatives that do not generate it as
+    disjoint orbits, or whose orbits are not the reference relation; or None."""
+    assert len(s.reps) == len(s.relations) == len(reference)
+    for (name, k, tuples), reps, expected in zip(s.relations, s.reps, reference):
+        if reps is None:
+            assert expected is None
+            continue
+        orbits_ = _rep_orbits(reps, len(tuples) // len(reps) if reps else 1, k)
+        if orbits_ is None or len(orbits_) != len(tuples):
+            return name
+        if not set(orbits_) == tuples == expected:
+            return name
+    return None
+
+
+def _rep_views():
+    """(structure, flattened view) for every view that supplies representatives."""
+    rng = SplitMix64(2525)
+    for k in (2, 3, 4):
+        for n in (2, 3, 4):
+            for v in range(k, k + 4):
+                h = random_colored_hypergraph(rng, v, k, n)
+                yield h, flatten(h)
+    for k in (2, 3, 4, 5):
+        for v in range(k, k + 3):
+            t = random_orientation(rng, v, k)
+            yield t, flatten(t)
+    for v in range(1, 7):
+        for shape in _partitions(v):
+            blocks, start = [], 0
+            for size in shape:
+                blocks.append(set(range(start, start + size)))
+                start += size
+            e = EquivalenceRelation.from_classes(v, blocks)
+            yield e, flatten(e)
+    for v in range(3, 9):
+        c = CircularOrder.from_cycle(rng.shuffled(range(v)))
+        yield c, flatten(c)
+    for leaves in (4, 5, 6, 7):
+        for colors in (1, 2, 3):
+            for t in (
+                random_rooted_tree(rng, leaves, n_colors=colors),
+                random_unrooted_tree(rng, leaves, n_colors=colors),
+            ):
+                yield t, flatten(t)
+
+
+def test_view_representatives_generate_their_relations():
+    kinds = Counter()
+    for obj, s in _rep_views():
+        assert s.reps is not None and _reps_violation(s, _reference_relations(obj)) is None, obj
+        kinds[type(obj).__name__] += 1
+        if isinstance(obj, (RootedLeafTree, UnrootedLeafTree)):
+            # the C- or D-relation has none; the merged coloring relations do
+            assert s.reps[0] is None and None not in s.reps[1:]
+    assert len(kinds) == 6, kinds
+
+
+def test_mutant_representatives_fail_the_oracle():
+    # a mutant view builds its relation from its mutated representatives, as
+    # the real views do, so only the reference tells it apart
+    caught = Counter()
+    for obj, s in _rep_views():
+        reference = _reference_relations(obj)
+        for i, ((name, k, tuples), reps) in enumerate(zip(s.relations, s.reps)):
+            if not reps:
+                continue
+            per = len(tuples) // len(reps)
+            mutants = {"dropped": reps[1:]}
+            if per < factorial(k):
+                # the other alternating coset of one set (the other ordering, k = 2)
+                r = reps[0]
+                mutants["swapped"] = (r[:-2] + (r[-1], r[-2]),) + reps[1:]
+            for kind, mutant in mutants.items():
+                relation = (name, k, frozenset(_rep_orbits(mutant, per, k)))
+                bad = replace(
+                    s,
+                    relations=s.relations[:i] + (relation,) + s.relations[i + 1 :],
+                    reps=s.reps[:i] + (mutant,) + s.reps[i + 1 :],
+                )
+                assert _reps_violation(bad, reference) is not None, obj
+                caught[kind] += 1
+    assert caught["dropped"] and caught["swapped"], caught
+
+
+def _search_cases():
+    """The verify workload's bases and their extensions, and hand-built
+    relations with representatives under A_k or the identity, dense or not."""
+    rng = SplitMix64(4646)
+    for v in range(3, 9):
+        for n in (2, 4):
+            for _ in range(3):
+                h = random_colored_hypergraph(rng, v, 2, n)
+                yield h, extend_colored(h)
+        for _ in range(3):
+            t = random_orientation(rng, v, 2)
+            yield t, extend_orientation(t)
+    for v in (5, 6):
+        t = random_orientation(rng, v, 4)
+        yield t, extend_orientation(t)
+    for v in range(3, 7):
+        for shape in _partitions(v):
+            labels = rng.shuffled(range(v))
+            blocks, start = [], 0
+            for size in shape:
+                blocks.append({labels[i] for i in range(start, start + size)})
+                start += size
+            e = EquivalenceRelation.from_classes(v, blocks)
+            yield e, forced_extension(e)
+    for k, v in ((2, 4), (2, 5), (3, 4), (3, 5), (4, 5), (4, 6)):
+        for _ in range(4):
+            yield _hand_built(rng, v, k, alternating=True), _hand_built(rng, v, k, False)
+
+
+def _hand_built(rng, v, k, alternating):
+    """Per k-set some of its orderings, with representatives: under A_k (one or
+    both cosets, at a random density), or each tuple its own.  The first set
+    holds one ordering or coset only, so no wider group closes the relation."""
+    density = 1 + rng.below(3)
+    tuples, reps = set(), []
+    for i, s in enumerate(combinations(range(v), k)):
+        coset = alternating and k > 2
+        options = (s, s[:-2] + (s[-1], s[-2])) if coset else list(permutations(s))
+        for r in [r for r in options if rng.below(4) < density] if i else options[:1]:
+            reps.append(r)
+            if coset:
+                tuples.update(p for p in permutations(r) if tuple_parity(p) == tuple_parity(r))
+            else:
+                tuples.add(r)
+    return RelationalStructure(v, (("R", k, frozenset(tuples)),), (tuple(reps),))
+
+
+def _same_search(s, firsts):
+    """Whether the search compiled from the representatives and the one scanned
+    from the tuples agree on candidates, checks, results and budget spent."""
+    fast, scan = _Search(s), _Search(replace(s, reps=None))
+    assert fast.candidates == scan.candidates
+    assert Counter(fast.checks) == Counter(scan.checks)
+    for first, image, stop in [(None, None, False)] + firsts:
+        meters = _Meter(), _Meter()
+        runs = [search.run(meter, first, image, stop) for search, meter in zip((fast, scan), meters)]
+        assert runs[0] == runs[1] and meters[0].left == meters[1].left
+
+
+def test_search_from_representatives_matches_the_tuple_scan():
+    paths = Counter()  # (checked through the complement, under S_k)
+    for m, ext in _search_cases():
+        for obj in (m, ext):
+            s = flatten(obj)
+            assert s.reps is not None
+            x0 = s.v - 1
+            _same_search(s, [(x0, y, stop) for y in range(s.v) for stop in (False, True)])
+            for (_, k, tuples), reps in zip(s.relations, s.reps):
+                if k > 1 and reps:
+                    dense = 2 * len(tuples) > perm(s.v, k)
+                    paths[dense, len(tuples) == factorial(k) * len(reps)] += 1
+    assert len(paths) == 4 and min(paths.values()) >= 10, paths

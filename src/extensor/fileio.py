@@ -8,10 +8,12 @@ kinds, one `{...}` line per class for equivalence relations, an `order =` /
 `#color` / `@rank` annotations for trees.  Serialization is bit-exact: LF
 endings, no trailing whitespace.
 
-Parsing trusts no header: `v` must match the body, a table kind's `k` lie in
-2..v (and chg's `n` be at least 1), `ext` must be a point, `labeling` an
-arrangement of the colors and `plane` 0 or 1, and a kind takes only its own
-metadata (`_METADATA`), or a ParseError names the line.
+Parsing trusts no header: a kind takes only its own header fields
+(`_FIELDS`) and metadata (`_METADATA`), `v` must match the body, a table
+kind's `k` lie in 2..v (and chg's `n` be at least 1), a tree's `n` be one more
+than its largest color (and absent without colors), `ext` must be a point,
+`labeling` an arrangement of the colors and `plane` 0 or 1, or a ParseError
+names the line.
 A table body is read in one pass: a subset spelled as serialization writes it
 is looked up in a cached text index of (v, k), and only other spellings are
 parsed and checked entry by entry.
@@ -20,9 +22,7 @@ parsed and checked entry by entry.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
 from math import comb
-from operator import gt
 
 from .errors import InputError, ParseError
 from .eqrel import EquivalenceRelation
@@ -103,39 +103,37 @@ def _annotations(t, node):
 
 
 def _tree_term(t) -> str:
-    """The Newick term of a tree, from its root or, unrooted, from the internal
-    neighbour of leaf 0.  A node lists its neighbours in their (cyclic) order
-    after its parent; a non-plane node sorts them by the least leaf of each
-    one's sector, where leaf b is in nb's sector at u iff d(b, nb) < d(b, u)."""
-    rooted = isinstance(t, RootedLeafTree)
-    neighbors = t.kids if rooted else t.neighbors
-    to = t.distances[: t.v].T.tolist()  # to[x][b] = d(b, x) for a leaf b
+    """The Newick term of a tree, from the start of its walk: its root or,
+    unrooted, the internal neighbour of leaf 0.  A node lists its neighbours in
+    their (cyclic) order after its parent; a non-plane node sorts them by the
+    least leaf below each one in the walk."""
+    neighbors = t.kids if isinstance(t, RootedLeafTree) else t.neighbors
+    order, parent = t.walk
+    least = list(range(len(order)))  # the least leaf below each node
+    for x in reversed(order[1:]):
+        least[parent[x]] = min(least[parent[x]], least[x])
 
-    def least_leaf(nb, u):
-        return next(compress(range(t.v), map(gt, to[u], to[nb])))
-
-    # a stack of nodes to write, each with the neighbour it was reached from,
-    # and of the text that closes a node or separates two of its children
-    out, stack = [], [(t.root if rooted else t.distances[0].tolist().index(1), None)]
+    # a stack of nodes to write and of the text that closes a node or
+    # separates two of its children
+    out, stack = [], [order[0]]
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
             continue
-        u, parent = item
         if u < t.v:
             out.append(str(u))
             continue
         kids = list(neighbors(u))
-        if parent in kids:
-            i = kids.index(parent)
+        if parent[u] in kids:
+            i = kids.index(parent[u])
             kids = kids[i + 1 :] + kids[:i]
         if not t.plane:
-            kids.sort(key=lambda nb: least_leaf(nb, u))
+            kids.sort(key=least.__getitem__)
         out.append("(")
         stack.append(")" + _annotations(t, u))
         for i in reversed(range(len(kids))):
-            stack.append((kids[i], u))
+            stack.append(kids[i])
             if i:
                 stack.append(",")
     return "".join(out)
@@ -146,7 +144,17 @@ def _tree_term(t) -> str:
 # ---------------------------------------------------------------------------
 
 
-# the metadata lines each kind takes
+# the header fields and the metadata lines each kind takes
+_FIELDS = {
+    "chg": ("v", "k", "n"),
+    "orient": ("v", "k"),
+    "htour": ("v", "k"),
+    "eqrel": ("v",),
+    "lin": ("v",),
+    "circ": ("v",),
+    "ctree": ("v", "n"),
+    "dtree": ("v", "n"),
+}
 _METADATA = {
     "chg": ("ext", "labeling"),
     "orient": ("ext",),
@@ -179,6 +187,8 @@ def parse(text: str):
         if "=" not in part:
             raise ParseError(1, f"malformed header field {part!r}")
         key, val = part.split("=", 1)
+        if tag in _FIELDS and key not in _FIELDS[tag]:
+            raise ParseError(1, f"kind {tag} takes no {key} field")
         try:
             fields[key] = int(val)
         except ValueError:
@@ -511,6 +521,12 @@ def _parse_tree(tag, fields, meta, body, offset):
         raise ParseError(line_no, "colors must annotate every internal node or none")
     if has_ranks and None in ranks:
         raise ParseError(line_no, "ranks must annotate every internal node or none")
+    if has_ranks and tag == "dtree":
+        raise ParseError(line_no, "kind dtree takes no ranks")
+    n = fields.get("n")
+    if n is not None and n != (max(colors) + 1 if has_colors else None):
+        found = f"largest color {max(colors)}" if has_colors else "no colors"
+        raise ParseError(1, f"header says n={n}, but the term has {found}")
 
     try:
         if tag == "ctree":

@@ -8,7 +8,8 @@ of that stabilizer; it never enumerates Aut(m_ext).  Generators are computed
 on first use, and only :func:`orbits` uses them.
 Permutations are plain image tuples.
 
-The search checks each relation on as few tuples as still decide it: one
+The search checks a relation on the representatives its view supplies
+(``RelationalStructure.reps``), or on every tuple when it has none: one
 ordering per set for a relation closed under all rearrangements of positions,
 and one per alternating coset (the even or the odd orderings of a set) for a
 relation closed only under the even ones, as orientations and circular orders
@@ -144,38 +145,22 @@ class _Search:
     Built once per structure.  Vertices are assigned one per step; a vertex
     may only go to a vertex with the same degree invariant (how often it sits
     at each position of each relation), and each check tuple is tested at the
-    step that assigns its last vertex.  The check tuples are reduced without
-    changing which permutations pass:
+    step that assigns its last vertex.  A relation is checked on its
+    representatives (``s.reps``) when it has them, and on every tuple
+    otherwise.  A relation holding more than half of all distinct-entry tuples
+    of its arity is checked through its complement instead, since a
+    permutation is a bijection on those tuples and preserves a set exactly
+    when it preserves the set's complement; under S_k the complement's
+    representatives are the sets the relation leaves out, and otherwise the
+    complement is checked on every tuple.
 
-    - a relation holding more than half of all distinct-entry tuples of its
-      arity is checked through its complement, since a permutation is a
-      bijection on those tuples and preserves a set exactly when it preserves
-      the set's complement;
-    - a relation holding every ordering of each of its sets is checked on one
-      sorted ordering per set, whose image must still lie in the relation.
-      The colored-hypergraph and equivalence-relation views (and the colorings
-      of colored trees) supply these orderings as their representatives; the
-      complement of such a relation takes the sets they leave out;
-    - a relation of arity k >= 3 closed only under the even rearrangements of
-      positions (A_k, tested on its generators, the 3-cycles (0 1 i)) is
-      checked on one ordering per coset it holds: a set's sorted ordering for
-      its even coset, and that ordering with its last two entries swapped for
-      the odd one.  A vertex permutation commutes with rearranging positions,
-      so it maps a coset into the relation exactly when it maps the coset's
-      representative there; the representative has the coset's vertex set,
-      so it is tested at the same step and every node prunes as before.
-      Orientations and circular orders supply these as their representatives;
-    - unary relations need no checks, since the invariant already sends
-      members to members.
-
-    A relation with representatives (``s.reps``) is compiled from them alone:
-    they are its checks, and under S_k or A_k a vertex sits equally often at
-    every position, so its invariant is read off how many representatives
-    contain it.  Relations without them (tree C- and D-relations,
-    hypertournaments, linear orders, hand-built structures), and the
-    complement of a dense one not closed under S_k, are scanned tuple by tuple
-    for the reductions above.  On the views' representatives the two
-    compilations give the same candidates and checks.
+    A representative under S_k or A_k has the vertex set of every tuple it
+    stands for, so it is tested at the same step as they would be and passes
+    exactly when they all do: checking it prunes the same nodes.  Under S_k
+    and A_k a vertex sits equally often at every position, so the invariant of
+    a relation with representatives is read off how many contain each vertex.
+    Unary relations need no checks, since the invariant already sends members
+    to members.
 
     The step schedule for a given first vertex is built on the first
     :meth:`run` with it and reused by every later one.
@@ -210,19 +195,7 @@ class _Search:
                 else:
                     tuples = frozenset(all_permutations(range(v), arity)) - tuples
                     reps = None
-            if reps is not None:
-                self.checks += [(r, tuples) for r in reps]
-                continue
-            sets = {frozenset(t) for t in tuples}
-            if len(tuples) == len(sets) * factorial(arity):
-                self.checks += [(tuple(sorted(t)), tuples) for t in sets]
-            elif arity > 2 and _alternating_closed(tuples, arity):
-                for t in map(sorted, sets):
-                    even = tuple(t)
-                    odd = even[:-2] + (even[-1], even[-2])
-                    self.checks += [(r, tuples) for r in (even, odd) if r in tuples]
-            else:
-                self.checks += [(t, tuples) for t in tuples]
+            self.checks += [(r, tuples) for r in reps or tuples]
         classes = {}
         for x in range(v):
             classes.setdefault(tuple(inv[x]), []).append(x)
@@ -291,17 +264,6 @@ class _Search:
         backtrack(0)
         meter.left = left
         return found
-
-
-def _alternating_closed(tuples, k):
-    """Whether a set of k-tuples is closed under the even rearrangements of
-    positions, tested on the 3-cycles (0 1 i), i = 2..k-1, which generate A_k."""
-    for i in range(2, k):
-        p = list(range(k))
-        p[0], p[1], p[i] = 1, i, 0
-        if frozenset(map(itemgetter(*p), tuples)) != tuples:
-            return False
-    return True
 
 
 def _group(s, meter) -> PermutationGroup:

@@ -10,13 +10,16 @@ Constructors construct; `*_violation` functions verify.  The expansions only
 validate their input, and each postcondition lives in one function that
 returns None or the first witness, so a caller checks what it built once.
 
-Each tree caches one table of distances d from its leaves (and root r) to
-every node.  Buneman's four-point condition reads both relations off it as
-numpy boolean cubes: C(a; bc) iff d(a,r) + d(b,c) < d(a,b) + d(c,r), and
-D(ab; cd) iff d(a,b) + d(c,d) < d(a,c) + d(b,d).  The cube is what `CRelation`
-and `DRelation` store (packed, one bit per cell); the axiom scans read it,
-`holds` reads its packed bits, and the tuple sets (`triples`, `quadruples`)
-are views built on first read.  The same table gives each branching node as a
+Each tree caches one preorder walk, from its root or, unrooted, from the
+internal neighbour of leaf 0: the constructors check connectivity on it, and
+the writer and the C -> D extension read parents and subtrees off it, in time
+linear in the tree.  The relations read one table of distances d from the
+leaves (and root r) to every node, built on first use.  Buneman's four-point
+condition reads both relations off it as numpy boolean cubes: C(a; bc) iff
+d(a,r) + d(b,c) < d(a,b) + d(c,r), and D(ab; cd) iff d(a,b) + d(c,d) <
+d(a,c) + d(b,d).  The cube is what `CRelation` and `DRelation` store (packed,
+one bit per cell); the axiom scans read it, `holds` reads its packed bits, and
+the tuple sets (`triples`, `quadruples`) are views built on first read.  The same table gives each branching node as a
 median, the node of least distance sum, and each splitting: leaf b lies in
 the sector of u's neighbour nb iff d(b,nb) < d(b,u).
 Relations given as tuples enter through `from_tuples`, which validates them.
@@ -71,7 +74,7 @@ class RootedLeafTree:
                 appears[kid] = v + i
         if set(appears) != set(range(v + m)) - {v}:
             raise InputError("children lists must cover every non-root node once")
-        if (self.distances < 0).any():  # a cycle apart from the root
+        if len(self.walk[0]) != v + m:  # a cycle apart from the root
             raise InputError("tree is not connected")
         for name, ann in (("colors", self.colors), ("ranks", self.ranks)):
             if ann is not None and len(ann) != m:
@@ -88,10 +91,14 @@ class RootedLeafTree:
         return self.children[node - self.v]
 
     @cached_property
+    def walk(self):
+        """`_walk` from the root."""
+        return _walk(self.v, self.v + len(self.children), self.root, self.kids)
+
+    @cached_property
     def distances(self):
         """`_distances` from the leaves and the root: rows 0..v, node v the root."""
-        edges = [(u, kid) for u in self.internal_ids() for kid in self.kids(u)]
-        return _distances(self.v + len(self.children), edges, range(self.v + 1))
+        return _distances(self.walk[1], range(self.v + 1))
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,7 @@ class UnrootedLeafTree:
             raise InputError("leaves must be exactly 0..v-1")
         if v + len(edges) != v + m - 1:
             raise InputError("not a tree (wrong edge count)")
-        if (self.distances < 0).any():
+        if len(self.walk[0]) != v + m:
             raise InputError("tree is not connected")
         if self.colors is not None and len(self.colors) != m:
             raise InputError(f"colors must annotate all {m} internal nodes")
@@ -143,11 +150,15 @@ class UnrootedLeafTree:
         return self.adj[node - self.v]
 
     @cached_property
+    def walk(self):
+        """`_walk` from the internal neighbour of leaf 0."""
+        start = next(u for u in self.internal_ids() if 0 in self.neighbors(u))
+        return _walk(self.v, self.v + len(self.adj), start, self.neighbors)
+
+    @cached_property
     def distances(self):
         """`_distances` from the leaves: rows 0..v-1."""
-        # each edge once: from its internal end, or from the larger of two
-        edges = [(u, nb) for u in self.internal_ids() for nb in self.neighbors(u) if nb < u]
-        return _distances(self.v + len(self.adj), edges, range(self.v))
+        return _distances(self.walk[1], range(self.v))
 
 
 # ---------------------------------------------------------------------------
@@ -155,36 +166,42 @@ class UnrootedLeafTree:
 # ---------------------------------------------------------------------------
 
 
-def parent_map(t: RootedLeafTree):
-    parent = {t.root: None}
-    for u in t.internal_ids():
-        for kid in t.kids(u):
-            parent[kid] = u
-    return parent
+def _walk(v, n, start, neighbors):
+    """(order, parent) for a tree on nodes 0..n-1 whose leaves are 0..v-1: the
+    nodes reached from internal node `start` in preorder, each internal node's
+    unreached neighbours visited in their listed order, and per node the one it
+    was reached from (None at `start` and at nodes not reached)."""
+    order, parent, stack = [], [None] * n, [start]
+    reached = [False] * n
+    reached[start] = True
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        if u >= v:
+            nbs = [nb for nb in neighbors(u) if not reached[nb]]
+            for nb in nbs:
+                reached[nb] = True
+                parent[nb] = u
+            stack += reversed(nbs)
+    return order, parent
 
 
 def leaf_order(t: RootedLeafTree):
     """Leaves in left-to-right order of the (plane) embedding."""
-    order, stack = [], [t.root]
-    while stack:
-        node = stack.pop()
-        if node < t.v:
-            order.append(node)
-        else:
-            stack.extend(reversed(t.kids(node)))
-    return tuple(order)
+    return tuple(x for x in t.walk[0] if x < t.v)
 
 
-def _distances(n, edges, sources):
+def _distances(parent, sources):
     """dist[i][x], the number of edges between node sources[i] and node x of
-    the n-node graph with these edges (-1 where no path joins them)."""
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    the tree whose edges join each node to its `parent`."""
+    adj = [[] for _ in parent]
+    for a, b in enumerate(parent):
+        if b is not None:
+            adj[a].append(b)
+            adj[b].append(a)
     rows = []
     for s in sources:
-        row = [-1] * n
+        row = [-1] * len(parent)
         row[s] = 0
         queue = [s]
         for node in queue:
@@ -492,7 +509,7 @@ def extend_c_to_d(t: RootedLeafTree) -> UnrootedLeafTree:
     """
     if t.v < 2:
         raise InputError("need at least 2 leaves")
-    adj = _adjacency(t, parent_map(t), 1)
+    adj = _adjacency(t, t.walk[1], 1)
     adj[0] += (t.v,)  # x0 follows the root's kids
     return UnrootedLeafTree(t.v + 1, tuple(adj), colors=t.colors, plane=t.plane)
 
@@ -501,13 +518,13 @@ def unroot(t: RootedLeafTree) -> UnrootedLeafTree:
     """Forget the rooting, contracting a degree-2 root if needed."""
     if t.v < 3:
         raise InputError("need at least 3 leaves to unroot")
-    parent = parent_map(t)
+    parent = list(t.walk[1])
     kids = t.kids(t.root)
     # a degree-2 root is dropped: its kids become each other's parent, and
     # every other internal id moves down one
     drop = int(len(kids) == 2)
     if drop:
-        parent.update(zip(kids, kids[::-1]))
+        parent[kids[0]], parent[kids[1]] = kids[1], kids[0]
     adj = _adjacency(t, parent, -drop)[drop:]
     colors = t.colors[drop:] if t.colors is not None else None
     return UnrootedLeafTree(t.v, tuple(adj), colors=colors, plane=t.plane)

@@ -157,6 +157,29 @@ def test_untrusted_header_exits_3_with_its_line(tmp_path, capsys):
             "kind htour v=3 k=2\n(0,1) = 1,0\n(0,2) = 0,1\n(1,2) = 2,1\n",
             "line 3: ordering (0, 1) is not an arrangement of (0, 2)",
         ),
+        (["verify", "axioms"], "kind eqrel v=3 k=7\n{0}\n{1,2}\n", "line 1: kind eqrel takes no k"),
+        (["verify", "axioms"], "kind ctree v=3 k=5\n(0,(1,2))\n", "line 1: kind ctree takes no k"),
+        (
+            ["extend"],
+            "kind chg v=3 k=2 n=2 q=1\n(0,1) = 1\n(0,2) = 0\n(1,2) = 1\n",
+            "line 1: kind chg takes no q field",
+        ),
+        (["verify", "axioms"], "kind dtree v=3\n(0,1,2)@4\n", "line 2: kind dtree takes no ranks"),
+        (
+            ["extend"],
+            "kind ctree v=3 n=1\n(0,(1,2)#1)#0\n",
+            "line 1: header says n=1, but the term has largest color 1",
+        ),
+        (
+            ["extend"],
+            "kind ctree v=3 n=5\n(0,(1,2)#1)#0\n",
+            "line 1: header says n=5, but the term has largest color 1",
+        ),
+        (
+            ["verify", "axioms"],
+            "kind ctree v=3 n=2\n(0,(1,2))\n",
+            "line 1: header says n=2, but the term has no colors",
+        ),
     ]
     path = tmp_path / "in.txt"
     for argv, text, message in cases:

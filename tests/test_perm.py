@@ -2,7 +2,7 @@
 
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial, perm
 from operator import itemgetter
 
@@ -14,6 +14,7 @@ from extensor.generate import (
     SplitMix64,
     random_colored_hypergraph,
     random_hypertournament,
+    random_linear_order,
     random_orientation,
     random_rooted_tree,
     random_unrooted_tree,
@@ -291,22 +292,24 @@ def _cyclic_closure(g, seeds):
     return out
 
 
-def _structure(v, relations):
+def _structure(v, relations, reps=None):
     """A RelationalStructure from (name, arity, iterable of tuples) triples."""
     return RelationalStructure(
-        v, tuple((name, k, frozenset(map(tuple, ts))) for name, k, ts in relations)
+        v, tuple((name, k, frozenset(map(tuple, ts))) for name, k, ts in relations), reps
     )
 
 
 def _random_structure(rng, v):
     """One to three relations of arity 1-4: empty, reorder-closed, closed under
     a random permutation, or random at density 1/4, 1/2 or 3/4; a quarter of
-    them are then complemented."""
-    rels = []
+    them are then complemented.  A reorder-closed relation and its complement
+    come with their sets as representatives, as the views' relations do."""
+    rels, reps = [], []
     for r in range(1 + rng.below(3)):
         arity = 1 + rng.below(4)
         universe = list(permutations(range(v), arity))
         kind = rng.below(5)
+        sets = None
         if kind == 0:
             tuples = set()
         elif kind == 1:
@@ -320,8 +323,11 @@ def _random_structure(rng, v):
             tuples = {t for t in universe if rng.below(4) < density}
         if not rng.below(4):
             tuples = set(universe) - tuples
+            if sets is not None:
+                sets = [c for c in combinations(range(v), arity) if c not in sets]
         rels.append((f"R{r}", arity, tuples))
-    return _structure(v, rels)
+        reps.append(None if sets is None else tuple(sets))
+    return _structure(v, rels, tuple(reps))
 
 
 def _reductions(s):
@@ -362,15 +368,17 @@ def test_search_matches_brute_force_on_random_structures():
 
 
 def _coset_union(rng, v, k):
-    """Per k-set the even coset, the odd one, both or neither; complemented in
-    a quarter of the draws."""
-    tuples = set()
-    for s in combinations(range(v), k):
-        pick = rng.below(4)  # bit 0: the even orderings, bit 1: the odd ones
-        tuples.update(p for p in permutations(s) if pick >> tuple_parity(p) & 1)
-    if not rng.below(4):
-        tuples = set(permutations(range(v), k)) - tuples
-    return _structure(v, [("R", k, tuples)])
+    """Per k-set the even coset, the odd one, both or neither, with one
+    representative per coset; complemented in a quarter of the draws."""
+    picks = [(s, rng.below(4)) for s in combinations(range(v), k)]  # bit p: parity p
+    flip = not rng.below(4)
+    tuples, reps = set(), []
+    for s, pick in picks:
+        for p, r in enumerate((s, s[:-2] + (s[-1], s[-2]))):
+            if (pick >> p & 1) != flip:
+                reps.append(r)
+                tuples.update(t for t in permutations(s) if tuple_parity(t) == p)
+    return _structure(v, [("R", k, tuples)], (tuple(reps),))
 
 
 def _three_cycle_closed(rng, v):
@@ -384,12 +392,14 @@ def _three_cycle_closed(rng, v):
 
 
 def _coset_cases():
+    """Orientations, circular orders and hand-built unions of alternating
+    cosets, and relations closed under a position 3-cycle only."""
     rng = SplitMix64(3131)
     for k, vs in ((3, (3, 4, 5, 6, 7)), (4, (4, 5, 6)), (5, (5, 6))):
         for v in vs:
-            yield flatten(random_orientation(rng, v, k))
+            yield random_orientation(rng, v, k)
     for v in range(3, 8):
-        yield flatten(CircularOrder.from_cycle(rng.shuffled(range(v))))
+        yield CircularOrder.from_cycle(rng.shuffled(range(v)))
     for k, vs in ((3, (3, 4, 5, 6)), (4, (4, 5, 6)), (5, (5, 6))):
         for v in vs:
             for _ in range(4):
@@ -401,7 +411,8 @@ def _coset_cases():
 def test_coset_rule_matches_brute_force():
     rng = SplitMix64(5151)
     by_rule = [0, 0]
-    for s in _coset_cases():
+    for obj in _coset_cases():
+        s = flatten(obj)
         brute = set(automorphisms_brute(s))
         search = _Search(s)
         assert set(search.run(_Meter())) == brute, s
@@ -697,28 +708,87 @@ def _hand_built(rng, v, k, alternating):
     return RelationalStructure(v, (("R", k, frozenset(tuples)),), (tuple(reps),))
 
 
+def _alternating_closed(tuples, k):
+    """Whether a set of k-tuples is closed under the even rearrangements of
+    positions, tested on the 3-cycles (0 1 i), i = 2..k-1, which generate A_k."""
+    for i in range(2, k):
+        p = list(range(k))
+        p[0], p[1], p[i] = 1, i, 0
+        if frozenset(map(itemgetter(*p), tuples)) != tuples:
+            return False
+    return True
+
+
+def _reference_checks(s):
+    """The checks that scanning the tuples finds, representatives unread: each
+    relation, or its complement when dense, on one sorted ordering per set when
+    it holds every ordering of its sets, on one ordering per alternating coset
+    when it is closed under A_k, and on every tuple otherwise."""
+    v = s.v
+    checks = []
+    for _, arity, tuples in s.relations:
+        if arity < 2:
+            continue
+        if 2 * len(tuples) > perm(v, arity):
+            tuples = frozenset(permutations(range(v), arity)) - tuples
+        sets = {frozenset(t) for t in tuples}
+        if len(tuples) == len(sets) * factorial(arity):
+            checks += [(tuple(sorted(t)), tuples) for t in sets]
+        elif arity > 2 and _alternating_closed(tuples, arity):
+            for t in map(sorted, sets):
+                even = tuple(t)
+                odd = even[:-2] + (even[-1], even[-2])
+                checks += [(r, tuples) for r in (even, odd) if r in tuples]
+        else:
+            checks += [(t, tuples) for t in tuples]
+    return checks
+
+
 def _same_search(s, firsts):
-    """Whether the search compiled from the representatives and the one scanned
-    from the tuples agree on candidates, checks, results and budget spent."""
-    fast, scan = _Search(s), _Search(replace(s, reps=None))
-    assert fast.candidates == scan.candidates
-    assert Counter(fast.checks) == Counter(scan.checks)
+    """Whether the search compiled from the representatives, the one compiled
+    from every tuple, and one checking what the tuple scan finds agree on
+    candidates, results and budget spent."""
+    scan = _Search(replace(s, reps=None))
+    scan.checks = _reference_checks(s)
+    searches = _Search(s), _Search(replace(s, reps=None)), scan
+    assert all(search.candidates == scan.candidates for search in searches)
     for first, image, stop in [(None, None, False)] + firsts:
-        meters = _Meter(), _Meter()
-        runs = [search.run(meter, first, image, stop) for search, meter in zip((fast, scan), meters)]
-        assert runs[0] == runs[1] and meters[0].left == meters[1].left
+        meters = [_Meter() for _ in searches]
+        runs = [search.run(meter, first, image, stop) for search, meter in zip(searches, meters)]
+        assert runs[0] == runs[1] == runs[2], s
+        assert meters[0].left == meters[1].left == meters[2].left, s
 
 
 def test_search_from_representatives_matches_the_tuple_scan():
     paths = Counter()  # (checked through the complement, under S_k)
-    for m, ext in _search_cases():
-        for obj in (m, ext):
-            s = flatten(obj)
-            assert s.reps is not None
-            x0 = s.v - 1
-            _same_search(s, [(x0, y, stop) for y in range(s.v) for stop in (False, True)])
-            for (_, k, tuples), reps in zip(s.relations, s.reps):
-                if k > 1 and reps:
-                    dense = 2 * len(tuples) > perm(s.v, k)
-                    paths[dense, len(tuples) == factorial(k) * len(reps)] += 1
-    assert len(paths) == 4 and min(paths.values()) >= 10, paths
+    views = 0
+    cases = chain.from_iterable(_search_cases())
+    for obj in chain(cases, _coset_cases()):
+        s = flatten(obj)
+        if not isinstance(obj, RelationalStructure):
+            # a view's representatives are the checks the scan finds
+            assert Counter(_Search(s).checks) == Counter(_reference_checks(s)), obj
+            views += 1
+        x0 = s.v - 1
+        _same_search(s, [(x0, y, stop) for y in range(s.v) for stop in (False, True)])
+        for (_, k, tuples), reps in zip(s.relations, s.reps or ()):
+            if k > 1 and reps:
+                dense = 2 * len(tuples) > perm(s.v, k)
+                paths[dense, len(tuples) == factorial(k) * len(reps)] += 1
+    assert views >= 100 and len(paths) == 4 and min(paths.values()) >= 10, (views, paths)
+
+
+def test_the_tuple_scan_finds_no_reduction_on_views_without_representatives():
+    rng = SplitMix64(2626)
+    objs = [random_hypertournament(rng, v, k) for k in (2, 3, 4) for v in range(k, 8)]
+    objs += [random_linear_order(rng, v) for v in range(2, 8)]
+    objs += [random_rooted_tree(rng, leaves) for leaves in range(3, 9) for _ in range(3)]
+    objs += [random_unrooted_tree(rng, leaves) for leaves in range(4, 9) for _ in range(3)]
+    nonempty = Counter()
+    for obj in objs:
+        s = flatten(obj)
+        assert s.reps is None, obj
+        every = [(t, tuples) for _, k, tuples in s.relations if k > 1 for t in tuples]
+        assert Counter(_reference_checks(s)) == Counter(every) == Counter(_Search(s).checks)
+        nonempty[type(obj).__name__] += bool(every)
+    assert len(nonempty) == 4 and min(nonempty.values()) >= 5, nonempty

@@ -44,7 +44,6 @@ from extensor.treeset import (
     ordered_compatibility_violation,
     ordered_extension,
     pair_coloring,
-    parent_map,
     splittings,
     triple_coloring,
 )
@@ -541,10 +540,10 @@ def test_distances_match_the_walk_oracle():
 
 
 def test_distances_are_computed_once_per_tree(monkeypatch):
-    # criterion 11 reads each tree's table through its constructor, the
-    # relations, the splittings and the colorings: one computation per tree
-    # object, 1,003 per selftest (the unrooted path masks that the table
-    # replaces were computed 501 times)
+    # criterion 11 reads each tree's table through the relations, the
+    # splittings and the colorings: one computation per tree object, 1,003
+    # per selftest (the unrooted path masks that the table replaces were
+    # computed 501 times)
     from extensor import acceptance
     import extensor.treeset as treeset
 
@@ -557,6 +556,27 @@ def test_distances_are_computed_once_per_tree(monkeypatch):
         )
     acceptance.run_all(acceptance.DEFAULT_SEED, only={11})
     assert len(calls) == len(built) == 1003
+
+
+def test_reading_extending_and_writing_a_large_tree_build_no_distances(monkeypatch):
+    # a 1,100-leaf caterpillar (0,(1,(2,...))): its table would have 1.2 M
+    # cells; the constructors, the extension and the writer read the walk
+    import extensor.treeset as treeset
+    from extensor.fileio import parse, serialize
+
+    calls = []
+    compute = treeset._distances
+    monkeypatch.setattr(treeset, "_distances", lambda *a: calls.append(a) or compute(*a))
+    n = 1100
+    term = "".join(f"({x}," for x in range(n - 2)) + f"({n - 2},{n - 1})" + ")" * (n - 2)
+    text = f"kind ctree v={n}\n{term}\n"
+    t = parse(text)
+    ext = extend_c_to_d(t)
+    assert serialize(t) == text
+    out = serialize(ext)
+    assert out.startswith(f"kind dtree v={n + 1}\n(0,(1,(2,") and out.endswith(f",{n})\n")
+    assert parse(out) == ext
+    assert calls == []
 
 
 # The traversals that the distance table replaced, kept as oracles: the
@@ -657,6 +677,14 @@ def _reference_branching_point(t, points):
     return hits[0]
 
 
+def _parent_map(t):
+    parent = {t.root: None}
+    for u in t.internal_ids():
+        for kid in t.kids(u):
+            parent[kid] = u
+    return parent
+
+
 def _reference_meet(parent, a, b):
     anc = set()
     node = a
@@ -670,7 +698,7 @@ def _reference_meet(parent, a, b):
 
 
 def _reference_pair_coloring(t):
-    parent = parent_map(t)
+    parent = _parent_map(t)
     table = SubsetMap.from_function(
         t.v, 2, lambda s: t.colors[_reference_meet(parent, s[0], s[1]) - t.v]
     )
@@ -678,7 +706,7 @@ def _reference_pair_coloring(t):
 
 
 def _reference_pair_ranks(t):
-    parent = parent_map(t)
+    parent = _parent_map(t)
     ranks = {}
     for a, b in combinations(range(t.v), 2):
         ranks[(a, b)] = t.ranks[_reference_meet(parent, a, b) - t.v]

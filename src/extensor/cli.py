@@ -340,12 +340,13 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, infile=False, out=False, budget=False):
-        p.add_argument("--machine", action="store_true", help="key=value output")
         if infile:
             p.add_argument("--in", dest="infile", required=True, help="input file")
         if out:
             p.add_argument("--out", help="output file (default stdout)")
         if budget:
+            # the commands that search are the ones that print a report
+            p.add_argument("--machine", action="store_true", help="key=value output")
             p.add_argument(
                 "--budget", type=int, help=f"search nodes (default {SEARCH_BUDGET:_})"
             )

@@ -25,7 +25,6 @@ from .perm import (  # noqa: F401
     ExtensionReport,
     _extension_report,
     _group,
-    _Search,
     verify_one_point_extension,
 )
 from .structures import RelationalStructure, SubsetMap, _colex, _faces, _orderings, flatten
@@ -306,7 +305,7 @@ def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertifica
         matches = bits_val == forced_interior
         x_side = _side(cand, x0)
         split = any(_splits(_side(cand, a), x_side) for a in range(v))
-        report = _extension_report(aut_e, _Search(flatten(cand)), meter)
+        report = _extension_report(aut_e, flatten(cand), meter)
         refuted = not (report.is_one_point_extension and report.is_transitive)
         if not refuted:
             verdict = "PASSED"

@@ -27,7 +27,7 @@ shared with hypergraphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 from operator import itemgetter
 
 from .errors import InputError, InternalCheckError
@@ -176,9 +176,11 @@ def odd_obstruction(k) -> ObstructionCertificate:
 
     Builds a k-orientation on k+1 points with balanced agreement classes,
     walks the zig-zag Hamiltonian path through its complete bipartite
-    disagreement graph to get a (k+1)-cycle sigma, and verifies exhaustively
-    that sigma is an automorphism.  Extended by a fixed point, sigma is an odd
-    permutation of k+2 points, so it can preserve no (k+1)-orientation.
+    disagreement graph to get a (k+1)-cycle sigma, and verifies that sigma is
+    an automorphism on one ordering of every k-set, which decides all the
+    others since sigma commutes with rearranging positions.  Extended by a
+    fixed point, sigma is an odd permutation of k+2 points, so it can
+    preserve no (k+1)-orientation.
     """
     if k % 2 == 0:
         raise InputError(f"the obstruction needs odd k, got {k}")
@@ -187,11 +189,13 @@ def odd_obstruction(k) -> ObstructionCertificate:
     v = k + 1
     m = v // 2
 
+    def excluded(subset):
+        return next(x for x in range(v) if x not in subset)
+
     # bits chosen so subsets omitting vertices m..k form one agreement class
     # (the first half in colex order) and the rest the other; verified below.
     def bit(subset):
-        missing = next(x for x in range(v) if x not in subset)
-        i = missing + 1  # 1-based
+        i = excluded(subset) + 1  # 1-based
         return (i + 1) % 2 if i <= m else i % 2
 
     table = SubsetMap.from_function(v, k, bit)
@@ -204,9 +208,6 @@ def odd_obstruction(k) -> ObstructionCertificate:
         )
 
     # zig-zag path alternating class representatives in excluded-vertex order
-    def excluded(subset):
-        return next(x for x in range(v) if x not in subset)
-
     side_a = sorted(excluded(s) for s in cls_a)
     side_b = sorted(excluded(s) for s in cls_b)
     path = []
@@ -220,7 +221,7 @@ def odd_obstruction(k) -> ObstructionCertificate:
 
     is_auto = all(
         evaluate(g0, tup) == evaluate(g0, tuple(sigma[x] for x in tup))
-        for tup in permutations(range(v), k)
+        for tup in combinations(range(v), k)
     )
 
     # sigma extended by x0 -> x0 is a (k+1)-cycle on k+2 points: odd parity

@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .errors import (
     SEARCH_BUDGET,
@@ -171,13 +172,24 @@ def is_palette(p: Palette) -> PaletteCheck:
 
 
 def canonical_palette(n) -> Palette:
-    """The bit-vector palette: members are 4-multisets whose colors XOR to zero."""
+    """The bit-vector palette: members are 4-multisets whose colors XOR to zero.
+
+    A member a <= b <= c <= d is read off its 3-multiset {a,b,c}, closed by
+    d = ((a-1)^(b-1)^(c-1)) + 1.  More than ``SEARCH_BUDGET`` 3-multisets
+    raise :class:`BoundExceededError` before any member is built.
+    """
     if n < 1 or n & (n - 1):
         raise InputError(f"canonical palette needs a power of two, got n={n}")
+    ntriples = comb(n + 2, 3)
+    if ntriples > SEARCH_BUDGET:
+        raise BoundExceededError(
+            f"canonical palette on {ntriples} color triples exceeds the limit of"
+            f" {SEARCH_BUDGET} triples"
+        )
     members = frozenset(
-        m
-        for m in enumerate_multisets(n, 4)
-        if (m[0] - 1) ^ (m[1] - 1) ^ (m[2] - 1) ^ (m[3] - 1) == 0
+        (a, b, c, d)
+        for a, b, c in combinations_with_replacement(range(1, n + 1), 3)
+        if (d := ((a - 1) ^ (b - 1) ^ (c - 1)) + 1) >= c
     )
     return Palette(n, members)
 

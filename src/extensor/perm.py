@@ -142,7 +142,8 @@ def _greedy_generators(v, elements):
 class _Search:
     """Backtracking automorphism search over one flattened structure.
 
-    Built once per structure.  Vertices are assigned one per step; a vertex
+    Built once per structure and first vertex.  Vertices are assigned one per
+    step, `first` (when given) before the rest in ascending order; a vertex
     may only go to a vertex with the same degree invariant (how often it sits
     at each position of each relation), and each check tuple is tested at the
     step that assigns its last vertex.  A relation is checked on its
@@ -161,16 +162,17 @@ class _Search:
     a relation with representatives is read off how many contain each vertex.
     Unary relations need no checks, since the invariant already sends members
     to members.
-
-    The step schedule for a given first vertex is built on the first
-    :meth:`run` with it and reused by every later one.
     """
 
-    def __init__(self, s):
+    def __init__(self, s, first=None):
         v = self.v = s.v
+        # the vertex assigned at each step: `first`, then the rest ascending
+        order = self.order = sorted(range(v), key=lambda x: x != first)
+        step = [0] * v
+        for i, x in enumerate(order):
+            step[x] = i
         inv = [[] for _ in range(v)]
-        self.checks = []  # (tuple, set its image must lie in)
-        self.schedules = {}  # first vertex -> (order, candidates, steps)
+        steps = self.steps = [[] for _ in range(v)]  # (getter, set the image must lie in)
         for (_, arity, tuples), reps in zip(s.relations, s.reps or repeat(None)):
             per = len(tuples) // len(reps) if reps else 1  # tuples per representative
             if per > 1:
@@ -195,40 +197,22 @@ class _Search:
                 else:
                     tuples = frozenset(all_permutations(range(v), arity)) - tuples
                     reps = None
-            self.checks += [(r, tuples) for r in reps or tuples]
+            for t in reps or tuples:
+                steps[max(map(step.__getitem__, t))].append((itemgetter(*t), tuples))
         classes = {}
         for x in range(v):
             classes.setdefault(tuple(inv[x]), []).append(x)
-        self.candidates = [classes[tuple(inv[x])] for x in range(v)]
+        self.candidates = [classes[tuple(inv[x])] for x in order]
 
-    def _schedule(self, first):
-        """(order, candidates, steps): the vertices in the order they are
-        assigned, their candidate images, and the checks due at each step."""
-        v = self.v
-        order = list(range(v))
-        if first is not None:
-            order.remove(first)
-            order.insert(0, first)
-        step = [0] * v
-        for i, x in enumerate(order):
-            step[x] = i
-        steps = [[] for _ in range(v)]
-        for t, rel in self.checks:
-            steps[max(map(step.__getitem__, t))].append((itemgetter(*t), rel))
-        return order, [self.candidates[x] for x in order], steps
+    def run(self, meter, image=None, stop=False):
+        """Every automorphism, or only those sending the first vertex to `image`.
 
-    def run(self, meter, first=None, image=None, stop=False):
-        """Every automorphism, or only those sending `first` to `image`.
-
-        `first` is assigned before the other vertices; with `stop` the search
-        ends at the first automorphism it finds.  Each call of ``backtrack``
-        spends one unit of `meter`.  Returns a list of image tuples.
+        With `stop` the search ends at the first automorphism it finds.  Each
+        call of ``backtrack`` spends one unit of `meter`.  Returns a list of
+        image tuples.
         """
-        v = self.v
-        if first not in self.schedules:
-            self.schedules[first] = self._schedule(first)
-        order, cands, steps = self.schedules[first]
-        if first is not None:
+        v, order, steps, cands = self.v, self.order, self.steps, self.candidates
+        if image is not None:
             cands = cands.copy()
             cands[0] = [image] if image in cands[0] else []
 
@@ -376,12 +360,12 @@ def verify_one_point_extension(m, m_ext, budget=None) -> ExtensionReport:
     if fe.v != fm.v + 1:
         raise InputError(f"extension must add exactly one vertex: {fm.v} -> {fe.v}")
     meter = _Meter(budget)
-    return _extension_report(_group(fm, meter), _Search(fe), meter)
+    return _extension_report(_group(fm, meter), fe, meter)
 
 
-def _extension_report(aut_m, search_e, meter) -> ExtensionReport:
+def _extension_report(aut_m, fe, meter) -> ExtensionReport:
     """The report for an extension by x0 = the highest vertex (aut_m.v), from
-    Aut(m) and a search over the extension; Aut(m_ext) itself is never
+    Aut(m) and the flattened extension `fe`; Aut(m_ext) itself is never
     enumerated.
 
     Only Stab(x0) is enumerated.  Transitivity is decided point by point: an
@@ -389,13 +373,14 @@ def _extension_report(aut_m, search_e, meter) -> ExtensionReport:
     sending x0 to y, and then so is its whole Stab(x0)-orbit.
     """
     x0 = aut_m.v
-    stab = search_e.run(meter, first=x0, image=x0)
+    search = _Search(fe, x0)
+    stab = search.run(meter, image=x0)
     restricted = frozenset(g[:x0] for g in stab)
     ok = restricted == aut_m.elements
     orbit = {x0}
     for y in range(x0):
         if y not in orbit:
-            if not search_e.run(meter, first=x0, image=y, stop=True):
+            if not search.run(meter, image=y, stop=True):
                 break
             orbit.update(h[y] for h in stab)
     return ExtensionReport(

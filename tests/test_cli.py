@@ -619,8 +619,9 @@ def test_bad_command_input_exits_3_with_one_line(argv, expected, tmp_path, capsy
         ["verify", "bogus", "--in", "a.txt"],
         ["bogus"],
         [],
+        ["gen", "chg", "--machine"],
     ],
-    ids=["bad-choice", "missing-in", "bad-what", "bad-command", "no-command"],
+    ids=["bad-choice", "missing-in", "bad-what", "bad-command", "no-command", "machine-no-report"],
 )
 def test_usage_errors_exit_3_not_the_budget_code(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import comb
+from time import perf_counter
 
 import pytest
 
@@ -315,6 +316,24 @@ def test_obstruction_certificates():
         assert cert.extended_cycle_length == k + 1
         ca, cb = agreement_classes(cert.g0, tuple(range(k + 1)))
         assert len(ca) == len(cb) == (k + 1) // 2
+
+
+def test_obstruction_check_matches_every_ordering():
+    # the all-orderings check is the oracle for the one ordering per k-set
+    for k in (3, 5, 7):
+        cert = odd_obstruction(k)
+        g0, sigma = cert.g0, cert.sigma
+        assert cert.sigma_is_automorphism == all(
+            evaluate(g0, tup) == evaluate(g0, tuple(sigma[x] for x in tup))
+            for tup in permutations(range(k + 1), k)
+        )
+
+
+def test_obstruction_is_fast_at_large_k():
+    start = perf_counter()
+    cert = odd_obstruction(101)
+    assert perf_counter() - start < 1
+    assert cert.sigma_is_automorphism and cert.extended_cycle_length == 102
 
 
 def test_obstruction_negative_control():

@@ -139,6 +139,20 @@ def test_canonical_palettes_pass():
         assert is_palette(canonical_palette(n)).ok
 
 
+def test_canonical_members_match_the_xor_filter():
+    for n in (1, 2, 4, 8, 16, 32, 64):
+        every = enumerate_multisets(n, 4)
+        xor_zero = {m for m in every if (m[0] - 1) ^ (m[1] - 1) ^ (m[2] - 1) ^ (m[3] - 1) == 0}
+        assert canonical_palette(n).members == xor_zero, n
+
+
+def test_canonical_refuses_past_the_triple_limit():
+    start = perf_counter()
+    with pytest.raises(BoundExceededError, match="2829056 color triples"):
+        canonical_palette(256)
+    assert perf_counter() - start < 1
+
+
 def test_canonical_rejects_non_powers():
     with pytest.raises(InputError):
         canonical_palette(3)

@@ -141,7 +141,7 @@ def test_orbits_spend_one_unit_per_item():
 
 def test_stabilizer_of_triangle_vertex():
     # the search that the extension check runs for Stab(x0)
-    stab = _Search(flatten(k3())).run(_Meter(), first=0, image=0)
+    stab = _Search(flatten(k3()), 0).run(_Meter(), image=0)
     assert sorted(stab) == [(0, 1, 2), (0, 2, 1)]
 
 
@@ -330,13 +330,19 @@ def _random_structure(rng, v):
     return _structure(v, rels, tuple(reps))
 
 
+def _checks(search):
+    """The (tuple, set) checks a search files at its steps, each tuple read
+    back by applying its getter to the identity."""
+    ident = list(range(search.v))
+    return [(get(ident), rel) for due in search.steps for get, rel in due]
+
+
 def _reductions(s):
     """Which check reductions the search took: (complement, one per set, one
     per alternating coset), read off how many tuples each check stands for."""
-    search = _Search(s)
     own = {id(tuples) for _, _, tuples in s.relations}
     per_rel = {}
-    for t, rel in search.checks:
+    for t, rel in _checks(_Search(s)):
         per_rel.setdefault(id(rel), [rel, 0, len(t)])[1] += 1
     complemented = any(key not in own for key in per_rel)
     spans = [(len(rel) // count, k) for rel, count, k in per_rel.values()]
@@ -354,9 +360,9 @@ def test_search_matches_brute_force_on_random_structures():
         brute = set(automorphisms_brute(s))
         assert automorphism_group(s).elements == brute, s
         x, y = rng.below(s.v), rng.below(s.v)
-        found = _Search(s).run(_Meter(), first=x, image=y)
+        found = _Search(s, x).run(_Meter(), image=y)
         assert set(found) == {g for g in brute if g[x] == y}
-        hit = _Search(s).run(_Meter(), first=x, image=y, stop=True)
+        hit = _Search(s, x).run(_Meter(), image=y, stop=True)
         assert len(hit) == min(1, sum(1 for g in brute if g[x] == y))
         c, o, _ = _reductions(s)
         complemented += c
@@ -414,14 +420,14 @@ def test_coset_rule_matches_brute_force():
     for obj in _coset_cases():
         s = flatten(obj)
         brute = set(automorphisms_brute(s))
-        search = _Search(s)
-        assert set(search.run(_Meter())) == brute, s
-        # two images per first vertex on one search, so its schedule is reused
+        assert set(_Search(s).run(_Meter())) == brute, s
+        # two images per first vertex, both on that vertex's one search
         for x in {rng.below(s.v), rng.below(s.v)}:
+            search = _Search(s, x)
             for y in {rng.below(s.v), x}:
                 expected = {g for g in brute if g[x] == y}
-                assert set(search.run(_Meter(), first=x, image=y)) == expected, s
-                hit = search.run(_Meter(), first=x, image=y, stop=True)
+                assert set(search.run(_Meter(), image=y)) == expected, s
+                hit = search.run(_Meter(), image=y, stop=True)
                 assert len(hit) == min(1, len(expected)) and set(hit) <= expected
         by_rule[_reductions(s)[2]] += 1
     assert all(by_rule), by_rule
@@ -437,14 +443,6 @@ def test_coset_rule_is_taken_on_orientations_and_circular_orders_only():
         assert _reductions(flatten(random_hypertournament(rng, 7, k))) == (False,) * 3
     assert _reductions(flatten(random_unrooted_tree(rng, 7))) == (False,) * 3
     assert not _reductions(_three_cycle_closed(rng, 6))[2]
-
-
-def test_search_reuses_one_schedule_per_first_vertex():
-    search = _Search(flatten(random_orientation(SplitMix64(8), 6, 4)))
-    for y in range(6):
-        search.run(_Meter(), first=0, image=y, stop=True)
-    search.run(_Meter())
-    assert set(search.schedules) == {0, None}
 
 
 def test_orientation_verify_units_are_unchanged():
@@ -744,18 +742,22 @@ def _reference_checks(s):
     return checks
 
 
-def _same_search(s, firsts):
+def _same_search(s, first, runs):
     """Whether the search compiled from the representatives, the one compiled
     from every tuple, and one checking what the tuple scan finds agree on
-    candidates, results and budget spent."""
-    scan = _Search(replace(s, reps=None))
-    scan.checks = _reference_checks(s)
-    searches = _Search(s), _Search(replace(s, reps=None)), scan
+    candidates, results and budget spent, for one first vertex and each
+    (image, stop) in `runs`."""
+    scan = _Search(replace(s, reps=None), first)
+    step = {x: i for i, x in enumerate(scan.order)}
+    scan.steps = [[] for _ in range(s.v)]
+    for t, rel in _reference_checks(s):
+        scan.steps[max(map(step.get, t))].append((itemgetter(*t), rel))
+    searches = _Search(s, first), _Search(replace(s, reps=None), first), scan
     assert all(search.candidates == scan.candidates for search in searches)
-    for first, image, stop in [(None, None, False)] + firsts:
+    for image, stop in runs:
         meters = [_Meter() for _ in searches]
-        runs = [search.run(meter, first, image, stop) for search, meter in zip(searches, meters)]
-        assert runs[0] == runs[1] == runs[2], s
+        found = [search.run(meter, image, stop) for search, meter in zip(searches, meters)]
+        assert found[0] == found[1] == found[2], s
         assert meters[0].left == meters[1].left == meters[2].left, s
 
 
@@ -767,10 +769,11 @@ def test_search_from_representatives_matches_the_tuple_scan():
         s = flatten(obj)
         if not isinstance(obj, RelationalStructure):
             # a view's representatives are the checks the scan finds
-            assert Counter(_Search(s).checks) == Counter(_reference_checks(s)), obj
+            assert Counter(_checks(_Search(s))) == Counter(_reference_checks(s)), obj
             views += 1
         x0 = s.v - 1
-        _same_search(s, [(x0, y, stop) for y in range(s.v) for stop in (False, True)])
+        _same_search(s, None, [(None, False)])
+        _same_search(s, x0, [(y, stop) for y in range(s.v) for stop in (False, True)])
         for (_, k, tuples), reps in zip(s.relations, s.reps or ()):
             if k > 1 and reps:
                 dense = 2 * len(tuples) > perm(s.v, k)
@@ -789,6 +792,6 @@ def test_the_tuple_scan_finds_no_reduction_on_views_without_representatives():
         s = flatten(obj)
         assert s.reps is None, obj
         every = [(t, tuples) for _, k, tuples in s.relations if k > 1 for t in tuples]
-        assert Counter(_reference_checks(s)) == Counter(every) == Counter(_Search(s).checks)
+        assert Counter(_reference_checks(s)) == Counter(every) == Counter(_checks(_Search(s)))
         nonempty[type(obj).__name__] += bool(every)
     assert len(nonempty) == 4 and min(nonempty.values()) >= 5, nonempty

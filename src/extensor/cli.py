@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Exit codes: 0 verified/found, 1 refuted/proven-none, 2 search budget spent,
-3 input error, including a usage error that argparse reports.  ``--budget N``
-on ``verify``, ``orbits``, ``obstruct`` and ``palette`` caps the search nodes
-one command may spend (default ``SEARCH_BUDGET``, 10^6); a command that spends
-them all exits 2.
+3 input error, including a usage error that argparse reports.  Each action has
+its own parser, which declares only the options that action reads, so an option
+it would ignore is a usage error.  ``--budget N`` on the actions that search
+(``verify extension``, ``verify transitive``, ``palette search``, ``obstruct
+eqrel`` and ``orbits``) caps the search nodes one command may spend (default
+``SEARCH_BUDGET``, 10^6); a command that spends them all exits 2.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def _write(path, text):
 
 
 def _write_out(args, text):
-    if getattr(args, "out", None):
+    if args.out:
         _write(args.out, text)
     else:
         sys.stdout.write(text)
@@ -54,7 +56,7 @@ def _write_out(args, text):
 
 def _emit(args, pairs):
     """Report as aligned text, or key=value lines under --machine."""
-    if getattr(args, "machine", False):
+    if args.machine:
         for key, value in pairs:
             print(f"{key}={value}")
     else:
@@ -75,7 +77,7 @@ def cmd_gen(args):
     elif args.kind == "htour":
         obj = random_hypertournament(rng, args.v, args.k)
     elif args.kind == "ctree":
-        if args.degree:
+        if args.degree is not None:
             obj = random_regular_tree(
                 rng,
                 args.leaves,
@@ -92,10 +94,8 @@ def cmd_gen(args):
                 ranked=args.ranked,
                 plane=args.plane,
             )
-    elif args.kind == "dtree":
-        obj = random_unrooted_tree(rng, args.leaves, n_colors=args.colors)
     else:
-        raise InputError(f"unknown kind {args.kind!r}")
+        obj = random_unrooted_tree(rng, args.leaves, n_colors=args.colors)
     _write_out(args, serialize(obj))
     return OK
 
@@ -161,36 +161,30 @@ def cmd_verify(args):
         _emit(args, rows)
         return OK if check.ok else REFUTED
 
-    if args.what in ("extension", "transitive"):
-        if not args.ext:
-            raise InputError(f"verify {args.what} needs --ext <file>")
-        ext = parse(_read(args.ext))
-        report = perm.verify_one_point_extension(obj, ext, budget=args.budget)
-        _emit(
-            args,
-            [
-                ("is_one_point_extension", report.is_one_point_extension),
-                ("is_transitive", report.is_transitive),
-                ("aut_m_order", report.aut_m_order),
-                ("stabilizer_order", report.stabilizer_order),
-                ("witness", perm.fmt_cycles(report.witness) if report.witness else None),
-            ],
-        )
-        wanted = (
-            report.is_one_point_extension
-            if args.what == "extension"
-            else report.is_one_point_extension and report.is_transitive
-        )
-        return OK if wanted else REFUTED
-    raise InputError(f"unknown verify mode {args.what!r}")
+    ext = parse(_read(args.ext))
+    report = perm.verify_one_point_extension(obj, ext, budget=args.budget)
+    _emit(
+        args,
+        [
+            ("is_one_point_extension", report.is_one_point_extension),
+            ("is_transitive", report.is_transitive),
+            ("aut_m_order", report.aut_m_order),
+            ("stabilizer_order", report.stabilizer_order),
+            ("witness", perm.fmt_cycles(report.witness) if report.witness else None),
+        ],
+    )
+    wanted = (
+        report.is_one_point_extension
+        if args.what == "extension"
+        else report.is_one_point_extension and report.is_transitive
+    )
+    return OK if wanted else REFUTED
 
 
 # -- palette ---------------------------------------------------------------------
 
 
 def _read_palette(args):
-    if not args.infile:
-        raise InputError(f"palette {args.action} needs --in <palette file>")
     p = parse(_read(args.infile))
     if not isinstance(p, palette.Palette):
         raise InputError(f"palette {args.action} needs a palette file, got {type(p).__name__}")
@@ -213,13 +207,9 @@ def cmd_palette(args):
         if outcome.status == "found" and args.out:
             _write(args.out, serialize(outcome.palette))
         _emit(args, [("status", outcome.status), ("nodes", outcome.nodes)])
-        if outcome.status == "found":
-            return OK
-        return EXCEEDED if outcome.status == "budget_exhausted" else REFUTED
-    if args.action == "reduce":
-        _write_out(args, serialize(palette.reduce_palette(_read_palette(args))))
-        return OK
-    raise InputError(f"unknown palette action {args.action!r}")
+        return OK if outcome.status == "found" else REFUTED
+    _write_out(args, serialize(palette.reduce_palette(_read_palette(args))))
+    return OK
 
 
 # -- obstruct ---------------------------------------------------------------------
@@ -259,21 +249,19 @@ def cmd_obstruct(args):
         rows += [(f"failed_{k}", n) for k, n in sorted(cert.failure_counts.items())]
         _emit(args, rows)
         return REFUTED if cert.passed == 0 else OK
-    if args.target == "leveled":
-        report = treeset.leveled_obstruction_demo()
-        _emit(
-            args,
-            [
-                ("monotonic_sequences_hold", report.monotonic_sequences_hold),
-                ("map_preserves_c", report.map_preserves_c),
-                ("map_breaks_leveling", report.map_breaks_leveling),
-                ("equal_length_isomorphic", report.equal_length_isomorphic),
-                ("sequences", report.sequences),
-                ("leveling_values", report.leveling_values),
-            ],
-        )
-        return OK if report.holds else REFUTED
-    raise InputError(f"unknown obstruction target {args.target!r}")
+    report = treeset.leveled_obstruction_demo()
+    _emit(
+        args,
+        [
+            ("monotonic_sequences_hold", report.monotonic_sequences_hold),
+            ("map_preserves_c", report.map_preserves_c),
+            ("map_breaks_leveling", report.map_breaks_leveling),
+            ("equal_length_isomorphic", report.equal_length_isomorphic),
+            ("sequences", report.sequences),
+            ("leveling_values", report.leveling_values),
+        ],
+    )
+    return OK if report.holds else REFUTED
 
 
 # -- orbits / interpret --------------------------------------------------------------
@@ -303,12 +291,10 @@ def cmd_interpret(args):
         if not isinstance(obj, treeset.RootedLeafTree):
             raise InputError("c2d needs a rooted tree file")
         out = treeset.extend_c_to_d(obj)
-    elif args.mode == "lin2circ":
+    else:
         if not isinstance(obj, tourney.LinearOrder):
             raise InputError("lin2circ needs a linear order file")
         out = tourney.circular_from_linear(obj)
-    else:
-        raise InputError(f"unknown interpretation {args.mode!r}")
     _write_out(args, serialize(out))
     return OK
 
@@ -338,75 +324,86 @@ def build_parser():
         description="construct, verify, and refute one-point transitive extensions",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    options = {
+        "--seed": dict(type=int, default=acceptance.DEFAULT_SEED),
+        "--v": dict(type=int, default=6),
+        "--k": dict(type=int, default=2),
+        "--n": dict(type=int, default=2),
+        "--leaves": dict(type=int, default=6),
+        "--colors": dict(type=int),
+        "--ranked": dict(action="store_true"),
+        "--plane": dict(action="store_true"),
+        "--degree": dict(type=int, help="regular branching degree"),
+        "--in": dict(dest="infile", required=True, help="input file"),
+        "--ext": dict(required=True, help="extension file"),
+        "--out": dict(help="output file (default stdout)"),
+        "--circ-out": dict(help="also write the circular order (plane trees)"),
+        "--order": dict(help="linear order file"),
+        "--machine": dict(action="store_true", help="key=value output"),
+        "--budget": dict(type=int, help=f"search nodes (default {SEARCH_BUDGET:_})"),
+        "-n": dict(type=int, default=2),
+        "-k": dict(type=int, default=3),
+        "-m": dict(type=int, default=1),
+        "--classes": dict(default="2+2"),
+        "--mode": dict(choices=["tuples", "subsets"], default="tuples"),
+        "--only": dict(help="comma list of criterion numbers"),
+    }
 
-    def common(p, infile=False, out=False, budget=False):
-        if infile:
-            p.add_argument("--in", dest="infile", required=True, help="input file")
-        if out:
-            p.add_argument("--out", help="output file (default stdout)")
-        if budget:
-            # the commands that search are the ones that print a report
-            p.add_argument("--machine", action="store_true", help="key=value output")
-            p.add_argument(
-                "--budget", type=int, help=f"search nodes (default {SEARCH_BUDGET:_})"
-            )
+    def command(name, fn, help, dest=None, flags=None, **actions):
+        """A command's parser, or under `dest` one parser per action; each
+        declares only the options its command or action reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        if dest:
+            choose = p.add_subparsers(dest=dest, required=True)
+        for action, flags in (actions or {name: flags}).items():
+            q = choose.add_parser(action) if dest else p
+            for flag in flags.split():
+                q.add_argument(flag, **options[flag])
 
-    p = sub.add_parser("gen", help="seeded random structures")
-    p.add_argument("kind", choices=["chg", "orient", "htour", "ctree", "dtree"])
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    p.add_argument("--v", type=int, default=6)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--leaves", type=int, default=6)
-    p.add_argument("--colors", type=int, default=None)
-    p.add_argument("--ranked", action="store_true")
-    p.add_argument("--plane", action="store_true")
-    p.add_argument("--degree", type=int, default=None, help="regular branching degree")
-    common(p, out=True)
-    p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("extend", help="one-point extension of a structure file")
-    common(p, infile=True, out=True)
-    p.add_argument("--circ-out", help="also write the circular order (plane trees)")
-    p.set_defaults(fn=cmd_extend)
-
-    p = sub.add_parser("verify", help="evenness, axioms, or extension checks")
-    p.add_argument("what", choices=["even", "axioms", "extension", "transitive"])
-    common(p, infile=True, budget=True)
-    p.add_argument("--ext", help="extension file (for extension/transitive)")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("palette", help="palette axioms, construction, search")
-    p.add_argument("action", choices=["check", "canonical", "search", "reduce"])
-    p.add_argument("-n", type=int, default=2)
-    common(p, out=True, budget=True)
-    p.add_argument("--in", dest="infile", help="palette file")
-    p.set_defaults(fn=cmd_palette)
-
-    p = sub.add_parser("obstruct", help="nonexistence certificates and demos")
-    p.add_argument("target", choices=["orient", "eqrel", "leveled"])
-    p.add_argument("-k", type=int, default=3)
-    p.add_argument("--classes", default="2+2")
-    common(p, budget=True)
-    p.set_defaults(fn=cmd_obstruct)
-
-    p = sub.add_parser("orbits", help="orbit classes of a structure's automorphisms")
-    common(p, infile=True, budget=True)
-    p.add_argument("-m", type=int, default=1)
-    p.add_argument("--mode", choices=["tuples", "subsets"], default="tuples")
-    p.set_defaults(fn=cmd_orbits)
-
-    p = sub.add_parser("interpret", help="structure interpretations")
-    p.add_argument("mode", choices=["htour2chg", "c2d", "lin2circ"])
-    common(p, infile=True, out=True)
-    p.add_argument("--order", help="linear order file for htour2chg")
-    p.set_defaults(fn=cmd_interpret)
-
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    p.add_argument("--only", help="comma list of criterion numbers")
-    p.set_defaults(fn=cmd_selftest)
-
+    command(
+        "gen", cmd_gen, "seeded random structures", "kind",
+        chg="--seed --v --k --n --out",
+        orient="--seed --v --k --out",
+        htour="--seed --v --k --out",
+        ctree="--seed --leaves --colors --ranked --plane --degree --out",
+        dtree="--seed --leaves --colors --out",
+    )
+    command(
+        "extend", cmd_extend, "one-point extension of a structure file",
+        flags="--in --out --circ-out",
+    )
+    command(
+        "verify", cmd_verify, "evenness, axioms, or extension checks", "what",
+        even="--in --machine",
+        axioms="--in --machine",
+        extension="--in --ext --machine --budget",
+        transitive="--in --ext --machine --budget",
+    )
+    command(
+        "palette", cmd_palette, "palette axioms, construction, search", "action",
+        check="--in --machine",
+        canonical="-n --out",
+        search="-n --out --machine --budget",
+        reduce="--in --out",
+    )
+    command(
+        "obstruct", cmd_obstruct, "nonexistence certificates and demos", "target",
+        orient="-k --machine",
+        eqrel="--classes --machine --budget",
+        leveled="--machine",
+    )
+    command(
+        "orbits", cmd_orbits, "orbit classes of a structure's automorphisms",
+        flags="--in --machine --budget -m --mode",
+    )
+    command(
+        "interpret", cmd_interpret, "structure interpretations", "mode",
+        htour2chg="--in --out --order",
+        c2d="--in --out",
+        lin2circ="--in --out",
+    )
+    command("selftest", cmd_selftest, "run the acceptance suite", flags="--seed --only")
     return top
 
 

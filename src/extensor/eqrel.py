@@ -48,8 +48,9 @@ class EquivalenceRelation:
 
     @classmethod
     def from_classes(cls, v, blocks):
-        canon = tuple(sorted((frozenset(b) for b in blocks), key=min))
-        return cls(v, canon)
+        blocks = [frozenset(b) for b in blocks]
+        # an empty block sorts first, and the constructor refuses it
+        return cls(v, tuple(sorted(blocks, key=lambda b: min(b, default=-1))))
 
     def related(self, a, b):
         return any(a in block and b in block for block in self.classes)

@@ -219,7 +219,7 @@ def palettes_equivalent(a: Palette, b: Palette):
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    status: str  # "found" | "proven_none" | "budget_exhausted"
+    status: str  # "found" | "proven_none"
     palette: Palette | None
     nodes: int
 
@@ -300,8 +300,8 @@ def search_palette(n, budget=None) -> SearchOutcome:
     pair {a,b} with a color c >= b; values are colors in ascending order, so
     search trees (and node counts) are reproducible.  Each color tried costs
     one node of `budget` (default ``SEARCH_BUDGET``); the node after the last
-    one ends the search as ``budget_exhausted``.  More than ``SEARCH_BUDGET``
-    color pairs raise :class:`BoundExceededError` before any table is built.
+    one raises :class:`BoundExceededError`, as does a count of more than
+    ``SEARCH_BUDGET`` color pairs, before any table is built.
 
     The state is the partition of the pairs into classes (see the module
     docstring), kept in a :class:`_PairClasses`.  Variable {a,b,c} is open
@@ -317,7 +317,8 @@ def search_palette(n, budget=None) -> SearchOutcome:
     """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    budget = _Meter(budget).budget
+    meter = _Meter(budget)
+    budget = meter.budget
     npairs = n * (n + 1) // 2
     if npairs > SEARCH_BUDGET:
         raise BoundExceededError(
@@ -362,7 +363,7 @@ def search_palette(n, budget=None) -> SearchOutcome:
         x = (viable & -viable).bit_length() - 1 if viable else n
         nodes += x - color
         if nodes > budget:
-            return SearchOutcome("budget_exhausted", None, budget + 1)
+            raise meter.exhausted("palette search")
         if not viable:
             stack.pop()
             continue

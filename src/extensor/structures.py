@@ -31,7 +31,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import InputError
+from .errors import SEARCH_BUDGET, BoundExceededError, InputError
 
 # ---------------------------------------------------------------------------
 # k-subset combinatorics (combinatorial number system, colex order)
@@ -75,7 +75,19 @@ def unrank_subset(rank, k, v):
 
 @lru_cache(maxsize=128)
 def _colex(v, k):
-    """The k-subsets of {0..v-1} in colex order, and a {subset: rank} index."""
+    """The k-subsets of {0..v-1} in colex order, and a {subset: rank} index.
+
+    This is the one place every k-subset of a (v, k) is listed, so it holds
+    the size limit: more than ``SEARCH_BUDGET`` subsets raise
+    :class:`BoundExceededError` before any is listed.
+    """
+    if v < 0 or k < 0:
+        raise InputError(f"no {k}-subsets of a {v}-set")
+    if comb(v, k) > SEARCH_BUDGET:
+        raise BoundExceededError(
+            f"the {comb(v, k)} {k}-subsets of a {v}-set exceed the limit of"
+            f" {SEARCH_BUDGET} subsets"
+        )
     # lexicographic order on descending tuples, reversed, is colex order
     order = tuple(
         s[::-1] for s in reversed(list(combinations(range(v - 1, -1, -1), k)))

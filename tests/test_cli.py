@@ -578,24 +578,26 @@ def test_selftest_is_deterministic_across_processes(tmp_path):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["palette", "check"], "palette check needs --in"),
-        (["palette", "reduce"], "palette reduce needs --in"),
         (["palette", "check", "--in", "{chg}"], "palette check needs a palette file"),
         (["palette", "reduce", "--in", "{chg}"], "palette reduce needs a palette file"),
         (
             ["interpret", "htour2chg", "--in", "{htour}", "--order", "{chg}"],
             "--order needs a linear order file",
         ),
+        (["obstruct", "eqrel", "--classes", "0"], "empty class"),
+        (["obstruct", "eqrel", "--classes", "2+0+1"], "empty class"),
+        (["gen", "ctree", "--degree", "0"], "regular degree must be at least 2"),
         (["selftest", "--only", "x"], "--only wants criterion numbers"),
         (["selftest", "--only", ""], "--only wants criterion numbers"),
         (["selftest", "--only", "13"], "--only wants criterion numbers"),
     ],
     ids=[
-        "palette-check-no-in",
-        "palette-reduce-no-in",
         "palette-check-not-a-palette",
         "palette-reduce-not-a-palette",
         "htour2chg-order-not-an-order",
+        "eqrel-empty-class",
+        "eqrel-empty-inner-class",
+        "ctree-degree-0",
         "selftest-only-not-a-number",
         "selftest-only-empty",
         "selftest-only-unknown-criterion",
@@ -624,11 +626,7 @@ def test_bad_command_input_exits_3_with_one_line(argv, expected, tmp_path, capsy
     ids=["bad-choice", "missing-in", "bad-what", "bad-command", "no-command", "machine-no-report"],
 )
 def test_usage_errors_exit_3_not_the_budget_code(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    out, err = capsys.readouterr()
-    assert exc.value.code == 3
-    assert out == "" and err.startswith("usage: extensor") and "error: " in err
+    assert "error: " in usage_error(argv, capsys)
 
 
 def test_help_still_exits_0(capsys):
@@ -648,10 +646,248 @@ def test_console_usage_error_exits_3():
     assert "argument --mode: invalid choice: 'bogus'" in done.stderr
 
 
+def usage_error(argv, capsys):
+    """The stderr of a usage error, which exits 3 and prints nothing."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (3, ""), argv
+    assert err.startswith("usage: extensor"), argv
+    return err
+
+
 @pytest.mark.parametrize("what", ["extension", "transitive"])
 def test_verify_without_ext_names_the_mode_given(what, tmp_path, capsys):
     base = tmp_path / "base.txt"
     base.write_text("kind chg v=3 k=2 n=2\n(0,1) = 1\n(0,2) = 0\n(1,2) = 1\n")
-    code, out, err = run(["verify", what, "--in", str(base)], capsys)
-    assert (code, out) == (3, "")
-    assert err == f"input error: verify {what} needs --ext <file>\n"
+    err = usage_error(["verify", what, "--in", str(base)], capsys)
+    assert err.startswith(f"usage: extensor verify {what} ")
+    assert err.endswith(
+        f"extensor verify {what}: error: the following arguments are required: --ext\n"
+    )
+
+
+@pytest.mark.parametrize("action", ["check", "reduce"])
+def test_palette_without_in_names_the_action_given(action, capsys):
+    err = usage_error(["palette", action], capsys)
+    assert err.startswith(f"usage: extensor palette {action} ")
+    assert err.endswith(
+        f"extensor palette {action}: error: the following arguments are required: --in\n"
+    )
+
+
+# -- the option table: each action declares the options it reads ----------------
+
+# (command, action): the options that action takes; None for a command
+# without actions
+OPTIONS = {
+    ("gen", "chg"): "--seed --v --k --n --out",
+    ("gen", "orient"): "--seed --v --k --out",
+    ("gen", "htour"): "--seed --v --k --out",
+    ("gen", "ctree"): "--seed --leaves --colors --ranked --plane --degree --out",
+    ("gen", "dtree"): "--seed --leaves --colors --out",
+    ("extend", None): "--in --out --circ-out",
+    ("verify", "even"): "--in --machine",
+    ("verify", "axioms"): "--in --machine",
+    ("verify", "extension"): "--in --ext --machine --budget",
+    ("verify", "transitive"): "--in --ext --machine --budget",
+    ("palette", "check"): "--in --machine",
+    ("palette", "canonical"): "-n --out",
+    ("palette", "search"): "-n --out --machine --budget",
+    ("palette", "reduce"): "--in --out",
+    ("obstruct", "orient"): "-k --machine",
+    ("obstruct", "eqrel"): "--classes --machine --budget",
+    ("obstruct", "leveled"): "--machine",
+    ("orbits", None): "--in --machine --budget -m --mode",
+    ("interpret", "htour2chg"): "--in --out --order",
+    ("interpret", "c2d"): "--in --out",
+    ("interpret", "lin2circ"): "--in --out",
+    ("selftest", None): "--seed --only",
+}
+
+# the options each command shared across all of its actions before every
+# action had a parser of its own
+SHARED = {
+    "gen": "--seed --v --k --n --leaves --colors --ranked --plane --degree --out",
+    "extend": "--in --out --circ-out",
+    "verify": "--in --machine --budget --ext",
+    "palette": "-n --out --machine --budget --in",
+    "obstruct": "-k --classes --machine --budget",
+    "orbits": "--in --machine --budget -m --mode",
+    "interpret": "--in --out --order",
+    "selftest": "--seed --only",
+}
+
+# a value each option parses, and the attribute it lands in
+VALUES = {
+    "--seed": ("5", "seed", 5), "--v": ("5", "v", 5), "--k": ("3", "k", 3),
+    "--n": ("3", "n", 3), "--leaves": ("7", "leaves", 7),
+    "--colors": ("2", "colors", 2), "--ranked": (None, "ranked", True),
+    "--plane": (None, "plane", True), "--degree": ("3", "degree", 3),
+    "--in": ("a.txt", "infile", "a.txt"), "--ext": ("b.txt", "ext", "b.txt"),
+    "--out": ("c.txt", "out", "c.txt"), "--circ-out": ("d.txt", "circ_out", "d.txt"),
+    "--order": ("e.txt", "order", "e.txt"), "--machine": (None, "machine", True),
+    "--budget": ("9", "budget", 9), "-n": ("4", "n", 4), "-k": ("5", "k", 5),
+    "-m": ("2", "m", 2), "--classes": ("3+3", "classes", "3+3"),
+    "--mode": ("subsets", "mode", "subsets"), "--only": ("1,2", "only", "1,2"),
+}
+
+
+def _argv(command, action, flag):
+    """The command line that gives `flag` to the action, with its required options."""
+    argv = [command] + ([action] if action else [])
+    for required in ("--in", "--ext"):
+        if required != flag and required in OPTIONS[command, action].split():
+            argv += [required, VALUES[required][0]]
+    value = VALUES[flag][0]
+    return argv + [flag] + ([value] if value is not None else [])
+
+
+@pytest.mark.parametrize(
+    "command, action, flag",
+    [(c, a, f) for (c, a), flags in OPTIONS.items() for f in flags.split()],
+)
+def test_each_action_parses_the_options_it_reads(command, action, flag):
+    from extensor.cli import build_parser
+
+    _, dest, value = VALUES[flag]
+    args = build_parser().parse_args(_argv(command, action, flag))
+    assert getattr(args, dest) == value
+
+
+@pytest.mark.parametrize(
+    "command, action, flag",
+    [
+        (c, a, f)
+        for (c, a), flags in OPTIONS.items()
+        for f in SHARED[c].split()
+        if f not in flags.split()
+    ],
+)
+def test_an_option_the_action_does_not_read_is_a_usage_error(command, action, flag, capsys):
+    err = usage_error(_argv(command, action, flag), capsys)
+    assert f"unrecognized arguments: {flag}" in err
+
+
+def test_the_parser_declares_exactly_the_option_table():
+    import argparse
+
+    from extensor.cli import build_parser
+
+    def flags(parser):
+        return {
+            s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")
+        }
+
+    def children(parser):
+        (choose,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return choose.choices
+
+    declared = {}
+    for command, parser in children(build_parser()).items():
+        if (command, None) in OPTIONS:
+            declared[command, None] = flags(parser)
+        else:
+            for action, leaf in children(parser).items():
+                declared[command, action] = flags(leaf)
+    assert declared == {key: set(flags.split()) for key, flags in OPTIONS.items()}
+
+
+# -- limits: a spent palette budget and an oversized subset table -------------------
+
+
+def test_palette_search_spends_the_shared_budget_like_every_search(capsys):
+    code, out, err = run(["palette", "search", "-n", "7", "--budget", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: palette search spent its budget of 5 nodes\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gen", "chg", "--v", "60", "--k", "30"], 2),
+        (["gen", "chg", "--v", "3", "--k", "-1"], 3),
+        (["gen", "orient", "--v", "-4", "--k", "2"], 3),
+    ],
+    ids=["too-many-subsets", "negative-k", "negative-v"],
+)
+def test_subset_tables_past_their_limits_are_refused_at_once(argv, code, capsys):
+    start = time.perf_counter()
+    got, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert (got, out) == (code, "") and err.count("\n") == 1
+    assert err.startswith("budget exceeded: " if code == 2 else "input error: ")
+
+
+# -- mutants past the parser: every command ends with an exit code -----------------
+
+
+def test_mutated_files_through_every_command_end_with_an_exit_code(tmp_path, capsys):
+    import signal
+
+    from test_fileio import _mutate
+
+    from extensor.eqrel import EquivalenceRelation
+    from extensor.generate import (
+        SplitMix64,
+        random_colored_hypergraph,
+        random_hypertournament,
+        random_linear_order,
+        random_orientation,
+        random_rooted_tree,
+        random_unrooted_tree,
+    )
+    from extensor.palette import canonical_palette
+    from extensor.tourney import circular_from_linear
+
+    rng = SplitMix64(28)
+    fixtures = {
+        "chg": random_colored_hypergraph(rng, 5, 2, 2),
+        "orient": random_orientation(rng, 5, 2),
+        "htour": random_hypertournament(rng, 4, 3),
+        "eqrel": EquivalenceRelation.from_classes(5, [{0, 1}, {2, 3, 4}]),
+        "lin": random_linear_order(rng, 5),
+        "circ": circular_from_linear(random_linear_order(rng, 4)),
+        "ctree": random_rooted_tree(rng, 6, n_colors=2, plane=True),
+        "dtree": random_unrooted_tree(rng, 6),
+        "palette": canonical_palette(4),
+    }
+    orbits = ["orbits", "-m", "2", "--budget", "20000"]
+    commands = {
+        "chg": [["verify", "even"], ["extend"], orbits],
+        "orient": [["verify", "even"], ["extend"], orbits],
+        "htour": [["interpret", "htour2chg"], orbits],
+        "eqrel": [["verify", "axioms"], ["extend"], orbits],
+        "lin": [["extend"], ["interpret", "lin2circ"], orbits],
+        "circ": [["verify", "axioms"], orbits],
+        "ctree": [["verify", "axioms"], ["extend"], ["interpret", "c2d"], orbits],
+        "dtree": [["verify", "axioms"], orbits],
+        "palette": [["palette", "check"], ["palette", "reduce"]],
+    }
+    texts = {kind: serialize(obj).encode() for kind, obj in fixtures.items()}
+
+    def hang(*_):
+        raise TimeoutError("no exit code within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    path = tmp_path / "mutant.txt"
+    codes = []
+    try:
+        for i in range(405):
+            kind = list(texts)[i % len(texts)]
+            # latin-1 maps each byte to one code point, so every mutant is text
+            text = _mutate(rng, texts[kind]).decode("latin-1")
+            path.write_text(text, encoding="utf-8")
+            argv = commands[kind][i // len(texts) % len(commands[kind])]
+            signal.alarm(5)
+            try:
+                codes.append(main(argv + ["--in", str(path)]))
+            except BaseException as exc:  # name the input that broke a command
+                raise AssertionError(f"{argv} on {text!r}: {exc!r}") from exc
+            finally:
+                signal.alarm(0)
+            capsys.readouterr()
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert set(codes) <= {0, 1, 2, 3}
+    assert codes.count(3) > 300  # the mutations do reach the error paths

@@ -194,8 +194,10 @@ def test_search_five_and_six_prove_none():
 
 
 def test_search_seven_with_budget_is_honest():
-    out = search_palette(7, budget=10**5)
-    assert out.status in ("proven_none", "budget_exhausted")
+    # within its budget the search ends with a verdict; past it, it raises
+    assert search_palette(7, budget=10**5).status == "proven_none"
+    with pytest.raises(BoundExceededError):
+        search_palette(7, budget=10)
 
 
 def test_search_budget_must_be_positive():
@@ -204,9 +206,9 @@ def test_search_budget_must_be_positive():
 
 
 def test_tiny_budget_exhausts():
-    out = search_palette(6, budget=5)
-    assert out.status == "budget_exhausted"
-    assert out.nodes == 6
+    with pytest.raises(BoundExceededError) as exc:
+        search_palette(6, budget=5)
+    assert str(exc.value) == "palette search spent its budget of 5 nodes"
 
 
 def test_involution_two_colors():
@@ -380,7 +382,12 @@ def _reference_search(n, budget=SEARCH_BUDGET):
 
 
 def _fast_search(n, budget=None):
-    out = search_palette(n, budget=budget)
+    """(status, nodes, members or None), in the oracles' terms: a search that
+    spends its budget raises, and counts as the node past the budget."""
+    try:
+        out = search_palette(n, budget=budget)
+    except BoundExceededError:
+        return "budget_exhausted", (budget or SEARCH_BUDGET) + 1, None
     members = out.palette.members if out.palette is not None else None
     return out.status, out.nodes, members
 
@@ -586,8 +593,8 @@ def test_search_reports_a_non_palette_as_a_bug(monkeypatch):
 
 def test_search_builds_member_tables_lazily():
     # an eager table over all C(63, 4) 4-multisets would take minutes and GBs
-    out = search_palette(60, budget=1000)
-    assert (out.status, out.nodes) == ("budget_exhausted", 1001)
+    with pytest.raises(BoundExceededError, match="spent its budget of 1000 nodes"):
+        search_palette(60, budget=1000)
 
 
 # -- oracle: axiom 1 by scanning every member -----------------------------------

@@ -358,6 +358,7 @@ def build_parser():
             choose = p.add_subparsers(dest=dest, required=True)
         for action, flags in (actions or {name: flags}).items():
             q = choose.add_parser(action) if dest else p
+            q.set_defaults(parser=q)
             for flag in flags.split():
                 q.add_argument(flag, **options[flag])
 
@@ -409,7 +410,10 @@ def build_parser():
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        # the action's own parser reports an option it does not read
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # argparse exits 2 on a usage error, and 2 means a spent budget here
         raise SystemExit(BAD_INPUT if exc.code == 2 else exc.code) from None

@@ -70,6 +70,8 @@ def forced_extension(e: EquivalenceRelation) -> ColoredHypergraph:
     relations: a triple is a hyperedge iff its members are pairwise related
     (boundary triples through x0 mirror the relation itself)."""
     x0 = e.v
+    if x0 < 2:
+        raise InputError(f"the forced extension needs at least 2 points, got v={x0}")
 
     def color(triple):
         if triple[-1] == x0:

@@ -8,12 +8,14 @@ kinds, one `{...}` line per class for equivalence relations, an `order =` /
 `#color` / `@rank` annotations for trees.  Serialization is bit-exact: LF
 endings, no trailing whitespace.
 
-Parsing trusts no header: a kind takes only its own header fields
-(`_FIELDS`) and metadata (`_METADATA`), `v` must match the body, a table
-kind's `k` lie in 2..v (and chg's `n` be at least 1), a tree's `n` be one more
-than its largest color (and absent without colors), `ext` must be a point,
-`labeling` an arrangement of the colors and `plane` 0 or 1, or a ParseError
-names the line.
+Parsing trusts no header: `_KINDS` holds, for each tag, the header fields and
+metadata lines the kind takes and the reader of its body.  An unknown tag is
+refused before any field is read, `v` must match the body, a table kind's `k`
+lie in 2..v (and chg's `n` be at least 1), a tree's `n` be one more than its
+largest color (and absent without colors), `ext` must be a point, `labeling`
+an arrangement of the colors and `plane` 0 or 1, and an order, a cycle or a
+tree term is the one non-blank line of its body, or a ParseError names the
+line.
 A table body is read in one pass: a subset spelled as serialization writes it
 is looked up in a cached text index of (v, k), and only other spellings are
 parsed and checked entry by entry.
@@ -144,29 +146,6 @@ def _tree_term(t) -> str:
 # ---------------------------------------------------------------------------
 
 
-# the header fields and the metadata lines each kind takes
-_FIELDS = {
-    "chg": ("v", "k", "n"),
-    "orient": ("v", "k"),
-    "htour": ("v", "k"),
-    "eqrel": ("v",),
-    "lin": ("v",),
-    "circ": ("v",),
-    "ctree": ("v", "n"),
-    "dtree": ("v", "n"),
-}
-_METADATA = {
-    "chg": ("ext", "labeling"),
-    "orient": ("ext",),
-    "circ": ("ext",),
-    "htour": (),
-    "eqrel": (),
-    "lin": (),
-    "ctree": ("plane",),
-    "dtree": ("plane",),
-}
-
-
 def parse(text: str):
     """Parse a serialized structure; inverse of serialize up to canonical order."""
     lines = text.splitlines()
@@ -182,12 +161,15 @@ def parse(text: str):
     if len(head) < 2:
         raise ParseError(1, "missing kind tag")
     tag = head[1]
+    if tag not in _KINDS:
+        raise ParseError(1, f"unknown kind tag {tag!r}")
+    keys, metadata, read = _KINDS[tag]
     fields = {}
     for part in head[2:]:
         if "=" not in part:
             raise ParseError(1, f"malformed header field {part!r}")
         key, val = part.split("=", 1)
-        if tag in _FIELDS and key not in _FIELDS[tag]:
+        if key not in keys:
             raise ParseError(1, f"kind {tag} takes no {key} field")
         try:
             fields[key] = int(val)
@@ -195,63 +177,39 @@ def parse(text: str):
             raise ParseError(1, f"non-integer header value {part!r}")
     if "v" not in fields:
         raise ParseError(1, "header lacks v=<count>")
-    if tag in ("chg", "orient", "htour"):
+    if "k" in keys:
         _check_table_header(tag, fields)
 
     meta, where = {}, {}  # metadata values and their line numbers
     body_start = 1
     for i in range(1, len(lines)):
-        stripped = lines[i].strip()
-        parts = stripped.split(" = ", 1)
-        if len(parts) == 2 and parts[0] in ("ext", "labeling", "plane", "order", "cycle"):
-            if parts[0] in ("order", "cycle"):
-                break
-            if tag in _METADATA and parts[0] not in _METADATA[tag]:
-                raise ParseError(i + 1, f"kind {tag} takes no {parts[0]} line")
-            if parts[0] == "ext":
-                try:
-                    meta["ext"] = int(parts[1])
-                except ValueError:
-                    raise ParseError(i + 1, f"expected an ext vertex, got {parts[1]!r}")
-            elif parts[0] == "labeling":
-                meta["labeling"] = _parse_int_list(parts[1], i + 1)
-            elif parts[1] in ("0", "1"):  # plane
-                meta["plane"] = parts[1]
-            else:
-                raise ParseError(i + 1, f"plane must be 0 or 1, got {parts[1]!r}")
-            where[parts[0]] = i + 1
-            body_start = i + 1
-        else:
+        key, eq, value = lines[i].strip().partition(" = ")
+        if not eq or key not in ("ext", "labeling", "plane"):
             break
+        if key not in metadata:
+            raise ParseError(i + 1, f"kind {tag} takes no {key} line")
+        if key == "ext":
+            try:
+                meta["ext"] = int(value)
+            except ValueError:
+                raise ParseError(i + 1, f"expected an ext vertex, got {value!r}")
+        elif key == "labeling":
+            meta["labeling"] = _parse_int_list(value, i + 1)
+        elif value in ("0", "1"):  # plane
+            meta["plane"] = value
+        else:
+            raise ParseError(i + 1, f"plane must be 0 or 1, got {value!r}")
+        where[key] = i + 1
+        body_start = i + 1
     v, n = fields["v"], fields.get("n")
     if "ext" in meta and not 0 <= meta["ext"] < v:
         raise ParseError(where["ext"], f"ext {meta['ext']} out of range for v={v}")
-    # only a header with n=<colors> has a labeling to check; chg without n
-    # fails on its header line
-    if "labeling" in meta and n is not None and sorted(meta["labeling"]) != list(range(n)):
+    if "labeling" in meta and sorted(meta["labeling"]) != list(range(n)):
         raise ParseError(
             where["labeling"], f"labeling must arrange 0..{n - 1}, got {meta['labeling']}"
         )
-
-    body = lines[body_start:]
-    offset = body_start + 1  # 1-based line number of the first body line
-
-    if tag == "chg":
-        return _parse_chg(fields, meta, body, offset)
-    if tag == "orient":
-        return _parse_orient(fields, meta, body, offset)
-    if tag == "htour":
-        return _parse_htour(fields, body, offset)
-    if tag == "eqrel":
-        return _parse_eqrel(fields, body, offset)
-    if tag == "lin":
-        return _order_line(body, offset, "order", v, LinearOrder)
-    if tag == "circ":
-        ext = meta.get("ext")
-        return _order_line(body, offset, "cycle", v, lambda c: CircularOrder.from_cycle(c, ext))
-    if tag in ("ctree", "dtree"):
-        return _parse_tree(tag, fields, meta, body, offset)
-    raise ParseError(1, f"unknown kind tag {tag!r}")
+    # the body, and the 1-based line number of its first line
+    return read(tag, fields, meta, lines[body_start:], body_start + 1)
 
 
 def _parse_int_list(text, line):
@@ -259,6 +217,33 @@ def _parse_int_list(text, line):
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ParseError(line, f"expected a comma list of integers, got {text!r}")
+
+
+def _lines(body, offset):
+    """(line number, stripped line) for each non-blank body line."""
+    for at, line in enumerate(body, offset):
+        line = line.strip()
+        if line:
+            yield at, line
+
+
+def _braced(at, line, what):
+    """The integers of a `{a,b,...}` line."""
+    if not (line.startswith("{") and line.endswith("}")):
+        raise ParseError(at, f"expected a {what} line {{...}}, got {line!r}")
+    return _parse_int_list(line[1:-1], at)
+
+
+def _only_line(body, offset, what):
+    """(line number, stripped line) of the one non-blank body line; a body
+    without one, or with a second, raises."""
+    lines = _lines(body, offset)
+    first = next(lines, None)
+    if first is None:
+        raise ParseError(offset, f"missing {what}")
+    for at, line in lines:
+        raise ParseError(at, f"expected nothing after the {what}, got {line!r}")
+    return first
 
 
 def _check_table_header(tag, fields):
@@ -330,7 +315,7 @@ def _checked_rank(line, at, v, k):
     return rank_subset(subset)
 
 
-def _parse_chg(fields, meta, body, offset):
+def _parse_chg(tag, fields, meta, body, offset):
     n = fields["n"]
 
     def value(text, line):
@@ -347,7 +332,7 @@ def _parse_chg(fields, meta, body, offset):
     return ColoredHypergraph(fields["v"], fields["k"], n, table, ext=ext, labeling=labeling)
 
 
-def _parse_orient(fields, meta, body, offset):
+def _parse_orient(tag, fields, meta, body, offset):
     def value(text, line):
         if text not in ("0", "1"):
             raise ParseError(line, f"expected a bit, got {text!r}")
@@ -357,7 +342,7 @@ def _parse_orient(fields, meta, body, offset):
     return Orientation(fields["v"], fields["k"], table, ext=meta.get("ext"))
 
 
-def _parse_htour(fields, body, offset):
+def _parse_htour(tag, fields, meta, body, offset):
     v, k = fields["v"], fields["k"]
     table = _parse_table(fields, body, offset, _parse_int_list)
     try:
@@ -370,38 +355,30 @@ def _parse_htour(fields, body, offset):
         raise ParseError(at, str(exc))
 
 
-def _parse_eqrel(fields, body, offset):
-    blocks = []
-    for i, line in enumerate(body):
-        line = line.strip()
-        if not line:
-            continue
-        if not (line.startswith("{") and line.endswith("}")):
-            raise ParseError(offset + i, f"expected a class line {{...}}, got {line!r}")
-        blocks.append(set(_parse_int_list(line[1:-1], offset + i)))
+def _parse_eqrel(tag, fields, meta, body, offset):
+    blocks = [set(_braced(at, line, "class")) for at, line in _lines(body, offset)]
     try:
         return EquivalenceRelation.from_classes(fields["v"], blocks)
     except InputError as exc:
         raise ParseError(offset + len(body), str(exc))
 
 
-def _order_line(body, offset, key, v, build):
-    """`build` of the int list on the first non-blank body line, which must
-    read `key = ...` and list v points."""
-    for at, line in enumerate(body, offset):
-        line = line.strip()
-        if not line:
-            continue
-        if not line.startswith(f"{key} ="):
-            raise ParseError(at, f"expected '{key} = ...', got {line!r}")
-        points = _parse_int_list(line.split("=", 1)[1].strip(), at)
-        if len(points) != v:
-            raise ParseError(at, f"{key} lists {len(points)} points, header says v={v}")
-        try:
-            return build(points)
-        except InputError as exc:
-            raise ParseError(at, str(exc))
-    raise ParseError(offset, f"missing {key} line")
+def _parse_order(tag, fields, meta, body, offset):
+    """A lin's `order = ...` or a circ's `cycle = ...` line, which lists v points."""
+    key = "order" if tag == "lin" else "cycle"
+    at, line = _only_line(body, offset, f"{key} line")
+    if not line.startswith(f"{key} ="):
+        raise ParseError(at, f"expected '{key} = ...', got {line!r}")
+    points = _parse_int_list(line.split("=", 1)[1].strip(), at)
+    v = fields["v"]
+    if len(points) != v:
+        raise ParseError(at, f"{key} lists {len(points)} points, header says v={v}")
+    try:
+        if tag == "lin":
+            return LinearOrder(points)
+        return CircularOrder.from_cycle(points, meta.get("ext"))
+    except InputError as exc:
+        raise ParseError(at, str(exc))
 
 
 def _parse_palette(lines):
@@ -415,15 +392,10 @@ def _parse_palette(lines):
     if n < 1:
         raise ParseError(1, f"a palette needs n >= 1, got n={n}")
     members = set()
-    for i, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        if not (line.startswith("{") and line.endswith("}")):
-            raise ParseError(i, f"expected a member line {{...}}, got {line!r}")
-        member = tuple(sorted(_parse_int_list(line[1:-1], i)))
+    for at, line in _lines(lines[1:], 2):
+        member = tuple(sorted(_braced(at, line, "member")))
         if len(member) != 4 or not all(1 <= c <= n for c in member):
-            raise ParseError(i, f"a member is four colors in 1..{n}, got {line!r}")
+            raise ParseError(at, f"a member is four colors in 1..{n}, got {line!r}")
         members.add(member)
     return Palette(n, frozenset(members))
 
@@ -492,15 +464,7 @@ class _TreeParser:
 
 
 def _parse_tree(tag, fields, meta, body, offset):
-    term_line = None
-    line_no = offset
-    for i, line in enumerate(body):
-        if line.strip():
-            term_line = line.strip()
-            line_no = offset + i
-            break
-    if term_line is None:
-        raise ParseError(offset, "missing tree term")
+    line_no, term_line = _only_line(body, offset, "tree term")
     parser = _TreeParser(term_line, line_no)
     v = fields["v"]
     internals, leaves = parser.term(v)
@@ -545,3 +509,16 @@ def _parse_tree(tag, fields, meta, body, offset):
         return UnrootedLeafTree(v, adj, colors=colors if has_colors else None, plane=plane)
     except InputError as exc:
         raise ParseError(line_no, str(exc))
+
+
+# each kind's header fields, its metadata lines and the reader of its body
+_KINDS = {
+    "chg": (("v", "k", "n"), ("ext", "labeling"), _parse_chg),
+    "orient": (("v", "k"), ("ext",), _parse_orient),
+    "htour": (("v", "k"), (), _parse_htour),
+    "eqrel": (("v",), (), _parse_eqrel),
+    "lin": (("v",), (), _parse_order),
+    "circ": (("v",), ("ext",), _parse_order),
+    "ctree": (("v", "n"), ("plane",), _parse_tree),
+    "dtree": (("v", "n"), ("plane",), _parse_tree),
+}

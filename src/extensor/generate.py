@@ -48,6 +48,8 @@ class SplitMix64:
 
 def random_colored_hypergraph(rng: SplitMix64, v, k, n) -> ColoredHypergraph:
     """Uniform color per k-subset."""
+    if n < 1:
+        raise InputError(f"need at least one color, got n={n}")
     table = SubsetMap(v, k, tuple(rng.below(n) for _ in subsets_colex(v, k)))
     return ColoredHypergraph(v, k, n, table)
 
@@ -158,9 +160,11 @@ def _freeze(rng, nodes, leaves, leaf_label, n_colors, ranked, plane) -> RootedLe
         tuple(new_id[kid] if kid >= 0 else leaf_label(kid) for kid in nodes[old])
         for old in order
     )
-    colors = (
-        tuple(rng.below(n_colors) for _ in order) if n_colors is not None else None
-    )
+    colors = None
+    if n_colors is not None:
+        if n_colors < 1:
+            raise InputError(f"need at least one color, got {n_colors}")
+        colors = tuple(rng.below(n_colors) for _ in order)
     ranks = None
     if ranked:
         rank_list = [0] * len(order)

@@ -15,6 +15,7 @@ lexicographic order as rows of an int array, and for each row the colex ranks
 of its k-subsets in ``combinations(row, k)`` order.  Both come from the
 combinatorial number system in numpy, so a scan over the faces is one gather
 of the table's values, ``values[ranks]``, and nothing is looked up per subset.
+Both refuse more than ``SEARCH_BUDGET`` subsets before listing any.
 
 The parity layer of colored hypergraphs and orientations lives here too: the
 one-point extension in canonical boundary form, its boundary check, and the
@@ -73,21 +74,29 @@ def unrank_subset(rank, k, v):
     return tuple(out)
 
 
+def _subset_count(v, k):
+    """C(v, k), the number of k-subsets of a v-set, held to the size limit:
+    more than ``SEARCH_BUDGET`` raise :class:`BoundExceededError`."""
+    if v < 0 or k < 0:
+        raise InputError(f"no {k}-subsets of a {v}-set")
+    count = comb(v, k)
+    if count > SEARCH_BUDGET:
+        raise BoundExceededError(
+            f"the {count} {k}-subsets of a {v}-set exceed the limit of"
+            f" {SEARCH_BUDGET} subsets"
+        )
+    return count
+
+
 @lru_cache(maxsize=128)
 def _colex(v, k):
     """The k-subsets of {0..v-1} in colex order, and a {subset: rank} index.
 
-    This is the one place every k-subset of a (v, k) is listed, so it holds
-    the size limit: more than ``SEARCH_BUDGET`` subsets raise
-    :class:`BoundExceededError` before any is listed.
+    This and :func:`_faces` are the places that list every k-subset of a
+    (v, k), so both hold the size limit of :func:`_subset_count` before any
+    subset is listed.
     """
-    if v < 0 or k < 0:
-        raise InputError(f"no {k}-subsets of a {v}-set")
-    if comb(v, k) > SEARCH_BUDGET:
-        raise BoundExceededError(
-            f"the {comb(v, k)} {k}-subsets of a {v}-set exceed the limit of"
-            f" {SEARCH_BUDGET} subsets"
-        )
+    _subset_count(v, k)
     # lexicographic order on descending tuples, reversed, is colex order
     order = tuple(
         s[::-1] for s in reversed(list(combinations(range(v - 1, -1, -1), k)))
@@ -102,7 +111,7 @@ def _faces(v, k, size):
     rows[i] is the i-th size-subset and ranks[i, j] the colex rank of the j-th
     k-subset of rows[i] in ``combinations(rows[i], k)`` order.
     """
-    count = comb(v, size)
+    count = _subset_count(v, size)
     rows = np.fromiter(
         chain.from_iterable(combinations(range(v), size)), np.intp, count * size
     ).reshape(count, size)

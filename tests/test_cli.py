@@ -587,6 +587,14 @@ def test_selftest_is_deterministic_across_processes(tmp_path):
         (["obstruct", "eqrel", "--classes", "0"], "empty class"),
         (["obstruct", "eqrel", "--classes", "2+0+1"], "empty class"),
         (["gen", "ctree", "--degree", "0"], "regular degree must be at least 2"),
+        (["gen", "chg", "--n", "0"], "need at least one color, got n=0"),
+        (["gen", "ctree", "--colors", "0"], "need at least one color, got 0"),
+        (["gen", "dtree", "--colors", "0"], "need at least one color, got 0"),
+        (
+            ["obstruct", "eqrel", "--classes", "1"],
+            "the forced extension needs at least 2 points, got v=1",
+        ),
+        (["extend", "--in", "{eqrel}"], "the forced extension needs at least 2 points, got v=1"),
         (["selftest", "--only", "x"], "--only wants criterion numbers"),
         (["selftest", "--only", ""], "--only wants criterion numbers"),
         (["selftest", "--only", "13"], "--only wants criterion numbers"),
@@ -598,6 +606,11 @@ def test_selftest_is_deterministic_across_processes(tmp_path):
         "eqrel-empty-class",
         "eqrel-empty-inner-class",
         "ctree-degree-0",
+        "chg-no-colors",
+        "ctree-no-colors",
+        "dtree-no-colors",
+        "eqrel-one-class-of-one",
+        "extend-one-point-eqrel",
         "selftest-only-not-a-number",
         "selftest-only-empty",
         "selftest-only-unknown-criterion",
@@ -607,6 +620,8 @@ def test_bad_command_input_exits_3_with_one_line(argv, expected, tmp_path, capsy
     files = {"chg": tmp_path / "chg.txt", "htour": tmp_path / "htour.txt"}
     for kind, path in files.items():
         assert run(["gen", kind, "--v", "4", "--seed", "1", "--out", str(path)], capsys)[0] == 0
+    files["eqrel"] = tmp_path / "eqrel.txt"
+    files["eqrel"].write_text("kind eqrel v=1\n{0}\n")
     code, out, err = run([a.format(**files) for a in argv], capsys)
     assert code == 3
     assert out == ""
@@ -766,7 +781,10 @@ def test_each_action_parses_the_options_it_reads(command, action, flag):
 )
 def test_an_option_the_action_does_not_read_is_a_usage_error(command, action, flag, capsys):
     err = usage_error(_argv(command, action, flag), capsys)
-    assert f"unrecognized arguments: {flag}" in err
+    # the action's own parser reports it, with the options that action takes
+    name = f"extensor {command} {action}"
+    assert err.startswith(f"usage: {name} [-h]")
+    assert f"\n{name}: error: unrecognized arguments: {flag}" in err
 
 
 def test_the_parser_declares_exactly_the_option_table():
@@ -817,6 +835,21 @@ def test_subset_tables_past_their_limits_are_refused_at_once(argv, code, capsys)
     assert time.perf_counter() - start < 1
     assert (got, out) == (code, "") and err.count("\n") == 1
     assert err.startswith("budget exceeded: " if code == 2 else "input error: ")
+
+
+def test_evenness_past_the_face_limit_is_refused_at_once(tmp_path, capsys):
+    # a table of C(183, 2) pairs parses, but its 1,004,731 triangles exceed
+    # the subset limit
+    path = tmp_path / "chg.txt"
+    assert run(["gen", "chg", "--v", "183", "--k", "2", "--out", str(path)], capsys)[0] == 0
+    start = time.perf_counter()
+    code, out, err = run(["verify", "even", "--in", str(path)], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "budget exceeded: the 1004731 3-subsets of a 183-set exceed the limit of"
+        " 1000000 subsets\n"
+    )
 
 
 # -- mutants past the parser: every command ends with an exit code -----------------

@@ -371,6 +371,35 @@ def test_order_line_diagnostics():
         assert (err.value.line, err.value.message) == (line, message), text
 
 
+@pytest.mark.parametrize(
+    "head, line, what",
+    [
+        ("kind lin v=3", "order = 0,1,2", "order line"),
+        ("kind circ v=3", "cycle = 0,1,2", "cycle line"),
+        ("kind circ v=3\next = 2", "cycle = 0,1,2", "cycle line"),
+        ("kind ctree v=3", "(0,(1,2))", "tree term"),
+        ("kind dtree v=3", "(0,1,2)", "tree term"),
+    ],
+    ids=["lin", "circ", "circ-ext", "ctree", "dtree"],
+)
+def test_a_one_line_body_refuses_a_second_line(head, line, what):
+    at = head.count("\n") + 2  # the number of the body line
+    parse(f"{head}\n\n{line}\n\n")  # blank lines around it are read past
+    for trailing in (line, "hello", "((0,1),2)"):
+        with pytest.raises(ParseError) as err:
+            parse(f"{head}\n{line}\n\n{trailing}\n")
+        assert (err.value.line, err.value.message) == (
+            at + 2,
+            f"expected nothing after the {what}, got {trailing!r}",
+        )
+
+
+def test_unknown_tag_is_refused_before_its_fields():
+    with pytest.raises(ParseError) as err:
+        parse("kind foo v=x\n")
+    assert (err.value.line, err.value.message) == (1, "unknown kind tag 'foo'")
+
+
 def test_header_v_ext_and_labeling_are_checked():
     chg = "kind chg v=3 k=2 n=3\n{}(0,1) = 1\n(0,2) = 0\n(1,2) = 2\n"
     cases = [

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from extensor.errors import InputError
+from extensor.errors import BoundExceededError, InputError
 from extensor.generate import (
     SplitMix64,
     random_colored_hypergraph,
@@ -75,6 +75,18 @@ def test_faces_match_colex_and_combinations():
                 assert ranks.tolist() == [
                     [index[s] for s in combinations(row, k)] for row in expected
                 ]
+
+
+def test_faces_and_colex_share_the_subset_limit():
+    # C(183, 3) = 1,004,731 faces: refused before any row is listed, with the
+    # message of the colex list past the limit
+    message = "the 1004731 3-subsets of a 183-set exceed the limit of 1000000 subsets"
+    for build in (lambda: _faces(183, 2, 3), lambda: _colex(183, 3)):
+        with pytest.raises(BoundExceededError) as err:
+            build()
+        assert str(err.value) == message
+    with pytest.raises(InputError):
+        _faces(-1, 2, 3)
 
 
 def test_faces_are_read_only():

@@ -76,6 +76,32 @@ def random_linear_order(rng: SplitMix64, v) -> LinearOrder:
     return LinearOrder(tuple(rng.shuffled(range(v))))
 
 
+class _Fenwick:
+    """Counts at 0..n-1 under point updates, with the index at which their
+    running total passes a given value, both in O(log n) (a Fenwick tree)."""
+
+    def __init__(self, n):
+        self.tree = [0] * (n + 1)
+
+    def add(self, i, delta):
+        i += 1
+        while i < len(self.tree):
+            self.tree[i] += delta
+            i += i & -i
+
+    def find(self, r):
+        """The least i whose counts at 0..i sum past r, and r less the counts
+        before i."""
+        i = 0
+        step = 1 << len(self.tree).bit_length()
+        while step:
+            if i + step < len(self.tree) and self.tree[i + step] <= r:
+                i += step
+                r -= self.tree[i]
+            step >>= 1
+        return i, r
+
+
 def random_rooted_tree(
     rng: SplitMix64, leaves, n_colors=None, ranked=False, plane=False
 ) -> RootedLeafTree:
@@ -83,25 +109,28 @@ def random_rooted_tree(
 
     Each new leaf either becomes a fresh child of an existing internal node or
     splits an edge with a new internal node, so all reduced topologies occur.
+    A draw numbers the internal nodes by id, then the edges by parent id and
+    slot; a Fenwick tree over the child counts finds the drawn edge.
     """
     if leaves < 2:
         raise InputError("need at least 2 leaves")
-    # mutable nodes: dict id -> list of children; negative ids for leaves
-    nodes = {0: [-1, -2]}
-    next_internal = 1
+    # mutable nodes: internal id -> list of children; negative ids for leaves
+    nodes = [[-1, -2]]
+    kids = _Fenwick(leaves - 1)  # each draw adds at most one internal node
+    kids.add(0, 2)
+    edges = 2
     for leaf in range(2, leaves):
-        internals = sorted(nodes)
-        edges = [(p, i) for p in internals for i, _ in enumerate(nodes[p])]
-        pick = rng.below(len(internals) + len(edges))
-        if pick < len(internals):
-            nodes[internals[pick]].append(-leaf - 1)
+        pick = rng.below(len(nodes) + edges)
+        if pick < len(nodes):
+            nodes[pick].append(-leaf - 1)
+            kids.add(pick, 1)
+            edges += 1
         else:
-            p, slot = edges[pick - len(internals)]
-            child = nodes[p][slot]
-            fresh = next_internal
-            next_internal += 1
-            nodes[fresh] = [child, -leaf - 1]
-            nodes[p][slot] = fresh
+            p, slot = kids.find(pick - len(nodes))
+            kids.add(len(nodes), 2)
+            nodes.append([nodes[p][slot], -leaf - 1])
+            nodes[p][slot] = len(nodes) - 1
+            edges += 2
     return _freeze(rng, nodes, leaves, lambda kid: -kid - 1, n_colors, ranked, plane)
 
 
@@ -112,6 +141,8 @@ def random_regular_tree(
 
     Such trees exist only when leaves = degree + k(degree - 1); grown by
     expanding uniformly chosen leaves, with leaf labels shuffled at the end.
+    A draw numbers the unexpanded leaves in the order they were made; a
+    Fenwick tree over which are unexpanded finds the drawn one.
     """
     if degree < 2:
         raise InputError("regular degree must be at least 2")
@@ -119,24 +150,25 @@ def random_regular_tree(
         raise InputError(
             f"no {degree}-regular tree has {leaves} leaves"
         )
-    # nodes: positive ids internal, negative ids placeholder leaves
-    nodes = {0: list(range(-1, -degree - 1, -1))}
-    next_internal = 1
-    next_leaf = -degree - 1
-    count = degree
-    while count < leaves:
-        placeholders = sorted(
-            (kid for kids in nodes.values() for kid in kids if kid < 0),
-            reverse=True,
-        )
-        target = placeholders[rng.below(len(placeholders))]
-        fresh = next_internal
-        next_internal += 1
-        nodes[fresh] = list(range(next_leaf, next_leaf - degree, -1))
-        next_leaf -= degree
-        parent = next(u for u, kids in nodes.items() if target in kids)
-        nodes[parent][nodes[parent].index(target)] = fresh
-        count += degree - 1
+    expansions = (leaves - degree) // (degree - 1)
+    # nodes: internal id -> kids; placeholder leaf i (in order made) is -i - 1
+    nodes = []
+    place = []  # (internal id, slot) of each placeholder
+    live = _Fenwick(degree * (expansions + 1))
+
+    def grow():
+        nodes.append([-len(place) - 1 - slot for slot in range(degree)])
+        for slot in range(degree):
+            live.add(len(place), 1)
+            place.append((len(nodes) - 1, slot))
+
+    grow()
+    for expanded in range(expansions):
+        i, _ = live.find(rng.below(len(place) - expanded))
+        node, slot = place[i]
+        live.add(i, -1)
+        nodes[node][slot] = len(nodes)
+        grow()
     # placeholders take the shuffled labels in preorder
     labels = iter(rng.shuffled(range(leaves)))
     return _freeze(rng, nodes, leaves, lambda kid: next(labels), n_colors, ranked, plane)
@@ -147,14 +179,11 @@ def _freeze(rng, nodes, leaves, leaf_label, n_colors, ranked, plane) -> RootedLe
     preorder internal ids from `leaves` on, leaf_label(kid) for each leaf in
     preorder, then seeded colors and ranks."""
     order = []
-
-    def walk(node):
+    stack = [0]
+    while stack:
+        node = stack.pop()
         order.append(node)
-        for kid in nodes[node]:
-            if kid >= 0:
-                walk(kid)
-
-    walk(0)
+        stack.extend(kid for kid in reversed(nodes[node]) if kid >= 0)
     new_id = {old: leaves + i for i, old in enumerate(order)}
     children = tuple(
         tuple(new_id[kid] if kid >= 0 else leaf_label(kid) for kid in nodes[old])
@@ -167,18 +196,16 @@ def _freeze(rng, nodes, leaves, leaf_label, n_colors, ranked, plane) -> RootedLe
         colors = tuple(rng.below(n_colors) for _ in order)
     ranks = None
     if ranked:
-        rank_list = [0] * len(order)
-
-        def walk_rank(node, parent_rank):
-            idx = node - leaves
-            if parent_rank is not None:
-                rank_list[idx] = parent_rank + 1 + rng.below(2)
-            for kid in children[idx]:
+        # the new ids are a preorder: rank each node after its parent, in that order
+        parent = [0] * len(order)
+        for idx, kids in enumerate(children):
+            for kid in kids:
                 if kid >= leaves:
-                    walk_rank(kid, rank_list[idx])
-
-        walk_rank(leaves, None)
-        ranks = tuple(rank_list)
+                    parent[kid - leaves] = idx
+        ranks = [0] * len(order)
+        for idx in range(1, len(order)):
+            ranks[idx] = ranks[parent[idx]] + 1 + rng.below(2)
+        ranks = tuple(ranks)
     return RootedLeafTree(leaves, children, colors=colors, ranks=ranks, plane=plane)
 
 

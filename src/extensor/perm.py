@@ -4,9 +4,8 @@ Groups are kept as fully enumerated element sets (desk scale), found by one
 backtracking search per structure.  The extension check enumerates only the
 stabilizer of the new point, which it compares with Aut(m) as a set of
 permutations, and decides transitivity by one first-hit search per suborbit
-of that stabilizer; it never enumerates Aut(m_ext).  Generators are computed
-on first use, and only :func:`orbits` uses them.
-Permutations are plain image tuples.
+of that stabilizer; it never enumerates Aut(m_ext).  :func:`orbits` reads each
+orbit off the element set.  Permutations are plain image tuples.
 
 The search checks a relation on the representatives its view supplies
 (``RelationalStructure.reps``), or on every tuple when it has none: one
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations, filterfalse, permutations as all_permutations, repeat
 from math import comb, factorial, perm
 from operator import itemgetter
@@ -98,42 +96,8 @@ class PermutationGroup:
             raise InputError("element set lacks the identity")
         return cls(v, elements, len(elements))
 
-    @cached_property
-    def generators(self):
-        return _greedy_generators(self.v, self.elements)
-
     def __contains__(self, p):
         return tuple(p) in self.elements
-
-
-def _greedy_generators(v, elements):
-    """The least elements, in sorted order, that each enlarge the span so far.
-
-    `span` is always the group generated by `gens`.  When `e` joins, the new
-    elements are first the coset `e o span`, which is disjoint from `span`;
-    those are then closed under every generator.  Each element is multiplied
-    by each generator once.
-    """
-    gens = []
-    span = {identity(v)}
-    for e in sorted(elements):
-        if e in span:
-            continue
-        gens.append(e)
-        frontier = [tuple(map(e.__getitem__, h)) for h in span]
-        span.update(frontier)
-        while frontier:
-            nxt = []
-            for g in gens:
-                for h in frontier:
-                    c = tuple(map(g.__getitem__, h))
-                    if c not in span:
-                        span.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        if len(span) == len(elements):
-            break
-    return tuple(gens)
 
 
 # -- automorphism search ----------------------------------------------------
@@ -162,6 +126,14 @@ class _Search:
     a relation with representatives is read off how many contain each vertex.
     Unary relations need no checks, since the invariant already sends members
     to members.
+
+    A ternary relation adds one more term: the sorted list over y of
+    f(x, y) = #{tuples (x, y, .)} - #{tuples (y, x, .)}.  It counts tuples of
+    the relation, so every automorphism keeps it, and it tells apart vertices
+    of a 3-orientation, where every vertex sits equally often at every
+    position.  It is read off the tuple set alone, so a search compiled from
+    representatives and one from every tuple get the same candidates; it is 0
+    on a relation closed under all orderings, so such a relation skips it.
     """
 
     def __init__(self, s, first=None):
@@ -188,6 +160,10 @@ class _Search:
                         counts[x][pos] += 1
                 for x in range(v):
                     inv[x] += counts[x]
+            if arity == 3 and per < 6:
+                pairs = Counter(map(itemgetter(0, 1), tuples))
+                for x in range(v):
+                    inv[x] += sorted(pairs[x, y] - pairs[y, x] for y in range(v))
             if arity < 2:
                 continue
             if 2 * len(tuples) > perm(v, arity):
@@ -279,6 +255,9 @@ def automorphisms_brute(s):
 def orbits(group: PermutationGroup, m, mode="tuples", budget=None):
     """Orbit classes of the group acting on m-tuples (distinct entries) or m-subsets.
 
+    Each orbit is read in one pass over the elements: the images of an item
+    under every element, zipped from the elements' per-point columns.
+
     Each m-tuple or m-subset costs one unit of `budget`; when there are more
     than it allows, :class:`BoundExceededError` is raised before any is built.
     """
@@ -293,35 +272,25 @@ def orbits(group: PermutationGroup, m, mode="tuples", budget=None):
             f"orbits on {count} {mode} exceed the budget of {meter.budget} units"
         )
 
+    # the images of each point under every element, in one order of the elements
+    cols = list(zip(*group.elements))
     if mode == "tuples":
-        items = list(all_permutations(range(group.v), m))
-
-        def act(g, item):
-            return apply_to_tuple(g, item)
-
+        items = all_permutations(range(group.v), m)
     else:
-        items = list(combinations(range(group.v), m))
-
-        def act(g, item):
-            return tuple(sorted(g[x] for x in item))
-
+        items = combinations(range(group.v), m)
     seen = set()
     classes = []
     for seed in items:
         if seed in seen:
             continue
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for g in group.generators:
-                for it in frontier:
-                    im = act(g, it)
-                    if im not in orbit:
-                        orbit.add(im)
-                        nxt.append(im)
-            frontier = nxt
-        seen |= orbit
+        # the identity is an element, so an item is among its images: an orbit
+        # of one is the item itself, sorted and met by no later seed (and the
+        # empty item, which zips to none, is its own orbit)
+        orbit = set(zip(*[cols[x] for x in seed])) or {seed}
+        if len(orbit) > 1:
+            if mode == "subsets":
+                orbit = set(map(tuple, map(sorted, orbit)))
+            seen |= orbit
         classes.append(tuple(sorted(orbit)))
     return classes
 

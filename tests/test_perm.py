@@ -255,29 +255,47 @@ def _generator_cases():
         yield random_colored_hypergraph(rng, 3 + i % 5, 2, 2 + i % 2)
 
 
-def test_generators_match_full_closure_greedy():
+def test_generator_group_orders_match_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
     cases = list(_generator_cases())
     assert len(cases) == 6 + 2 * 28 + 20  # 28 class shapes on 2..6 points
     for s in cases:
         group = automorphism_group(s)
-        assert group.generators == _reference_generators(group.v, group.elements)
-
-
-def test_generator_group_orders_match_sympy():
-    combinatorics = pytest.importorskip("sympy.combinatorics")
-    for s in _generator_cases():
-        group = automorphism_group(s)
-        gens = [combinatorics.Permutation(list(g)) for g in group.generators]
+        gens = _reference_generators(group.v, group.elements)
+        gens = [combinatorics.Permutation(list(g)) for g in gens]
         gens = gens or [combinatorics.Permutation(list(identity(group.v)))]
         assert combinatorics.PermutationGroup(gens).order() == group.order
 
 
-def test_generators_are_computed_on_first_use():
-    group = automorphism_group(plain_hypergraph(5, 2, []))
-    assert "generators" not in vars(group)
-    assert group.order == 120 and is_transitive(group)
-    assert "generators" not in vars(group)
-    assert group.generators is group.generators
+def _generated_orbits(v, gens, m, mode):
+    """Orbit classes by breadth-first search over generators, seeds in order."""
+    if mode == "tuples":
+        items, act = permutations(range(v), m), lambda g, t: tuple(g[x] for x in t)
+    else:
+        items, act = combinations(range(v), m), lambda g, t: tuple(sorted(g[x] for x in t))
+    seen, classes = set(), []
+    for seed in items:
+        if seed in seen:
+            continue
+        orbit, frontier = {seed}, [seed]
+        while frontier:
+            frontier = [im for g in gens for t in frontier if (im := act(g, t)) not in orbit]
+            orbit.update(frontier)
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return classes
+
+
+def test_orbits_match_a_search_over_generators():
+    checked = Counter()
+    for s in _generator_cases():
+        group = automorphism_group(s)
+        gens = _reference_generators(group.v, group.elements)
+        for mode in ("tuples", "subsets"):
+            for m in range(min(3, group.v) + 1):
+                assert orbits(group, m, mode) == _generated_orbits(group.v, gens, m, mode), s
+                checked[mode, m] += 1
+    assert min(checked.values()) >= 70, checked
 
 
 # -- oracle: the backtracker against v! filtering ---------------------------------
@@ -454,6 +472,59 @@ def test_orientation_verify_units_are_unchanged():
     assert verify_one_point_extension(t, ext, budget=1149) == report
     with pytest.raises(BoundExceededError):
         verify_one_point_extension(t, ext, budget=1148)
+
+
+# -- the orientation term of the vertex invariant ---------------------------------
+
+
+def _degree_classes(s):
+    """Each vertex's class under the degree invariant alone: how often it sits
+    at each position of each relation."""
+    keys = [
+        tuple(sum(t[pos] == x for t in tuples) for _, k, tuples in s.relations for pos in range(k))
+        for x in range(s.v)
+    ]
+    return [{y for y in range(s.v) if keys[y] == keys[x]} for x in range(s.v)]
+
+
+def test_orientation_term_keeps_every_automorphism():
+    rng = SplitMix64(3030)
+    objs, split = [], Counter()
+    for v in range(3, 8):
+        for _ in range(2 if v < 7 else 1):
+            t = random_orientation(rng, v, 2)
+            objs += [t, random_hypertournament(rng, v, 2)]
+            objs.append(CircularOrder.from_cycle(rng.shuffled(range(v))))
+            if v >= 4:
+                objs += [random_orientation(rng, v, 3), random_hypertournament(rng, v, 3)]
+            if v < 7:
+                objs.append(extend_orientation(t))
+    for obj in objs:
+        s = flatten(obj)
+        brute = set(automorphisms_brute(s))
+        assert automorphism_group(s).elements == brute, obj
+        # the candidates are ascending subsets of the degree invariant's classes
+        degree = _degree_classes(s)
+        search = _Search(s, s.v - 1)
+        for x, cands in zip(search.order, search.candidates):
+            assert cands == sorted(cands) and set(cands) <= degree[x], obj
+            split[type(obj).__name__, s.relations[0][1]] += set(cands) < degree[x]
+    # only a ternary relation has the term; on 3-orientations it splits classes
+    # that the degrees leave whole
+    assert split["Orientation", 3], split
+    assert not split["Orientation", 2] and not split["Hypertournament", 2], split
+    assert not split["CircularOrder", 3], split  # every vertex of a cycle looks alike
+
+
+def test_tournament_extension_spend_is_pinned():
+    # gen orient --v 8 --k 2 --seed 1..5, extended: before the orientation term
+    # the check spent 231, 240, 265, 229 and 241 units
+    for seed, units in zip(range(1, 6), (24, 24, 41, 37, 26)):
+        t = random_orientation(SplitMix64(seed), 8, 2)
+        ext = extend_orientation(t)
+        assert verify_one_point_extension(t, ext, budget=units).is_one_point_extension
+        with pytest.raises(BoundExceededError):
+            verify_one_point_extension(t, ext, budget=units - 1)
 
 
 # -- oracle: the extension report from the full group of the extension ------------

@@ -12,14 +12,6 @@ axiom 3 makes ~ transitive, so ~ is an equivalence on the C(n+1, 2) pairs and
 the members are exactly the p + q with p ~ q.  Axiom 1 fails (some triple is
 completed twice) exactly when a class holds two pairs that share a color.
 
-The search assigns the completion function f, which maps each 3-multiset to
-the color closing it into a member, so axiom 1 holds by construction; axiom 2
-seeds f, and axiom 3 is propagated to closure after every assignment, so
-exhausting the search tree is a nonexistence proof.  Its state is a union-find
-over pairs with an undo log: triple {a,b,c} is completed exactly when c lies
-in the color support of the class of {a,b}, and no table grows with the
-C(n+3, 4) multisets or the C(n+2, 3) triples.
-
 A palette is a group.  Each class C is an involution of the colors: for {a,b}
 in C, axiom 1 closes {a,b,c} by one color d, and {c,d} ~ {a,b}.  The
 self-pairs are the identity class, and the others are fixed-point-free (a
@@ -33,6 +25,16 @@ h_1^b_1...h_m^b_m(1) by the bit vector b, for a basis h_1..h_m, turns the
 members into the 4-multisets whose vectors XOR to zero: every palette is
 :func:`canonical_palette` relabeled, the boolean Steiner quadruple system
 (Hanani, *On quadruple systems*, 1960).
+
+The search assigns the completion function f, which maps each 3-multiset to
+the color closing it into a member, so axiom 1 holds by construction; axiom 2
+seeds f, and every assignment is propagated, so exhausting the search tree is
+a nonexistence proof.  Its state reads the group backwards: one label per
+color, e_c modulo the span W of the vectors of the members assigned so far
+(see :func:`search_palette`).  Any palette on the branch kills W, so every
+pair class (the XOR of two labels), completed triple and clash that the
+labels show holds in it too.  No table grows with the C(n+1, 2) pairs, the
+C(n+2, 3) triples or the C(n+3, 4) multisets.
 """
 
 from __future__ import annotations
@@ -224,73 +226,21 @@ class SearchOutcome:
     nodes: int
 
 
-class _PairClasses:
-    """The classes of color pairs under p ~ q, that is p + q is a member.
+def _join(labels, a, b, c, x):
+    """The labels with {a,b,c,x} a member too, and their set; None on a clash.
 
-    Pairs are numbered lexicographically (``pair_id[a][b]`` for colors a, b).
-    ``root[p]`` names the class of pair p, and ``members`` and ``support``
-    give each root its pairs and the bit mask of their colors (bit x for color
-    x).  Each pair starts alone, as {i,j} + {i,j} = {i,i,j,j} makes it.
+    ``labels[i]`` is the label of color i (counted from 0 here), an integer
+    read as a vector over F_2.  Every label holding the lowest bit of r, the
+    member's vector, takes r on, so no label keeps that bit: labels stay
+    reduced, and reduced forms are unique.  Another pivot would give other
+    integers for the same quotient, so no verdict or node count depends on
+    it.  Two colors left with one label clash.
     """
-
-    def __init__(self, n):
-        self.pairs = enumerate_multisets(n, 2)
-        self.pair_id = [[0] * (n + 1) for _ in range(n + 1)]
-        for p, (a, b) in enumerate(self.pairs):
-            self.pair_id[a][b] = self.pair_id[b][a] = p
-        self.root = list(range(len(self.pairs)))
-        self.members = [[p] for p in self.root]
-        self.support = [1 << a | 1 << b for a, b in self.pairs]
-        self.log = []  # (kept, absorbed, old size, old support) for each merge
-
-    def merge(self, p, q):
-        """Merge the classes of pairs p and q to closure; False on a clash.
-
-        Classes A and B clash when their supports overlap.  Otherwise every
-        pair of B with every pair of A makes a member, whose two other splits
-        are queued for merging, and the smaller class moves into the larger.
-        A clash leaves the classes half merged: :meth:`undo` restores them.
-        """
-        pairs, pair_id, root = self.pairs, self.pair_id, self.root
-        members, support, log = self.members, self.support, self.log
-        queue = [(p, q)]
-        for p, q in queue:
-            keep, gone = root[p], root[q]
-            if keep == gone:
-                continue
-            if support[keep] & support[gone]:
-                return False
-            if len(members[keep]) < len(members[gone]):
-                keep, gone = gone, keep
-            kept, absorbed = members[keep], members[gone]
-            for s in absorbed:
-                w, x = pairs[s]
-                row_w, row_x = pair_id[w], pair_id[x]
-                for t in kept:
-                    y, z = pairs[t]
-                    u, v = row_w[y], row_x[z]
-                    if root[u] != root[v]:
-                        queue.append((u, v))
-                    u, v = row_w[z], row_x[y]
-                    if root[u] != root[v]:
-                        queue.append((u, v))
-            log.append((keep, gone, len(kept), support[keep]))
-            support[keep] |= support[gone]
-            for s in absorbed:
-                root[s] = keep
-            kept += absorbed
-        return True
-
-    def undo(self, mark):
-        """Take the merges logged after the first ``mark`` back off."""
-        root, members, support, log = self.root, self.members, self.support, self.log
-        while len(log) > mark:
-            keep, gone, size, old = log.pop()
-            kept = members[keep]
-            for s in kept[size:]:
-                root[s] = gone
-            del kept[size:]
-            support[keep] = old
+    r = labels[a] ^ labels[b] ^ labels[c] ^ labels[x]
+    pivot = r & -r
+    out = [label ^ r if label & pivot else label for label in labels]
+    seen = set(out)
+    return (out, seen) if len(seen) == len(out) else None
 
 
 def search_palette(n, budget=None) -> SearchOutcome:
@@ -301,19 +251,38 @@ def search_palette(n, budget=None) -> SearchOutcome:
     search trees (and node counts) are reproducible.  Each color tried costs
     one node of `budget` (default ``SEARCH_BUDGET``); the node after the last
     one raises :class:`BoundExceededError`, as does a count of more than
-    ``SEARCH_BUDGET`` color pairs, before any table is built.
+    ``SEARCH_BUDGET`` color pairs, before the search starts.
 
-    The state is the partition of the pairs into classes (see the module
-    docstring), kept in a :class:`_PairClasses`.  Variable {a,b,c} is open
-    while c is outside the support of {a,b}, and color x can close it unless
-    x lies in the support of {a,b}, {a,c} or {b,c}, since {a,b,c,x} would
-    then share a completed triple; such colors are counted as nodes without
-    being tried.  Assigning x merges the classes of {a,b} and {c,x}, and a
-    backtrack undoes the merges logged since its frame was pushed.
+    The state is one label per color: label(c) = e_c mod W in F_2^n / W,
+    where W is spanned by e_a + e_b + e_c + e_x for each assignment x to
+    {a,b,c} on the branch (the axiom-2 seeds add 0).  Labels are kept reduced
+    by :func:`_join`, so the class of a pair {a,b} is the integer label(a) ^
+    label(b), and its support is the set of colors c for which label(c) ^
+    label(a) ^ label(b) is a label too (every color for the self-pairs).
+    Variable {a,b,c} is open while c is outside the support of {a,b}.  Color
+    x can close it unless x lies in the support of {a,b}, {a,c} or {b,c},
+    since {a,b,c,x} would then share a completed triple; such colors would
+    clash, and are counted as nodes without being tried.  Assigning x
+    quotients the labels by the member's vector, and clashes when two colors
+    get equal labels.  Each frame keeps its own labels, so backtracking
+    undoes nothing.
 
-    Propagation computes the least fixed point of monotone rules, so whether a
-    branch clashes, and which variable it leaves open first, do not depend on
-    the order in which merges run: neither do the node counts.
+    Soundness: a palette containing the branch's members names each color by
+    its bit vector (module docstring), an injective map phi of the colors
+    into F_2^m.  Extended linearly to F_2^n, phi sends e_a + e_b + e_c + e_d
+    to 0 for each of its members, so it kills W.  Every pair class, excluded
+    color and clash found here therefore holds in that palette too, and the
+    pruning never loses a palette.  At a leaf every triple {a,b,c} is
+    completed by the one color labelled label(a) ^ label(b) ^ label(c), and
+    injective labels whose members XOR to zero satisfy axioms 1-3, which
+    :func:`is_palette` checks.
+
+    The quotient sees every sum of members, so it is stronger than closing
+    pair classes under axiom 3 alone: over 14 colors, {14,8} ~ {11,13},
+    {8,10} ~ {5,7}, {7,3} ~ {14,12} and {13,6} ~ {3,5} sum to {6,10} ~
+    {11,12}, which that closure does not derive.  On the search's own trees
+    both give the same outcomes and node counts, which the tests pin against
+    two independent propagators.
     """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
@@ -326,64 +295,70 @@ def search_palette(n, budget=None) -> SearchOutcome:
             f" {SEARCH_BUDGET} pairs"
         )
 
-    classes = _PairClasses(n)
-    pairs, pair_id, root = classes.pairs, classes.pair_id, classes.root
-    support, log = classes.support, classes.log
+    # colors count from 0 until the palette is built
+    bits = [1 << x for x in range(n)]
 
-    full = (1 << n + 1) - 2  # bit x for each color x
-
-    def first_open(p, c):
-        """The first open variable (pair, color) at or after (p, c), or None."""
+    def first_open(labels, seen, a, b, c):
+        """The first open variable (a, b, c) at or after the given one, or None."""
         while True:
-            free = ~support[root[p]] & full >> c << c
-            if free:
-                return p, (free & -free).bit_length() - 1
-            p += 1
-            if p == npairs:
+            d = labels[a] ^ labels[b]
+            for c in range(c, n):
+                if d ^ labels[c] not in seen:
+                    return a, b, c
+            if b < n - 1:
+                b += 1
+            elif a < n - 1:
+                a = b = a + 1
+            else:
                 return None
-            c = pairs[p][1]
+            c = b
 
-    # axiom 2 seeds: the self-pairs form one class
-    if not all(classes.merge(pair_id[1][1], pair_id[i][i]) for i in range(2, n + 1)):
-        raise InternalCheckError("the axiom-2 seeds clash")
+    def frame(labels, seen, a, b, c):
+        """[a, b, c, labels, the colors not taken, the last color tried]."""
+        ab, bc = labels[a] ^ labels[b], labels[b] ^ labels[c]
+        ac = ab ^ bc
+        free = 0
+        for bit, label in zip(bits, labels):
+            if not (label ^ ab in seen or label ^ ac in seen or label ^ bc in seen):
+                free |= bit
+        return [a, b, c, labels, free, -1]
 
     # f only grows along a branch, so the next open variable lies after this one
     nodes = 0
-    var = first_open(0, 1)
-    # [pair, color c, last color tried, log mark]
-    stack = [] if var is None else [[*var, 0, len(log)]]
+    labels = bits  # e_c for each color c: W starts at 0
+    seen = set(labels)
+    var = first_open(labels, seen, 0, 0, 0)
+    stack = [] if var is None else [frame(labels, seen, *var)]
     while stack:
-        frame = stack[-1]
-        p, c, color, mark = frame
-        classes.undo(mark)
-        a, b = pairs[p]
-        taken = support[root[p]] | support[root[pair_id[a][c]]]
-        taken |= support[root[pair_id[b][c]]]
-        viable = ~taken & full >> color + 1 << color + 1
-        x = (viable & -viable).bit_length() - 1 if viable else n
+        top = stack[-1]
+        a, b, c, parent, free, color = top
+        viable = free >> color + 1 << color + 1
+        x = (viable & -viable).bit_length() - 1 if viable else n - 1
         nodes += x - color
         if nodes > budget:
             raise meter.exhausted("palette search")
         if not viable:
             stack.pop()
             continue
-        frame[2] = x
-        if not classes.merge(p, pair_id[c][x]):
+        top[5] = x
+        joined = _join(parent, a, b, c, x)
+        if joined is None:
             continue
-        var = first_open(p, c + 1)
+        labels, seen = joined
+        var = first_open(labels, seen, a, b, c + 1)
         if var is None:
             break
-        stack.append([*var, 0, len(log)])
+        stack.append(frame(labels, seen, *var))
     if var is not None:  # the tree is exhausted without assigning every triple
         return SearchOutcome("proven_none", None, nodes)
 
+    color_of = {label: x for x, label in enumerate(labels)}
     palette = Palette(
         n,
         frozenset(
-            _madd(pairs[s], pairs[t])
-            for r in range(npairs)
-            if root[r] == r
-            for s, t in combinations_with_replacement(classes.members[r], 2)
+            (a + 1, b + 1, c + 1, d + 1)
+            for a, b, c in combinations_with_replacement(range(n), 3)
+            if (d := color_of.get(labels[a] ^ labels[b] ^ labels[c], -1)) >= c
         ),
     )
     check = is_palette(palette)

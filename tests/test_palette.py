@@ -1,6 +1,7 @@
 """Multiset enumeration, the palette axioms, search, involution, blending."""
 
 import hashlib
+import tracemalloc
 from itertools import permutations
 from math import comb
 from time import perf_counter
@@ -18,7 +19,7 @@ from extensor.generate import SplitMix64
 from extensor.palette import (
     Palette,
     PaletteCheck,
-    _PairClasses,
+    _join,
     _madd,
     _msub,
     _pairs_within,
@@ -548,39 +549,104 @@ def test_search_matches_the_member_id_oracle_under_budgets():
             assert _fast_search(n, budget) == _member_id_search(n, budget), (n, budget)
     for budget in (1, 17, 1000, 50_000, 231_455, 231_456):
         assert _fast_search(12, budget) == _member_id_search(12, budget), budget
+    # past the pins: neither search ends within these budgets, so each must
+    # spend all of it without a verdict, as the other does
+    for n in (14, 20):
+        for budget in (10**4, 10**5):
+            assert _fast_search(n, budget) == _member_id_search(n, budget), (n, budget)
 
 
-def test_pair_classes_merge_to_closure_clash_and_undo():
-    classes = _PairClasses(4)
-    pid, root = classes.pair_id, classes.root
+def _asserted(n, members):
+    """The labels with every member (colors from 1) asserted, or None on a clash."""
+    labels = [1 << c for c in range(n)]
+    for m in members:
+        joined = _join(labels, *(c - 1 for c in m))
+        if joined is None:
+            return None
+        labels = joined[0]
+    return labels
 
-    def state():
-        return root[:], [m[:] for m in classes.members], classes.support[:]
 
-    fresh = state()
+def _classes(labels):
+    """{label XOR: the pairs (colors from 1) of that class}."""
+    classes = {}
+    for a, b in enumerate_multisets(len(labels), 2):
+        classes.setdefault(labels[a - 1] ^ labels[b - 1], []).append((a, b))
+    return classes
+
+
+def test_labels_join_classes_and_clash():
+    fresh = [1 << c for c in range(4)]
+
+    def cls(labels, a, b):
+        return labels[a - 1] ^ labels[b - 1]
+
     # {1,1} ~ {2,3} makes {1,1,2,3} a member, whose split {1,2} | {1,3}
-    # shares a color: a clash found only in the closure
-    assert not classes.merge(pid[1][1], pid[2][3])
-    assert classes.log
-    classes.undo(0)
-    assert state() == fresh
+    # shares a color: colors 2 and 3 get one label
+    assert _join(fresh, 0, 0, 1, 2) is None
     # {1,2} ~ {3,4} makes {1,2,3,4} a member, so its other splits join too
-    assert classes.merge(pid[1][2], pid[3][4])
-    assert root[pid[1][3]] == root[pid[2][4]] != root[pid[1][2]]
-    assert root[pid[1][4]] == root[pid[2][3]] != root[pid[1][3]]
-    merged, mark = state(), len(classes.log)
-    assert not classes.merge(pid[1][2], pid[1][3])  # they share color 1
-    assert classes.merge(pid[1][1], pid[2][2])
-    classes.undo(mark)
-    assert state() == merged
-    classes.undo(0)
-    assert state() == fresh
+    labels, seen = _join(fresh, 0, 1, 2, 3)
+    assert seen == set(labels) and len(seen) == 4
+    assert cls(labels, 1, 3) == cls(labels, 2, 4) != cls(labels, 1, 2)
+    assert cls(labels, 1, 4) == cls(labels, 2, 3) != cls(labels, 1, 3)
+    assert cls(labels, 1, 2) == cls(labels, 3, 4)
+    assert _join(labels, 0, 1, 0, 2) is None  # {1,2} ~ {1,3} share color 1
+    # the self-pairs stay one class, and a frame's labels are never changed
+    assert _join(labels, 0, 0, 1, 1)[0] == labels
+    assert fresh == [1, 2, 4, 8]
+
+
+def test_the_quotient_sees_sums_the_pair_closure_misses():
+    asserted = [(8, 11, 13, 14), (5, 7, 8, 10), (3, 7, 12, 14), (3, 5, 6, 13)]
+    labels = _asserted(14, asserted)
+    assert labels is not None
+    assert labels[6 - 1] ^ labels[10 - 1] == labels[11 - 1] ^ labels[12 - 1]
+    # closing the members under axioms 1 and 3 does not derive {6,10,11,12}
+    state = _State()
+    for i in range(1, 15):
+        for j in range(i, 15):
+            state.require_member((i, i, j, j))
+    for m in asserted:
+        state.require_member(m)
+    assert (6, 10, 11, 12) not in state.members
+
+
+def test_asserting_members_of_a_palette_stays_inside_it():
+    # soundness: a palette kills W, so its members never clash and every
+    # class the labels derive lies inside one of the palette's classes
+    rng = SplitMix64(31)
+    for n in (8, 16):
+        for _ in range(12):
+            p = _relabeled(canonical_palette(n), rng)
+            members = sorted(p.members)
+            chosen = rng.shuffled(members)[: 1 + rng.below(n)]
+            labels = _asserted(n, chosen)
+            assert labels is not None, chosen
+            for pairs in _classes(labels).values():
+                for s in pairs:
+                    for t in pairs:
+                        assert _madd(s, t) in p.members, (chosen, s, t)
+        # all of them: the classes are the palette's n group elements
+        assert len(_classes(_asserted(n, rng.shuffled(members)))) == n
 
 
 def test_search_refuses_more_pairs_than_the_search_budget():
     # C(1415, 2) = 1,000,405 color pairs: refused before a table is built
     with pytest.raises(BoundExceededError, match="1000405 color pairs"):
         search_palette(1414, budget=1)
+
+
+def test_the_largest_accepted_count_starts_in_little_memory():
+    # 1413 colors make 998,991 pairs, the most the search accepts; its state
+    # is one label per color, so nothing grows with the pairs
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceededError, match="spent its budget of 1 nodes"):
+            search_palette(1413, budget=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
 
 
 def test_search_reports_a_non_palette_as_a_bug(monkeypatch):

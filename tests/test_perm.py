@@ -176,6 +176,27 @@ def test_extension_witness_on_failure():
     assert rep.witness is not None
 
 
+def test_a_larger_stabilizer_fails_the_defining_law():
+    # the path's extension whose only triples hold x0 = 3 has a triangle for
+    # its boundary: Stab(x0) restricts to all of S_3, a strict superset of
+    # the path's group, so the law must fail although Aut(m) lies inside it
+    m = path3()
+    ext = plain_hypergraph(4, 3, [(0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    report = verify_one_point_extension(m, ext)
+    assert report == ExtensionReport(False, False, 2, 6, (0, 2, 1))
+    brute = automorphisms_brute(ext)
+    aut_m = set(automorphisms_brute(m))
+    restricted = {g[:3] for g in brute if g[3] == 3}
+    assert restricted > aut_m
+    assert report == ExtensionReport(
+        restricted == aut_m,
+        {g[3] for g in brute} == {0, 1, 2, 3},
+        len(aut_m),
+        len(restricted),
+        min(restricted ^ aut_m),
+    )
+
+
 def test_vertex_count_mismatch_rejected():
     with pytest.raises(InputError):
         verify_one_point_extension(path3(), plain_hypergraph(5, 2, []))

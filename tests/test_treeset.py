@@ -210,6 +210,13 @@ def test_constructed_c2_violation():
     assert check.axiom in ("C1", "C2")
 
 
+def test_constructed_c4_violation():
+    # the empty relation on two points passes C1-C3 and fails C4 alone:
+    # C(0; 11) must hold for the distinct points 0 and 1
+    check = check_c_axioms(CRelation.from_tuples(2, []))
+    assert (check.ok, check.axiom, check.witness) == (False, "C4", (0, 1))
+
+
 def test_constructed_d2_violation():
     rel = d_relation(quartet())
     broken = DRelation.from_tuples(4, rel.quadruples | {(0, 2, 1, 3), (2, 0, 1, 3), (1, 3, 0, 2), (3, 1, 0, 2), (0, 2, 3, 1), (2, 0, 3, 1), (1, 3, 2, 0), (3, 1, 2, 0)})

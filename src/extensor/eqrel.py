@@ -6,8 +6,15 @@ free.  Consistency of every derived pair relation (the cheap prefilter) is a
 popcount condition on 4-subsets: each must carry 0, 1 or 4 hyperedges.  A
 depth-first search over the interior triples enumerates only the candidates
 that meet it, pruning a subtree as soon as one of its quads is decided and
-fails.  The few survivors fall to the singleton-type split and the group
-check.  The DFS pops and the automorphism searches spend one budget.
+fails.
+
+Every survivor's boundary mirrors the relation, so its Stab(x0) is the part
+of Aut(e) that keeps its interior hyperedges.  One table of Aut(e) acting on
+the interior triples decides the stabilizer law of every survivor, the type
+split is read off the survivors' bit matrix, and only a survivor whose
+vertices all lie in as many hyperedges as x0 is searched for transitivity.
+The search for Aut(e), the DFS pops, the table chunks and the transitivity
+searches spend one budget.
 """
 
 from __future__ import annotations
@@ -17,14 +24,16 @@ from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 
+import numpy as np
+
 from .errors import InputError, _Meter
 from .hyperext import ColoredHypergraph
 # verify_one_point_extension stays bound here: perfbench's tracer test checks,
 # through this binding, that a name imported by another module is patched too
 from .perm import (  # noqa: F401
     ExtensionReport,
-    _extension_report,
     _group,
+    _Search,
     verify_one_point_extension,
 )
 from .structures import RelationalStructure, SubsetMap, _colex, _faces, _orderings, flatten
@@ -209,18 +218,14 @@ def _consistent_interiors(n_interior, boundary, qmasks, meter):
     A depth-first search sets the interior bits from the top down.  A quad is
     filed under its lowest interior bit and checked once that bit is set, when
     all of its triples are known; if it fails, every candidate below agrees
-    with it on that quad, so the subtree is pruned.  Quads without interior
-    triples are fixed by the boundary alone.  Each pop spends one unit of
-    `meter`.
+    with it on that quad, so the subtree is pruned.  Every quad has an
+    interior triple to be filed under: a 4-subset of the v+1 points holds at
+    most one x0, so three of its points span a triple that avoids it.  Each
+    pop spends one unit of `meter`.
     """
-    interior = (1 << n_interior) - 1
     by_low = [[] for _ in range(n_interior)]
     for qmask in qmasks:
-        free = qmask & interior
-        if free:
-            by_low[(free & -free).bit_length() - 1].append(qmask)
-        elif (boundary & qmask).bit_count() not in (0, 1, 4):
-            return []
+        by_low[(qmask & -qmask).bit_length() - 1].append(qmask)
     out = []
     stack = [(n_interior, 0)]  # (bits still open, interior bits set so far)
     left = meter.left
@@ -243,6 +248,63 @@ def _consistent_interiors(n_interior, boundary, qmasks, meter):
     return out
 
 
+# the cells of the interior table that one budget unit compares
+_CHUNK_CELLS = 1 << 16
+
+
+def _interior_table(aut_e, triples):
+    """The elements of Aut(e) in ascending order, as a (|Aut(e)|, v) array, and
+    Aut(e) acting on the interior triples, extended by x0 -> x0: entry (r, g)
+    is the colex rank of the image under element g of `triples[r]`, the
+    interior triple of rank r."""
+    v = aut_e.v
+    # v < 256: the C(v+1, 4) quads were listed, and more than 10^6 are refused
+    elements = np.array(sorted(aut_e.elements), np.uint8)
+    images = elements.T[np.array(triples, np.intp).reshape(-1, 3)]
+    images.sort(axis=1)
+    # a triple's colex rank is the sum of C(s[i], i + 1) over its sorted entries
+    table = np.zeros((len(triples), len(elements)), np.intp)
+    for i in range(3):
+        table += np.array([comb(x, i + 1) for x in range(v)], np.intp)[images[:, i]]
+    return elements, table
+
+
+def _vertex_facts(e, triples, survivors):
+    """For each survivor, given by its interior bits: whether its pair relation
+    at some vertex has singletons exactly when the one at x0 has none (the type
+    split), and whether every vertex lies in as many hyperedges as x0 does.
+
+    Every pair relation of a survivor is an equivalence, since each quad
+    carries 0, 1 or 4 hyperedges, so only the singletons decide the split.  At
+    a vertex a, x0 is alone exactly when a's class is a singleton, a point
+    b ~ a is partnered by x0, and any other b by each d with {a, b, d} a
+    hyperedge.
+    """
+    v = e.v
+    size = {x: len(block) for block in e.classes for x in block}
+    through = [0] * v  # the interior triples through each vertex, as bits
+    apart = {pair: 0 for pair in combinations(range(v), 2) if not e.related(*pair)}
+    for r, t in enumerate(triples):
+        for a in t:
+            through[a] |= 1 << r
+        for pair in combinations(t, 2):
+            if pair in apart:
+                apart[pair] |= 1 << r
+    x0_single = 1 in size.values()
+    x0_degree = sum(comb(len(block), 2) for block in e.classes)
+    splits, regulars = [], []
+    for bits in survivors:
+        single = [size[a] == 1 for a in range(v)]
+        for (a, b), mask in apart.items():
+            if not bits & mask:
+                single[a] = single[b] = True
+        splits.append((not x0_single) in single)
+        regulars.append(
+            all(size[a] - 1 + (bits & through[a]).bit_count() == x0_degree for a in range(v))
+        )
+    return splits, regulars
+
+
 def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertificate:
     """Enumerate every boundary-respecting 3-hypergraph on v+1 vertices and
     certify that none is a transitive one-point extension.
@@ -253,8 +315,24 @@ def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertifica
     popcount condition are enumerated directly (:func:`_consistent_interiors`);
     every candidate the search does not reach fails a named quad, and
     ``first_consistency_witness`` names the quad for the least of them.
-    Survivors get the full treatment.  Aut(e) is found first, so a relation
-    too symmetric for the budget is refused before any table is built.
+    Aut(e) is found first, so a relation too symmetric for the budget is
+    refused before any table is built.
+
+    Every survivor's boundary mirrors e, and an automorphism fixing x0 keeps
+    the pair relation at x0, which is e.  So Stab(x0), restricted to the old
+    points, is the set of g in Aut(e) that map the survivor's interior
+    hyperedges I onto themselves, and each survivor is decided against one
+    table of Aut(e) acting on the interior triples (:func:`_interior_table`):
+    the stabilizer order counts the elements that keep I, the survivor is a
+    one-point extension when every element keeps it, and the witness is the
+    least element of Aut(e) that does not.  A transitive extension has every
+    vertex in as many hyperedges as x0; only such a survivor is searched for
+    automorphisms sending x0 to each old point, and each hit adds the point's
+    orbit under the stabilizer.
+
+    Budget units: Aut(e)'s search nodes, one per DFS pop, one per chunk of at
+    most 2^16 table cells compared for each survivor, and the nodes of the
+    transitivity searches.
     """
     v = e.v
     x0 = v
@@ -295,6 +373,17 @@ def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertifica
         colors = tuple(mask >> r & 1 for r in range(len(forced.colors.values)))
         return ColoredHypergraph(v + 1, 3, 2, SubsetMap(v + 1, 3, colors), ext=x0)
 
+    triples = _colex(v, 3)[0]
+    elements, table = _interior_table(aut_e, triples)
+    # the survivors' interior bits as a bool matrix, bit r in column r
+    size = (n_interior + 7) // 8
+    raw = np.frombuffer(b"".join(s.to_bytes(size, "little") for s in survivors_idx), np.uint8)
+    bits = np.unpackbits(
+        raw.reshape(len(survivors_idx), size), axis=1, count=n_interior, bitorder="little"
+    ).view(bool)
+    splits, regulars = _vertex_facts(e, triples, survivors_idx)
+    keep = np.empty(len(elements), bool)
+
     counts = {
         "consistency": consistency_failed,
         "forcing": 0,
@@ -303,12 +392,33 @@ def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertifica
     }
     survivors = []
     passed = 0
-    for bits_val in survivors_idx:
-        cand = candidate_from(bits_val)
+    for bits_val, b, split, regular in zip(survivors_idx, bits, splits, regulars):
+        # g permutes the interior triples, so it keeps I when it maps I into I
+        mine = table[b.nonzero()[0]]
+        cols = max(1, _CHUNK_CELLS // (len(mine) or 1))
+        for lo in range(0, len(elements), cols):
+            meter.left -= 1
+            if meter.left < 0:
+                raise meter.exhausted("eqrel survivor check")
+            keep[lo : lo + cols] = b[mine[:, lo : lo + cols]].all(axis=0)
+        stab = elements[keep]
+        ok = len(stab) == len(elements)
+        orbit = {x0}
+        if regular:
+            search = _Search(flatten(candidate_from(bits_val)), x0)
+            for y in range(x0):
+                if y not in orbit:
+                    if not search.run(meter, image=y, stop=True):
+                        break
+                    orbit.update(stab[:, y].tolist())
+        report = ExtensionReport(
+            is_one_point_extension=ok,
+            is_transitive=len(orbit) == x0 + 1,
+            aut_m_order=aut_e.order,
+            stabilizer_order=len(stab),
+            witness=None if ok else tuple(elements[keep.argmin()].tolist()),
+        )
         matches = bits_val == forced_interior
-        x_side = _side(cand, x0)
-        split = any(_splits(_side(cand, a), x_side) for a in range(v))
-        report = _extension_report(aut_e, flatten(cand), meter)
         refuted = not (report.is_one_point_extension and report.is_transitive)
         if not refuted:
             verdict = "PASSED"

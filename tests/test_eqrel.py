@@ -1,22 +1,30 @@
 """Equivalence relations and the exhaustive extension refutation."""
 
+import tracemalloc
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
+from extensor import eqrel
 from extensor.eqrel import (
     EquivalenceRelation,
+    SurvivorVerdict,
     forced_extension,
     refute_extension,
     singleton_type_report,
 )
-from extensor.errors import BoundExceededError, InputError
+from extensor.errors import BoundExceededError, InputError, _Meter
 from extensor.generate import SplitMix64, random_linear_order
-from extensor.hyperext import hyperedges
-from extensor.perm import verify_one_point_extension
-from extensor.structures import subsets_colex
+from extensor.hyperext import ColoredHypergraph, hyperedges
+from extensor.perm import (
+    _extension_report,
+    automorphism_group,
+    automorphisms_brute,
+    verify_one_point_extension,
+)
+from extensor.structures import SubsetMap, flatten, subsets_colex
 
 
 def test_forced_extension_two_pairs():
@@ -130,20 +138,52 @@ def test_interior_cap():
     cert = refute_extension(e)
     assert (cert.interior_triples, cert.candidates_examined) == (56, 2**56)
     assert cert.passed == 0 and len(cert.survivors) == 1
-    # the discrete shape on 7 points needs 1,777,490 units and is refused
-    # (about 5 s at the default budget)
+    # the discrete shape on 7 points takes 561,290 units, 539,182 of them in
+    # the DFS, which a budget of 10^5 does not cover
     discrete = EquivalenceRelation.from_classes(7, [{x} for x in range(7)])
     with pytest.raises(BoundExceededError):
         refute_extension(discrete, budget=100_000)
 
 
 def test_refutation_spends_one_budget_exactly():
-    # Aut(e), the candidate DFS and the survivor's searches take 445 units
+    # Aut(e) takes 211 units, the candidate DFS 21 and the one survivor's table
+    # chunk 1; its vertices lie in 3 hyperedges and x0 in 6, so it is not
+    # searched
     e = EquivalenceRelation.from_classes(6, [{0, 1, 2}, {3, 4, 5}])
     cert = refute_extension(e)
-    assert refute_extension(e, budget=445) == cert
+    assert refute_extension(e, budget=233) == cert
+    with pytest.raises(BoundExceededError, match="eqrel survivor check"):
+        refute_extension(e, budget=232)
+
+
+def _discrete(v):
+    return EquivalenceRelation.from_classes(v, [{x} for x in range(v)])
+
+
+def test_discrete_six_spend_is_pinned():
+    # Aut(e) = S6 takes 1,957 units, the DFS 7,975 and the 353 survivors one
+    # table chunk each; only the empty interior has every vertex in as many
+    # hyperedges as x0, and one first-hit search of 8 units sends x0 to 0,
+    # after which the orbit of 0 under its stabilizer S6 is every point
+    e = _discrete(6)
+    cert = refute_extension(e, budget=10_293)
+    (passed,) = [s for s in cert.survivors if s.verdict == "PASSED"]
+    assert passed.interior_bits == 0
+    assert passed.report.stabilizer_order == 720 and passed.report.is_transitive
     with pytest.raises(BoundExceededError):
-        refute_extension(e, budget=444)
+        refute_extension(e, budget=10_292)
+
+
+def test_discrete_six_refutes_in_little_memory():
+    e = _discrete(6)
+    refute_extension(e)  # fills the cached rank and face tables
+    tracemalloc.start()
+    try:
+        refute_extension(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 # -- oracle: the vectorized prefilter ------------------------------------------
@@ -224,3 +264,88 @@ def test_survivor_search_matches_vectorized_prefilter():
         assert cert.failure_counts["consistency"] == failed, e
         assert cert.first_consistency_witness == witness, e
         assert cert.candidates_examined == 1 << cert.interior_triples
+
+
+# -- oracle: the survivor verdicts from the per-candidate extension report -------------
+
+
+def _candidate(e, bits):
+    """The candidate with the interior hyperedges of `bits` and the boundary
+    triples {a, b, x0} for a ~ b."""
+    n_interior = comb(e.v, 3)
+    colors = tuple(
+        bits >> r & 1 if r < n_interior else int(e.related(t[0], t[1]))
+        for r, t in enumerate(subsets_colex(e.v + 1, 3))
+    )
+    return ColoredHypergraph(e.v + 1, 3, 2, SubsetMap(e.v + 1, 3, colors), ext=e.v)
+
+
+def _reference_verdicts(e, survivors):
+    """Each survivor's verdict rebuilt from the candidate itself: the report of
+    the searches over its flattened structure, and the type split from the
+    singleton report at every old vertex."""
+    aut_e = automorphism_group(e)
+    n_interior = comb(e.v, 3)
+    forced = forced_extension(e).colors.values
+    forced_interior = sum(bit << r for r, bit in enumerate(forced[:n_interior]))
+    out = []
+    for bits in survivors:
+        cand = _candidate(e, bits)
+        report = _extension_report(aut_e, flatten(cand), _Meter())
+        matches = bits == forced_interior
+        split = any(singleton_type_report(e, cand, a).type_split for a in range(e.v))
+        if report.is_one_point_extension and report.is_transitive:
+            verdict = "PASSED"
+        elif not matches:
+            verdict = "forcing"
+        elif split:
+            verdict = "type-split"
+        else:
+            verdict = "group"
+        out.append(SurvivorVerdict(bits, matches, split, report, verdict))
+    return tuple(out)
+
+
+def _oracle_relations():
+    yield from _relations()
+    for shape in ((4, 3), (3, 3, 1), (3, 2, 2), (2, 2, 2, 1)):
+        blocks, start = [], 0
+        for size in shape:
+            blocks.append(set(range(start, start + size)))
+            start += size
+        yield EquivalenceRelation.from_classes(7, blocks)
+
+
+def test_survivor_verdicts_match_the_extension_report(monkeypatch):
+    # the survivor list itself is checked against the vectorized prefilter above
+    cases = 0
+    for e in _oracle_relations():
+        cert = refute_extension(e)
+        expected = _reference_verdicts(e, [s.interior_bits for s in cert.survivors])
+        assert cert.survivors == expected, e
+        assert cert.passed == sum(s.verdict == "PASSED" for s in expected)
+        # compared 16 cells at a time, every survivor with an interior spans
+        # several chunks of the table
+        with monkeypatch.context() as m:
+            m.setattr(eqrel, "_CHUNK_CELLS", 16)
+            assert refute_extension(e).survivors == expected, e
+        cases += 1
+    assert cases == 60
+
+
+def test_the_stabilizer_restricts_into_aut_e():
+    # the lemma the table rests on: a permutation fixing x0 is an automorphism
+    # of a candidate exactly when it restricts to an element of Aut(e) that
+    # maps the interior hyperedges onto themselves
+    for e in _relations():
+        if e.v > 5:
+            continue
+        aut = set(automorphisms_brute(e))
+        for s in refute_extension(e).survivors:
+            cand = _candidate(e, s.interior_bits)
+            stab = {g[: e.v] for g in automorphisms_brute(cand) if g[e.v] == e.v}
+            assert stab <= aut, e
+            inner = {t for t in hyperedges(cand) if e.v not in t}
+            keep = {g for g in aut if {tuple(sorted(g[x] for x in t)) for t in inner} == inner}
+            assert stab == keep, e
+            assert len(stab) == s.report.stabilizer_order, e

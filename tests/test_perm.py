@@ -19,7 +19,7 @@ from extensor.generate import (
     random_rooted_tree,
     random_unrooted_tree,
 )
-from extensor.hyperext import ColoredHypergraph, extend_colored, plain_hypergraph
+from extensor.hyperext import ColoredHypergraph, extend_colored, extend_plain, plain_hypergraph
 from extensor.orient import Orientation, evaluate, extend_orientation, tuple_parity
 from extensor.perm import (
     ExtensionReport,
@@ -94,6 +94,19 @@ def test_verify_spends_one_budget_exactly():
         verify_one_point_extension(h, ext, budget=63)
     with pytest.raises(InputError):
         verify_one_point_extension(h, ext, budget=0)
+
+
+def test_paley_two_graph_spend_is_pinned():
+    # C5's parity extension is the Paley two-graph on 6 points, with Stab(x0)
+    # of order 10.  One first-hit search sends x0 to 0, and the orbit of 0
+    # under the stabilizer is every old point, so no other point is searched:
+    # 100 units in all (128 if each point were searched)
+    c5 = plain_hypergraph(5, 2, [(x, (x + 1) % 5) for x in range(5)])
+    ext = extend_plain(c5)
+    report = verify_one_point_extension(c5, ext, budget=100)
+    assert report == ExtensionReport(True, True, 10, 10, None)
+    with pytest.raises(BoundExceededError):
+        verify_one_point_extension(c5, ext, budget=99)
 
 
 def test_group_closure_and_inverses():

@@ -5,7 +5,7 @@ Exit codes: 0 verified/found, 1 refuted/proven-none, 2 search budget spent,
 its own parser, which declares only the options that action reads, so an option
 it would ignore is a usage error.  ``--budget N`` on the actions that search
 (``verify extension``, ``verify transitive``, ``palette search``, ``obstruct
-eqrel`` and ``orbits``) caps the search nodes one command may spend (default
+eqrel`` and ``orbits``) caps the work units one command may spend (default
 ``SEARCH_BUDGET``, 10^6); a command that spends them all exits 2.
 """
 
@@ -340,7 +340,7 @@ def build_parser():
         "--circ-out": dict(help="also write the circular order (plane trees)"),
         "--order": dict(help="linear order file"),
         "--machine": dict(action="store_true", help="key=value output"),
-        "--budget": dict(type=int, help=f"search nodes (default {SEARCH_BUDGET:_})"),
+        "--budget": dict(type=int, help=f"work units (default {SEARCH_BUDGET:_})"),
         "-n": dict(type=int, default=2),
         "-k": dict(type=int, default=3),
         "-m": dict(type=int, default=1),

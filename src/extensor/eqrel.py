@@ -12,15 +12,15 @@ Every survivor's boundary mirrors the relation, so its Stab(x0) is the part
 of Aut(e) that keeps its interior hyperedges.  One table of Aut(e) acting on
 the interior triples decides the stabilizer law of every survivor, the type
 split is read off the survivors' bit matrix, and only a survivor whose
-vertices all lie in as many hyperedges as x0 is searched for transitivity.
-The search for Aut(e), the DFS pops, the table chunks and the transitivity
-searches spend one budget.
+vertices all lie in as many hyperedges as x0 is searched for transitivity, by
+the step `verify` takes too (``perm._reaches_all``).  The search for Aut(e),
+the DFS pops, the table chunks and the transitivity searches spend one
+budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 
@@ -33,10 +33,12 @@ from .hyperext import ColoredHypergraph
 from .perm import (  # noqa: F401
     ExtensionReport,
     _group,
+    _reaches_all,
     _Search,
     verify_one_point_extension,
 )
-from .structures import RelationalStructure, SubsetMap, _colex, _faces, _orderings, flatten
+from .structures import RelationalStructure, SubsetMap, _colex, _colex_ranks, _faces, _orderings
+from .structures import flatten
 
 
 @dataclass(frozen=True)
@@ -95,22 +97,13 @@ def forced_extension(e: EquivalenceRelation) -> ColoredHypergraph:
 # -- derived pair relations and the type split --------------------------------
 
 
-@lru_cache(maxsize=128)
-def _pair_ranks(v, c):
-    """The vertices of {0..v-1} other than c, and each pair (b, d) of them
-    with the colex rank of the triple {b, c, d}."""
-    others = tuple(x for x in range(v) if x != c)
-    index = _colex(v, 3)[1]
-    return others, tuple(
-        ((b, d), index[tuple(sorted((b, c, d)))]) for b, d in combinations(others, 2)
-    )
-
-
 def _pair_relation(h: ColoredHypergraph, c):
     """The relation "b ~ d iff {b, c, d} is a hyperedge" on the other vertices."""
-    others, ranked = _pair_ranks(h.v, c)
-    values = h.colors.values
-    return others, {pair for pair, r in ranked if values[r] == 1}
+    others = tuple(x for x in range(h.v) if x != c)
+    value = h.colors.value_for
+    return others, {
+        (b, d) for b, d in combinations(others, 2) if value(tuple(sorted((b, c, d)))) == 1
+    }
 
 
 def _equivalence_failure(others, related):
@@ -257,16 +250,12 @@ def _interior_table(aut_e, triples):
     Aut(e) acting on the interior triples, extended by x0 -> x0: entry (r, g)
     is the colex rank of the image under element g of `triples[r]`, the
     interior triple of rank r."""
-    v = aut_e.v
     # v < 256: the C(v+1, 4) quads were listed, and more than 10^6 are refused
     elements = np.array(sorted(aut_e.elements), np.uint8)
     images = elements.T[np.array(triples, np.intp).reshape(-1, 3)]
     images.sort(axis=1)
-    # a triple's colex rank is the sum of C(s[i], i + 1) over its sorted entries
-    table = np.zeros((len(triples), len(elements)), np.intp)
-    for i in range(3):
-        table += np.array([comb(x, i + 1) for x in range(v)], np.intp)[images[:, i]]
-    return elements, table
+    shape = (len(triples), len(elements))
+    return elements, _colex_ranks(images.swapaxes(0, 1), aut_e.v, shape)
 
 
 def _vertex_facts(e, triples, survivors):
@@ -328,7 +317,7 @@ def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertifica
     least element of Aut(e) that does not.  A transitive extension has every
     vertex in as many hyperedges as x0; only such a survivor is searched for
     automorphisms sending x0 to each old point, and each hit adds the point's
-    orbit under the stabilizer.
+    orbit under the stabilizer (``perm._reaches_all``).
 
     Budget units: Aut(e)'s search nodes, one per DFS pop, one per chunk of at
     most 2^16 table cells compared for each survivor, and the nodes of the
@@ -403,17 +392,12 @@ def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertifica
             keep[lo : lo + cols] = b[mine[:, lo : lo + cols]].all(axis=0)
         stab = elements[keep]
         ok = len(stab) == len(elements)
-        orbit = {x0}
-        if regular:
-            search = _Search(flatten(candidate_from(bits_val)), x0)
-            for y in range(x0):
-                if y not in orbit:
-                    if not search.run(meter, image=y, stop=True):
-                        break
-                    orbit.update(stab[:, y].tolist())
+        transitive = regular and _reaches_all(
+            _Search(flatten(candidate_from(bits_val)), x0), stab.tolist(), meter
+        )
         report = ExtensionReport(
             is_one_point_extension=ok,
-            is_transitive=len(orbit) == x0 + 1,
+            is_transitive=transitive,
             aut_m_order=aut_e.order,
             stabilizer_order=len(stab),
             witness=None if ok else tuple(elements[keep.argmin()].tolist()),

@@ -2,7 +2,7 @@
 
 # Work units one public call to an exhaustive search may spend unless it is
 # given a budget of its own: automorphism-search nodes, eqrel DFS pops and
-# palette nodes.
+# table chunks, and palette nodes.  A spent budget is reported in units.
 SEARCH_BUDGET = 10**6
 
 
@@ -46,4 +46,4 @@ class _Meter:
         self.budget = self.left = budget
 
     def exhausted(self, what):
-        return BoundExceededError(f"{what} spent its budget of {self.budget} nodes")
+        return BoundExceededError(f"{what} spent its budget of {self.budget} units")

@@ -8,14 +8,18 @@ kinds, one `{...}` line per class for equivalence relations, an `order =` /
 `#color` / `@rank` annotations for trees.  Serialization is bit-exact: LF
 endings, no trailing whitespace.
 
-Parsing trusts no header: `_KINDS` holds, for each tag, the header fields and
-metadata lines the kind takes and the reader of its body.  An unknown tag is
-refused before any field is read, `v` must match the body, a table kind's `k`
-lie in 2..v (and chg's `n` be at least 1), a tree's `n` be one more than its
-largest color (and absent without colors), `ext` must be a point, `labeling`
-an arrangement of the colors and `plane` 0 or 1, and an order, a cycle or a
-tree term is the one non-blank line of its body, or a ParseError names the
-line.
+`_KINDS` describes each kind once, for both directions: its tag and class, the
+header fields and metadata lines it takes, and the reader and the writer of
+its body.  `serialize` writes the fields and lines the object has, in that
+order.
+
+Parsing trusts no header.  An unknown tag is refused before any field is
+read, `v` must match the body, a table kind's `k` lie in 2..v (and chg's `n`
+be at least 1), a tree's `n` be one more than its largest color (and absent
+without colors), `ext` must be a point, `labeling` an arrangement of the
+colors (its length is compared with `n` first) and `plane` 0 or 1, and an
+order, a cycle or a tree term is the one non-blank line of its body, or a
+ParseError names the line.
 A table body is read in one pass: a subset spelled as serialization writes it
 is looked up in a cached text index of (v, k), and only other spellings are
 parsed and checked entry by entry.
@@ -39,7 +43,7 @@ from .treeset import RootedLeafTree, UnrootedLeafTree
 @lru_cache(maxsize=128)
 def _subset_index(v, k):
     """{`(a,b,...)`: colex rank} over the k-subsets of {0..v-1}, in colex order."""
-    return {"(" + ",".join(map(str, s)) + ")": r for r, s in enumerate(subsets_colex(v, k))}
+    return {"(" + _commas(s) + ")": r for r, s in enumerate(subsets_colex(v, k))}
 
 
 def _table_lines(table, fmt=str):
@@ -47,52 +51,36 @@ def _table_lines(table, fmt=str):
     return [f"{text} = {fmt(x)}" for text, x in zip(texts, table.values)]
 
 
+def _commas(values):
+    return ",".join(map(str, values))
+
+
+def _braces(values):
+    return "{" + _commas(values) + "}"
+
+
 def serialize(obj) -> str:
-    """Canonical text form of any structure kind (ends with a newline)."""
-    lines = []
-    if isinstance(obj, ColoredHypergraph):
-        lines.append(f"kind chg v={obj.v} k={obj.k} n={obj.n}")
-        if obj.ext is not None:
-            lines.append(f"ext = {obj.ext}")
-        if obj.labeling is not None:
-            lines.append("labeling = " + ",".join(map(str, obj.labeling)))
-        lines += _table_lines(obj.colors)
-    elif isinstance(obj, Orientation):
-        lines.append(f"kind orient v={obj.v} k={obj.k}")
-        if obj.ext is not None:
-            lines.append(f"ext = {obj.ext}")
-        lines += _table_lines(obj.bits)
-    elif isinstance(obj, Hypertournament):
-        lines.append(f"kind htour v={obj.v} k={obj.k}")
-        lines += _table_lines(obj.orderings, lambda t: ",".join(map(str, t)))
-    elif isinstance(obj, EquivalenceRelation):
-        lines.append(f"kind eqrel v={obj.v}")
-        for block in sorted(obj.classes, key=min):
-            lines.append("{" + ",".join(map(str, sorted(block))) + "}")
-    elif isinstance(obj, LinearOrder):
-        lines.append(f"kind lin v={obj.v}")
-        lines.append("order = " + ",".join(map(str, obj.order)))
-    elif isinstance(obj, CircularOrder):
-        lines.append(f"kind circ v={obj.v}")
-        if obj.ext is not None:
-            lines.append(f"ext = {obj.ext}")
-        lines.append("cycle = " + ",".join(map(str, obj.cycle)))
-    elif isinstance(obj, (RootedLeafTree, UnrootedLeafTree)):
-        tag = "ctree" if isinstance(obj, RootedLeafTree) else "dtree"
-        header = f"kind {tag} v={obj.v}"
-        if obj.colors is not None:
-            header += f" n={max(obj.colors) + 1}"
-        lines.append(header)
-        if obj.plane:
-            lines.append("plane = 1")
-        lines.append(_tree_term(obj))
-    elif isinstance(obj, Palette):
-        lines.append(f"palette n={obj.n}")
-        for m in obj.sorted_members():
-            lines.append("{" + ",".join(map(str, m)) + "}")
-    else:
+    """Canonical text form of any structure kind (ends with a newline): the
+    header fields and metadata lines `_KINDS` lists for its kind, each left
+    out where the object has none, then the body its writer gives."""
+    if isinstance(obj, Palette):
+        lines = [f"palette n={obj.n}", *map(_braces, obj.sorted_members())]
+        return "\n".join(lines) + "\n"
+    tag = next((tag for tag in _KINDS if isinstance(obj, _KINDS[tag][0])), None)
+    if tag is None:
         raise InputError(f"cannot serialize {type(obj).__name__}")
-    return "\n".join(lines) + "\n"
+    _, keys, metadata, _, write = _KINDS[tag]
+    fields = {key: getattr(obj, key, None) for key in keys}
+    if tag in ("ctree", "dtree") and obj.colors is not None:
+        fields["n"] = max(obj.colors) + 1  # one past a tree's largest color
+    lines = [" ".join([f"kind {tag}"] + [f"{k}={x}" for k, x in fields.items() if x is not None])]
+    for key in metadata:
+        value = getattr(obj, key)
+        if key == "plane":
+            value = 1 if value else None
+        if value is not None:
+            lines.append(f"{key} = " + (_commas(value) if key == "labeling" else str(value)))
+    return "\n".join(lines + write(obj)) + "\n"
 
 
 def _annotations(t, node):
@@ -163,7 +151,7 @@ def parse(text: str):
     tag = head[1]
     if tag not in _KINDS:
         raise ParseError(1, f"unknown kind tag {tag!r}")
-    keys, metadata, read = _KINDS[tag]
+    _, keys, metadata, read, _ = _KINDS[tag]
     fields = {}
     for part in head[2:]:
         if "=" not in part:
@@ -204,9 +192,11 @@ def parse(text: str):
     v, n = fields["v"], fields.get("n")
     if "ext" in meta and not 0 <= meta["ext"] < v:
         raise ParseError(where["ext"], f"ext {meta['ext']} out of range for v={v}")
-    if "labeling" in meta and sorted(meta["labeling"]) != list(range(n)):
+    # the length first: the header's n can be far larger than the input
+    labeling = meta.get("labeling")
+    if labeling is not None and (len(labeling) != n or sorted(labeling) != list(range(n))):
         raise ParseError(
-            where["labeling"], f"labeling must arrange 0..{n - 1}, got {meta['labeling']}"
+            where["labeling"], f"labeling must arrange 0..{n - 1}, got {labeling}"
         )
     # the body, and the 1-based line number of its first line
     return read(tag, fields, meta, lines[body_start:], body_start + 1)
@@ -511,14 +501,27 @@ def _parse_tree(tag, fields, meta, body, offset):
         raise ParseError(line_no, str(exc))
 
 
-# each kind's header fields, its metadata lines and the reader of its body
+# each kind's class, header fields, metadata lines, body reader and body writer
 _KINDS = {
-    "chg": (("v", "k", "n"), ("ext", "labeling"), _parse_chg),
-    "orient": (("v", "k"), ("ext",), _parse_orient),
-    "htour": (("v", "k"), (), _parse_htour),
-    "eqrel": (("v",), (), _parse_eqrel),
-    "lin": (("v",), (), _parse_order),
-    "circ": (("v",), ("ext",), _parse_order),
-    "ctree": (("v", "n"), ("plane",), _parse_tree),
-    "dtree": (("v", "n"), ("plane",), _parse_tree),
+    "chg": (
+        ColoredHypergraph, ("v", "k", "n"), ("ext", "labeling"), _parse_chg,
+        lambda h: _table_lines(h.colors),
+    ),
+    "orient": (
+        Orientation, ("v", "k"), ("ext",), _parse_orient, lambda t: _table_lines(t.bits)
+    ),
+    "htour": (
+        Hypertournament, ("v", "k"), (), _parse_htour,
+        lambda t: _table_lines(t.orderings, _commas),
+    ),
+    "eqrel": (
+        EquivalenceRelation, ("v",), (), _parse_eqrel,
+        lambda e: [_braces(sorted(block)) for block in sorted(e.classes, key=min)],
+    ),
+    "lin": (LinearOrder, ("v",), (), _parse_order, lambda o: ["order = " + _commas(o.order)]),
+    "circ": (
+        CircularOrder, ("v",), ("ext",), _parse_order, lambda c: ["cycle = " + _commas(c.cycle)]
+    ),
+    "ctree": (RootedLeafTree, ("v", "n"), ("plane",), _parse_tree, lambda t: [_tree_term(t)]),
+    "dtree": (UnrootedLeafTree, ("v", "n"), ("plane",), _parse_tree, lambda t: [_tree_term(t)]),
 }

@@ -14,12 +14,11 @@ layer of :mod:`extensor.structures`, shared with orientations (offset 0 here).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, compress, repeat
-from operator import eq
+from itertools import combinations
 
 from .errors import InputError
 from .palette import Palette, _msub, enumerate_multisets
-from .structures import RelationalStructure, SubsetMap, _orderings, flatten, subsets_colex
+from .structures import RelationalStructure, SubsetMap, _orderings, flatten
 from .structures import _boundary_violation, _odd_face, _parity_extension
 
 
@@ -64,12 +63,14 @@ def hyperedges(h: ColoredHypergraph):
 
 @flatten.register
 def _(h: ColoredHypergraph) -> RelationalStructure:
-    # one relation per color (only color 1 for n = 2), each the orderings of its sets
-    colors = (1,) if h.n == 2 else range(h.n)
-    reps = tuple(
-        tuple(compress(subsets_colex(h.v, h.k), map(eq, h.colors.values, repeat(c))))
-        for c in colors
-    )
+    # one relation per color that occurs (only color 1 for n = 2), each the
+    # orderings of its sets: one pass over the table, whatever n is.  A color
+    # that no set takes would add an empty relation, which no permutation breaks
+    by_color = {1: []} if h.n == 2 else {}
+    for s, c in h.colors.items():
+        by_color.setdefault(c, []).append(s)
+    colors = (1,) if h.n == 2 else sorted(by_color)
+    reps = tuple(tuple(by_color[c]) for c in colors)
     names = ("R",) if h.n == 2 else [f"R{c}" for c in colors]
     rels = tuple((name, h.k, _orderings(r)) for name, r in zip(names, reps))
     return RelationalStructure(h.v, rels, reps)

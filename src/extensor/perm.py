@@ -4,8 +4,9 @@ Groups are kept as fully enumerated element sets (desk scale), found by one
 backtracking search per structure.  The extension check enumerates only the
 stabilizer of the new point, which it compares with Aut(m) as a set of
 permutations, and decides transitivity by one first-hit search per suborbit
-of that stabilizer; it never enumerates Aut(m_ext).  :func:`orbits` reads each
-orbit off the element set.  Permutations are plain image tuples.
+of that stabilizer (:func:`_reaches_all`, which the eqrel refutation calls
+too); it never enumerates Aut(m_ext).  :func:`orbits` reads each orbit off
+the element set.  Permutations are plain image tuples.
 
 The search checks a relation on the representatives its view supplies
 (``RelationalStructure.reps``), or on every tuple when it has none: one
@@ -335,27 +336,37 @@ def verify_one_point_extension(m, m_ext, budget=None) -> ExtensionReport:
 def _extension_report(aut_m, fe, meter) -> ExtensionReport:
     """The report for an extension by x0 = the highest vertex (aut_m.v), from
     Aut(m) and the flattened extension `fe`; Aut(m_ext) itself is never
-    enumerated.
-
-    Only Stab(x0) is enumerated.  Transitivity is decided point by point: an
-    old point y is in the orbit of x0 when one search finds an automorphism
-    sending x0 to y, and then so is its whole Stab(x0)-orbit.
+    enumerated.  Only Stab(x0) is, and transitivity is :func:`_reaches_all`.
     """
     x0 = aut_m.v
     search = _Search(fe, x0)
     stab = search.run(meter, image=x0)
     restricted = frozenset(g[:x0] for g in stab)
     ok = restricted == aut_m.elements
-    orbit = {x0}
-    for y in range(x0):
-        if y not in orbit:
-            if not search.run(meter, image=y, stop=True):
-                break
-            orbit.update(h[y] for h in stab)
     return ExtensionReport(
         is_one_point_extension=ok,
-        is_transitive=len(orbit) == x0 + 1,
+        is_transitive=_reaches_all(search, stab, meter),
         aut_m_order=aut_m.order,
         stabilizer_order=len(stab),
         witness=None if ok else min(restricted ^ aut_m.elements),
     )
+
+
+def _reaches_all(search, stab, meter):
+    """Whether Aut(m_ext) is transitive, decided point by point from the
+    search of the extension with x0 first and `stab`, the elements of
+    Stab(x0) as sequences of the images of (at least) the old points.
+
+    An old point y is in the orbit of x0 when one first-hit search finds an
+    automorphism sending x0 to y, and then so is its whole Stab(x0)-orbit;
+    so there is one search per old point not yet reached, and the first miss
+    decides.  :mod:`extensor.eqrel` decides its survivors with this too.
+    """
+    x0 = search.order[0]
+    orbit = {x0}
+    for y in range(x0):
+        if y not in orbit:
+            if not search.run(meter, image=y, stop=True):
+                return False
+            orbit.update(h[y] for h in stab)
+    return True

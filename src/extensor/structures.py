@@ -13,8 +13,9 @@ Checks that scan every face of a table read it through the face array of
 (v, k, size), also built once and cached: the size-subsets of {0..v-1} in
 lexicographic order as rows of an int array, and for each row the colex ranks
 of its k-subsets in ``combinations(row, k)`` order.  Both come from the
-combinatorial number system in numpy, so a scan over the faces is one gather
-of the table's values, ``values[ranks]``, and nothing is looked up per subset.
+combinatorial number system in numpy (:func:`_colex_ranks`, shared with
+eqrel's table of triple images), so a scan over the faces is one gather of
+the table's values, ``values[ranks]``, and nothing is looked up per subset.
 Both refuse more than ``SEARCH_BUDGET`` subsets before listing any.
 
 The parity layer of colored hypergraphs and orientations lives here too: the
@@ -115,13 +116,20 @@ def _faces(v, k, size):
     rows = np.fromiter(
         chain.from_iterable(combinations(range(v), size)), np.intp, count * size
     ).reshape(count, size)
-    # a k-subset's colex rank is the sum of C(s[i], i + 1) over its positions i
-    ranks = np.zeros((count, comb(size, k)), np.intp)
-    for i, column in enumerate(zip(*combinations(range(size), k))):
-        binom = np.array([comb(x, i + 1) for x in range(v)], np.intp)
-        ranks += binom[rows[:, column]]
+    columns = (rows[:, column] for column in zip(*combinations(range(size), k)))
+    ranks = _colex_ranks(columns, v, (count, comb(size, k)))
     rows.flags.writeable = ranks.flags.writeable = False
     return rows, ranks
+
+
+def _colex_ranks(columns, v, shape):
+    """The colex ranks of an array of k-subsets of {0..v-1} of the given
+    shape, from the arrays of their i-th least entries for i = 0..k-1: the sum
+    of C(s[i], i + 1) over the positions i (0 for k = 0)."""
+    ranks = np.zeros(shape, np.intp)
+    for i, column in enumerate(columns):
+        ranks += np.array([comb(x, i + 1) for x in range(v)], np.intp)[column]
+    return ranks
 
 
 def subsets_colex(v, k):

@@ -278,8 +278,17 @@ class _CubeRelation:
         """The tuple set, built from the cube on first read."""
         return frozenset(map(tuple, np.argwhere(self.cube).tolist()))
 
-    def _bit(self, i):
-        """Cell i of the cube in row-major order (the packed bits, high bit first)."""
+    def holds(self, *p):
+        """Whether the relation holds at the point p of `arity` vertices (never
+        for a vertex out of range), read off the packed bits: cell i of the
+        cube in row-major order is bit i, high bit first."""
+        if len(p) != self.arity:
+            raise TypeError(f"holds takes {self.arity} vertices, got {len(p)}")
+        v, i = self.v, 0
+        for x in p:
+            if not 0 <= x < v:
+                return False
+            i = i * v + x
         return bool(self.bits[i >> 3] & 0x80 >> (i & 7))
 
 
@@ -291,11 +300,6 @@ class CRelation(_CubeRelation):
     def triples(self):
         return self._tuples
 
-    def holds(self, a, b, c):
-        v = self.v
-        in_range = 0 <= a < v and 0 <= b < v and 0 <= c < v
-        return in_range and self._bit((a * v + b) * v + c)
-
 
 @dataclass(frozen=True)
 class DRelation(_CubeRelation):
@@ -304,11 +308,6 @@ class DRelation(_CubeRelation):
     @property
     def quadruples(self):
         return self._tuples
-
-    def holds(self, a, b, c, d):
-        v = self.v
-        in_range = 0 <= a < v and 0 <= b < v and 0 <= c < v and 0 <= d < v
-        return in_range and self._bit(((a * v + b) * v + c) * v + d)
 
 
 # relations are built for at most this many leaves: the D-relation cube of 62
@@ -352,15 +351,9 @@ class AxiomCheck:
         return self.ok
 
 
-_C_SKIPPED = (
-    ("C5", "not evaluated (density/properness are infinite-scale)"),
-    ("C5*", "not evaluated (density/properness are infinite-scale)"),
-    ("C6", "not evaluated (density/properness are infinite-scale)"),
-)
-_D_SKIPPED = (
-    ("D5", "not evaluated (density/properness are infinite-scale)"),
-    ("D6", "not evaluated (density/properness are infinite-scale)"),
-)
+_SKIP = "not evaluated (density/properness are infinite-scale)"
+_C_SKIPPED = tuple((axiom, _SKIP) for axiom in ("C5", "C5*", "C6"))
+_D_SKIPPED = tuple((axiom, _SKIP) for axiom in ("D5", "D6"))
 
 
 def _first(bad):

@@ -486,14 +486,14 @@ def test_obstruct_eqrel_interior_cap_exits_exceeded(capsys):
         ["obstruct", "eqrel", "--classes", "1+1+1+1+1+1+1", "--budget", "20000"], capsys
     )
     assert code == 2 and out == ""
-    assert err == "budget exceeded: eqrel candidate search spent its budget of 20000 nodes\n"
+    assert err == "budget exceeded: eqrel candidate search spent its budget of 20000 units\n"
 
 
 def test_obstruct_eqrel_automorphism_bound_exits_exceeded(capsys):
     # Aut(e) of 2+2 takes 25 units
     code, out, err = run(["obstruct", "eqrel", "--classes", "2+2", "--budget", "3"], capsys)
     assert code == 2 and out == ""
-    assert err == "budget exceeded: automorphism search spent its budget of 3 nodes\n"
+    assert err == "budget exceeded: automorphism search spent its budget of 3 units\n"
 
 
 def test_orbits_of_edgeless_twelve_points_exits_exceeded(tmp_path, capsys):
@@ -817,7 +817,7 @@ def test_the_parser_declares_exactly_the_option_table():
 def test_palette_search_spends_the_shared_budget_like_every_search(capsys):
     code, out, err = run(["palette", "search", "-n", "7", "--budget", "5"], capsys)
     assert (code, out) == (2, "")
-    assert err == "budget exceeded: palette search spent its budget of 5 nodes\n"
+    assert err == "budget exceeded: palette search spent its budget of 5 units\n"
 
 
 @pytest.mark.parametrize(

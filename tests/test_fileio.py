@@ -1,5 +1,6 @@
 """The text format: canonical serialization, parsing, diagnostics."""
 
+import tracemalloc
 from math import comb
 from time import perf_counter
 
@@ -117,6 +118,20 @@ def test_totality_error_builds_no_colex_index(monkeypatch):
     assert str(err.value) == (
         "line 3: totality: no value for subset (0, 1, 2, 3, 5) (and 8250291250198 more)"
     )
+
+
+def test_labeling_check_is_sized_by_the_input():
+    # a one-entry labeling against n = 2 * 10^6 colors is refused by its
+    # length, before anything of size n is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse("kind chg v=2 k=2 n=2000000\nlabeling = 0\n(0,1) = 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "line 2: labeling must arrange 0..1999999, got (0,)"
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_negative_header_arity_is_a_parse_error():

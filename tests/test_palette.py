@@ -209,7 +209,7 @@ def test_search_budget_must_be_positive():
 def test_tiny_budget_exhausts():
     with pytest.raises(BoundExceededError) as exc:
         search_palette(6, budget=5)
-    assert str(exc.value) == "palette search spent its budget of 5 nodes"
+    assert str(exc.value) == "palette search spent its budget of 5 units"
 
 
 def test_involution_two_colors():
@@ -641,7 +641,7 @@ def test_the_largest_accepted_count_starts_in_little_memory():
     # is one label per color, so nothing grows with the pairs
     tracemalloc.start()
     try:
-        with pytest.raises(BoundExceededError, match="spent its budget of 1 nodes"):
+        with pytest.raises(BoundExceededError, match="spent its budget of 1 units"):
             search_palette(1413, budget=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -659,7 +659,7 @@ def test_search_reports_a_non_palette_as_a_bug(monkeypatch):
 
 def test_search_builds_member_tables_lazily():
     # an eager table over all C(63, 4) 4-multisets would take minutes and GBs
-    with pytest.raises(BoundExceededError, match="spent its budget of 1000 nodes"):
+    with pytest.raises(BoundExceededError, match="spent its budget of 1000 units"):
         search_palette(60, budget=1000)
 
 

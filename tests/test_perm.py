@@ -3,7 +3,7 @@
 from collections import Counter
 from dataclasses import replace
 from itertools import chain, combinations, permutations
-from math import factorial, perm
+from math import comb, factorial, perm
 from operator import itemgetter
 
 import pytest
@@ -659,7 +659,8 @@ def _reference_relations(obj):
     None for a relation the view gives no representatives."""
     v = obj.v
     if isinstance(obj, ColoredHypergraph):
-        colors = [1] if obj.n == 2 else range(obj.n)
+        # the view makes a relation for each color that occurs, not each of 0..n-1
+        colors = [1] if obj.n == 2 else sorted(set(obj.colors.values))
         return [
             {p for s, c in obj.colors.items() if c == color for p in permutations(s)}
             for color in colors
@@ -762,6 +763,36 @@ def test_mutant_representatives_fail_the_oracle():
                 assert _reps_violation(bad, reference) is not None, obj
                 caught[kind] += 1
     assert caught["dropped"] and caught["swapped"], caught
+
+
+def _every_color_view(h):
+    """The view of a colored hypergraph with one relation for each color in
+    0..n-1 (only color 1 for n = 2), empty or not."""
+    colors = [1] if h.n == 2 else range(h.n)
+    reps = [tuple(s for s, c in h.colors.items() if c == color) for color in colors]
+    rels = tuple(
+        ("R" if h.n == 2 else f"R{color}", h.k, frozenset(p for s in r for p in permutations(s)))
+        for color, r in zip(colors, reps)
+    )
+    return RelationalStructure(h.v, rels, tuple(reps))
+
+
+def test_colored_view_is_sized_by_its_table():
+    # colors that no set takes add no relation, so the view of a table of
+    # C(v, k) sets holds at most C(v, k) relations whatever n is, and it has
+    # the group of the view with every color, found in the same units
+    rng = SplitMix64(3434)
+    for v, k, n in ((3, 2, 10**6), (4, 2, 50), (5, 2, 7), (5, 3, 12), (6, 2, 3), (6, 3, 9)):
+        for _ in range(4):
+            h = random_colored_hypergraph(rng, v, k, n)
+            view = flatten(h)
+            assert len(view.relations) <= comb(v, k)
+            if n > 50:
+                continue
+            meters = _Meter(), _Meter()
+            groups = [_Search(s).run(m) for s, m in zip((view, _every_color_view(h)), meters)]
+            assert groups[0] == groups[1]
+            assert meters[0].left == meters[1].left, (v, k, n)
 
 
 def _search_cases():

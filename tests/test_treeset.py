@@ -160,6 +160,15 @@ def test_holds_agrees_with_tuple_membership_in_and_out_of_range():
     assert rel.holds(np.int64(0), 1, np.int64(2))
 
 
+def test_holds_takes_one_vertex_per_position():
+    crel = c_relation(cherry())
+    drel = d_relation(extend_c_to_d(cherry()))
+    for rel, wrong in ((crel, ((0, 1), (0, 1, 2, 0))), (drel, ((0, 1, 2), (0, 1, 2, 3, 0)))):
+        for p in wrong:
+            with pytest.raises(TypeError):
+                rel.holds(*p)
+
+
 def test_from_tuples_round_trips():
     rng = SplitMix64(52)
     for _ in range(20):

@@ -321,29 +321,30 @@ def criterion_10(seed=DEFAULT_SEED):
 # -- 11: trees --------------------------------------------------------------------
 
 
+# criterion 11 checks its trees in stacks of one leaf count, each holding at
+# most this many cells of the extensions' D cubes, (leaves + 1)^4 per tree
+_STACK_CELLS = 1 << 16
+
+
 def criterion_11(seed=DEFAULT_SEED):
     rng = SplitMix64(seed ^ 0x11)
-    c_bad = d_bad = ident_bad = ordered_bad = color_bad = nfree_bad = 0
+    bad = [0] * 6  # C axioms, D axioms, identity, ordered, colors, N-freeness
+    stacks = {}
+
+    def flush(leaves):
+        for i, found in enumerate(treeset.expansion_failures(stacks.pop(leaves))):
+            bad[i] += sum(f is not None for f in found)
+
     for i in range(500):
         leaves = 3 + rng.below(8)
         n_colors = 2 + rng.below(2)
-        t = random_rooted_tree(rng, leaves, n_colors=n_colors, plane=True)
-        crel = treeset.c_relation(t)
-        if not treeset.check_c_axioms(crel).ok:
-            c_bad += 1
-        oe = treeset.ordered_extension(t)
-        ext = oe.tree
-        drel = treeset.d_relation(ext)
-        if not treeset.check_d_axioms(drel).ok:
-            d_bad += 1
-        if treeset.c_to_d_violation(crel, drel) is not None:
-            ident_bad += 1
-        if treeset.ordered_compatibility_violation(drel, oe.circular) is not None:
-            ordered_bad += 1
-        if treeset.colored_extension_violation(t, ext) is not None:
-            color_bad += 1
-        if not treeset.n_free_check(treeset.pair_coloring(t))[0]:
-            nfree_bad += 1
+        stack = stacks.setdefault(leaves, [])
+        stack.append(random_rooted_tree(rng, leaves, n_colors=n_colors, plane=True))
+        if len(stack) >= _STACK_CELLS // (leaves + 1) ** 4:
+            flush(leaves)
+    for leaves in sorted(stacks):
+        flush(leaves)
+    c_bad, d_bad, ident_bad, ordered_bad, color_bad, nfree_bad = bad
     fixture = treeset.obstruction_fixture()
     demo_ok = (
         treeset.leveled_obstruction_demo().holds

@@ -31,6 +31,8 @@ from itertools import chain, combinations, filterfalse, permutations as all_perm
 from math import comb, factorial, perm
 from operator import itemgetter
 
+import numpy as np
+
 from .errors import BoundExceededError, InputError, _Meter
 from .structures import _orderings, flatten
 
@@ -56,10 +58,6 @@ def parity(p):
             length += 1
         par ^= (length - 1) & 1
     return par
-
-
-def apply_to_tuple(p, t):
-    return tuple(p[x] for x in t)
 
 
 def fmt_cycles(p):
@@ -238,16 +236,28 @@ def automorphism_group(s, budget=None) -> PermutationGroup:
 
 
 def automorphisms_brute(s):
-    """Independent oracle: filter all v! permutations (tiny v only)."""
+    """Independent oracle: filter all v! permutations (tiny v only).
+
+    The permutations are the rows of one (v!, v) array.  Each relation's
+    tuples are encoded as base-v numbers, and a row is kept when the image of
+    every tuple is one of them: a permutation maps a finite relation onto
+    itself exactly when it maps it into itself.  The images are taken in
+    blocks of rows, of about 2^14 tuples each.
+    """
     s = flatten(s)
-    out = []
-    for p in all_permutations(range(s.v)):
-        if all(
-            frozenset(apply_to_tuple(p, t) for t in tuples) == tuples
-            for _, _, tuples in s.relations
-        ):
-            out.append(p)
-    return out
+    perms = np.array(list(all_permutations(range(s.v))), dtype=np.intp)
+    keep = np.ones(len(perms), bool)
+    for _, arity, tuples in s.relations:
+        if tuples:
+            cols, dims = np.array(list(tuples)).T, (s.v,) * arity
+            member = np.zeros(s.v**arity, bool)
+            member[np.ravel_multi_index(cols, dims)] = True
+            step = max(1, 2**14 // len(tuples))
+            for i in range(0, len(perms), step):
+                block = perms[i : i + step]
+                images = np.ravel_multi_index(tuple(block[:, col] for col in cols), dims)
+                keep[i : i + step] &= member[images].all(axis=1)
+    return [tuple(p) for p in perms[keep].tolist()]
 
 
 # -- orbits and actions -----------------------------------------------------

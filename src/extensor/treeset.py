@@ -19,10 +19,21 @@ condition reads both relations off it as numpy boolean cubes: C(a; bc) iff
 d(a,r) + d(b,c) < d(a,b) + d(c,r), and D(ab; cd) iff d(a,b) + d(c,d) <
 d(a,c) + d(b,d).  The cube is what `CRelation` and `DRelation` store (packed,
 one bit per cell); the axiom scans read it, `holds` reads its packed bits, and
-the tuple sets (`triples`, `quadruples`) are views built on first read.  The same table gives each branching node as a
-median, the node of least distance sum, and each splitting: leaf b lies in
-the sector of u's neighbour nb iff d(b,nb) < d(b,u).
-Relations given as tuples enter through `from_tuples`, which validates them.
+the tuple sets (`triples`, `quadruples`) are views built on first read.  The
+same table gives each branching node as a median, the node of least distance
+sum, and each splitting: leaf b lies in the sector of u's neighbour nb iff
+d(b,nb) < d(b,u), and leaves b, c share a sector of u iff d(b,c) < d(b,u) +
+d(c,u).  Relations given as tuples enter through `from_tuples`, which
+validates them.
+
+The checks run on the array kernels of `treekernels`, each over trailing
+axes: a cube, coloring or distance table may carry leading axes, and one
+kernel call checks the whole stack.  The public `check_*_axioms`,
+`*_violation` and coloring functions call the kernels on a stack of one;
+`expansion_failures` calls each of them once on a stack of trees of one leaf
+count (criterion 11 checks its 500 trees that way), padding the distance
+tables of trees with fewer nodes.  D3 is scanned on packed words, over v^4
+cells instead of v^5 (see `treekernels`).
 """
 
 from __future__ import annotations
@@ -34,10 +45,23 @@ from itertools import combinations, compress, permutations
 
 import numpy as np
 
-from .errors import BoundExceededError, InputError, InternalCheckError
+from .errors import BoundExceededError, InputError
 from .hyperext import ColoredHypergraph, is_even_hypergraph
-from .structures import RelationalStructure, SubsetMap, _faces, flatten, merge_structures
+from .structures import RelationalStructure, SubsetMap, flatten, merge_structures
 from .tourney import CircularOrder
+from .treekernels import (
+    _c_checks,
+    _c_cube,
+    _c_to_d,
+    _colored,
+    _d_checks,
+    _d_cube,
+    _distance_sums,
+    _first_failures,
+    _median_colors,
+    _n_free,
+    _ordered_violations,
+)
 
 # ---------------------------------------------------------------------------
 # tree types
@@ -211,16 +235,8 @@ def _distances(parent, sources):
                     row[nb] = step
                     queue.append(nb)
         rows.append(row)
-    return np.array(rows, dtype=np.intp)
-
-
-def _distance_sums(t, k):
-    """(rows, sums): the leaf k-subsets in the row order of `_faces(v, k, k)`,
-    and per row the distances from its points (and from the root, in a rooted
-    tree) to each node, summed.  A row's median is the node of least sum."""
-    rows = _faces(t.v, k, k)[0]
-    extra = t.distances[t.root] if isinstance(t, RootedLeafTree) else 0
-    return rows, sum((t.distances.take(col, axis=0) for col in rows.T), extra)
+    # int16 holds a sum of four distances in a tree of at most 8,192 nodes
+    return np.array(rows, dtype=np.int16 if len(parent) <= 1 << 13 else np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +327,8 @@ class DRelation(_CubeRelation):
 
 
 # relations are built for at most this many leaves: the D-relation cube of 62
-# leaves has 14.8 M cells, and building it peaks at about 160 MB
+# leaves has 14.8 M cells, and its int16 pair sums take 30 MB
 _MAX_LEAVES = 62
-# cells per slice of the D3 scan; every tree of at most 11 leaves takes one slice
-_D3_SLICE_CELLS = 1 << 22
 
 
 def _refuse_large(t):
@@ -328,16 +342,13 @@ def _refuse_large(t):
 def c_relation(t: RootedLeafTree) -> CRelation:
     """C(a; bc) iff the path from a to the root avoids the path from b to c."""
     _refuse_large(t)
-    d = t.distances[: t.v, : t.v]
-    up = t.distances[t.root, : t.v]  # d(x, r)
-    return CRelation._from_cube(np.add.outer(up, d) < np.add.outer(d, up))
+    return CRelation._from_cube(_c_cube(t.distances[: t.v, : t.v], t.distances[t.v, : t.v]))
 
 
 def d_relation(t: UnrootedLeafTree) -> DRelation:
     """D(ab; cd) iff the path from a to b avoids the path from c to d."""
     _refuse_large(t)
-    pairs = np.add.outer(t.distances[:, : t.v], t.distances[:, : t.v])
-    return DRelation._from_cube(pairs < pairs.transpose(0, 2, 1, 3))
+    return DRelation._from_cube(_d_cube(t.distances[:, : t.v]))
 
 
 @dataclass(frozen=True)
@@ -356,62 +367,19 @@ _C_SKIPPED = tuple((axiom, _SKIP) for axiom in ("C5", "C5*", "C6"))
 _D_SKIPPED = tuple((axiom, _SKIP) for axiom in ("D5", "D6"))
 
 
-def _first(bad):
-    if not bad.any():
-        return None
-    return tuple(np.argwhere(bad)[0].tolist())
+def _axioms(checks, cube, skipped):
+    found = _first_failures(checks(cube[None]), 1)[0]
+    return AxiomCheck(found is None, *(found or (None, None)), skipped)
 
 
 def check_c_axioms(r: CRelation) -> AxiomCheck:
     """Exhaustive evaluation of C1-C4 over the full vertex cube."""
-    c = r.cube
-    v = r.v
-    w = _first(c & ~c.transpose(0, 2, 1))
-    if w:
-        return AxiomCheck(False, "C1", w, _C_SKIPPED)
-    w = _first(c & c.transpose(1, 0, 2))
-    if w:
-        return AxiomCheck(False, "C2", w, _C_SKIPPED)
-    x = np.transpose(c, (0, 2, 1))[:, None, :, :]  # C(a; dc) at [a,b,c,d]
-    y = np.transpose(c, (1, 2, 0))[None, :, :, :]  # C(d; bc) at [a,b,c,d]
-    w = _first(c[:, :, :, None] & ~x & ~y)
-    if w:
-        return AxiomCheck(False, "C3", w, _C_SKIPPED)
-    ar = np.arange(v)
-    diag = c[:, ar, ar]  # C(a; bb) at [a,b]
-    w = _first(~diag & (ar[:, None] != ar[None, :]))
-    if w:
-        return AxiomCheck(False, "C4", w, _C_SKIPPED)
-    return AxiomCheck(True, None, None, _C_SKIPPED)
+    return _axioms(_c_checks, r.cube, _C_SKIPPED)
 
 
 def check_d_axioms(r: DRelation) -> AxiomCheck:
     """Exhaustive evaluation of D1-D4 over the full vertex cube."""
-    d = r.cube
-    v = r.v
-    w = _first(d & ~(d.transpose(1, 0, 2, 3) & d.transpose(2, 3, 0, 1)))
-    if w:
-        return AxiomCheck(False, "D1", w, _D_SKIPPED)
-    w = _first(d & d.transpose(0, 2, 1, 3))
-    if w:
-        return AxiomCheck(False, "D2", w, _D_SKIPPED)
-    # D3 in ascending slices of w, so the first witness is the first in the cube
-    not_x = ~np.moveaxis(d, 0, -1)  # not D(vx; yz) at [x,y,z,v]
-    not_y = ~d[:, :, :, None, :]  # not D(wx; yv) at [w,x,y,z,v]
-    rows = max(1, _D3_SLICE_CELLS // max(1, v**4))
-    for w0 in range(0, v, rows):
-        w = _first(d[w0 : w0 + rows, :, :, :, None] & not_x & not_y[w0 : w0 + rows])
-        if w:
-            return AxiomCheck(False, "D3", (w0 + w[0], *w[1:]), _D_SKIPPED)
-    ar = np.arange(v)
-    diag = d[:, :, ar, ar]  # D(wx; yy) at [w,x,y]
-    need = (ar[:, None, None] != ar[None, None, :]) & (
-        ar[None, :, None] != ar[None, None, :]
-    )
-    w = _first(~diag & need)
-    if w:
-        return AxiomCheck(False, "D4", w, _D_SKIPPED)
-    return AxiomCheck(True, None, None, _D_SKIPPED)
+    return _axioms(_d_checks, r.cube, _D_SKIPPED)
 
 
 # ---------------------------------------------------------------------------
@@ -553,46 +521,29 @@ def ordered_extension(t: RootedLeafTree) -> OrderedExtension:
 # ---------------------------------------------------------------------------
 
 
-def _median_coloring(t, k, nodes):
-    """Color each leaf k-subset, listed as `_distance_sums` lists them, by the
-    color of its node in `nodes`."""
-    colex = np.empty_like(nodes)
-    colex[_faces(t.v, k, k)[1][:, 0]] = nodes
-    table = SubsetMap(t.v, k, tuple(np.asarray(t.colors)[colex - t.v].tolist()))
-    return ColoredHypergraph(t.v, k, max(t.colors) + 1, table)
+def _node_colors(t):
+    """The color of each node of a colored tree, 0 at the leaves."""
+    return np.array((0,) * t.v + tuple(t.colors))
+
+
+def _median_coloring(t, k):
+    """Color each leaf k-subset by the color of its median node."""
+    if t.colors is None:
+        raise InputError("tree has no internal colors")
+    rooted = isinstance(t, RootedLeafTree)
+    values = _median_colors(t.distances[None], _node_colors(t)[None], k, rooted)[0]
+    return ColoredHypergraph(t.v, k, max(t.colors) + 1, SubsetMap(t.v, k, tuple(values.tolist())))
 
 
 def pair_coloring(t: RootedLeafTree) -> ColoredHypergraph:
     """Color each leaf pair by the color of its branching node, the median of
     the pair and the root."""
-    if t.colors is None:
-        raise InputError("tree has no internal colors")
-    return _median_coloring(t, 2, _distance_sums(t, 2)[1].argmin(axis=1))
+    return _median_coloring(t, 2)
 
 
 def triple_coloring(t: UnrootedLeafTree) -> ColoredHypergraph:
     """Color each leaf triple by the color of its median node."""
-    if t.colors is None:
-        raise InputError("tree has no internal colors")
-    rows, sums = _distance_sums(t, 3)
-    d = t.distances
-    a, b, c = rows.T
-    # in a tree the least sum is half the perimeter of the triple
-    off = np.flatnonzero(2 * sums.min(axis=1) != d[a, b] + d[a, c] + d[b, c])
-    if len(off):
-        raise InternalCheckError(f"median of {tuple(rows[off[0]].tolist())} is not a single node")
-    return _median_coloring(t, 3, sums.argmin(axis=1))
-
-
-# An N is a path with three edges on 4 vertices.  Bit j of a local mask is the
-# j-th pair of combinations(range(4), 2); these are the masks of the 12 paths.
-_PAIRS_OF_4 = list(combinations(range(4), 2))
-_N_MASKS = frozenset(
-    sum(1 << _PAIRS_OF_4.index(tuple(sorted(e))) for e in zip(p, p[1:]))
-    for p in permutations(range(4))
-)
-_IS_N = np.zeros(64, dtype=bool)
-_IS_N[sorted(_N_MASKS)] = True
+    return _median_coloring(t, 3)
 
 
 def n_free_check(g: ColoredHypergraph):
@@ -600,20 +551,8 @@ def n_free_check(g: ColoredHypergraph):
     with exactly the three consecutive edges."""
     if g.k != 2:
         raise InputError("N-freeness is a pair-coloring notion (k=2)")
-    if g.v < 4:
-        return True, None
-    quads, ranks = _faces(g.v, 2, 4)
-    pair_colors = np.asarray(g.colors.values)[ranks]
-    first = None  # (quad index, color) of the first hit in row-major order
-    # not np.unique: it imports numpy.ma, 1.6 MB of peak RSS, for a few colors
-    for color in sorted(set(g.colors.values)):
-        masks = np.packbits(pair_colors == color, axis=1, bitorder="little")[:, 0]
-        hits = np.flatnonzero(_IS_N[masks])
-        if len(hits) and (first is None or hits[0] < first[0]):
-            first = (int(hits[0]), int(color))
-    if first is None:
-        return True, None
-    return False, (tuple(quads[first[0]].tolist()), first[1])
+    witness = _n_free(np.array(g.colors.values)[None], g.v)[0]
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +590,7 @@ def leveled_pairs_preorder(t: RootedLeafTree) -> Leveling:
                 raise InputError(
                     f"rank must increase from node {u} to descendant {kid}"
                 )
-    pairs, sums = _distance_sums(t, 2)
+    pairs, sums = _distance_sums(t.distances, 2, True)
     meets = zip(pairs.tolist(), sums.argmin(axis=1).tolist())
     return Leveling(t.v, {(a, b): t.ranks[u - t.v] for (a, b), u in meets})
 
@@ -819,35 +758,12 @@ def c_to_d_violation(crel: CRelation, drel: DRelation):
     """
     if drel.v != crel.v + 1:
         raise InputError("the D-relation must have exactly one more leaf than C")
-    x0 = crel.v
-    c_cube = crel.cube
-    d_cube = drel.cube
-    w = _first(d_cube[x0, :x0, :x0, :x0] != c_cube)
-    if w:
-        return (x0,) + w
-    t1 = c_cube[:, None, :, :]  # C(a; cd)
-    t2 = c_cube[None, :, :, :]  # C(b; cd)
-    t3 = np.transpose(c_cube, (1, 2, 0))[:, :, :, None]  # C(c; ab)
-    t4 = np.transpose(c_cube, (1, 2, 0))[:, :, None, :]  # C(d; ab)
-    return _first(d_cube[:x0, :x0, :x0, :x0] != ((t1 & t2) | (t3 & t4)))
-
-
-def _gamma_cube(circ: CircularOrder):
-    """gamma(x, y, z) as a boolean cube: y comes before z going round from x,
-    that is 0 < d[x, y] < d[x, z] for d[x, y] the steps from x on to y."""
-    pos = np.argsort(circ.cycle)  # the cycle is a permutation: this inverts it
-    d = (pos[None, :] - pos[:, None]) % circ.v
-    return (d[:, :, None] > 0) & (d[:, :, None] < d[:, None, :])
+    return _c_to_d(crel.cube[None], drel.cube[None])[0]
 
 
 def ordered_compatibility_violation(d: DRelation, circ: CircularOrder):
     """First quadruple where D(xy; zw) meets a forbidden circular arrangement."""
-    dc = d.cube
-    g = _gamma_cube(circ)[: d.v, : d.v, : d.v]
-    a1 = np.transpose(g, (0, 2, 1))[:, :, :, None] & g[:, :, None, :]
-    b1 = np.moveaxis(g, 0, -1)[None, :, :, :]  # gamma(w, y, z)
-    b2 = np.transpose(g, (2, 1, 0))[:, None, :, :]  # gamma(w, z, x)
-    return _first(dc & (a1 | (b1 & b2)))
+    return _ordered_violations(d.cube[None], np.array(circ.cycle)[None])[0]
 
 
 def colored_extension_violation(t: RootedLeafTree, ext: UnrootedLeafTree):
@@ -861,24 +777,54 @@ def colored_extension_violation(t: RootedLeafTree, ext: UnrootedLeafTree):
         raise InputError("colored extension needs internal colors")
     if ext.v != t.v + 1 or ext.colors is None:
         raise InputError("the extension must add one leaf and carry colors")
-    x0 = t.v
-    unrooted = {s.node: s for s in splittings(ext)}
-    for s in splittings(t):
-        expected = tuple(sorted(s.sectors + (s.initial_sector | {x0},), key=min))
-        image = unrooted.get(s.node + 1)
-        if image is None or image.sectors != expected:
-            return ("splitting", s.node)
-        if t.colors[s.node - t.v] != ext.colors[s.node + 1 - ext.v]:
-            return ("color", s.node)
-    triples = triple_coloring(ext)
-    for c in range(triples.n):
-        table = SubsetMap(
-            triples.v, 3, tuple(int(x == c) for x in triples.colors.values)
-        )
-        ok, witness = is_even_hypergraph(ColoredHypergraph(triples.v, 3, 2, table))
-        if not ok:
-            return ("even", c, witness)
-    return None
+    return _colored(_tables([t], [ext]), np.array(triple_coloring(ext).colors.values)[None])[0]
+
+
+def _stack(tables, width):
+    """Arrays of one shape but for the last axis, stacked and padded on it to
+    `width` with `width`, which no distance in the tables reaches."""
+    out = np.full((len(tables), *tables[0].shape[:-1], width), width, tables[0].dtype)
+    for row, table in zip(out, tables):
+        row[..., : table.shape[-1]] = table
+    return out
+
+
+def _tables(trees, exts):
+    """The distance tables and node colors of rooted trees and of their
+    extensions, stacked and padded so that node u of a tree and node u + 1 of
+    its extension share a column."""
+    width = max(t.distances.shape[-1] for t in (*trees, *exts))
+    return (
+        _stack([t.distances for t in trees], width),
+        _stack([e.distances for e in exts], width + 1),
+        _stack([_node_colors(t) for t in trees], width),
+        _stack([_node_colors(e) for e in exts], width + 1),
+    )
+
+
+def expansion_failures(trees):
+    """Check colored plane trees of one leaf count and their ordered
+    extensions, with one kernel call per check over the stack of them.
+
+    Per check, a list with, per tree, what its single-tree function reports or
+    None: the C axioms and the D axioms of the extension as (axiom, witness),
+    then the witnesses of `c_to_d_violation`, `ordered_compatibility_violation`
+    and `colored_extension_violation`, and the N-freeness witness of
+    `pair_coloring`.  The kernels are those the single-tree functions call.
+    """
+    n, v = len(trees), trees[0].v
+    exts = [ordered_extension(t) for t in trees]
+    dt, de, ct, ce = tables = _tables(trees, [oe.tree for oe in exts])
+    c = _c_cube(dt[:, :v, :v], dt[:, v, :v])
+    d = _d_cube(de[:, :, : v + 1])
+    return (
+        _first_failures(_c_checks(c), n),
+        _first_failures(_d_checks(d), n),
+        _c_to_d(c, d),
+        _ordered_violations(d, np.array([oe.circular.cycle for oe in exts])),
+        _colored(tables, _median_colors(de, ce, 3, False)),
+        _n_free(_median_colors(dt, ct, 2, True), v),
+    )
 
 
 def leveling_violation(crel: CRelation, lev: Leveling):

@@ -13,7 +13,7 @@ from extensor.generate import (
 )
 from extensor.perm import automorphism_group, verify_one_point_extension
 from extensor.structures import SubsetMap, flatten, merge_structures
-from extensor.treeset import _gamma_cube
+from extensor.treekernels import _gamma_cube
 from extensor.tourney import (
     CircularOrder,
     Hypertournament,
@@ -93,7 +93,7 @@ def test_gamma_cube_matches_the_triples():
         expected = np.zeros((circ.v,) * 3, dtype=bool)
         for t in circ.triples:
             expected[t] = True
-        assert np.array_equal(_gamma_cube(circ), expected), cycle
+        assert np.array_equal(_gamma_cube(circ.cycle), expected), cycle
 
 
 def test_every_rotation_is_the_same_circular_order():

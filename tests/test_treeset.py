@@ -1,6 +1,7 @@
 """Leaf trees, C/D relations, splittings, expansions, the leveled obstruction."""
 
 import tracemalloc
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -916,7 +917,7 @@ def _d1_orbit(w, x, y, z):
 
 
 def test_d3_scan_in_slices_matches_the_whole_cube(monkeypatch):
-    import extensor.treeset as treeset
+    import extensor.treekernels as treekernels
 
     rng = SplitMix64(84)
     relations = []
@@ -939,8 +940,8 @@ def test_d3_scan_in_slices_matches_the_whole_cube(monkeypatch):
     later = 0
     for cells in (None, 1, 2):
         for r, want in zip(relations, expected):
-            if cells is not None:  # one or two values of w per slice
-                monkeypatch.setattr(treeset, "_D3_SLICE_CELLS", cells * r.v**4)
+            if cells is not None:  # one or two values of w per slice of v^3 words
+                monkeypatch.setattr(treekernels, "_D3_SLICE_CELLS", cells * r.v**3)
             check = check_d_axioms(r)
             assert (check.ok, check.axiom, check.witness) == (
                 want is None,
@@ -948,6 +949,119 @@ def test_d3_scan_in_slices_matches_the_whole_cube(monkeypatch):
             )
             later += cells == 1 and check.axiom == "D3" and check.witness[0] > 0
     assert later > 20  # witnesses found past the first slice
+
+
+def test_packed_d3_matches_the_v5_scan_on_d1_orbit_flips():
+    # each mutant flips the D1 orbit of one quadruple of a tree's relation,
+    # so D1 holds and D2, D3 or nothing fails; the v^5 scan is the oracle
+    rng = SplitMix64(86)
+    axioms = []
+    for i in range(400):
+        rel = d_relation(random_unrooted_tree(rng, 4 + i % 9))  # v <= 12
+        orbit = _d1_orbit(*(rng.below(rel.v) for _ in range(4)))
+        mutant = DRelation.from_tuples(rel.v, rel.quadruples ^ orbit)
+        check = check_d_axioms(mutant)
+        want = _reference_check_d_axioms(mutant)
+        assert (check.ok, check.axiom, check.witness) == (want is None, *(want or (None, None)))
+        axioms.append(check.axiom)
+    assert axioms.count("D3") > 100 and axioms.count("D2") > 100 and None in axioms
+    # words of 8, 16, 32 or 64 bits, or several 64-bit words past 64 points
+    import extensor.treekernels as treekernels
+
+    for v, size in ((5, 1), (11, 2), (17, 4), (62, 8), (70, 8)):
+        bits = np.array([[rng.below(2) for _ in range(v)] for _ in range(3)], dtype=bool)
+        words = treekernels._words(bits)
+        assert words.itemsize == size and words.shape == (3, -(-v // (8 * size)))
+        as_ints = [sum(int(w) << 8 * size * j for j, w in enumerate(row)) for row in words]
+        assert as_ints == [sum(int(b) << p for p, b in enumerate(row)) for row in bits]
+
+
+def _flip(rel, cell):
+    cube = rel.cube.copy()
+    cube[cell] ^= True
+    return type(rel)._from_cube(cube)
+
+
+def _witness(check):
+    return None if check.ok else (check.axiom, check.witness)
+
+
+def test_stacked_kernels_flag_the_members_their_single_calls_flag():
+    import extensor.treekernels as treekernels
+    import extensor.treeset as treeset
+    from extensor.tourney import CircularOrder
+
+    rng = SplitMix64(87)
+    flagged = Counter()
+    for leaves in (4, 5, 7):
+        trees = [random_rooted_tree(rng, leaves, n_colors=3, plane=True) for _ in range(24)]
+        crels = [c_relation(t) for t in trees]
+        oes = [ordered_extension(t) for t in trees]
+        drels = [d_relation(oe.tree) for oe in oes]
+        circles = [oe.circular for oe in oes]
+        exts = [oe.tree for oe in oes]
+        pairs = [pair_coloring(t) for t in trees]
+        v = leaves + 1
+        # every other member is a mutant, of a different kind for each check
+        for i in range(1, len(trees), 2):
+            crels[i] = _flip(crels[i], tuple(rng.below(leaves) for _ in range(3)))
+            if i % 4 == 1:
+                drels[i] = _flip(drels[i], tuple(rng.below(v) for _ in range(4)))
+            else:
+                orbit = _d1_orbit(*(rng.below(v) for _ in range(4)))
+                drels[i] = DRelation.from_tuples(v, drels[i].quadruples ^ orbit)
+            circles[i] = CircularOrder.from_cycle(rng.shuffled(range(v)))
+            ext = exts[i]
+            colors = list(ext.colors)
+            colors[rng.below(len(colors))] += 1 + rng.below(2)
+            exts[i] = UnrootedLeafTree(ext.v, ext.adj, colors=tuple(colors))
+            values = tuple(rng.below(2) for _ in pairs[i].colors.values)  # random pair colors
+            pairs[i] = ColoredHypergraph(leaves, 2, 3, SubsetMap(leaves, 2, values))
+        c = np.stack([r.cube for r in crels])
+        d = np.stack([r.cube for r in drels])
+        stacked = {
+            "C": treekernels._first_failures(treekernels._c_checks(c), len(c)),
+            "D": treekernels._first_failures(treekernels._d_checks(d), len(d)),
+            "identity": treekernels._c_to_d(c, d),
+            "ordered": treekernels._ordered_violations(d, np.array([o.cycle for o in circles])),
+            "colored": treekernels._colored(
+                treeset._tables(trees, exts),
+                np.array([triple_coloring(e).colors.values for e in exts]),
+            ),
+            "N": treekernels._n_free(np.array([g.colors.values for g in pairs]), leaves),
+        }
+        single = {
+            "C": [_witness(check_c_axioms(r)) for r in crels],
+            "D": [_witness(check_d_axioms(r)) for r in drels],
+            "identity": [c_to_d_violation(a, b) for a, b in zip(crels, drels)],
+            "ordered": [ordered_compatibility_violation(a, b) for a, b in zip(drels, circles)],
+            "colored": [colored_extension_violation(t, e) for t, e in zip(trees, exts)],
+            "N": [n_free_check(g)[1] for g in pairs],
+        }
+        for name, found in stacked.items():
+            assert found == single[name], (leaves, name)
+            assert all(w is None for w in found[::2]), (leaves, name)  # the honest members
+            flagged[name] += sum(w is not None for w in found)
+        # the unmutated trees through the one call criterion 11 makes
+        honest = treeset.expansion_failures(trees)
+        assert [all(w is None for w in found) for found in honest] == [True] * 6
+    assert min(flagged.values()) > 10, flagged
+
+
+def test_colored_extension_scans_only_the_colors_that_occur(monkeypatch):
+    # a 3-leaf ctree (0,1,2)#99999 declares 10^5 colors and uses one
+    import extensor.treekernels as treekernels
+
+    scans = []
+    odd_faces = treekernels._odd_faces
+    monkeypatch.setattr(treekernels, "_odd_faces", lambda *a: scans.append(a[1]) or odd_faces(*a))
+    t = RootedLeafTree(3, ((0, 1, 2),), colors=(99_999,))
+    assert colored_extension_violation(t, extend_c_to_d(t)) is None
+    assert scans == [99_999]
+    t = RootedLeafTree(4, ((0, 5), (1, 2, 3)), colors=(7, 99_999))
+    scans.clear()
+    assert colored_extension_violation(t, extend_c_to_d(t)) is None
+    assert scans == [7, 99_999]
 
 
 def test_d3_scan_memory_on_40_leaves():

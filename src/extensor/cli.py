@@ -55,14 +55,26 @@ def _write_out(args, text):
 
 
 def _emit(args, pairs):
-    """Report as aligned text, or key=value lines under --machine."""
-    if args.machine:
-        for key, value in pairs:
-            print(f"{key}={value}")
-    else:
-        width = max(len(k) for k, _ in pairs)
-        for key, value in pairs:
-            print(f"{key:<{width}}  {value}")
+    """Report as aligned text, or key=value lines under --machine.
+
+    A computed count such as an eqrel refutation's 2^C(v,3) candidates can
+    have more digits than the interpreter converts to text by default; that
+    limit guards parsing, so it is lifted only while the report is formatted.
+    """
+    # an interpreter older than the limit (before 3.10.7) has none to lift
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.machine:
+            lines = [f"{key}={value}" for key, value in pairs]
+        else:
+            width = max(len(k) for k, _ in pairs)
+            lines = [f"{key:<{width}}  {value}" for key, value in pairs]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    print("\n".join(lines))
 
 
 # -- gen ------------------------------------------------------------------------

@@ -9,36 +9,29 @@ that meet it, pruning a subtree as soon as one of its quads is decided and
 fails.
 
 Every survivor's boundary mirrors the relation, so its Stab(x0) is the part
-of Aut(e) that keeps its interior hyperedges.  One table of Aut(e) acting on
-the interior triples decides the stabilizer law of every survivor, the type
-split is read off the survivors' bit matrix, and only a survivor whose
-vertices all lie in as many hyperedges as x0 is searched for transitivity, by
-the step `verify` takes too (``perm._reaches_all``).  The search for Aut(e),
-the DFS pops, the table chunks and the transitivity searches spend one
-budget.
+of Aut(e) that keeps its interior hyperedges, and it keeps the stabilizer law
+exactly when its interior is a union of Aut(e)'s orbits on triples.  Those
+orbits are read off the shape of the relation, so Aut(e) is never listed.  The
+type split is read off the survivors' bits, and only an invariant survivor
+whose vertices all lie in as many hyperedges as x0 is searched for
+transitivity, by the step `verify` takes too (``perm._reaches_all``).  The
+quad table, the DFS pops and the transitivity searches spend one budget.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
-
-import numpy as np
 
 from .errors import InputError, _Meter
 from .hyperext import ColoredHypergraph
 # verify_one_point_extension stays bound here: perfbench's tracer test checks,
 # through this binding, that a name imported by another module is patched too
-from .perm import (  # noqa: F401
-    ExtensionReport,
-    _group,
-    _reaches_all,
-    _Search,
-    verify_one_point_extension,
-)
-from .structures import RelationalStructure, SubsetMap, _colex, _colex_ranks, _faces, _orderings
-from .structures import flatten
+from .perm import _reaches_all, _Search, verify_one_point_extension  # noqa: F401
+from .structures import RelationalStructure, SubsetMap, _colex, _faces, _orderings
+from .structures import _view_count, flatten
 
 
 @dataclass(frozen=True)
@@ -69,6 +62,7 @@ class EquivalenceRelation:
 
 @flatten.register
 def _(e: EquivalenceRelation) -> RelationalStructure:
+    _view_count(sum(len(b) * (len(b) - 1) for b in e.classes), "equivalence relation")
     reps = tuple(chain.from_iterable(combinations(sorted(block), 2) for block in e.classes))
     return RelationalStructure(e.v, (("E", 2, _orderings(reps)),), (reps,))
 
@@ -176,7 +170,10 @@ class SurvivorVerdict:
     interior_bits: int
     matches_forced: bool
     type_split: bool
-    report: ExtensionReport
+    # (hyperedge, non-hyperedge) of one Aut(e)-orbit on the interior triples,
+    # or None when the interior is a union of orbits (a one-point extension)
+    split_orbit: tuple | None
+    is_transitive: bool | None  # None when split_orbit is not
     verdict: str  # "forcing" | "type-split" | "group" | "PASSED"
 
 
@@ -241,21 +238,15 @@ def _consistent_interiors(n_interior, boundary, qmasks, meter):
     return out
 
 
-# the cells of the interior table that one budget unit compares
-_CHUNK_CELLS = 1 << 16
-
-
-def _interior_table(aut_e, triples):
-    """The elements of Aut(e) in ascending order, as a (|Aut(e)|, v) array, and
-    Aut(e) acting on the interior triples, extended by x0 -> x0: entry (r, g)
-    is the colex rank of the image under element g of `triples[r]`, the
-    interior triple of rank r."""
-    # v < 256: the C(v+1, 4) quads were listed, and more than 10^6 are refused
-    elements = np.array(sorted(aut_e.elements), np.uint8)
-    images = elements.T[np.array(triples, np.intp).reshape(-1, 3)]
-    images.sort(axis=1)
-    shape = (len(triples), len(elements))
-    return elements, _colex_ranks(images.swapaxes(0, 1), aut_e.v, shape)
+def _orbits(block, triples):
+    """Aut(e)'s orbits on the interior triples, as bit masks over their ranks
+    in order of their least ranks, from the class `block[x]` of each point x:
+    see :func:`refute_extension`."""
+    masks = {}
+    for r, t in enumerate(triples):
+        key = tuple(sorted((len(b), n) for b, n in Counter(map(block.get, t)).items()))
+        masks[key] = masks.get(key, 0) | 1 << r
+    return list(masks.values())
 
 
 def _vertex_facts(e, triples, survivors):
@@ -304,35 +295,51 @@ def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertifica
     popcount condition are enumerated directly (:func:`_consistent_interiors`);
     every candidate the search does not reach fails a named quad, and
     ``first_consistency_witness`` names the quad for the least of them.
-    Aut(e) is found first, so a relation too symmetric for the budget is
-    refused before any table is built.
 
     Every survivor's boundary mirrors e, and an automorphism fixing x0 keeps
     the pair relation at x0, which is e.  So Stab(x0), restricted to the old
     points, is the set of g in Aut(e) that map the survivor's interior
-    hyperedges I onto themselves, and each survivor is decided against one
-    table of Aut(e) acting on the interior triples (:func:`_interior_table`):
-    the stabilizer order counts the elements that keep I, the survivor is a
-    one-point extension when every element keeps it, and the witness is the
-    least element of Aut(e) that does not.  A transitive extension has every
-    vertex in as many hyperedges as x0; only such a survivor is searched for
-    automorphisms sending x0 to each old point, and each hit adds the point's
-    orbit under the stabilizer (``perm._reaches_all``).
+    hyperedges I onto themselves, and the survivor is a one-point extension
+    exactly when every g in Aut(e) keeps I: when I is a union of Aut(e)'s
+    orbits on the interior triples.  Otherwise ``split_orbit`` names the least
+    hyperedge and the least non-hyperedge of the first orbit that I splits.
 
-    Budget units: Aut(e)'s search nodes, one per DFS pop, one per chunk of at
-    most 2^16 table cells compared for each survivor, and the nodes of the
+    The orbits are read off the shape (:func:`_orbits`): two triples t and u
+    share an orbit exactly when they meet the classes in the same multiset of
+    (class size, points of the triple in that class).  Aut(e) maps each class
+    onto a class of the same size, so it keeps that multiset.  Conversely,
+    when t and u have the same multiset, pair each class that t meets with a
+    class of the same size that u meets in as many points, distinct classes
+    with distinct ones; extend the pairing to a bijection between the classes
+    of each size, and map each class onto its partner, the points of t onto
+    those of u where there are any: that is an element of Aut(e) sending t to
+    u.  (Keyed by the classes themselves, not their sizes, the orbits would
+    come out too fine.)
+
+    A transitive extension has every vertex in as many hyperedges as x0.
+    Only an invariant survivor that is so is searched for automorphisms
+    sending x0 to an old point (``perm._reaches_all``); its Stab(x0) is all of
+    Aut(e), whose orbit of a point is every point of a class of that size, so
+    there is one search per class size.  ``is_transitive`` is None for a
+    survivor that is not invariant.
+
+    Budget units: one per 64-bit word of each quad's triple mask, charged
+    before any mask is built (35 at v = 6, so shapes of 27 points or more
+    exceed the default budget); one per DFS pop; and the nodes of the
     transitivity searches.
     """
     v = e.v
     x0 = v
-    n_interior = comb(v, 3)
-    meter = _Meter(budget)
-    aut_e = _group(flatten(e), meter)
-
     # colex puts the triples avoiding x0 first, so bit r is the triple of rank
     # r; the forced candidate's boundary triples mirror the relation, as every
     # candidate's do
     forced = forced_extension(e)
+    n_interior = comb(v, 3)
+    meter = _Meter(budget)
+    # the quad masks below take one word of 64 bits per 64 triples each
+    meter.left -= comb(v + 1, 4) * -(-comb(v + 1, 3) // 64)
+    if meter.left < 0:
+        raise meter.exhausted("eqrel quad table")
     forced_mask = sum(bit << r for r, bit in enumerate(forced.colors.values))
     interior = (1 << n_interior) - 1
     boundary = forced_mask & ~interior
@@ -363,67 +370,43 @@ def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertifica
         return ColoredHypergraph(v + 1, 3, 2, SubsetMap(v + 1, 3, colors), ext=x0)
 
     triples = _colex(v, 3)[0]
-    elements, table = _interior_table(aut_e, triples)
-    # the survivors' interior bits as a bool matrix, bit r in column r
-    size = (n_interior + 7) // 8
-    raw = np.frombuffer(b"".join(s.to_bytes(size, "little") for s in survivors_idx), np.uint8)
-    bits = np.unpackbits(
-        raw.reshape(len(survivors_idx), size), axis=1, count=n_interior, bitorder="little"
-    ).view(bool)
+    block = {x: b for b in e.classes for x in b}
+    orbits = _orbits(block, triples)
     splits, regulars = _vertex_facts(e, triples, survivors_idx)
-    keep = np.empty(len(elements), bool)
 
-    counts = {
-        "consistency": consistency_failed,
-        "forcing": 0,
-        "type-split": 0,
-        "group": 0,
-    }
+    def orbit_of(y):
+        return [x for x in range(v) if len(block[x]) == len(block[y])]
+
+    counts = {"consistency": consistency_failed, "forcing": 0, "type-split": 0, "group": 0}
     survivors = []
-    passed = 0
-    for bits_val, b, split, regular in zip(survivors_idx, bits, splits, regulars):
-        # g permutes the interior triples, so it keeps I when it maps I into I
-        mine = table[b.nonzero()[0]]
-        cols = max(1, _CHUNK_CELLS // (len(mine) or 1))
-        for lo in range(0, len(elements), cols):
-            meter.left -= 1
-            if meter.left < 0:
-                raise meter.exhausted("eqrel survivor check")
-            keep[lo : lo + cols] = b[mine[:, lo : lo + cols]].all(axis=0)
-        stab = elements[keep]
-        ok = len(stab) == len(elements)
-        transitive = regular and _reaches_all(
-            _Search(flatten(candidate_from(bits_val)), x0), stab.tolist(), meter
+    for bits_val, split, regular in zip(survivors_idx, splits, regulars):
+        split_orbit = next(
+            (
+                tuple(triples[(m & -m).bit_length() - 1] for m in (o & bits_val, o & ~bits_val))
+                for o in orbits
+                if o & bits_val and o & ~bits_val
+            ),
+            None,
         )
-        report = ExtensionReport(
-            is_one_point_extension=ok,
-            is_transitive=transitive,
-            aut_m_order=aut_e.order,
-            stabilizer_order=len(stab),
-            witness=None if ok else tuple(elements[keep.argmin()].tolist()),
-        )
+        transitive = None
+        if split_orbit is None:
+            transitive = regular and _reaches_all(
+                _Search(flatten(candidate_from(bits_val)), x0), orbit_of, meter
+            )
         matches = bits_val == forced_interior
-        refuted = not (report.is_one_point_extension and report.is_transitive)
-        if not refuted:
+        if transitive:
             verdict = "PASSED"
-            passed += 1
         elif not matches:
             verdict = "forcing"
         elif split:
             verdict = "type-split"
         else:
             verdict = "group"
-        if verdict in counts:
-            counts[verdict] += 1
+        counts[verdict] = counts.get(verdict, 0) + 1
         survivors.append(
-            SurvivorVerdict(
-                interior_bits=bits_val,
-                matches_forced=matches,
-                type_split=split,
-                report=report,
-                verdict=verdict,
-            )
+            SurvivorVerdict(bits_val, matches, split, split_orbit, transitive, verdict)
         )
+    passed = counts.pop("PASSED", 0)
 
     return RefutationCertificate(
         v=v,

@@ -2,7 +2,9 @@
 
 # Work units one public call to an exhaustive search may spend unless it is
 # given a budget of its own: automorphism-search nodes, eqrel DFS pops and
-# table chunks, and palette nodes.  A spent budget is reported in units.
+# quad-mask words, and palette nodes.  A spent budget is reported in units.
+# It also bounds how much one structure may list: subsets of a table and
+# tuples of a relational view.
 SEARCH_BUDGET = 10**6
 
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import factorial
 
 from .errors import InputError
 from .palette import Palette, _msub, enumerate_multisets
-from .structures import RelationalStructure, SubsetMap, _orderings, flatten
+from .structures import RelationalStructure, SubsetMap, _orderings, _view_count, flatten
 from .structures import _boundary_violation, _odd_face, _parity_extension
 
 
@@ -66,6 +67,8 @@ def _(h: ColoredHypergraph) -> RelationalStructure:
     # one relation per color that occurs (only color 1 for n = 2), each the
     # orderings of its sets: one pass over the table, whatever n is.  A color
     # that no set takes would add an empty relation, which no permutation breaks
+    sets = h.colors.values.count(1) if h.n == 2 else len(h.colors.values)
+    _view_count(sets * factorial(h.k), "colored hypergraph")
     by_color = {1: []} if h.n == 2 else {}
     for s, c in h.colors.items():
         by_color.setdefault(c, []).append(s)

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import factorial
 from operator import itemgetter
 
 from .errors import InputError, InternalCheckError
 from .perm import parity
-from .structures import RelationalStructure, SubsetMap, _even_orderings, flatten
+from .structures import RelationalStructure, SubsetMap, _even_orderings, _view_count, flatten
 from .structures import _odd_face, _parity_extension
 
 
@@ -72,6 +73,7 @@ def evaluate(t: Orientation, tup) -> bool:
 def _(t: Orientation) -> RelationalStructure:
     # per k-set one ordering of the coset it holds: the sorted set for bit 0,
     # and for bit 1 that set with its last two entries swapped
+    _view_count(len(t.bits.values) * factorial(t.k) // 2, "orientation")
     swap = itemgetter(*range(t.k - 2), t.k - 1, t.k - 2)
     reps = tuple(swap(s) if b else s for s, b in t.bits.items())
     return RelationalStructure(t.v, (("T", t.k, _even_orderings(reps, t.k)),), (reps,))

@@ -5,8 +5,9 @@ backtracking search per structure.  The extension check enumerates only the
 stabilizer of the new point, which it compares with Aut(m) as a set of
 permutations, and decides transitivity by one first-hit search per suborbit
 of that stabilizer (:func:`_reaches_all`, which the eqrel refutation calls
-too); it never enumerates Aut(m_ext).  :func:`orbits` reads each orbit off
-the element set.  Permutations are plain image tuples.
+too, with the suborbits read off the relation's class sizes); it never
+enumerates Aut(m_ext).  :func:`orbits` reads each orbit off the element set.
+Permutations are plain image tuples.
 
 The search checks a relation on the representatives its view supplies
 (``RelationalStructure.reps``), or on every tuple when it has none: one
@@ -20,7 +21,9 @@ Every search node costs one unit of a budget (``SEARCH_BUDGET`` unless the
 call passes ``budget``), and one public call spends one budget across all the
 searches it runs; when the budget is spent, :class:`BoundExceededError` is
 raised rather than a factorial search left running.  :func:`orbits` charges
-one unit per m-tuple or m-subset and refuses before enumerating any.
+one unit per m-tuple or m-subset and refuses before enumerating any.  The
+search recurses once per vertex, so it refuses more vertices than the
+recursion limit less ``_STACK_MARGIN`` before it is compiled.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, filterfalse, permutations as all_permutations, repeat
 from math import comb, factorial, perm
 from operator import itemgetter
+from sys import getrecursionlimit
 
 import numpy as np
 
@@ -101,6 +105,9 @@ class PermutationGroup:
 
 # -- automorphism search ----------------------------------------------------
 
+# the stack frames left to the callers of a search, which recurses once per vertex
+_STACK_MARGIN = 150
+
 
 class _Search:
     """Backtracking automorphism search over one flattened structure.
@@ -137,6 +144,11 @@ class _Search:
 
     def __init__(self, s, first=None):
         v = self.v = s.v
+        limit = getrecursionlimit() - _STACK_MARGIN
+        if v > limit:
+            raise BoundExceededError(
+                f"an automorphism search on v={v} points recurses past the limit of {limit}"
+            )
         # the vertex assigned at each step: `first`, then the rest ascending
         order = self.order = sorted(range(v), key=lambda x: x != first)
         step = [0] * v
@@ -355,22 +367,23 @@ def _extension_report(aut_m, fe, meter) -> ExtensionReport:
     ok = restricted == aut_m.elements
     return ExtensionReport(
         is_one_point_extension=ok,
-        is_transitive=_reaches_all(search, stab, meter),
+        is_transitive=_reaches_all(search, lambda y: {h[y] for h in stab}, meter),
         aut_m_order=aut_m.order,
         stabilizer_order=len(stab),
         witness=None if ok else min(restricted ^ aut_m.elements),
     )
 
 
-def _reaches_all(search, stab, meter):
+def _reaches_all(search, orbit_of, meter):
     """Whether Aut(m_ext) is transitive, decided point by point from the
-    search of the extension with x0 first and `stab`, the elements of
-    Stab(x0) as sequences of the images of (at least) the old points.
+    search of the extension with x0 first and `orbit_of`, which gives the
+    Stab(x0)-orbit of an old point.
 
     An old point y is in the orbit of x0 when one first-hit search finds an
     automorphism sending x0 to y, and then so is its whole Stab(x0)-orbit;
     so there is one search per old point not yet reached, and the first miss
-    decides.  :mod:`extensor.eqrel` decides its survivors with this too.
+    decides.  :func:`_extension_report` reads the orbits off the stabilizer's
+    elements, and :mod:`extensor.eqrel` off the class sizes of the relation.
     """
     x0 = search.order[0]
     orbit = {x0}
@@ -378,5 +391,5 @@ def _reaches_all(search, stab, meter):
         if y not in orbit:
             if not search.run(meter, image=y, stop=True):
                 return False
-            orbit.update(h[y] for h in stab)
+            orbit.update(orbit_of(y))
     return True

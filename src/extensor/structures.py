@@ -13,9 +13,8 @@ Checks that scan every face of a table read it through the face array of
 (v, k, size), also built once and cached: the size-subsets of {0..v-1} in
 lexicographic order as rows of an int array, and for each row the colex ranks
 of its k-subsets in ``combinations(row, k)`` order.  Both come from the
-combinatorial number system in numpy (:func:`_colex_ranks`, shared with
-eqrel's table of triple images), so a scan over the faces is one gather of
-the table's values, ``values[ranks]``, and nothing is looked up per subset.
+combinatorial number system in numpy, so a scan over the faces is one gather
+of the table's values, ``values[ranks]``, and nothing is looked up per subset.
 Both refuse more than ``SEARCH_BUDGET`` subsets before listing any.
 
 The parity layer of colored hypergraphs and orientations lives here too: the
@@ -75,18 +74,27 @@ def unrank_subset(rank, k, v):
     return tuple(out)
 
 
-def _subset_count(v, k):
-    """C(v, k), the number of k-subsets of a v-set, held to the size limit:
-    more than ``SEARCH_BUDGET`` raise :class:`BoundExceededError`."""
-    if v < 0 or k < 0:
-        raise InputError(f"no {k}-subsets of a {v}-set")
-    count = comb(v, k)
+def _held(count, what, unit):
+    """`count` things about to be listed, held to the size limit: more than
+    ``SEARCH_BUDGET`` raise :class:`BoundExceededError` before any is."""
     if count > SEARCH_BUDGET:
         raise BoundExceededError(
-            f"the {count} {k}-subsets of a {v}-set exceed the limit of"
-            f" {SEARCH_BUDGET} subsets"
+            f"the {count} {what} exceed the limit of {SEARCH_BUDGET} {unit}"
         )
     return count
+
+
+def _subset_count(v, k):
+    """C(v, k), the number of k-subsets of a v-set, held to the size limit."""
+    if v < 0 or k < 0:
+        raise InputError(f"no {k}-subsets of a {v}-set")
+    return _held(comb(v, k), f"{k}-subsets of a {v}-set", "subsets")
+
+
+def _view_count(count, kind):
+    """The number of tuples a flatten view is about to list, held to the size
+    limit; each view counts them from its structure first."""
+    return _held(count, f"tuples of the {kind} view", "tuples")
 
 
 @lru_cache(maxsize=128)
@@ -110,26 +118,19 @@ def _faces(v, k, size):
     """(rows, ranks) of the size-subsets of {0..v-1}, in lexicographic order.
 
     rows[i] is the i-th size-subset and ranks[i, j] the colex rank of the j-th
-    k-subset of rows[i] in ``combinations(rows[i], k)`` order.
+    k-subset of rows[i] in ``combinations(rows[i], k)`` order: the sum of
+    C(s[i], i + 1) over the positions i of that k-subset s (0 for k = 0).
     """
     count = _subset_count(v, size)
     rows = np.fromiter(
         chain.from_iterable(combinations(range(v), size)), np.intp, count * size
     ).reshape(count, size)
-    columns = (rows[:, column] for column in zip(*combinations(range(size), k)))
-    ranks = _colex_ranks(columns, v, (count, comb(size, k)))
+    ranks = np.zeros((count, comb(size, k)), np.intp)
+    # `column` lists the position in a row of the i-th least entry of each k-subset
+    for i, column in enumerate(zip(*combinations(range(size), k))):
+        ranks += np.array([comb(x, i + 1) for x in range(v)], np.intp)[rows[:, column]]
     rows.flags.writeable = ranks.flags.writeable = False
     return rows, ranks
-
-
-def _colex_ranks(columns, v, shape):
-    """The colex ranks of an array of k-subsets of {0..v-1} of the given
-    shape, from the arrays of their i-th least entries for i = 0..k-1: the sum
-    of C(s[i], i + 1) over the positions i (0 for k = 0)."""
-    ranks = np.zeros(shape, np.intp)
-    for i, column in enumerate(columns):
-        ranks += np.array([comb(x, i + 1) for x in range(v)], np.intp)[column]
-    return ranks
 
 
 def subsets_colex(v, k):
@@ -322,7 +323,9 @@ def _even_orderings(reps, k):
 # The relational view.
 #
 # Each specialized structure module registers its flatten view; a permutation
-# is an automorphism of flatten(s) exactly when it preserves s.
+# is an automorphism of flatten(s) exactly when it preserves s.  A view counts
+# the tuples it is about to list first, and more than SEARCH_BUDGET of them
+# are refused (_view_count), as a table of too many subsets is.
 # ---------------------------------------------------------------------------
 
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from .errors import InputError
 from .hyperext import ColoredHypergraph
 from .palette import SearchOutcome, search_palette
-from .structures import RelationalStructure, SubsetMap, _even_orderings, flatten
+from .structures import RelationalStructure, SubsetMap, _even_orderings, _view_count, flatten
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,7 @@ class LinearOrder:
 
 @flatten.register
 def _(o: LinearOrder) -> RelationalStructure:
+    _view_count(comb(o.v, 2), "linear order")
     pos = {x: i for i, x in enumerate(o.order)}
     tuples = frozenset(
         (a, b) for a in range(o.v) for b in range(o.v) if a != b and pos[a] < pos[b]
@@ -125,6 +126,7 @@ class CircularOrder:
 
 @flatten.register
 def _(c: CircularOrder) -> RelationalStructure:
+    _view_count(3 * comb(c.v, 3), "circular order")
     return RelationalStructure(c.v, (("C", 3, c.triples),), (c._reps,))
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import BoundExceededError, InputError
 from .hyperext import ColoredHypergraph, is_even_hypergraph
-from .structures import RelationalStructure, SubsetMap, flatten, merge_structures
+from .structures import RelationalStructure, SubsetMap, _view_count, flatten, merge_structures
 from .tourney import CircularOrder
 from .treekernels import (
     _c_checks,
@@ -291,7 +291,9 @@ class _CubeRelation:
 
     @cached_property
     def _tuples(self):
-        """The tuple set, built from the cube on first read."""
+        """The tuple set, built from the cube on first read; the tree views
+        list it, so it is held to their size limit, the cube's true cells."""
+        _view_count(int(np.count_nonzero(self.cube)), "tree relation")
         return frozenset(map(tuple, np.argwhere(self.cube).tolist()))
 
     def holds(self, *p):

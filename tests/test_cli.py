@@ -480,7 +480,7 @@ def test_palette_reduce_file(tmp_path, capsys):
 
 
 def test_obstruct_eqrel_interior_cap_exits_exceeded(capsys):
-    # 35 interior triples, past the old cap of 24: Aut(e) = S_7 takes 13,700
+    # 35 interior triples, past the old cap of 24: the quad table takes 70
     # units, and the candidate search then spends the rest of the budget
     code, out, err = run(
         ["obstruct", "eqrel", "--classes", "1+1+1+1+1+1+1", "--budget", "20000"], capsys
@@ -489,11 +489,70 @@ def test_obstruct_eqrel_interior_cap_exits_exceeded(capsys):
     assert err == "budget exceeded: eqrel candidate search spent its budget of 20000 units\n"
 
 
-def test_obstruct_eqrel_automorphism_bound_exits_exceeded(capsys):
-    # Aut(e) of 2+2 takes 25 units
-    code, out, err = run(["obstruct", "eqrel", "--classes", "2+2", "--budget", "3"], capsys)
+def test_obstruct_eqrel_small_budgets_exit_exceeded(capsys):
+    # 2+2 takes 10 units: 5 for the quad table (5 quads of one word each) and 5
+    # DFS pops; its one survivor has x0 in more hyperedges than 0, so it is not
+    # searched
+    argv = ["obstruct", "eqrel", "--classes", "2+2", "--budget"]
+    for budget, what in ((4, "eqrel quad table"), (9, "eqrel candidate search")):
+        code, out, err = run(argv + [str(budget)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"budget exceeded: {what} spent its budget of {budget} units\n"
+    assert run(argv + ["10"], capsys)[0] == 1
+
+
+def test_obstruct_eqrel_reads_aut_e_off_the_shape(capsys):
+    # Aut(e) is never listed, so a class of 12 (12! automorphisms) passes once
+    # and 6+6 is refuted by its type split, each in a fraction of a second; a
+    # class of 40 is refused by the size of its quad table
+    for classes, code, passed in (("12", 0, "1"), ("6+6", 1, "0")):
+        start = time.perf_counter()
+        got, out, _ = run(["obstruct", "eqrel", "--classes", classes, "--machine"], capsys)
+        assert time.perf_counter() - start < 1, classes
+        assert got == code and f"passed={passed}" in out.splitlines(), classes
+    code, out, err = run(["obstruct", "eqrel", "--classes", "40"], capsys)
     assert code == 2 and out == ""
-    assert err == "budget exceeded: automorphism search spent its budget of 3 units\n"
+    assert err.startswith("budget exceeded: eqrel quad table spent its budget")
+
+
+def test_reports_print_counts_past_the_int_digit_limit(capsys):
+    # 2^C(v,3) candidates can pass the interpreter's 4,300-digit limit on int
+    # to text; it is lifted while a report is formatted, and only then
+    import argparse
+    import sys
+
+    from extensor.cli import _emit
+
+    limit = sys.get_int_max_str_digits()
+    _emit(argparse.Namespace(machine=True), [("candidates_examined", 1 << 20_000)])
+    key, digits = capsys.readouterr().out.split("=")
+    # 2^20000 has 6,021 digits, and its last twelve are those of 2^20000 mod 10^12
+    assert (key, len(digits)) == ("candidates_examined", 6_022)
+    assert digits[-13:] == f"{pow(2, 20_000, 10**12):012}\n"
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError):
+        int("1" * 5_000)
+
+
+def test_orbits_past_the_recursion_limit_exit_exceeded(tmp_path, capsys):
+    # the automorphism search recurses once per vertex, so 1,100 points are
+    # refused (exit 2, not a RecursionError); 800 still search, in-process
+    # and through the console entry point
+    import subprocess
+    import sys
+
+    files = {}
+    for v in (800, 1100):
+        files[v] = tmp_path / f"lin{v}.txt"
+        files[v].write_text(f"kind lin v={v}\norder = {','.join(map(str, range(v)))}\n")
+    code, out, err = run(["orbits", "--in", str(files[1100])], capsys)
+    assert code == 2 and out == ""
+    assert "automorphism search on v=1100 points" in err
+    code, out, _ = run(["orbits", "--in", str(files[800])], capsys)
+    assert code == 0 and "orbit_count  800\n" in out
+    cmd = [sys.executable, "-m", "extensor.cli", "orbits", "--in", str(files[800])]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout == out
 
 
 def test_orbits_of_edgeless_twelve_points_exits_exceeded(tmp_path, capsys):

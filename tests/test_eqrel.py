@@ -1,5 +1,6 @@
 """Equivalence relations and the exhaustive extension refutation."""
 
+import hashlib
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -10,7 +11,6 @@ import pytest
 from extensor import eqrel
 from extensor.eqrel import (
     EquivalenceRelation,
-    SurvivorVerdict,
     forced_extension,
     refute_extension,
     singleton_type_report,
@@ -117,10 +117,7 @@ def test_refutation_three_pairs():
     extra = [s for s in cert.survivors if not s.matches_forced]
     assert extra
     assert all(s.verdict == "forcing" for s in extra)
-    assert all(
-        not (s.report.is_one_point_extension and s.report.is_transitive)
-        for s in cert.survivors
-    )
+    assert all(not (s.split_orbit is None and s.is_transitive) for s in cert.survivors)
 
 
 def test_refutation_consistency_witness_shape():
@@ -138,7 +135,7 @@ def test_interior_cap():
     cert = refute_extension(e)
     assert (cert.interior_triples, cert.candidates_examined) == (56, 2**56)
     assert cert.passed == 0 and len(cert.survivors) == 1
-    # the discrete shape on 7 points takes 561,290 units, 539,182 of them in
+    # the discrete shape on 7 points takes 539,261 units, 539,182 of them in
     # the DFS, which a budget of 10^5 does not cover
     discrete = EquivalenceRelation.from_classes(7, [{x} for x in range(7)])
     with pytest.raises(BoundExceededError):
@@ -146,14 +143,16 @@ def test_interior_cap():
 
 
 def test_refutation_spends_one_budget_exactly():
-    # Aut(e) takes 211 units, the candidate DFS 21 and the one survivor's table
-    # chunk 1; its vertices lie in 3 hyperedges and x0 in 6, so it is not
-    # searched
+    # the quad table takes 35 units (35 quads of one 64-bit word each) and the
+    # candidate DFS 21; the one survivor is invariant, but its vertices lie in
+    # 3 hyperedges and x0 in 6, so it is not searched
     e = EquivalenceRelation.from_classes(6, [{0, 1, 2}, {3, 4, 5}])
     cert = refute_extension(e)
-    assert refute_extension(e, budget=233) == cert
-    with pytest.raises(BoundExceededError, match="eqrel survivor check"):
-        refute_extension(e, budget=232)
+    assert refute_extension(e, budget=56) == cert
+    with pytest.raises(BoundExceededError, match="eqrel candidate search"):
+        refute_extension(e, budget=55)
+    with pytest.raises(BoundExceededError, match="eqrel quad table"):
+        refute_extension(e, budget=34)
 
 
 def _discrete(v):
@@ -161,17 +160,17 @@ def _discrete(v):
 
 
 def test_discrete_six_spend_is_pinned():
-    # Aut(e) = S6 takes 1,957 units, the DFS 7,975 and the 353 survivors one
-    # table chunk each; only the empty interior has every vertex in as many
-    # hyperedges as x0, and one first-hit search of 8 units sends x0 to 0,
-    # after which the orbit of 0 under its stabilizer S6 is every point
+    # the quad table takes 35 units and the DFS 7,975; of the 353 survivors
+    # only the empty interior is both a union of Aut(e)-orbits and has every
+    # vertex in as many hyperedges as x0, and one first-hit search of 8 units
+    # sends x0 to 0, after which every point of a class of size 1 is reached
     e = _discrete(6)
-    cert = refute_extension(e, budget=10_293)
+    cert = refute_extension(e, budget=8_018)
     (passed,) = [s for s in cert.survivors if s.verdict == "PASSED"]
     assert passed.interior_bits == 0
-    assert passed.report.stabilizer_order == 720 and passed.report.is_transitive
+    assert passed.split_orbit is None and passed.is_transitive
     with pytest.raises(BoundExceededError):
-        refute_extension(e, budget=10_292)
+        refute_extension(e, budget=8_017)
 
 
 def test_discrete_six_refutes_in_little_memory():
@@ -240,11 +239,11 @@ def _partitions(n, largest=None):
             yield (k,) + rest
 
 
-def _relations(seed=5):
-    """Every class shape with 2 <= v <= 6 (28 of them), at the identity
-    labeling and at one seeded relabeling."""
+def _relations(seed=5, max_v=6):
+    """Every class shape with 2 <= v <= max_v (28 of them for 6, 43 for 7), at
+    the identity labeling and at one seeded relabeling."""
     rng = SplitMix64(seed)
-    for v in range(2, 7):
+    for v in range(2, max_v + 1):
         for shape in _partitions(v):
             for labels in (list(range(v)), random_linear_order(rng, v).order):
                 blocks, start = [], 0
@@ -281,9 +280,10 @@ def _candidate(e, bits):
 
 
 def _reference_verdicts(e, survivors):
-    """Each survivor's verdict rebuilt from the candidate itself: the report of
-    the searches over its flattened structure, and the type split from the
-    singleton report at every old vertex."""
+    """Each survivor's verdict rebuilt from the candidate itself, with the
+    report of the searches over its flattened structure: (interior bits,
+    matches forced, type split, verdict, report).  The type split comes from
+    the singleton report at every old vertex."""
     aut_e = automorphism_group(e)
     n_interior = comb(e.v, 3)
     forced = forced_extension(e).colors.values
@@ -302,8 +302,8 @@ def _reference_verdicts(e, survivors):
             verdict = "type-split"
         else:
             verdict = "group"
-        out.append(SurvivorVerdict(bits, matches, split, report, verdict))
-    return tuple(out)
+        out.append((bits, matches, split, verdict, report))
+    return out
 
 
 def _oracle_relations():
@@ -316,27 +316,102 @@ def _oracle_relations():
         yield EquivalenceRelation.from_classes(7, blocks)
 
 
-def test_survivor_verdicts_match_the_extension_report(monkeypatch):
-    # the survivor list itself is checked against the vectorized prefilter above
+def test_survivor_verdicts_match_the_extension_report():
+    # the survivor list itself is checked against the vectorized prefilter
+    # above; a survivor's interior is a union of Aut(e)-orbits exactly when
+    # the candidate keeps the stabilizer law, and then its transitivity is
+    # verify's
     cases = 0
     for e in _oracle_relations():
         cert = refute_extension(e)
         expected = _reference_verdicts(e, [s.interior_bits for s in cert.survivors])
-        assert cert.survivors == expected, e
-        assert cert.passed == sum(s.verdict == "PASSED" for s in expected)
-        # compared 16 cells at a time, every survivor with an interior spans
-        # several chunks of the table
-        with monkeypatch.context() as m:
-            m.setattr(eqrel, "_CHUNK_CELLS", 16)
-            assert refute_extension(e).survivors == expected, e
+        for s, (bits, matches, split, verdict, report) in zip(cert.survivors, expected):
+            assert (s.interior_bits, s.matches_forced, s.type_split) == (bits, matches, split)
+            assert s.verdict == verdict, (e, bits)
+            assert (s.split_orbit is None) == report.is_one_point_extension, (e, bits)
+            if s.split_orbit is None:
+                assert s.is_transitive == report.is_transitive, (e, bits)
+            else:
+                assert s.is_transitive is None
+        assert cert.passed == sum(x[3] == "PASSED" for x in expected)
         cases += 1
     assert cases == 60
 
 
+def _brute_triple_orbits(e):
+    """Aut(e)'s orbits on the triples of old points, from all v! permutations."""
+    aut = automorphisms_brute(e)
+    orbits = set()
+    for t in combinations(range(e.v), 3):
+        orbits.add(frozenset(tuple(sorted(g[x] for x in t)) for g in aut))
+    return orbits
+
+
+def test_orbits_read_off_the_shape_match_the_brute_force_orbits():
+    shapes = 0
+    for e in _relations(max_v=7):
+        if e.v < 3:
+            continue
+        triples = subsets_colex(e.v, 3)
+        by_rank = dict(enumerate(triples))
+        block = {x: b for b in e.classes for x in b}
+        read = {
+            frozenset(t for r, t in by_rank.items() if mask >> r & 1)
+            for mask in eqrel._orbits(block, list(by_rank.values()))
+        }
+        assert read == _brute_triple_orbits(e), e
+        shapes += 1
+    assert shapes == 2 * 41
+
+
+def test_split_orbit_is_a_checkable_witness():
+    # both triples lie in one Aut(e)-orbit, found by brute force, and exactly
+    # one of them is an interior hyperedge of the survivor
+    split = 0
+    for e in _oracle_relations():
+        orbits = _brute_triple_orbits(e)
+        ranks = {t: r for r, t in enumerate(subsets_colex(e.v, 3))}
+        for s in refute_extension(e).survivors:
+            if s.split_orbit is None:
+                continue
+            t, u = s.split_orbit
+            assert any(t in orbit and u in orbit for orbit in orbits), (e, s)
+            assert s.interior_bits >> ranks[t] & 1 and not s.interior_bits >> ranks[u] & 1
+            split += 1
+    assert split > 100
+
+
+def test_certificates_for_every_shape_up_to_seven_points_are_pinned():
+    # every class shape with 2 <= v <= 7 at the identity and a seeded labeling:
+    # the summary, the first consistency witness and each survivor's interior
+    # and verdict, hashed; the same hash came out of the Aut(e) table that
+    # decided the survivors before the orbits were read off the shape
+    rows = []
+    for e in _relations(max_v=7):
+        c = refute_extension(e)
+        rows.append(
+            (
+                c.v,
+                c.classes,
+                c.interior_triples,
+                c.candidates_examined,
+                tuple(sorted(c.failure_counts.items())),
+                c.first_consistency_witness,
+                c.shapes_exercised,
+                c.passed,
+                len(c.survivors),
+                tuple((s.interior_bits, s.verdict) for s in c.survivors),
+            )
+        )
+    assert len(rows) == 86
+    digest = hashlib.sha256(repr(tuple(rows)).encode()).hexdigest()
+    assert digest == "fdf40c260f38e0de0138a9d986390cb74f80371fc18940983c3911eaa28009df"
+
+
 def test_the_stabilizer_restricts_into_aut_e():
-    # the lemma the table rests on: a permutation fixing x0 is an automorphism
-    # of a candidate exactly when it restricts to an element of Aut(e) that
-    # maps the interior hyperedges onto themselves
+    # the lemma the orbit test rests on: a permutation fixing x0 is an
+    # automorphism of a candidate exactly when it restricts to an element of
+    # Aut(e) that maps the interior hyperedges onto themselves
     for e in _relations():
         if e.v > 5:
             continue
@@ -348,4 +423,21 @@ def test_the_stabilizer_restricts_into_aut_e():
             inner = {t for t in hyperedges(cand) if e.v not in t}
             keep = {g for g in aut if {tuple(sorted(g[x] for x in t)) for t in inner} == inner}
             assert stab == keep, e
-            assert len(stab) == s.report.stabilizer_order, e
+            assert (stab == aut) == (s.split_orbit is None), e
+
+
+def test_quad_table_is_charged_before_it_is_built():
+    # one unit per 64-bit word of each quad's mask: one class of 26 points
+    # (17,550 quads of 46 words) fits the default budget and passes, and one of
+    # 27 (20,475 quads of 52 words) is refused before any mask is built
+    cert = refute_extension(EquivalenceRelation.from_classes(26, [range(26)]))
+    assert cert.passed == 1
+    tracemalloc.start()
+    try:
+        for v in (27, 40):
+            with pytest.raises(BoundExceededError, match="eqrel quad table"):
+                refute_extension(EquivalenceRelation.from_classes(v, [range(v)]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000, peak

@@ -5,6 +5,7 @@ from dataclasses import replace
 from itertools import chain, combinations, permutations
 from math import comb, factorial, perm
 from operator import itemgetter
+from sys import getrecursionlimit
 
 import pytest
 
@@ -23,6 +24,7 @@ from extensor.hyperext import ColoredHypergraph, extend_colored, extend_plain, p
 from extensor.orient import Orientation, evaluate, extend_orientation, tuple_parity
 from extensor.perm import (
     ExtensionReport,
+    _STACK_MARGIN,
     _Search,
     automorphism_group,
     automorphisms_brute,
@@ -81,6 +83,17 @@ def test_bound_refusal():
     assert automorphism_group(plain_hypergraph(9, 2, []), budget=986_410).order == 362_880
     with pytest.raises(BoundExceededError):
         automorphism_group(plain_hypergraph(10, 2, []))
+
+
+def test_searches_deeper_than_the_recursion_limit_are_refused():
+    # the search recurses once per vertex: past the recursion limit less the
+    # callers' margin it is refused before it is compiled, and at the bound a
+    # first-hit search still finds the identity under pytest's own frames
+    bound = getrecursionlimit() - _STACK_MARGIN
+    with pytest.raises(BoundExceededError, match=f"v={bound + 1} points"):
+        automorphism_group(RelationalStructure(bound + 1, ()))
+    found = _Search(RelationalStructure(bound, ()), 0).run(_Meter(), image=0, stop=True)
+    assert found == [tuple(range(bound))]
 
 
 def test_verify_spends_one_budget_exactly():

@@ -390,3 +390,46 @@ def test_flatten_is_faithful_on_random_pairs():
         )
         assert flatten(image).relations == moved
         assert (image == s) == (moved == flat.relations)
+
+
+def test_oversized_views_are_refused_before_listing():
+    # each view counts the tuples it would list and refuses more than
+    # SEARCH_BUDGET before listing any: sets * k! for a colored hypergraph,
+    # C(v, k) * k!/2 for an orientation, the sum of s(s-1) over the classes of
+    # an equivalence relation, C(v, 2) for a linear order, 3 * C(v, 3) for a
+    # circular order and the cube's true cells for a tree relation
+    import tracemalloc
+
+    import numpy as np
+
+    from extensor.eqrel import EquivalenceRelation
+    from extensor.generate import random_unrooted_tree
+    from extensor.tourney import CircularOrder, LinearOrder
+    from extensor.treeset import d_relation
+
+    tree = random_unrooted_tree(SplitMix64(1), 46)
+    assert np.count_nonzero(d_relation(tree).cube) == 1_327_590
+    oversized = {
+        "colored hypergraph": ColoredHypergraph(10, 10, 2, SubsetMap(10, 10, (1,))),
+        "orientation": Orientation(10, 10, SubsetMap(10, 10, (0,))),
+        "equivalence relation": EquivalenceRelation.from_classes(1500, [range(1500)]),
+        "linear order": LinearOrder.identity(1500),
+        "circular order": CircularOrder(tuple(range(400))),
+        "tree relation": tree,
+    }
+    tracemalloc.start()
+    try:
+        for kind, s in oversized.items():
+            with pytest.raises(BoundExceededError, match=f"tuples of the {kind} view"):
+                flatten(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000_000, peak
+    # the largest one-set tables are listed as before: 9! orderings of a
+    # colored 9-set, and the 9!/2 of an oriented one
+    for s, count in (
+        (ColoredHypergraph(9, 9, 2, SubsetMap(9, 9, (1,))), 362_880),
+        (Orientation(9, 9, SubsetMap(9, 9, (0,))), 181_440),
+    ):
+        assert len(flatten(s).relations[0][2]) == count

@@ -90,8 +90,8 @@ def criterion_02(seed=DEFAULT_SEED):
         if h.v <= 4:
             # validate the search engine against literal (v+1)! filtering
             brute_checked += 1
-            brute = frozenset(perm.automorphisms_brute(flatten(ext)))
-            engine = perm.automorphism_group(flatten(ext)).elements
+            brute = frozenset(perm.automorphisms_brute(ext))
+            engine = perm.automorphism_group(ext).elements
             brute_ok += brute == engine
     ok = one_point == 50 and transitive == 50 and brute_checked == brute_ok
     lines = [
@@ -112,8 +112,8 @@ def criterion_03(seed=DEFAULT_SEED):
     checked = bad = 0
     for h in _criterion_02_instances(seed):
         ext = hyperext.extend_colored(h)
-        aut_h = perm.automorphism_group(flatten(h))
-        aut_e = perm.automorphism_group(flatten(ext))
+        aut_h = perm.automorphism_group(h)
+        aut_e = perm.automorphism_group(ext)
         # degree jump applies to verified transitive extensions of point-transitive bases
         if perm.is_transitive(aut_h) and perm.is_transitive(aut_e):
             rep = perm.verify_one_point_extension(h, ext)

@@ -26,7 +26,6 @@ from .generate import (
     random_rooted_tree,
     random_unrooted_tree,
 )
-from .structures import flatten
 
 OK, REFUTED, EXCEEDED, BAD_INPUT = 0, 1, 2, 3
 
@@ -281,7 +280,7 @@ def cmd_obstruct(args):
 
 def cmd_orbits(args):
     obj = parse(_read(args.infile))
-    group = perm.automorphism_group(flatten(obj), budget=args.budget)
+    group = perm.automorphism_group(obj, budget=args.budget)
     classes = perm.orbits(group, args.m, mode=args.mode, budget=args.budget)
     rows = [("group_order", group.order), ("orbit_count", len(classes))]
     for i, cls in enumerate(classes):

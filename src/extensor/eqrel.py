@@ -5,8 +5,11 @@ whose boundary triples mirror the relation, leaving only interior triples
 free.  Consistency of every derived pair relation (the cheap prefilter) is a
 popcount condition on 4-subsets: each must carry 0, 1 or 4 hyperedges.  A
 depth-first search over the interior triples enumerates only the candidates
-that meet it, pruning a subtree as soon as one of its quads is decided and
-fails.
+that meet it.  It checks a quad at each of its interior bits, not only once
+all its triples are known: clearing the bit fails once two of its decided
+triples are hyperedges, and setting it fails once they hold both a hyperedge
+and a non-hyperedge.  Either way no completion keeps the quad, so only
+subtrees without a survivor are pruned.
 
 Every survivor's boundary mirrors the relation, so its Stab(x0) is the part
 of Aut(e) that keeps its interior hyperedges, and it keeps the stabilizer law
@@ -205,17 +208,30 @@ def _consistent_interiors(n_interior, boundary, qmasks, meter):
     """Every interior assignment under which each quad carries 0, 1 or 4
     hyperedges, in ascending order.
 
-    A depth-first search sets the interior bits from the top down.  A quad is
-    filed under its lowest interior bit and checked once that bit is set, when
-    all of its triples are known; if it fails, every candidate below agrees
-    with it on that quad, so the subtree is pruned.  Every quad has an
-    interior triple to be filed under: a 4-subset of the v+1 points holds at
-    most one x0, so three of its points span a triple that avoids it.  Each
-    pop spends one unit of `meter`.
+    A depth-first search sets the interior bits from the top down, so when bit
+    i is decided every bit above it is known and every bit below is still 0.
+    A quad is checked at bit i against the d triples it has besides i that
+    are decided, c of them hyperedges.  With bit i clear it can end with only
+    0 or 1 hyperedges, so the 0-branch fails once c >= 2; with bit i set it
+    must end with 1 or 4, so the 1-branch fails once 0 < c < d, a hyperedge
+    and a non-hyperedge among its decided triples.  A failed branch has no
+    completion that keeps the quad, so no survivor is pruned, and the 0-branch
+    is still popped first: the survivors and their order are those of checking
+    each quad only once all its triples are known, and only the pops fall.
+    Both rules need d >= 2, so a quad is filed under its lowest interior bit
+    (d = 3) and its next (d = 2).  Every quad has an interior bit: a 4-subset
+    of the v+1 points holds at most one x0, so three of its points span a
+    triple that avoids it.  Each pop spends one unit of `meter`.
     """
-    by_low = [[] for _ in range(n_interior)]
+    checks = [[] for _ in range(n_interior)]  # (quad mask, d) per bit
     for qmask in qmasks:
-        by_low[(qmask & -qmask).bit_length() - 1].append(qmask)
+        rest = qmask
+        for d in (3, 2):
+            i = (rest & -rest).bit_length() - 1
+            if i >= n_interior:
+                break
+            checks[i].append((qmask, d))
+            rest &= rest - 1
     out = []
     stack = [(n_interior, 0)]  # (bits still open, interior bits set so far)
     left = meter.left
@@ -228,12 +244,19 @@ def _consistent_interiors(n_interior, boundary, qmasks, meter):
             out.append(bits)
             continue
         i -= 1
-        checks = by_low[i]
+        full = bits | boundary
+        zero = one = True
+        for qmask, d in checks[i]:
+            c = (full & qmask).bit_count()
+            if c >= 2:
+                zero = False
+            if 0 < c < d:
+                one = False
         # the 1-branch is pushed first, so the 0-branch is popped first
-        for b in (bits | 1 << i, bits):
-            full = b | boundary
-            if all((full & q).bit_count() in (0, 1, 4) for q in checks):
-                stack.append((i, b))
+        if one:
+            stack.append((i, bits | 1 << i))
+        if zero:
+            stack.append((i, bits))
     meter.left = left
     return out
 
@@ -249,10 +272,11 @@ def _orbits(block, triples):
     return list(masks.values())
 
 
-def _vertex_facts(e, triples, survivors):
-    """For each survivor, given by its interior bits: whether its pair relation
-    at some vertex has singletons exactly when the one at x0 has none (the type
-    split), and whether every vertex lies in as many hyperedges as x0 does.
+def _vertex_facts(e, triples):
+    """Two tests of a survivor, given by its interior bits: whether its pair
+    relation at some vertex has singletons exactly when the one at x0 has none
+    (the type split), and whether every vertex lies in as many hyperedges as
+    x0 does (regular).
 
     Every pair relation of a survivor is an equivalence, since each quad
     carries 0, 1 or 4 hyperedges, so only the singletons decide the split.  At
@@ -272,17 +296,18 @@ def _vertex_facts(e, triples, survivors):
                 apart[pair] |= 1 << r
     x0_single = 1 in size.values()
     x0_degree = sum(comb(len(block), 2) for block in e.classes)
-    splits, regulars = [], []
-    for bits in survivors:
+
+    def type_split(bits):
         single = [size[a] == 1 for a in range(v)]
         for (a, b), mask in apart.items():
             if not bits & mask:
                 single[a] = single[b] = True
-        splits.append((not x0_single) in single)
-        regulars.append(
-            all(size[a] - 1 + (bits & through[a]).bit_count() == x0_degree for a in range(v))
-        )
-    return splits, regulars
+        return (not x0_single) in single
+
+    def regular(bits):
+        return all(size[a] - 1 + (bits & through[a]).bit_count() == x0_degree for a in range(v))
+
+    return type_split, regular
 
 
 def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertificate:
@@ -372,14 +397,14 @@ def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertifica
     triples = _colex(v, 3)[0]
     block = {x: b for b in e.classes for x in b}
     orbits = _orbits(block, triples)
-    splits, regulars = _vertex_facts(e, triples, survivors_idx)
+    type_split, regular = _vertex_facts(e, triples)
 
     def orbit_of(y):
         return [x for x in range(v) if len(block[x]) == len(block[y])]
 
     counts = {"consistency": consistency_failed, "forcing": 0, "type-split": 0, "group": 0}
     survivors = []
-    for bits_val, split, regular in zip(survivors_idx, splits, regulars):
+    for bits_val in survivors_idx:
         split_orbit = next(
             (
                 tuple(triples[(m & -m).bit_length() - 1] for m in (o & bits_val, o & ~bits_val))
@@ -390,10 +415,11 @@ def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertifica
         )
         transitive = None
         if split_orbit is None:
-            transitive = regular and _reaches_all(
+            transitive = regular(bits_val) and _reaches_all(
                 _Search(flatten(candidate_from(bits_val)), x0), orbit_of, meter
             )
         matches = bits_val == forced_interior
+        split = type_split(bits_val)
         if transitive:
             verdict = "PASSED"
         elif not matches:

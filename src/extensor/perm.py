@@ -23,7 +23,8 @@ searches it runs; when the budget is spent, :class:`BoundExceededError` is
 raised rather than a factorial search left running.  :func:`orbits` charges
 one unit per m-tuple or m-subset and refuses before enumerating any.  The
 search recurses once per vertex, so it refuses more vertices than the
-recursion limit less ``_STACK_MARGIN`` before it is compiled.
+recursion limit less ``_STACK_MARGIN`` (:func:`_check_depth`), and the public
+entry points refuse them before they flatten the structure.
 """
 
 from __future__ import annotations
@@ -109,6 +110,16 @@ class PermutationGroup:
 _STACK_MARGIN = 150
 
 
+def _check_depth(v):
+    """Refuse a search on more points than the recursion limit less
+    ``_STACK_MARGIN``; the public entry points call it before they flatten."""
+    limit = getrecursionlimit() - _STACK_MARGIN
+    if v > limit:
+        raise BoundExceededError(
+            f"an automorphism search on v={v} points recurses past the limit of {limit}"
+        )
+
+
 class _Search:
     """Backtracking automorphism search over one flattened structure.
 
@@ -144,11 +155,7 @@ class _Search:
 
     def __init__(self, s, first=None):
         v = self.v = s.v
-        limit = getrecursionlimit() - _STACK_MARGIN
-        if v > limit:
-            raise BoundExceededError(
-                f"an automorphism search on v={v} points recurses past the limit of {limit}"
-            )
+        _check_depth(v)
         # the vertex assigned at each step: `first`, then the rest ascending
         order = self.order = sorted(range(v), key=lambda x: x != first)
         step = [0] * v
@@ -243,7 +250,9 @@ def _group(s, meter) -> PermutationGroup:
 
 def automorphism_group(s, budget=None) -> PermutationGroup:
     """Exact automorphism group of a structure, by pruned backtracking within
-    `budget` search nodes."""
+    `budget` search nodes.  Too many points for the search's depth are
+    refused before the structure is flattened."""
+    _check_depth(s.v)
     return _group(flatten(s), _Meter(budget))
 
 
@@ -345,14 +354,15 @@ def verify_one_point_extension(m, m_ext, budget=None) -> ExtensionReport:
     Aut(m_ext), restricted to the original vertices, must equal Aut(m) as a
     set of permutations.  On failure the witness is the least permutation in
     the symmetric difference.  The searches for Aut(m), Stab(x0) and the
-    first hits spend one budget.
+    first hits spend one budget.  The vertex counts are compared, and too
+    many points for the search's depth refused, before either side is
+    flattened.
     """
-    fm = flatten(m)
-    fe = flatten(m_ext)
-    if fe.v != fm.v + 1:
-        raise InputError(f"extension must add exactly one vertex: {fm.v} -> {fe.v}")
+    if m_ext.v != m.v + 1:
+        raise InputError(f"extension must add exactly one vertex: {m.v} -> {m_ext.v}")
+    _check_depth(m_ext.v)
     meter = _Meter(budget)
-    return _extension_report(_group(fm, meter), fe, meter)
+    return _extension_report(_group(flatten(m), meter), flatten(m_ext), meter)
 
 
 def _extension_report(aut_m, fe, meter) -> ExtensionReport:

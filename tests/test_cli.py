@@ -536,17 +536,25 @@ def test_reports_print_counts_past_the_int_digit_limit(capsys):
 
 def test_orbits_past_the_recursion_limit_exit_exceeded(tmp_path, capsys):
     # the automorphism search recurses once per vertex, so 1,100 points are
-    # refused (exit 2, not a RecursionError); 800 still search, in-process
-    # and through the console entry point
+    # refused (exit 2, not a RecursionError) before the order is flattened to
+    # 604,450 pairs; 800 still search, in-process and through the console
+    # entry point
     import subprocess
     import sys
+    import tracemalloc
 
     files = {}
     for v in (800, 1100):
         files[v] = tmp_path / f"lin{v}.txt"
         files[v].write_text(f"kind lin v={v}\norder = {','.join(map(str, range(v)))}\n")
-    code, out, err = run(["orbits", "--in", str(files[1100])], capsys)
+    tracemalloc.start()
+    try:
+        code, out, err = run(["orbits", "--in", str(files[1100])], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2 and out == ""
+    assert peak < 5_000_000, peak
     assert "automorphism search on v=1100 points" in err
     code, out, _ = run(["orbits", "--in", str(files[800])], capsys)
     assert code == 0 and "orbit_count  800\n" in out

@@ -135,11 +135,12 @@ def test_interior_cap():
     cert = refute_extension(e)
     assert (cert.interior_triples, cert.candidates_examined) == (56, 2**56)
     assert cert.passed == 0 and len(cert.survivors) == 1
-    # the discrete shape on 7 points takes 539,261 units, 539,182 of them in
-    # the DFS, which a budget of 10^5 does not cover
+    # the discrete shape on 7 points takes 64,811 units, 64,732 of them in
+    # the DFS, which a budget of 50,000 does not cover
     discrete = EquivalenceRelation.from_classes(7, [{x} for x in range(7)])
-    with pytest.raises(BoundExceededError):
-        refute_extension(discrete, budget=100_000)
+    assert refute_extension(discrete, budget=64_811).passed == 1
+    with pytest.raises(BoundExceededError, match="eqrel candidate search"):
+        refute_extension(discrete, budget=50_000)
 
 
 def test_refutation_spends_one_budget_exactly():
@@ -160,17 +161,17 @@ def _discrete(v):
 
 
 def test_discrete_six_spend_is_pinned():
-    # the quad table takes 35 units and the DFS 7,975; of the 353 survivors
+    # the quad table takes 35 units and the DFS 2,266; of the 353 survivors
     # only the empty interior is both a union of Aut(e)-orbits and has every
     # vertex in as many hyperedges as x0, and one first-hit search of 8 units
     # sends x0 to 0, after which every point of a class of size 1 is reached
     e = _discrete(6)
-    cert = refute_extension(e, budget=8_018)
+    cert = refute_extension(e, budget=2_309)
     (passed,) = [s for s in cert.survivors if s.verdict == "PASSED"]
     assert passed.interior_bits == 0
     assert passed.split_orbit is None and passed.is_transitive
     with pytest.raises(BoundExceededError):
-        refute_extension(e, budget=8_017)
+        refute_extension(e, budget=2_308)
 
 
 def test_discrete_six_refutes_in_little_memory():
@@ -263,6 +264,57 @@ def test_survivor_search_matches_vectorized_prefilter():
         assert cert.failure_counts["consistency"] == failed, e
         assert cert.first_consistency_witness == witness, e
         assert cert.candidates_examined == 1 << cert.interior_triples
+
+
+# -- oracle: the DFS that checks each quad only at its lowest interior bit ------
+
+
+def _lowest_bit_dfs(e):
+    """The survivors of a DFS over the interior bits, top down, that checks a
+    quad only once all its triples are known, and the nodes it pops; with the
+    search's inputs (interior triple count, boundary mask, quad masks) rebuilt
+    from the triples' colex order."""
+    v = e.v
+    n_interior = comb(v, 3)
+    rank_of = {t: r for r, t in enumerate(subsets_colex(v + 1, 3))}
+    boundary = sum(1 << r for t, r in rank_of.items() if v in t and e.related(t[0], t[1]))
+    qmasks = [
+        sum(1 << rank_of[t] for t in combinations(quad, 3))
+        for quad in combinations(range(v + 1), 4)
+    ]
+    lowest = {}
+    for q in qmasks:
+        lowest.setdefault(min(r for r in range(n_interior) if q >> r & 1), []).append(q)
+    survivors, pops = [], 0
+    stack = [(n_interior, 0)]
+    while stack:
+        pops += 1
+        i, bits = stack.pop()
+        if i == 0:
+            survivors.append(bits)
+            continue
+        for b in (bits | 1 << (i - 1), bits):
+            full = b | boundary
+            if all((full & q).bit_count() in (0, 1, 4) for q in lowest.get(i - 1, ())):
+                stack.append((i - 1, b))
+    return (n_interior, boundary, qmasks), survivors, pops
+
+
+def test_interior_dfs_keeps_the_lowest_bit_survivors_in_fewer_pops():
+    # checking each quad at every bit where a branch can fail prunes only
+    # subtrees without a survivor: the same ascending list, never more pops
+    fewer = 0
+    for e in _relations():
+        args, survivors, pops = _lowest_bit_dfs(e)
+        meter = _Meter()
+        assert eqrel._consistent_interiors(*args, meter) == survivors, e
+        spent = meter.budget - meter.left
+        assert spent <= pops, e
+        fewer += spent < pops
+    assert fewer > 10
+    # the discrete six-point shape, whose unit pin is above
+    _, survivors, pops = _lowest_bit_dfs(_discrete(6))
+    assert (len(survivors), pops) == (353, 7_975)
 
 
 # -- oracle: the survivor verdicts from the per-candidate extension report -------------

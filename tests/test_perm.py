@@ -1,5 +1,6 @@
 """Automorphism groups, orbits, and the extension-verification predicate."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import chain, combinations, permutations
@@ -35,7 +36,7 @@ from extensor.perm import (
     verify_one_point_extension,
 )
 from extensor.structures import RelationalStructure, SubsetMap, flatten
-from extensor.tourney import CircularOrder
+from extensor.tourney import CircularOrder, LinearOrder, circular_from_linear
 from extensor.treeset import RootedLeafTree, UnrootedLeafTree, pair_coloring, triple_coloring
 
 
@@ -94,6 +95,25 @@ def test_searches_deeper_than_the_recursion_limit_are_refused():
         automorphism_group(RelationalStructure(bound + 1, ()))
     found = _Search(RelationalStructure(bound, ()), 0).run(_Meter(), image=0, stop=True)
     assert found == [tuple(range(bound))]
+
+
+def test_deep_searches_are_refused_before_flattening():
+    # a linear order on 1,100 points flattens to 604,450 ordered pairs (about
+    # 100 MB); both entry points refuse its depth before building any of them
+    lin = LinearOrder.identity(1100)
+    ext = circular_from_linear(lin)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceededError, match="v=1100 points"):
+            automorphism_group(lin)
+        with pytest.raises(BoundExceededError, match="v=1101 points"):
+            verify_one_point_extension(lin, ext)
+        with pytest.raises(InputError, match="exactly one vertex: 1100 -> 1100"):
+            verify_one_point_extension(lin, lin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_verify_spends_one_budget_exactly():

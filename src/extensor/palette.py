@@ -33,8 +33,10 @@ a nonexistence proof.  Its state reads the group backwards: one label per
 color, e_c modulo the span W of the vectors of the members assigned so far
 (see :func:`search_palette`).  Any palette on the branch kills W, so every
 pair class (the XOR of two labels), completed triple and clash that the
-labels show holds in it too.  No table grows with the C(n+1, 2) pairs, the
-C(n+2, 3) triples or the C(n+3, 4) multisets.
+labels show holds in it too.  The depth-first search keeps no table over the
+C(n+1, 2) pairs, the C(n+2, 3) triples or the C(n+3, 4) multisets; the frame
+counter that runs first for counts that are not powers of two lists the
+triples once (at most 41,664, at n = 62).
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb
+
+import numpy as np
 
 from .errors import (
     SEARCH_BUDGET,
@@ -109,6 +113,19 @@ class Palette:
                 closing.setdefault(_msub(m, (x,)), []).append(x)
         return closing
 
+    @cached_property
+    def _check(self):
+        """The axiom verdict of :func:`is_palette`, scanned once per palette."""
+        for axiom, violation in (
+            (2, axiom2_violation),
+            (1, axiom1_violation),
+            (3, axiom3_violation),
+        ):
+            witness = violation(self)
+            if witness:
+                return PaletteCheck(False, axiom, witness)
+        return PaletteCheck(True)
+
 
 @dataclass(frozen=True)
 class PaletteCheck:
@@ -160,17 +177,12 @@ def axiom3_violation(p: Palette):
 
 
 def is_palette(p: Palette) -> PaletteCheck:
-    """Validate the three axioms; scan order is axiom 2, then 1, then 3."""
-    witness = axiom2_violation(p)
-    if witness:
-        return PaletteCheck(False, 2, witness)
-    witness = axiom1_violation(p)
-    if witness:
-        return PaletteCheck(False, 1, witness)
-    witness = axiom3_violation(p)
-    if witness:
-        return PaletteCheck(False, 3, witness)
-    return PaletteCheck(True)
+    """Validate the three axioms; scan order is axiom 2, then 1, then 3.
+
+    A palette is frozen, so its verdict is cached on it: every reader
+    (:func:`derive_involution`, :func:`reduce_palette`,
+    :func:`palettes_equivalent`) scans a palette once, not once per call."""
+    return p._check
 
 
 def canonical_palette(n) -> Palette:
@@ -232,9 +244,18 @@ def _join(labels, a, b, c, x):
     ``labels[i]`` is the label of color i (counted from 0 here), an integer
     read as a vector over F_2.  Every label holding the lowest bit of r, the
     member's vector, takes r on, so no label keeps that bit: labels stay
-    reduced, and reduced forms are unique.  Another pivot would give other
-    integers for the same quotient, so no verdict or node count depends on
-    it.  Two colors left with one label clash.
+    reduced, and reduced forms are unique.  Two colors left with one label
+    clash.
+
+    Any set bit of r would do as the pivot.  The labels stay zero at every
+    pivot taken so far, W has a basis with one pivot each that is zero at the
+    others (r is zero at the old pivots, and an old basis vector holding the
+    new pivot takes r on), and a nonzero sum of that basis holds the pivot of
+    each term.  So two labels are equal exactly when their colors are equal
+    modulo W, whatever pivots were taken.  Every test the search makes (a
+    support, an open variable, a clash) asks whether some e_u + e_v + ... lies
+    in W, so another pivot, the highest bit say, gives other integers for the
+    same quotient and moves no verdict or node count.
     """
     r = labels[a] ^ labels[b] ^ labels[c] ^ labels[x]
     pivot = r & -r
@@ -283,18 +304,42 @@ def search_palette(n, budget=None) -> SearchOutcome:
     {11,12}, which that closure does not derive.  On the search's own trees
     both give the same outcomes and node counts, which the tests pin against
     two independent propagators.
+
+    Counting: a frame's colors are charged in steps of x - color, from the
+    -1 it starts at to the n - 1 it stops at, so a frame that is exhausted
+    has cost exactly n nodes, whichever colors it tried.  A tree with no leaf
+    is exhausted frame by frame, so its search costs n x (its frames) in any
+    order of visiting them; and as the count only grows, the depth-first
+    search ends within the budget exactly when n x (frames) <= budget.  So
+    when n is not a power of two (no palette exists) and n <= 62 (the labels
+    fit int64), :func:`_count_frames` first counts the frames breadth-wise in
+    numpy stacks.  It hands over to the depth-first search
+    (:func:`_depth_first`) when it meets a leaf, when it has made more than
+    budget // n frames, or when the root has nothing open; every answer is
+    then the one the depth-first search gives alone.  For a power of two the
+    tree has leaves, and the depth-first search runs alone and meets the
+    first within a few hundred nodes.
     """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
     meter = _Meter(budget)
-    budget = meter.budget
     npairs = n * (n + 1) // 2
     if npairs > SEARCH_BUDGET:
         raise BoundExceededError(
             f"palette search on {npairs} color pairs exceeds the limit of"
             f" {SEARCH_BUDGET} pairs"
         )
+    if n & (n - 1) and n <= 62:
+        counted = _count_frames(n, meter.budget)
+        if counted is not None:
+            return counted
+    return _depth_first(n, meter)
 
+
+def _depth_first(n, meter) -> SearchOutcome:
+    """The search tree of :func:`search_palette`, depth first with colors in
+    ascending order: the first leaf found, or the proof that there is none."""
+    budget = meter.budget
     # colors count from 0 until the palette is built
     bits = [1 << x for x in range(n)]
 
@@ -368,6 +413,132 @@ def search_palette(n, budget=None) -> SearchOutcome:
             f" at {check.witness}"
         )
     return SearchOutcome("found", palette, nodes)
+
+
+# The frame counter keeps each temporary to about _CELLS cells, and its scan
+# for the next open variable reads up to _WINDOW triples of a row per pass.
+_CELLS = 1 << 16
+_WINDOW = 8
+
+
+def _any_word(mask):
+    """``mask.any(-1)`` for a bool mask whose last axis is whole 8-byte words:
+    one OR per word, where numpy's reduce over a short axis pays per row."""
+    words = mask.view(np.uint64)
+    out = words[..., 0]
+    for i in range(1, words.shape[-1]):
+        out = out | words[..., i]
+    return out != 0
+
+
+def _first_open(labels, start, triples):
+    """Each frame's first open variable at or after ``start``, or
+    len(triples[0]) where it has none.
+
+    ``labels`` is a chunk of the frame counter (one frame a row), and
+    ``triples`` the three color arrays of the 3-multisets in
+    ``combinations_with_replacement`` order, which variables index.
+    """
+    ta, tb, tc = triples
+    ntriples, width = len(ta), labels.shape[1]
+    out = np.full(len(labels), ntriples)
+    rows, at = np.arange(len(labels)), start
+    while len(rows):
+        part = labels[rows]
+        step = max(1, min(_WINDOW, _CELLS // (len(rows) * width)))
+        index = at[:, None] + np.arange(step)
+        t = np.minimum(index, ntriples - 1)
+        flat, base = part.ravel(), np.arange(len(rows))[:, None] * width
+        v = flat[base + ta[t]] ^ flat[base + tb[t]] ^ flat[base + tc[t]]
+        opened = ~_any_word(v[:, :, None] == part[:, None, :]) & (index < ntriples)
+        hit = opened.any(1)
+        out[rows[hit]] = at[hit] + opened[hit].argmax(1)
+        more = ~hit & (at + step < ntriples)
+        rows, at = rows[more], at[more] + step
+    return out
+
+
+def _branch(labels, at, triples, n):
+    """The children of a chunk of frames, and the variable each child's
+    parent branched on.
+
+    Row i of ``labels`` branches on variable ``at[i]`` (an index into
+    ``triples``, as in :func:`_first_open`), which must be open.  As in
+    :func:`_depth_first`, a color in the support of ab, ac or bc is not
+    tried, each other color x joins {a,b,c,x} with the lowest bit of its
+    vector as the pivot, and a join that leaves two of the n colors with one
+    label clashes.  The children come out by parent row, then by color.
+    """
+    ta, tb, tc = triples
+    rows = np.arange(len(labels))
+    a, b, c = labels[rows, ta[at]], labels[rows, tb[at]], labels[rows, tc[at]]
+    ab, bc = a ^ b, b ^ c
+    ac = ab ^ bc
+    pairs = labels[:, :n, None] ^ labels[:, None, :]
+    taken = _any_word(
+        (pairs == ab[:, None, None])
+        | (pairs == ac[:, None, None])
+        | (pairs == bc[:, None, None])
+    )
+    row, x = np.nonzero(~taken)
+    r = (ab ^ c)[row] ^ labels[row, x]
+    pivot = r & -r
+    parent = labels[row]
+    child = np.where(parent & pivot[:, None] != 0, parent ^ r[:, None], parent)
+    ranked = np.sort(child[:, :n], axis=1)
+    kept = (ranked[:, 1:] != ranked[:, :-1]).all(1)
+    return child[kept], at[row[kept]]
+
+
+def _count_frames(n, budget):
+    """The outcome of :func:`search_palette`'s tree if it has no leaf, read off
+    its frame count; None to leave the search to :func:`_depth_first`.
+
+    The tree is the depth-first search's (see :func:`_branch`), and each
+    child's next open variable is searched from (a, b, c+1) on.  A stack of
+    chunks holds the frames still to expand, and up to _CELLS // (n x width)
+    of them are expanded at once.  Each row of a chunk is one frame: its
+    labels, in the narrowest signed integers that hold n bits and padded to
+    ``width`` (a whole number of 8-byte words of mask) with copies of color
+    0's label, which every join moves as it moves color 0's, so the padding
+    changes no membership test; and the index of its open variable.
+
+    Returns None, for the depth-first search to decide, when the root has
+    nothing open, when a child has no open variable (a leaf: a palette
+    exists), or when more than budget // n frames have been made, counted
+    plus waiting.  So it holds no more frames than that, and returns a count
+    only when n x frames <= budget.
+    """
+    width = -(-n // 8) * 8
+    dtype = next(
+        t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).bits >= n
+    )
+    triples = np.array(list(combinations_with_replacement(range(n), 3)), np.intp)
+    triples = tuple(triples.T.copy())
+    ntriples = len(triples[0])
+    cap = max(1, _CELLS // (n * width))
+    root = np.empty((1, width), dtype)
+    root[0, :n] = (1 << np.arange(n, dtype=np.int64)).astype(dtype)
+    root[0, n:] = root[0, 0]
+    at = _first_open(root, np.zeros(1, np.intp), triples)
+    if at[0] == ntriples:
+        return None
+    frames, stack = 1, [(root, at)]
+    while stack:
+        if frames * n > budget:
+            return None  # the depth-first search spends the budget or meets a leaf
+        labels, at = stack.pop()
+        if len(labels) > cap:
+            stack.append((labels[:-cap], at[:-cap]))
+            labels, at = labels[-cap:], at[-cap:]
+        child, at = _branch(labels, at, triples, n)
+        at = _first_open(child, at + 1, triples)
+        if (at == ntriples).any():
+            return None
+        frames += len(child)
+        if len(child):
+            stack.append((child, at))
+    return SearchOutcome("proven_none", None, frames * n)
 
 
 # -- involution and blending reduction ----------------------------------------

@@ -2,10 +2,11 @@
 
 import hashlib
 import tracemalloc
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb
 from time import perf_counter
 
+import numpy as np
 import pytest
 
 from extensor import palette as palette_module
@@ -14,11 +15,16 @@ from extensor.errors import (
     BoundExceededError,
     InputError,
     InternalCheckError,
+    _Meter,
 )
 from extensor.generate import SplitMix64
 from extensor.palette import (
     Palette,
     PaletteCheck,
+    _branch,
+    _count_frames,
+    _depth_first,
+    _first_open,
     _join,
     _madd,
     _msub,
@@ -415,6 +421,8 @@ def test_search_pins_past_the_oracle():
     # the tuple oracle is too slow past n = 11; these pin the outcomes there
     assert _fast_search(12)[:2] == ("proven_none", 231456)
     assert _fast_search(13)[:2] == ("proven_none", 82303)
+    # past the default budget; the depth-first search alone spends the same
+    assert _fast_search(14, 10**7)[:2] == ("proven_none", 6172026)
     for n, nodes, digest in (
         (16, 116, "6f31da69a367865cdc75f36dfaacfe022602466b9fad475cec25e63311b2e345"),
         (32, 491, "6fd9fbe6e30a2e845f791e9773688ff4ca1ed1bbd3a4c38567ac8f47cf63b8fb"),
@@ -423,6 +431,135 @@ def test_search_pins_past_the_oracle():
         assert (out.status, out.nodes) == ("found", nodes), n
         members = repr(out.palette.sorted_members()).encode()
         assert hashlib.sha256(members).hexdigest() == digest, n
+
+
+# -- the depth-first search, kept as the oracle for the frame counter ---------
+
+_COUNTED = [n for n in range(3, 14) if n & (n - 1)]
+
+
+def _outcome_or_refusal(search, n, budget):
+    try:
+        return search(n, budget)
+    except BoundExceededError as exc:
+        return str(exc)
+
+
+def _depth_first_alone(n, budget=None):
+    return _depth_first(n, _Meter(budget))
+
+
+def test_frame_counter_matches_the_depth_first_search():
+    # a count is returned exactly when n x frames fits the budget, and equals
+    # the depth-first outcome; below that the search hands over and the
+    # depth-first search spends the budget
+    for n in _COUNTED:
+        alone = _depth_first_alone(n)
+        assert alone.status == "proven_none" and alone.palette is None, n
+        total = alone.nodes
+        for budget in (1, n, total - 1, total, total + 1, None):
+            counted = _count_frames(n, budget or SEARCH_BUDGET)
+            want = _outcome_or_refusal(_depth_first_alone, n, budget)
+            if budget is not None and budget < total:
+                assert counted is None, (n, budget)
+            else:
+                assert counted == want, (n, budget)
+            assert _outcome_or_refusal(search_palette, n, budget) == want, (n, budget)
+
+
+def test_frame_counter_hands_over_at_a_leaf_or_past_the_budget():
+    # 8 and 16 colors have palettes, so their trees have leaves; 14 colors
+    # take more than SEARCH_BUDGET // 14 frames
+    for n in (8, 16, 14):
+        assert _count_frames(n, SEARCH_BUDGET) is None, n
+    assert search_palette(16) == _depth_first_alone(16)
+
+
+def _random_states(seed, count):
+    """(n, labels) after joining a few random 4-multisets, none clashing."""
+    rng = SplitMix64(seed)
+    states = []
+    while len(states) < count:
+        n = 6 + rng.below(5)
+        labels = [1 << c for c in range(n)]
+        for _ in range(1 + rng.below(4)):
+            joined = _join(labels, *sorted(rng.below(n) for _ in range(4)))
+            if joined is None:
+                break
+            labels = joined[0]
+        else:
+            states.append((n, labels))
+    return states
+
+
+def _chunk(n, rows):
+    """Label rows as the frame counter holds them, padded with color 0's label."""
+    width = -(-n // 8) * 8
+    return np.array([row + [row[0]] * (width - n) for row in rows], np.int64)
+
+
+def _triples(n):
+    every = list(combinations_with_replacement(range(n), 3))
+    return every, tuple(np.array(every, np.intp).T.copy())
+
+
+def _scan(labels, every, start):
+    """The first open variable at or after start, one triple at a time."""
+    seen = set(labels)
+    return next(
+        (i for i in range(start, len(every)) if _xor(labels, every[i]) not in seen),
+        len(every),
+    )
+
+
+def _xor(labels, colors):
+    out = 0
+    for c in colors:
+        out ^= labels[c]
+    return out
+
+
+def test_frame_counter_branches_as_the_joins_do():
+    # random states, not only the search's own: on the full trees of 3 to 14
+    # colors no join of a color outside the three supports clashes, so only
+    # states like these tell the clash test from its absence
+    clashes = 0
+    for n, labels in _random_states(39, 40):
+        every, triples = _triples(n)
+        seen = set(labels)
+        opened = [i for i, t in enumerate(every) if _xor(labels, t) not in seen]
+        want_rows, want_at = [], []
+        for i in opened:
+            a, b, c = every[i]
+            for x in range(n):
+                supports = ((a, b), (a, c), (b, c))
+                if any(_xor(labels, (p, q, x)) in seen for p, q in supports):
+                    continue
+                joined = _join(labels, a, b, c, x)
+                clashes += joined is None
+                if joined is not None:
+                    want_rows.append(joined[0])
+                    want_at.append(i)
+        chunk = _chunk(n, [labels] * len(opened))
+        child, at = _branch(chunk, np.array(opened, np.intp), triples, n)
+        assert child[:, :n].tolist() == want_rows
+        assert (child[:, n:] == child[:, :1]).all()
+        assert at.tolist() == want_at
+        starts = [0, *(i + 1 for i in want_at)]
+        rows = [labels, *want_rows]
+        found = _first_open(_chunk(n, rows), np.array(starts, np.intp), triples)
+        assert found.tolist() == [_scan(r, every, i) for r, i in zip(rows, starts)]
+    assert clashes > 100, clashes
+
+
+def test_frame_counter_keeps_its_temporaries_small():
+    tracemalloc.start()
+    try:
+        assert _count_frames(12, SEARCH_BUDGET).nodes == 231456
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 # -- the member-id search, kept as the oracle for the pair-class one ----------
@@ -776,6 +913,21 @@ def test_involution_matches_the_member_scan():
         for i0, j0 in anchors:
             want = _outcome(_reference_derive_involution, p, i0, j0)
             assert _outcome(derive_involution, p, i0, j0) == want
+
+
+def test_the_axiom_verdict_is_scanned_once_per_palette(monkeypatch):
+    scanned = []
+    scan = palette_module.axiom1_violation
+    monkeypatch.setattr(
+        palette_module, "axiom1_violation", lambda p: scanned.append(p.n) or scan(p)
+    )
+    p = canonical_palette(8)
+    for c in range(2, 9):
+        derive_involution(p, 1, c)
+    assert is_palette(p) is is_palette(p)
+    palettes_equivalent(p, p)
+    reduce_palette(p)
+    assert scanned == [8, 4]  # p, then its reduction
 
 
 def test_reduction_quotients_relabeled_palettes():

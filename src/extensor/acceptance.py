@@ -321,29 +321,19 @@ def criterion_10(seed=DEFAULT_SEED):
 # -- 11: trees --------------------------------------------------------------------
 
 
-# criterion 11 checks its trees in stacks of one leaf count, each holding at
-# most this many cells of the extensions' D cubes, (leaves + 1)^4 per tree
-_STACK_CELLS = 1 << 16
-
-
 def criterion_11(seed=DEFAULT_SEED):
     rng = SplitMix64(seed ^ 0x11)
     bad = [0] * 6  # C axioms, D axioms, identity, ordered, colors, N-freeness
     stacks = {}
-
-    def flush(leaves):
-        for i, found in enumerate(treeset.expansion_failures(stacks.pop(leaves))):
-            bad[i] += sum(f is not None for f in found)
-
-    for i in range(500):
+    for _ in range(500):
         leaves = 3 + rng.below(8)
         n_colors = 2 + rng.below(2)
-        stack = stacks.setdefault(leaves, [])
-        stack.append(random_rooted_tree(rng, leaves, n_colors=n_colors, plane=True))
-        if len(stack) >= _STACK_CELLS // (leaves + 1) ** 4:
-            flush(leaves)
+        tree = random_rooted_tree(rng, leaves, n_colors=n_colors, plane=True)
+        stacks.setdefault(leaves, []).append(tree)
+    # one check per leaf count: its trees' tables are built in one call
     for leaves in sorted(stacks):
-        flush(leaves)
+        for i, found in enumerate(treeset.expansion_failures(stacks.pop(leaves))):
+            bad[i] += sum(f is not None for f in found)
     c_bad, d_bad, ident_bad, ordered_bad, color_bad, nfree_bad = bad
     fixture = treeset.obstruction_fixture()
     demo_ok = (

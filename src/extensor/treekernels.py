@@ -4,7 +4,10 @@ A kernel takes cubes, colorings or distance tables that may carry leading
 axes, a stack of same-size members, and checks the whole stack in one call,
 returning per member what `treeset`'s single-relation function returns.
 Those functions call the kernels on a stack of one, so each check has one
-implementation whether it runs on one tree or on many.
+implementation whether it runs on one tree or on many.  The distance tables
+come stacked as well, from `treeset._distances`, with the cells past a
+tree's nodes padded by a value no distance reaches: a padded node is never a
+median, and `_sector_mismatches` skips it.
 
 The cubes come from distance tables by Buneman's four-point condition.  The
 axiom kernels yield their checks lazily, so a caller stops once every member
@@ -38,8 +41,8 @@ def _distance_sums(dist, k, rooted):
     return rows, sum((dist[..., col, :] for col in rows.T), extra)
 
 
-# words per slice of the D3 scan (1 MB of 64-bit words): criterion 11's stacks
-# take one slice each, the 62-leaf cube one value of w per slice
+# words per slice of the D3 scan (1 MB of 64-bit words): a chunk of criterion
+# 11's trees takes one or two slices, the 62-leaf cube one value of w per slice
 _D3_SLICE_CELLS = 1 << 17
 
 

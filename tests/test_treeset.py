@@ -557,22 +557,30 @@ def test_distances_match_the_walk_oracle():
 
 
 def test_distances_are_computed_once_per_tree(monkeypatch):
-    # criterion 11 reads each tree's table through the relations, the
-    # splittings and the colorings: one computation per tree object, 1,003
-    # per selftest (the unrooted path masks that the table replaces were
-    # computed 501 times)
+    # criterion 11 tables each of its 1,003 trees once: one kernel call per
+    # leaf count for its trees and their extensions together (8 calls), and
+    # one per tree for the obstruction fixture, its extension and the second
+    # fixture (3 calls).  Its D cubes come in 14 chunks of at most 2^18 cells
+    # (1 + 1 + 1 + 1 + 1 + 2 + 3 + 4 for 3..10 leaves), and one more is the
+    # obstruction fixture's
     from extensor import acceptance
     import extensor.treeset as treeset
 
-    calls, built = [], []
-    compute = treeset._distances
-    monkeypatch.setattr(treeset, "_distances", lambda *a: calls.append(a) or compute(*a))
+    calls, built, cubes = [], [], []
+    compute, d_cube = treeset._distances, treeset._d_cube
+    monkeypatch.setattr(treeset, "_distances", lambda *a: calls.append(a[0]) or compute(*a))
+    monkeypatch.setattr(treeset, "_d_cube", lambda d: cubes.append(len(d)) or d_cube(d))
     for cls in (RootedLeafTree, UnrootedLeafTree):
         monkeypatch.setattr(
             cls, "__post_init__", lambda t, init=cls.__post_init__: built.append(t) or init(t)
         )
     acceptance.run_all(acceptance.DEFAULT_SEED, only={11})
-    assert len(calls) == len(built) == 1003
+    tabled = [id(t) for trees in calls for t in trees]
+    assert len(built) == 1003
+    assert sorted(tabled) == sorted(map(id, built))
+    assert [len(trees) for trees in calls[8:]] == [1, 1, 1]
+    assert len(calls) == 11
+    assert len(cubes) == 15 and sum(cubes[:14]) == 500  # trees per chunk
 
 
 def test_reading_extending_and_writing_a_large_tree_build_no_distances(monkeypatch):
@@ -594,6 +602,82 @@ def test_reading_extending_and_writing_a_large_tree_build_no_distances(monkeypat
     assert out.startswith(f"kind dtree v={n + 1}\n(0,(1,(2,") and out.endswith(f",{n})\n")
     assert parse(out) == ext
     assert calls == []
+
+
+def _caterpillar_1100():
+    # (0,(1,(2,...,(1098,1099)...))): internal node 1100 + i holds leaf i
+    from extensor.fileio import parse
+
+    n = 1100
+    term = "".join(f"({x}," for x in range(n - 2)) + f"({n - 2},{n - 1})" + ")" * (n - 2)
+    return parse(f"kind ctree v={n}\n{term}\n")
+
+
+def _reference_spine_distances(t):
+    """The caterpillar's table in closed form: leaf a hangs off spine node
+    min(a, v - 2), and spine node i is internal node v + i, the root at i = 0."""
+    v = t.v
+    assert [kids[0] for kids in t.children[:-1]] == list(range(v - 2))
+    spine = np.r_[np.minimum(np.arange(v), v - 2), np.arange(v - 1)]  # per node
+    hop = np.r_[np.ones(v, int), np.zeros(v - 1, int)]  # leaves sit one edge off
+    rows = list(range(v)) + [v]  # the leaves, then the root
+    d = np.abs(spine[rows, None] - spine[None, :]) + hop[rows, None] + hop[None, :]
+    d[np.arange(v + 1), rows] = 0
+    return d
+
+
+def test_stacked_distance_tables_match_the_path_oracle():
+    # each stack holds one number of sources: rooted trees with v leaves
+    # (v leaf rows and the root's) beside unrooted trees with v + 1 leaves;
+    # binary trees have the most nodes and stars the fewest
+    from extensor.treeset import _distances
+
+    rng = SplitMix64(68)
+    for v in sorted({3, 62, *(3 + rng.below(60) for _ in range(10))}):
+        base = [random_rooted_tree(rng, v, n_colors=2) for _ in range(3)]
+        base += [random_regular_tree(rng, v, 2), RootedLeafTree(v, (tuple(range(v)),))]
+        stack = [*base, *map(extend_c_to_d, base), random_unrooted_tree(rng, v + 1)]
+        sizes = [t.v + len(t.children if isinstance(t, RootedLeafTree) else t.adj) for t in stack]
+        assert len(set(sizes)) > 2, v
+        for width in (None, max(sizes) + 3):
+            table = _distances(stack, width)
+            pad = width or max(sizes)
+            assert table.shape == (len(stack), v + 1, pad)
+            for member, t, size in zip(table, stack, sizes):
+                expected = [[m.bit_count() - 1 for m in row] for row in _reference_path_masks(t)]
+                assert member[:, :size].tolist() == expected
+                assert (member[:, size:] == pad).all()
+                assert (t.distances == member[:, :size]).all()
+    cat = _caterpillar_1100()
+    assert (_distances([cat]) == _reference_spine_distances(cat)[None]).all()
+
+
+def test_a_branching_point_is_its_own_nodes_splitting():
+    rng = SplitMix64(69)
+    trees = list(_seeded_trees(rng, 40))
+    trees.append(_caterpillar_1100())
+    for t in trees:
+        size = 2 if isinstance(t, RootedLeafTree) else 3
+        for _ in range(5):
+            points = rng.shuffled(range(t.v))[:size]
+            s = branching_point(t, points)
+            assert s == splittings(t)[s.node - t.v]
+            assert s == splittings(t, [s.node])[0]
+
+
+def test_a_branching_point_of_a_long_caterpillar_builds_one_table():
+    # one table of 1,101 x 2,199 int16 cells (4.8 MB), not every splitting:
+    # the bound catches a kernel cubic in the node count
+    t = _caterpillar_1100()
+    tracemalloc.start()
+    try:
+        s = branching_point(t, (5, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.node == 1105 and s.sectors == (frozenset({5}), frozenset(range(6, 1100)))
+    assert s.initial_sector == frozenset(range(5))
+    assert peak < 16e6, peak
 
 
 # The traversals that the distance table replaced, kept as oracles: the

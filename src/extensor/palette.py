@@ -313,12 +313,14 @@ def search_palette(n, budget=None) -> SearchOutcome:
     search ends within the budget exactly when n x (frames) <= budget.  So
     when n is not a power of two (no palette exists) and n <= 62 (the labels
     fit int64), :func:`_count_frames` first counts the frames breadth-wise in
-    numpy stacks.  It hands over to the depth-first search
-    (:func:`_depth_first`) when it meets a leaf, when it has made more than
-    budget // n frames, or when the root has nothing open; every answer is
-    then the one the depth-first search gives alone.  For a power of two the
-    tree has leaves, and the depth-first search runs alone and meets the
-    first within a few hundred nodes.
+    numpy stacks.  Once it has made more than budget // n frames, it raises
+    the refusal itself: the tree has at least that many, so the depth-first
+    search would spend more than the budget too.  It hands over to the
+    depth-first search (:func:`_depth_first`) only when it meets a leaf or
+    when the root has nothing open; every answer is the one the depth-first
+    search gives alone, and a refusal walks the tree once.  For a power of
+    two the tree has leaves, and the depth-first search runs alone and meets
+    the first within a few hundred nodes.
     """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
@@ -330,7 +332,7 @@ def search_palette(n, budget=None) -> SearchOutcome:
             f" {SEARCH_BUDGET} pairs"
         )
     if n & (n - 1) and n <= 62:
-        counted = _count_frames(n, meter.budget)
+        counted = _count_frames(n, meter)
         if counted is not None:
             return counted
     return _depth_first(n, meter)
@@ -490,9 +492,10 @@ def _branch(labels, at, triples, n):
     return child[kept], at[row[kept]]
 
 
-def _count_frames(n, budget):
+def _count_frames(n, meter):
     """The outcome of :func:`search_palette`'s tree if it has no leaf, read off
-    its frame count; None to leave the search to :func:`_depth_first`.
+    its frame count, or its refusal; None to leave the search to
+    :func:`_depth_first`.
 
     The tree is the depth-first search's (see :func:`_branch`), and each
     child's next open variable is searched from (a, b, c+1) on.  A stack of
@@ -504,10 +507,12 @@ def _count_frames(n, budget):
     changes no membership test; and the index of its open variable.
 
     Returns None, for the depth-first search to decide, when the root has
-    nothing open, when a child has no open variable (a leaf: a palette
-    exists), or when more than budget // n frames have been made, counted
-    plus waiting.  So it holds no more frames than that, and returns a count
-    only when n x frames <= budget.
+    nothing open or when a child has no open variable (a leaf: a palette
+    exists).  Raises the depth-first search's refusal once more than
+    budget // n frames have been made, counted plus waiting: each is a frame
+    of a tree with no leaf (no other is handed here), so that search would
+    spend n x frames > budget too.  So it holds no more frames than that,
+    and returns a count only when n x frames <= budget.
     """
     width = -(-n // 8) * 8
     dtype = next(
@@ -525,8 +530,8 @@ def _count_frames(n, budget):
         return None
     frames, stack = 1, [(root, at)]
     while stack:
-        if frames * n > budget:
-            return None  # the depth-first search spends the budget or meets a leaf
+        if frames * n > meter.budget:
+            raise meter.exhausted("palette search")
         labels, at = stack.pop()
         if len(labels) > cap:
             stack.append((labels[:-cap], at[:-cap]))

@@ -11,7 +11,8 @@ validate their input, and each postcondition lives in one function that
 returns None or the first witness, so a caller checks what it built once.
 
 Each tree caches one preorder walk, from its root or, unrooted, from the
-internal neighbour of leaf 0: the constructors check connectivity on it, and
+internal neighbour of leaf 0: both constructors run one shape check on it
+(`_check_shape`, whose docstring proves that what it accepts is a tree), and
 the writer and the C -> D extension read parents and subtrees off it, in time
 linear in the tree.  The relations read one table of distances d from the
 leaves (and root r) to every node, built on first use by `_distances`, a numpy
@@ -87,26 +88,7 @@ class RootedLeafTree:
     plane: bool = False
 
     def __post_init__(self):
-        v, m = self.v, len(self.children)
-        if m == 0:
-            raise InputError("a rooted leaf tree needs at least one internal node")
-        appears = set()
-        for i, kids in enumerate(self.children):
-            if len(kids) < 2:
-                raise InputError(f"internal node {v + i} has fewer than 2 children")
-            for kid in kids:
-                if not 0 <= kid < v + m or kid == v:
-                    raise InputError(f"bad child id {kid}")
-                if kid in appears:
-                    raise InputError(f"node {kid} has two parents")
-                appears.add(kid)
-        if len(appears) != v + m - 1:  # every node but the root
-            raise InputError("children lists must cover every non-root node once")
-        if len(self.walk[0]) != v + m:  # a cycle apart from the root
-            raise InputError("tree is not connected")
-        for name, ann in (("colors", self.colors), ("ranks", self.ranks)):
-            if ann is not None and len(ann) != m:
-                raise InputError(f"{name} must annotate all {m} internal nodes")
+        _check_shape(self, self.children)
 
     @property
     def root(self):
@@ -142,33 +124,7 @@ class UnrootedLeafTree:
     plane: bool = False
 
     def __post_init__(self):
-        v, m = self.v, len(self.adj)
-        if m == 0:
-            raise InputError("an unrooted leaf tree needs at least one internal node")
-        leaf_seen, edges = set(), set()
-        for i, nbrs in enumerate(self.adj):
-            node = v + i
-            if len(nbrs) < 3:
-                raise InputError(f"internal node {node} has degree < 3")
-            for nb in nbrs:
-                if not 0 <= nb < v + m or nb == node:
-                    raise InputError(f"bad neighbor id {nb}")
-                if nb < v:
-                    if nb in leaf_seen:
-                        raise InputError(f"leaf {nb} attached twice")
-                    leaf_seen.add(nb)
-                else:
-                    edges.add(frozenset((node, nb)))
-                    if node not in self.adj[nb - v]:
-                        raise InputError(f"edge {node}-{nb} is not symmetric")
-        if len(leaf_seen) != v:
-            raise InputError("leaves must be exactly 0..v-1")
-        if len(edges) != m - 1:
-            raise InputError("not a tree (wrong edge count)")
-        if len(self.walk[0]) != v + m:
-            raise InputError("tree is not connected")
-        if self.colors is not None and len(self.colors) != m:
-            raise InputError(f"colors must annotate all {m} internal nodes")
+        _check_shape(self, self.adj)
 
     def internal_ids(self):
         return range(self.v, self.v + len(self.adj))
@@ -178,8 +134,9 @@ class UnrootedLeafTree:
 
     @cached_property
     def walk(self):
-        """`_walk` from the internal neighbour of leaf 0."""
-        start = next(u for u in self.internal_ids() if 0 in self.neighbors(u))
+        """`_walk` from the internal neighbour of leaf 0 (or, if no node lists
+        leaf 0, from node v, a walk that `_check_shape` refuses)."""
+        start = next((u for u in self.internal_ids() if 0 in self.neighbors(u)), self.v)
         return _walk(self, start, self.neighbors)
 
     @cached_property
@@ -191,6 +148,52 @@ class UnrootedLeafTree:
 # ---------------------------------------------------------------------------
 # structural helpers
 # ---------------------------------------------------------------------------
+
+
+def _check_shape(t, lists):
+    """Raise InputError unless t is a leaf tree, `lists` being the kids
+    (rooted) or neighbours (unrooted) of its internal nodes v..v+m-1.
+
+    Each list must hold distinct ids in range, never its own node nor a
+    rooted tree's root, and at least 2 kids or 3 neighbours; an unrooted
+    tree's internal edges must go both ways; the lists must hold v+m-1 ids in
+    all, rooted, or v+2(m-1), unrooted; and the walk must reach all v+m
+    nodes.  The annotations must have one entry per internal node.
+
+    That is a tree.  The walk reaches each node but its start once, through
+    the first list entry naming it (ids within a list are distinct, so no
+    entry reaches a node twice), and makes that entry's node its parent, a
+    node reached before it.  So the parent links are a tree on the v+m nodes,
+    and v+m-1 entries reach a node.  Rooted, that is every entry: no node has
+    a second parent.  Unrooted, each internal node but the start also lists
+    its parent, as edges go both ways, and that entry reaches nothing: m-1
+    more, v+2(m-1) in all.  So a node's neighbours are its kids and its
+    parent, and each leaf is listed once.  Leaves list nothing, and every
+    internal node has 2 kids or 3 neighbours, so the leaves are 0..v-1.  (An
+    entry naming its own node or the root reaches nothing, so the count and
+    the walk refuse those two anyway; their test names the bad id.)
+    """
+    v, m, rooted = t.v, len(lists), isinstance(t, RootedLeafTree)
+    if m == 0:
+        raise InputError(f"{type(t).__name__} needs at least one internal node")
+    for u, ids in enumerate(lists, v):
+        if len(ids) < 3 - rooted:
+            raise InputError(f"internal node {u} lists fewer than {3 - rooted} nodes")
+        if len(set(ids)) < len(ids):
+            raise InputError(f"internal node {u} lists a node twice")
+        for x in ids:
+            if not 0 <= x < v + m or x == u or rooted and x == v:
+                raise InputError(f"internal node {u} lists bad id {x}")
+            if not rooted and x >= v and u not in lists[x - v]:
+                raise InputError(f"edge {u}-{x} is not symmetric")
+    if sum(map(len, lists)) != v + (m - 1) * (2 - rooted):
+        raise InputError("not a tree (wrong edge count)")
+    if len(t.walk[0]) != v + m:
+        raise InputError("tree is not connected")
+    for name in ("colors", "ranks"):
+        ann = getattr(t, name, None)
+        if ann is not None and len(ann) != m:
+            raise InputError(f"{name} must annotate all {m} internal nodes")
 
 
 def _walk(t, start, neighbors):
@@ -763,7 +766,8 @@ def colored_extension_violation(t: RootedLeafTree, ext: UnrootedLeafTree):
         raise InputError("colored extension needs internal colors")
     if ext.v != t.v + 1 or ext.colors is None:
         raise InputError("the extension must add one leaf and carry colors")
-    return _colored(_tables([t], [ext]), np.array(triple_coloring(ext).colors.values)[None])[0]
+    tables = _tables([t], [ext])
+    return _colored(tables, _median_colors(tables[1], tables[3], 3, False))[0]
 
 
 def _tables(trees, exts):

@@ -449,30 +449,45 @@ def _depth_first_alone(n, budget=None):
     return _depth_first(n, _Meter(budget))
 
 
+def _counted(n, budget=None):
+    return _count_frames(n, _Meter(budget))
+
+
 def test_frame_counter_matches_the_depth_first_search():
     # a count is returned exactly when n x frames fits the budget, and equals
-    # the depth-first outcome; below that the search hands over and the
-    # depth-first search spends the budget
+    # the depth-first outcome; below that the counter raises the refusal the
+    # depth-first search raises once it has spent the budget
     for n in _COUNTED:
         alone = _depth_first_alone(n)
         assert alone.status == "proven_none" and alone.palette is None, n
         total = alone.nodes
         for budget in (1, n, total - 1, total, total + 1, None):
-            counted = _count_frames(n, budget or SEARCH_BUDGET)
             want = _outcome_or_refusal(_depth_first_alone, n, budget)
-            if budget is not None and budget < total:
-                assert counted is None, (n, budget)
-            else:
-                assert counted == want, (n, budget)
+            assert isinstance(want, str) == (budget is not None and budget < total)
+            assert _outcome_or_refusal(_counted, n, budget) == want, (n, budget)
             assert _outcome_or_refusal(search_palette, n, budget) == want, (n, budget)
 
 
-def test_frame_counter_hands_over_at_a_leaf_or_past_the_budget():
+def test_frame_counter_hands_over_at_a_leaf_and_refuses_past_the_budget():
     # 8 and 16 colors have palettes, so their trees have leaves; 14 colors
     # take more than SEARCH_BUDGET // 14 frames
-    for n in (8, 16, 14):
-        assert _count_frames(n, SEARCH_BUDGET) is None, n
+    for n in (8, 16):
+        assert _counted(n) is None, n
     assert search_palette(16) == _depth_first_alone(16)
+    with pytest.raises(BoundExceededError, match=f"budget of {SEARCH_BUDGET} units"):
+        _counted(14)
+
+
+def test_a_refusal_walks_the_tree_once(monkeypatch):
+    def walked_again(*_):
+        raise AssertionError("the depth-first search walked the tree again")
+
+    monkeypatch.setattr(palette_module, "_depth_first", walked_again)
+    refusal = f"palette search spent its budget of {SEARCH_BUDGET} units"
+    for n in (14, 40):
+        with pytest.raises(BoundExceededError) as exc:
+            search_palette(n)
+        assert str(exc.value) == refusal, n
 
 
 def _random_states(seed, count):
@@ -555,7 +570,7 @@ def test_frame_counter_branches_as_the_joins_do():
 def test_frame_counter_keeps_its_temporaries_small():
     tracemalloc.start()
     try:
-        assert _count_frames(12, SEARCH_BUDGET).nodes == 231456
+        assert _counted(12).nodes == 231456
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

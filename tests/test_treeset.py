@@ -448,17 +448,32 @@ def test_colored_extension_violation_finds_an_odd_color_class(monkeypatch):
 
     t = colored_caterpillar()
     ext = extend_c_to_d(t)
-    honest = triple_coloring(ext)
+    compute = treeset._median_colors
+
+    def flipped(dist, colors, k, rooted):
+        # the triple (0, 1, 2), first in colex order, changes class
+        out = compute(dist, colors, k, rooted)
+        out[..., 0] ^= k == 3
+        return out
+
     # no recoloring of a tree's nodes can make a class odd, so tamper with the
-    # triple coloring itself: one triple changes class
-    flipped = SubsetMap.from_function(
-        5, 3, lambda s: honest.colors.value_for(s) ^ (s == (0, 1, 2))
-    )
-    monkeypatch.setattr(
-        treeset, "triple_coloring", lambda _: ColoredHypergraph(5, 3, 2, flipped)
-    )
+    # triple coloring itself
+    monkeypatch.setattr(treeset, "_median_colors", flipped)
     tag, color, _ = colored_extension_violation(t, ext)
     assert (tag, color) == ("even", 0)
+
+
+def test_colored_extension_violation_builds_one_table_stack(monkeypatch):
+    import extensor.treeset as treeset
+
+    calls = []
+    compute = treeset._distances
+    monkeypatch.setattr(treeset, "_distances", lambda *a: calls.append(a) or compute(*a))
+    rng = SplitMix64(62)
+    for i in range(20):
+        t = random_rooted_tree(rng, 3 + rng.below(8), n_colors=2)
+        assert colored_extension_violation(t, extend_c_to_d(t)) is None
+        assert len(calls) == i + 1
 
 
 def test_colored_extension_violation_needs_colors():
@@ -1243,6 +1258,189 @@ def test_tree_validation():
         RootedLeafTree(3, ((0, 1), (1, 2)))  # leaf with two parents
     with pytest.raises(InputError):
         UnrootedLeafTree(3, ((0, 1),))  # degree-2 internal node
+    # node 5 lists node 4 twice; the writer once looped on this tree forever
+    with pytest.raises(InputError):
+        UnrootedLeafTree(4, ((0, 1, 5, 3), (4, 2, 4)))
+    # no node lists leaf 0, so the walk has no internal neighbour of it
+    with pytest.raises(InputError):
+        UnrootedLeafTree(4, ((1, 2, 5), (4, 1, 3)))
+    # leaf 1 is missing, yet the walk reaches the twice-listed kid twice, and
+    # the id count and walk length are those of a tree
+    with pytest.raises(InputError):
+        UnrootedLeafTree(5, ((0, 6, 6), (5, 2, 7), (6, 3, 4)))
+    with pytest.raises(InputError):
+        RootedLeafTree(4, ((0, 5, 5), (2, 3)))
+
+
+# -- the shared shape check against the two constructor checks it replaced ---
+
+
+def _reachable(v, start, lists):
+    """The nodes reached from `start` along the lists, as a set."""
+    seen, stack = {start}, [start]
+    while stack:
+        u = stack.pop()
+        if u >= v:
+            fresh = set(lists[u - v]) - seen
+            seen |= fresh
+            stack += fresh
+    return seen
+
+
+def _reference_rooted_check(v, children, colors, ranks):
+    """Whether RootedLeafTree's own check accepted the tree, connectivity
+    read off a search from the root."""
+    m, appears = len(children), set()
+    for kids in children:
+        if len(kids) < 2:
+            return False
+        for kid in kids:
+            if not 0 <= kid < v + m or kid == v or kid in appears:
+                return False
+            appears.add(kid)
+    if m == 0 or len(appears) != v + m - 1:
+        return False
+    if len(_reachable(v, v, children)) != v + m:
+        return False
+    return all(ann is None or len(ann) == m for ann in (colors, ranks))
+
+
+def _reference_unrooted_check(v, adj, colors):
+    """Whether UnrootedLeafTree's own check accepted the tree, connectivity
+    read off a search from the internal neighbour of leaf 0."""
+    m, leaf_seen, edges = len(adj), set(), set()
+    for node, nbrs in enumerate(adj, v):
+        if len(nbrs) < 3:
+            return False
+        for nb in nbrs:
+            if not 0 <= nb < v + m or nb == node:
+                return False
+            if nb < v:
+                if nb in leaf_seen:
+                    return False
+                leaf_seen.add(nb)
+            else:
+                edges.add(frozenset((node, nb)))
+                if node not in adj[nb - v]:
+                    return False
+    if m == 0 or len(leaf_seen) != v or len(edges) != m - 1:
+        return False
+    start = next(u for u, nbrs in enumerate(adj, v) if 0 in nbrs)
+    if len(_reachable(v, start, adj)) != v + m:
+        return False
+    return colors is None or len(colors) == m
+
+
+def _mutate_lists(rng, lists, v):
+    """One random change to the id lists: an id replaced (perhaps out of
+    range), duplicated, dropped or moved, a self-loop, a swap across lists,
+    or, returned as True, the tree's last color or rank to be dropped."""
+    i, k = rng.below(len(lists)), rng.below(len(lists))
+    src, dst = lists[i], lists[k]
+    op = rng.below(7)
+    if op == 4:
+        dst.insert(rng.below(len(dst) + 1), v + k)
+    elif op == 6:
+        return True
+    elif src:
+        j = rng.below(len(src))
+        if op == 0:
+            src[j] = rng.below(v + len(lists) + 2) - 1
+        elif op == 1:
+            dst.insert(rng.below(len(dst) + 1), src[j])
+        elif op in (2, 3):
+            x = src.pop(j)
+            if op == 3:
+                dst.insert(rng.below(len(dst) + 1), x)
+        elif dst:
+            at = rng.below(len(dst))
+            src[j], dst[at] = dst[at], src[j]
+    return False
+
+
+@pytest.fixture(scope="module")
+def shape_mutants():
+    """Per kind (rooted or not), its mutants, built once for this module."""
+    return {rooted: _shape_mutants(rooted) for rooted in (True, False)}
+
+
+def _shape_mutants(rooted):
+    """10,000 seeded mutants of random trees on 3..11 leaves, each as (v,
+    lists, colors, ranks, the tree built or the exception raised)."""
+    rng, out = SplitMix64(97 + rooted), []
+    for _ in range(10000):
+        v = 3 + rng.below(9)
+        if rooted:
+            t = random_rooted_tree(rng, v, n_colors=2, ranked=True)
+            lists, colors, ranks = t.children, t.colors, t.ranks
+        else:
+            t = random_unrooted_tree(rng, v, n_colors=2)
+            lists, colors, ranks = t.adj, t.colors, None
+        lists = [list(ids) for ids in lists]
+        for _ in range(1 + rng.below(2)):
+            if _mutate_lists(rng, lists, v):
+                if ranks and rng.below(2):
+                    ranks = ranks[:-1]
+                else:
+                    colors = colors[:-1]
+        lists = tuple(map(tuple, lists))
+        try:
+            if rooted:
+                built = RootedLeafTree(v, lists, colors=colors, ranks=ranks)
+            else:
+                built = UnrootedLeafTree(v, lists, colors=colors)
+        except Exception as exc:  # the oracle test fails on any but InputError
+            built = exc
+        out.append((v, lists, colors, ranks, built))
+    return out
+
+
+@pytest.mark.parametrize("rooted", [True, False], ids=["rooted", "unrooted"])
+def test_the_shape_check_agrees_with_the_old_constructor_checks(shape_mutants, rooted):
+    # a list that names a node twice is refused; the old unrooted check let a
+    # node list an internal neighbour twice, a tree the writer looped on
+    verdicts = Counter()
+    for v, lists, colors, ranks, built in shape_mutants[rooted]:
+        if isinstance(built, Exception) and not isinstance(built, InputError):
+            raise AssertionError(f"{built!r} on {v}, {lists}")
+        accepted = not isinstance(built, Exception)
+        if rooted:
+            want = _reference_rooted_check(v, lists, colors, ranks)
+        else:
+            want = _reference_unrooted_check(v, lists, colors)
+        if any(len(set(ids)) < len(ids) for ids in lists):
+            assert not accepted, (v, lists)
+            verdicts["repeated", want] += 1
+        else:
+            assert accepted == want, (v, lists, colors, ranks)
+            verdicts[accepted] += 1
+    # the mutants reach both verdicts, and only the old unrooted check's gap
+    # moves one
+    assert verdicts[True] > 500 and verdicts[False] > 5000, verdicts
+    assert (verdicts["repeated", True] > 50) != rooted, verdicts
+
+
+def test_every_tree_the_shape_check_accepts_reads_back_as_written(shape_mutants):
+    import signal
+
+    from extensor.fileio import parse, serialize
+
+    def hang(*_):
+        raise TimeoutError("no text within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    try:
+        for *_, t in shape_mutants[True] + shape_mutants[False]:
+            if isinstance(t, Exception):
+                continue
+            signal.alarm(5)
+            try:
+                text = serialize(t)
+            finally:
+                signal.alarm(0)
+            assert serialize(parse(text)) == text
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_regular_tree_generation():

@@ -1,13 +1,17 @@
 """Permutation-group engine: automorphisms, orbits and extension checks.
 
-Groups are kept as fully enumerated element sets (desk scale), found by one
-backtracking search per structure.  The extension check enumerates only the
-stabilizer of the new point, which it compares with Aut(m) as a set of
-permutations, and decides transitivity by one first-hit search per suborbit
-of that stabilizer (:func:`_reaches_all`, which the eqrel refutation calls
-too, with the suborbits read off the relation's class sizes); it never
-enumerates Aut(m_ext).  :func:`orbits` reads each orbit off the element set.
-Permutations are plain image tuples.
+Aut of a structure is found as a point-stabilizer chain by one backtracking
+search (:meth:`_Search.chain`): strong generators and the basic orbits, so
+its order is the product of the orbit sizes (McKay and Piperno, *Practical
+graph isomorphism, II*, 2014; Seress, *Permutation Group Algorithms*, 2003).
+:func:`automorphism_group` lists the elements from the chain's transversals,
+and :func:`orbits` reads each orbit off that element set.  The extension
+check lists neither group unless the law fails: it compares the order of
+Stab(x0) with that of Aut(m) and tests each generator of Stab(x0) on m, and
+decides transitivity by one first-hit search per suborbit of Stab(x0)
+(:func:`_reaches_all`, which the eqrel refutation calls too, with the
+suborbits read off the relation's class sizes).  Permutations are plain
+image tuples.
 
 The search checks a relation on the representatives its view supplies
 (``RelationalStructure.reps``), or on every tuple when it has none: one
@@ -20,9 +24,11 @@ coset into the relation exactly when it maps the coset's representative there.
 Every search node costs one unit of a budget (``SEARCH_BUDGET`` unless the
 call passes ``budget``), and one public call spends one budget across all the
 searches it runs; when the budget is spent, :class:`BoundExceededError` is
-raised rather than a factorial search left running.  :func:`orbits` charges
-one unit per m-tuple or m-subset and refuses before enumerating any.  The
-search recurses once per vertex, so it refuses more vertices than the
+raised rather than a factorial search left running.  Listing a group costs
+one unit per element that its chain did not reach, and a group larger than
+the units left is refused before any element is built.  :func:`orbits`
+charges one unit per m-tuple or m-subset and refuses before enumerating any.
+The search recurses once per vertex, so it refuses more vertices than the
 recursion limit less ``_STACK_MARGIN`` (:func:`_check_depth`), and the public
 entry points refuse them before they flatten the structure.
 """
@@ -32,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, filterfalse, permutations as all_permutations, repeat
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 from operator import itemgetter
 from sys import getrecursionlimit
 
@@ -243,17 +249,125 @@ class _Search:
         meter.left = left
         return found
 
+    def chain(self, meter, start=0):
+        """A stabilizer chain of the automorphisms that fix ``order[:start]``:
+        (strong generators, one transversal per level whose orbit is not a
+        single point).
 
-def _group(s, meter) -> PermutationGroup:
-    return PermutationGroup.from_elements(s.v, _Search(s).run(meter))
+        Level i holds the automorphisms that fix ``order[:i]``, and its basic
+        orbit is where they send ``order[i]``.  The identity path is walked
+        first, one unit per node and no checks, since the identity is an
+        automorphism.  Then at each node on it, deepest first, each candidate
+        image outside the orbit found so far gets one first-hit search below
+        the node.  An automorphism found is kept as a generator and the orbit
+        is closed under every generator so far, which all fix ``order[:i]``;
+        a candidate that finds none is outside the orbit.  So each level's
+        orbit is complete once its node is done, the group's order is the
+        product of the orbit sizes, and each transversal element is the
+        generator word that first reached its point.
+        """
+        v, order, steps, cands = self.v, self.order, self.steps, self.candidates
+        ident = identity(v)
+        images = list(ident)
+        # below level i the path's vertices order[:i] are fixed, so used; each
+        # level frees its own vertex before its tries
+        used = [True] * v
+        gens, levels = [], []
+        left = meter.left - v - 1
+        if left < 0:
+            raise meter.exhausted("automorphism search")
+
+        # the first-hit search of `run`, entered below a fixed prefix
+        def hit(i):
+            nonlocal left
+            left -= 1
+            if left < 0:
+                raise meter.exhausted("automorphism search")
+            if i == v:
+                return True
+            x = order[i]
+            checks = steps[i]
+            for y in cands[i]:
+                if used[y]:
+                    continue
+                images[x] = y
+                for get, rel in checks:
+                    if get(images) not in rel:
+                        break
+                else:
+                    used[y] = True
+                    if hit(i + 1):
+                        return True
+                    used[y] = False
+            return False
+
+        for i in range(v - 1, start - 1, -1):
+            x = order[i]
+            used[x] = False
+            trans = {x: ident}
+            for y in cands[i]:
+                if used[y] or y in trans:
+                    continue
+                images[x] = y
+                for get, rel in steps[i]:
+                    if get(images) not in rel:
+                        break
+                else:
+                    used[y] = True
+                    if not hit(i + 1):
+                        used[y] = False
+                        continue
+                    gens.append(tuple(images))
+                    for z in order[i:]:
+                        used[z] = False
+                    queue = list(trans)
+                    for z in queue:
+                        for g in gens:
+                            if g[z] not in trans:
+                                trans[g[z]] = tuple(map(g.__getitem__, trans[z]))
+                                queue.append(g[z])
+            if len(trans) > 1:
+                levels.append(list(trans.values()))
+        meter.left = left
+        return gens, levels
+
+    def keeps(self, g):
+        """Whether the permutation g passes every test of the search: each
+        vertex to one of its candidates, and every check."""
+        return all(g[x] in c for x, c in zip(self.order, self.candidates)) and all(
+            get(g) in rel for due in self.steps for get, rel in due
+        )
+
+
+def _elements(chain, v, meter):
+    """Every element of a chain's group, each the product of one transversal
+    element per level, shallowest outermost.  One unit per element that the
+    chain's search did not reach as a leaf (it reached the identity and each
+    generator), charged before any is built, so the chain and the listing
+    together never cost more than a search that visits every element's leaf."""
+    gens, levels = chain
+    order = prod(map(len, levels))
+    meter.left -= order - 1 - len(gens)
+    if meter.left < 0:
+        raise BoundExceededError(
+            f"automorphism search: listing {order} automorphisms exceeds the budget"
+            f" of {meter.budget} units"
+        )
+    elements = levels[0] if levels else [identity(v)]
+    for trans in levels[1:]:
+        elements = [tuple(map(u.__getitem__, e)) for u in trans for e in elements]
+    return elements
 
 
 def automorphism_group(s, budget=None) -> PermutationGroup:
-    """Exact automorphism group of a structure, by pruned backtracking within
-    `budget` search nodes.  Too many points for the search's depth are
-    refused before the structure is flattened."""
+    """Exact automorphism group of a structure, listed from its stabilizer
+    chain (:meth:`_Search.chain`) within `budget` units: the chain's search
+    nodes and one per element it did not reach.  Too many points for the
+    search's depth are refused before the structure is flattened."""
     _check_depth(s.v)
-    return _group(flatten(s), _Meter(budget))
+    meter = _Meter(budget)
+    chain = _Search(flatten(s)).chain(meter)
+    return PermutationGroup.from_elements(s.v, _elements(chain, s.v, meter))
 
 
 def automorphisms_brute(s):
@@ -352,35 +466,50 @@ def verify_one_point_extension(m, m_ext, budget=None) -> ExtensionReport:
 
     The new point x0 is the highest vertex of m_ext.  The stabilizer of x0 in
     Aut(m_ext), restricted to the original vertices, must equal Aut(m) as a
-    set of permutations.  On failure the witness is the least permutation in
-    the symmetric difference.  The searches for Aut(m), Stab(x0) and the
-    first hits spend one budget.  The vertex counts are compared, and too
-    many points for the search's depth refused, before either side is
-    flattened.
+    set of permutations.  Neither group is listed to decide it: the chain of
+    m gives |Aut(m)|, and the chain of m_ext from step 1, with x0 first, gives
+    generators of Stab(x0) and its order.  Restriction is a homomorphism, and
+    it is injective on Stab(x0), which fixes x0.  So when every generator
+    restricts to an automorphism of m, the image of Stab(x0) lies in Aut(m)
+    and has |Stab(x0)| elements, and it equals Aut(m) exactly when the two
+    orders are equal; when some generator does not, the law fails.  Only
+    then are both groups listed, and the witness is the least permutation in
+    the symmetric difference.  Transitivity is :func:`_reaches_all`, with
+    the Stab(x0)-orbits read off the generators.
+
+    The chains, the first hits and any listing spend one budget.  The vertex
+    counts are compared, and too many points for the search's depth refused,
+    before either side is flattened.
     """
     if m_ext.v != m.v + 1:
         raise InputError(f"extension must add exactly one vertex: {m.v} -> {m_ext.v}")
     _check_depth(m_ext.v)
+    x0 = m.v
     meter = _Meter(budget)
-    return _extension_report(_group(flatten(m), meter), flatten(m_ext), meter)
+    base = _Search(flatten(m))
+    aut_m = base.chain(meter)
+    search = _Search(flatten(m_ext), x0)
+    stab = search.chain(meter, 1)
+    gens = stab[0]
+    aut_order, stab_order = (prod(map(len, c[1])) for c in (aut_m, stab))
+    ok = aut_order == stab_order and all(base.keeps(g[:x0]) for g in gens)
 
+    def orbit_of(y):
+        orbit = [y]
+        for z in orbit:
+            orbit += {g[z] for g in gens}.difference(orbit)
+        return orbit
 
-def _extension_report(aut_m, fe, meter) -> ExtensionReport:
-    """The report for an extension by x0 = the highest vertex (aut_m.v), from
-    Aut(m) and the flattened extension `fe`; Aut(m_ext) itself is never
-    enumerated.  Only Stab(x0) is, and transitivity is :func:`_reaches_all`.
-    """
-    x0 = aut_m.v
-    search = _Search(fe, x0)
-    stab = search.run(meter, image=x0)
-    restricted = frozenset(g[:x0] for g in stab)
-    ok = restricted == aut_m.elements
+    witness = None
+    if not ok:
+        restricted = {g[:x0] for g in _elements(stab, x0 + 1, meter)}
+        witness = min(restricted.symmetric_difference(_elements(aut_m, x0, meter)))
     return ExtensionReport(
         is_one_point_extension=ok,
-        is_transitive=_reaches_all(search, lambda y: {h[y] for h in stab}, meter),
-        aut_m_order=aut_m.order,
-        stabilizer_order=len(stab),
-        witness=None if ok else min(restricted ^ aut_m.elements),
+        is_transitive=_reaches_all(search, orbit_of, meter),
+        aut_m_order=aut_order,
+        stabilizer_order=stab_order,
+        witness=witness,
     )
 
 
@@ -392,8 +521,9 @@ def _reaches_all(search, orbit_of, meter):
     An old point y is in the orbit of x0 when one first-hit search finds an
     automorphism sending x0 to y, and then so is its whole Stab(x0)-orbit;
     so there is one search per old point not yet reached, and the first miss
-    decides.  :func:`_extension_report` reads the orbits off the stabilizer's
-    elements, and :mod:`extensor.eqrel` off the class sizes of the relation.
+    decides.  :func:`verify_one_point_extension` reads the orbits off the
+    stabilizer's generators, and :mod:`extensor.eqrel` off the class sizes
+    of the relation.
     """
     x0 = search.order[0]
     orbit = {x0}

@@ -564,7 +564,8 @@ def test_orbits_past_the_recursion_limit_exit_exceeded(tmp_path, capsys):
 
 
 def test_orbits_of_edgeless_twelve_points_exits_exceeded(tmp_path, capsys):
-    # 12! automorphisms: refused once 10^6 nodes are spent, not enumerated
+    # 12! automorphisms: the chain finds them in a few hundred nodes, and
+    # listing them is refused before any element is built
     edgeless = tmp_path / "e.txt"
     edgeless.write_text(serialize(plain_hypergraph(12, 2, [])))
     code, out, err = run(["orbits", "--in", str(edgeless)], capsys)
@@ -590,7 +591,8 @@ def test_orbits_are_refused_past_the_budget_before_enumerating(tmp_path, capsys)
 
 
 def test_verify_rigid_thirty_point_extension(tmp_path, capsys):
-    # a vertex count says nothing of the work: this one takes 64 nodes
+    # a vertex count says nothing of the work: this one takes 64 nodes.  The
+    # base is rigid, so the chains visit every node that full searches did
     base, ext = tmp_path / "base.txt", tmp_path / "ext.txt"
     gen = ["gen", "chg", "--v", "30", "--k", "2", "--n", "4", "--seed", "7"]
     assert run(gen + ["--out", str(base)], capsys)[0] == 0
@@ -970,13 +972,15 @@ def test_mutated_files_through_every_command_end_with_an_exit_code(tmp_path, cap
         raise TimeoutError("no exit code within 5 s")
 
     previous = signal.signal(signal.SIGALRM, hang)
-    path = tmp_path / "mutant.txt"
     codes = []
     try:
         for i in range(405):
             kind = list(texts)[i % len(texts)]
-            # latin-1 maps each byte to one code point, so every mutant is text
+            # latin-1 maps each byte to one code point, so every mutant is text;
+            # each goes to a file of its own, since rewriting one path 405 times
+            # waits on the file system's commits
             text = _mutate(rng, texts[kind]).decode("latin-1")
+            path = tmp_path / f"mutant{i}.txt"
             path.write_text(text, encoding="utf-8")
             argv = commands[kind][i // len(texts) % len(commands[kind])]
             signal.alarm(5)

@@ -18,13 +18,8 @@ from extensor.eqrel import (
 from extensor.errors import BoundExceededError, InputError, _Meter
 from extensor.generate import SplitMix64, random_linear_order
 from extensor.hyperext import ColoredHypergraph, hyperedges
-from extensor.perm import (
-    _extension_report,
-    automorphism_group,
-    automorphisms_brute,
-    verify_one_point_extension,
-)
-from extensor.structures import SubsetMap, flatten, subsets_colex
+from extensor.perm import automorphisms_brute, verify_one_point_extension
+from extensor.structures import SubsetMap, subsets_colex
 
 
 def test_forced_extension_two_pairs():
@@ -336,14 +331,13 @@ def _reference_verdicts(e, survivors):
     report of the searches over its flattened structure: (interior bits,
     matches forced, type split, verdict, report).  The type split comes from
     the singleton report at every old vertex."""
-    aut_e = automorphism_group(e)
     n_interior = comb(e.v, 3)
     forced = forced_extension(e).colors.values
     forced_interior = sum(bit << r for r, bit in enumerate(forced[:n_interior]))
     out = []
     for bits in survivors:
         cand = _candidate(e, bits)
-        report = _extension_report(aut_e, flatten(cand), _Meter())
+        report = verify_one_point_extension(e, cand)
         matches = bits == forced_interior
         split = any(singleton_type_report(e, cand, a).type_split for a in range(e.v))
         if report.is_one_point_extension and report.is_transitive:

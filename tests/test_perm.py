@@ -4,7 +4,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import chain, combinations, permutations
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 from operator import itemgetter
 from sys import getrecursionlimit
 
@@ -27,6 +27,7 @@ from extensor.perm import (
     ExtensionReport,
     _STACK_MARGIN,
     _Search,
+    _elements,
     automorphism_group,
     automorphisms_brute,
     identity,
@@ -79,10 +80,15 @@ def test_path_graph_keeps_only_end_swap():
 
 
 def test_bound_refusal():
-    # the edgeless v = 9 group takes 986,410 nodes; v = 10 needs more than
-    # the default budget of 10^6 and is refused, in about half a second
-    assert automorphism_group(plain_hypergraph(9, 2, []), budget=986_410).order == 362_880
+    # the edgeless v = 9 group takes 362,925 units: 54 chain nodes and 362,871
+    # elements listed past the identity and the 8 generators the chain found.
+    # v = 10 has 10! elements, more than the default budget of 10^6, so it is
+    # refused before any is listed
+    edgeless = plain_hypergraph(9, 2, [])
+    assert automorphism_group(edgeless, budget=362_925).order == 362_880
     with pytest.raises(BoundExceededError):
+        automorphism_group(edgeless, budget=362_924)
+    with pytest.raises(BoundExceededError, match="listing 3628800 automorphisms"):
         automorphism_group(plain_hypergraph(10, 2, []))
 
 
@@ -117,29 +123,32 @@ def test_deep_searches_are_refused_before_flattening():
 
 
 def test_verify_spends_one_budget_exactly():
-    # Aut(m), Stab(x0) and the first-hit searches together take 64 nodes
+    # the chains of m and of Stab(x0) and the first-hit searches together
+    # take 54 nodes (64 when both groups were listed by full searches)
     h = random_colored_hypergraph(SplitMix64(3), 6, 2, 2)
     ext = extend_colored(h)
     report = verify_one_point_extension(h, ext)
     assert report == ExtensionReport(True, False, 4, 4, None)
-    assert verify_one_point_extension(h, ext, budget=64) == report
+    assert verify_one_point_extension(h, ext, budget=54) == report
     with pytest.raises(BoundExceededError):
-        verify_one_point_extension(h, ext, budget=63)
+        verify_one_point_extension(h, ext, budget=53)
     with pytest.raises(InputError):
         verify_one_point_extension(h, ext, budget=0)
 
 
 def test_paley_two_graph_spend_is_pinned():
     # C5's parity extension is the Paley two-graph on 6 points, with Stab(x0)
-    # of order 10.  One first-hit search sends x0 to 0, and the orbit of 0
-    # under the stabilizer is every old point, so no other point is searched:
-    # 100 units in all (128 if each point were searched)
+    # of order 10.  Both chains find two generators each, and neither group
+    # is listed.  One first-hit search sends x0 to 0, and the orbit of 0
+    # under the stabilizer's generators is every old point, so no other
+    # point is searched: 38 units in all (100 when both groups were listed by
+    # full searches)
     c5 = plain_hypergraph(5, 2, [(x, (x + 1) % 5) for x in range(5)])
     ext = extend_plain(c5)
-    report = verify_one_point_extension(c5, ext, budget=100)
+    report = verify_one_point_extension(c5, ext, budget=38)
     assert report == ExtensionReport(True, True, 10, 10, None)
     with pytest.raises(BoundExceededError):
-        verify_one_point_extension(c5, ext, budget=99)
+        verify_one_point_extension(c5, ext, budget=37)
 
 
 def test_group_closure_and_inverses():
@@ -243,6 +252,24 @@ def test_a_larger_stabilizer_fails_the_defining_law():
     )
 
 
+def test_a_stabilizer_of_equal_order_fails_the_defining_law():
+    # the star on 4 points centred at 2: Stab(3) swaps the leaves 0 and 1, so
+    # it has the order of the path's group, which swaps 0 and 2 instead; the
+    # orders agree and only the generator check refuses the law
+    m = path3()
+    ext = plain_hypergraph(4, 2, [(0, 2), (1, 2), (2, 3)])
+    report = verify_one_point_extension(m, ext)
+    assert report == ExtensionReport(False, False, 2, 2, (1, 0, 2))
+    assert report == _reference_report(m, ext)
+    # the same with one unary relation, which no check covers: m marks 0 and
+    # the extension marks 2, so Stab(3) swaps 0 and 1 where Aut(m) swaps 1
+    # and 2, and only the candidate classes tell the generator apart
+    m, ext = _structure(3, [("U", 1, [(0,)])]), _structure(4, [("U", 1, [(2,)])])
+    report = verify_one_point_extension(m, ext)
+    assert report == ExtensionReport(False, False, 2, 2, (0, 2, 1))
+    assert report == _reference_report(m, ext)
+
+
 def test_vertex_count_mismatch_rejected():
     with pytest.raises(InputError):
         verify_one_point_extension(path3(), plain_hypergraph(5, 2, []))
@@ -305,16 +332,22 @@ def _partitions(n, largest=None):
             yield (k,) + rest
 
 
+def _shape_relation(shape):
+    """The equivalence relation whose classes are consecutive runs of the
+    shape's sizes."""
+    blocks, start = [], 0
+    for size in shape:
+        blocks.append(set(range(start, start + size)))
+        start += size
+    return EquivalenceRelation.from_classes(sum(shape), blocks)
+
+
 def _generator_cases():
     for v in range(2, 8):
         yield plain_hypergraph(v, 2, [])
     for v in range(2, 7):
         for shape in _partitions(v):
-            blocks, start = [], 0
-            for size in shape:
-                blocks.append(set(range(start, start + size)))
-                start += size
-            e = EquivalenceRelation.from_classes(v, blocks)
+            e = _shape_relation(shape)
             yield e
             yield forced_extension(e)
     rng = SplitMix64(2024)
@@ -567,14 +600,15 @@ def test_coset_rule_is_taken_on_orientations_and_circular_orders_only():
 
 
 def test_orientation_verify_units_are_unchanged():
-    # a k = 4 orientation on 6 points spends 1,149 units, as it did when every
-    # ordering of every 4-set was checked
+    # a k = 4 orientation on 6 points spends 1,095 units.  Full searches of
+    # both groups spent 1,149, as they did when every ordering of every 4-set
+    # was checked; the chains skip the subtrees that hold only group elements
     t = random_orientation(SplitMix64(2), 6, 4)
     ext = extend_orientation(t)
     report = ExtensionReport(True, False, 2, 2, None)
-    assert verify_one_point_extension(t, ext, budget=1149) == report
+    assert verify_one_point_extension(t, ext, budget=1095) == report
     with pytest.raises(BoundExceededError):
-        verify_one_point_extension(t, ext, budget=1148)
+        verify_one_point_extension(t, ext, budget=1094)
 
 
 # -- the orientation term of the vertex invariant ---------------------------------
@@ -621,7 +655,8 @@ def test_orientation_term_keeps_every_automorphism():
 
 def test_tournament_extension_spend_is_pinned():
     # gen orient --v 8 --k 2 --seed 1..5, extended: before the orientation term
-    # the check spent 231, 240, 265, 229 and 241 units
+    # the check spent 231, 240, 265, 229 and 241 units.  These bases are
+    # rigid, so each chain visits every node a full search did
     for seed, units in zip(range(1, 6), (24, 24, 41, 37, 26)):
         t = random_orientation(SplitMix64(seed), 8, 2)
         ext = extend_orientation(t)
@@ -634,20 +669,20 @@ def test_tournament_extension_spend_is_pinned():
 
 
 def _reference_report(m, m_ext):
-    """The report computed from every element of Aut(m_ext)."""
-    fm, fe = flatten(m), flatten(m_ext)
-    x0 = fm.v
-    aut_m = automorphism_group(fm)
-    aut_e = automorphism_group(fe)
-    stab = [g for g in aut_e.elements if g[x0] == x0]
+    """The report computed from every element of Aut(m) and Aut(m_ext), each
+    found by v! filtering, not by the engine under test."""
+    x0 = m.v
+    aut_m = frozenset(automorphisms_brute(m))
+    aut_e = automorphisms_brute(m_ext)
+    stab = [g for g in aut_e if g[x0] == x0]
     restricted = frozenset(g[:x0] for g in stab)
-    ok = restricted == aut_m.elements
+    ok = restricted == aut_m
     return ExtensionReport(
         is_one_point_extension=ok,
-        is_transitive=is_transitive(aut_e),
-        aut_m_order=aut_m.order,
+        is_transitive={g[x0] for g in aut_e} == set(range(x0 + 1)),
+        aut_m_order=len(aut_m),
         stabilizer_order=len(stab),
-        witness=None if ok else min(restricted ^ aut_m.elements),
+        witness=None if ok else min(restricted ^ aut_m),
     )
 
 
@@ -666,11 +701,7 @@ def _tampered(rng, ext):
 def _extension_cases():
     for v in range(2, 7):
         for shape in _partitions(v):
-            blocks, start = [], 0
-            for size in shape:
-                blocks.append(set(range(start, start + size)))
-                start += size
-            e = EquivalenceRelation.from_classes(v, blocks)
+            e = _shape_relation(shape)
             yield e, forced_extension(e)
     rng = SplitMix64(1717)
     for v in range(3, 8):
@@ -778,11 +809,7 @@ def _rep_views():
             yield t, flatten(t)
     for v in range(1, 7):
         for shape in _partitions(v):
-            blocks, start = [], 0
-            for size in shape:
-                blocks.append(set(range(start, start + size)))
-                start += size
-            e = EquivalenceRelation.from_classes(v, blocks)
+            e = _shape_relation(shape)
             yield e, flatten(e)
     for v in range(3, 9):
         c = CircularOrder.from_cycle(rng.shuffled(range(v)))
@@ -1000,3 +1027,126 @@ def test_the_tuple_scan_finds_no_reduction_on_views_without_representatives():
         assert Counter(_reference_checks(s)) == Counter(every) == Counter(_checks(_Search(s)))
         nonempty[type(obj).__name__] += bool(every)
     assert len(nonempty) == 4 and min(nonempty.values()) >= 5, nonempty
+
+
+# -- oracle: the stabilizer chain against v! filtering and sympy ------------------
+
+
+def _chain_cases():
+    """Seeded structures of every view kind on at most 7 points, beside random
+    relational structures and edgeless graphs."""
+    for _, s in _rep_views():
+        if s.v <= 7:
+            yield s
+    rng = SplitMix64(6262)
+    for k in (2, 3):
+        for v in range(k, 8):
+            yield flatten(random_hypertournament(rng, v, k))
+    for v in range(2, 8):
+        yield flatten(random_linear_order(rng, v))
+        yield flatten(plain_hypergraph(v, 2, []))
+    for v in [1 + i % 7 for i in range(60)]:
+        yield _random_structure(rng, v)
+
+
+def _depth(search, g):
+    """The first step whose vertex g moves (v for the identity)."""
+    return next((i for i, x in enumerate(search.order) if g[x] != x), search.v)
+
+
+def test_chain_orders_and_levels_match_brute_force():
+    # from step 0 the chain is Aut(s), from step 1 the stabilizer of the
+    # first vertex, which is drawn at random; the orbit sizes multiply to the
+    # order, each level's transversal fixes the earlier base points and sends
+    # its own to distinct points, and each generator lies on a level
+    rng = SplitMix64(7373)
+    kinds = Counter()
+    for s in _chain_cases():
+        search = _Search(s, rng.below(s.v))
+        brute = automorphisms_brute(s)
+        for start in (0, 1):
+            fixed = search.order[:start]
+            group = {g for g in brute if all(g[x] == x for x in fixed)}
+            gens, levels = search.chain(_Meter(), start)
+            assert prod(map(len, levels)) == len(group), s
+            assert set(_elements((gens, levels), s.v, _Meter())) == group, s
+            depths = []
+            for trans in levels:
+                assert trans[0] == identity(s.v) and set(trans) <= group, s
+                d = _depth(search, trans[1])
+                assert all(_depth(search, u) >= d for u in trans), s
+                assert len({u[search.order[d]] for u in trans}) == len(trans), s
+                depths.append(d)
+            assert depths == sorted(depths, reverse=True) and min(depths, default=start) >= start
+            gen_depths = [_depth(search, g) for g in gens]
+            assert set(gens) <= group and set(gen_depths) == set(depths), s
+            assert gen_depths == sorted(gen_depths, reverse=True), s
+            kinds[len(levels) > 1] += 1
+    assert kinds[True] > 50 and kinds[False] > 50, kinds
+
+
+def _paley(q):
+    """x ~ y exactly when y - x is a nonzero square mod q (q = 1 mod 4)."""
+    squares = {x * x % q for x in range(1, q)}
+    edges = [(x, y) for x, y in combinations(range(q), 2) if y - x in squares]
+    return plain_hypergraph(q, 2, edges)
+
+
+def _paley_tournament(q):
+    """x -> y exactly when y - x is a nonzero square mod q (q = 3 mod 4)."""
+    squares = {x * x % q for x in range(1, q)}
+    # bit 0 orients a pair from its lower point to its higher one
+    bits = SubsetMap.from_function(q, 2, lambda s: int(s[1] - s[0] not in squares))
+    return Orientation(q, 2, bits)
+
+
+def _shape_order(shape):
+    """|Aut| of an equivalence relation: each class permuted within itself,
+    and the classes of each size permuted among themselves."""
+    within = prod(factorial(size) for size in shape)
+    return within * prod(factorial(shape.count(size)) for size in set(shape))
+
+
+def test_chain_generators_have_the_sympy_order():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    cases = [(_paley(13), 78), (_paley(17), 136), (plain_hypergraph(8, 2, []), factorial(8))]
+    shapes = [shape for v in (8, 9, 10) for shape in _partitions(v)]
+    cases += [(_shape_relation(shape), _shape_order(shape)) for shape in shapes]
+    assert len(cases) == 3 + 22 + 30 + 42
+    for obj, order in cases:
+        gens, levels = _Search(flatten(obj)).chain(_Meter())
+        assert prod(map(len, levels)) == order, obj
+        gens = [combinatorics.Permutation(list(g)) for g in gens]
+        gens = gens or [combinatorics.Permutation(list(identity(obj.v)))]
+        assert combinatorics.PermutationGroup(gens).order() == order, obj
+
+
+def test_symmetric_bases_verify_transitive_from_their_generators():
+    # listing these groups element by element took the whole default budget
+    # for the Paley graph on 29 points; the chains take a few thousand units
+    for q, order in ((13, 78), (17, 136)):
+        base = _paley(q)
+        assert verify_one_point_extension(base, extend_plain(base)) == ExtensionReport(
+            True, True, order, order, None
+        )
+    t = _paley_tournament(23)
+    report = verify_one_point_extension(t, extend_orientation(t))
+    assert report == ExtensionReport(True, True, 253, 253, None)
+
+
+def test_edgeless_ten_points_verify_without_listing_either_group():
+    # both groups have 10! elements: verify reads their orders off the chains
+    # at the default budget, while listing Aut(m) is refused before any
+    # element is built
+    edgeless = plain_hypergraph(10, 2, [])
+    order = factorial(10)
+    report = verify_one_point_extension(edgeless, extend_plain(edgeless))
+    assert report == ExtensionReport(True, True, order, order, None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceededError, match=f"listing {order} automorphisms"):
+            automorphism_group(edgeless)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak

@@ -17,8 +17,9 @@ exactly when its interior is a union of Aut(e)'s orbits on triples.  Those
 orbits are read off the shape of the relation, so Aut(e) is never listed.  The
 type split is read off the survivors' bits, and only an invariant survivor
 whose vertices all lie in as many hyperedges as x0 is searched for
-transitivity, by the step `verify` takes too (``perm._reaches_all``).  The
-quad table, the DFS pops and the transitivity searches spend one budget.
+transitivity, by the first-hit searches `verify` runs too
+(``perm._reaches_all``).  The quad table, the DFS pops and the transitivity
+searches spend one budget.
 """
 
 from __future__ import annotations
@@ -342,10 +343,11 @@ def refute_extension(e: EquivalenceRelation, budget=None) -> RefutationCertifica
     come out too fine.)
 
     A transitive extension has every vertex in as many hyperedges as x0.
-    Only an invariant survivor that is so is searched for automorphisms
-    sending x0 to an old point (``perm._reaches_all``); its Stab(x0) is all of
-    Aut(e), whose orbit of a point is every point of a class of that size, so
-    there is one search per class size.  ``is_transitive`` is None for a
+    Only an invariant survivor that is so is searched for an automorphism
+    sending x0 to an old point (``perm._reaches_all``, whose search stops at
+    the first it finds); its Stab(x0) is all of Aut(e), whose orbit of a
+    point is every point of a class of that size, so there is one search per
+    class size.  ``is_transitive`` is None for a
     survivor that is not invariant.
 
     Budget units: one per 64-bit word of each quad's triple mask, charged

@@ -1,17 +1,19 @@
 """Permutation-group engine: automorphisms, orbits and extension checks.
 
-Aut of a structure is found as a point-stabilizer chain by one backtracking
-search (:meth:`_Search.chain`): strong generators and the basic orbits, so
-its order is the product of the orbit sizes (McKay and Piperno, *Practical
-graph isomorphism, II*, 2014; Seress, *Permutation Group Algorithms*, 2003).
-:func:`automorphism_group` lists the elements from the chain's transversals,
-and :func:`orbits` reads each orbit off that element set.  The extension
-check lists neither group unless the law fails: it compares the order of
-Stab(x0) with that of Aut(m) and tests each generator of Stab(x0) on m, and
-decides transitivity by one first-hit search per suborbit of Stab(x0)
-(:func:`_reaches_all`, which the eqrel refutation calls too, with the
-suborbits read off the relation's class sizes).  Permutations are plain
-image tuples.
+There is one backtracking search (:meth:`_Search.first_hits`), and it stops
+at the first automorphism it finds; nothing collects every automorphism.
+Aut of a structure is found as a point-stabilizer chain (:meth:`_Search.chain`)
+by one first hit per candidate image at each level: strong generators and the
+basic orbits, so its order is the product of the orbit sizes (McKay and
+Piperno, *Practical graph isomorphism, II*, 2014; Seress, *Permutation Group
+Algorithms*, 2003).  :func:`automorphism_group` lists the elements from the
+chain's transversals, and :func:`orbits` reads each orbit off that element
+set.  The extension check lists neither group unless the law fails: it
+compares the order of Stab(x0) with that of Aut(m) and tests each generator
+of Stab(x0) on m, and decides transitivity by one first hit per suborbit of
+Stab(x0) (:func:`_reaches_all`, which the eqrel refutation calls too, with the
+suborbits read off the relation's class sizes).  Permutations are plain image
+tuples.
 
 The search checks a relation on the representatives its view supplies
 (``RelationalStructure.reps``), or on every tuple when it has none: one
@@ -106,9 +108,6 @@ class PermutationGroup:
             raise InputError("element set lacks the identity")
         return cls(v, elements, len(elements))
 
-    def __contains__(self, p):
-        return tuple(p) in self.elements
-
 
 # -- automorphism search ----------------------------------------------------
 
@@ -129,7 +128,9 @@ def _check_depth(v):
 class _Search:
     """Backtracking automorphism search over one flattened structure.
 
-    Built once per structure and first vertex.  Vertices are assigned one per
+    Built once per structure and first vertex.  Its one search is
+    :meth:`first_hits`, which stops at the first automorphism it finds, and
+    :meth:`chain` finds a group from such hits.  Vertices are assigned one per
     step, `first` (when given) before the rest in ascending order; a vertex
     may only go to a vertex with the same degree invariant (how often it sits
     at each position of each relation), and each check tuple is tested at the
@@ -204,84 +205,22 @@ class _Search:
             classes.setdefault(tuple(inv[x]), []).append(x)
         self.candidates = [classes[tuple(inv[x])] for x in order]
 
-    def run(self, meter, image=None, stop=False):
-        """Every automorphism, or only those sending the first vertex to `image`.
+    def first_hits(self, meter, images, used):
+        """``extends(i, y)``: whether some automorphism agrees with `images`
+        on ``order[:i]`` and sends ``order[i]`` to y, searched until the first.
 
-        With `stop` the search ends at the first automorphism it finds.  Each
-        call of ``backtrack`` spends one unit of `meter`.  Returns a list of
-        image tuples.
+        `used` marks the images taken, those of ``order[:i]`` among them, and
+        y must not be one.  A hit leaves the automorphism in `images` and
+        every point used; a miss leaves `used` as it was.  Each node below
+        step i spends one unit of `meter`.  :meth:`chain` and
+        :func:`_reaches_all` each build it once over their own `images` and
+        `used`.
         """
         v, order, steps, cands = self.v, self.order, self.steps, self.candidates
-        if image is not None:
-            cands = cands.copy()
-            cands[0] = [image] if image in cands[0] else []
 
-        images = [0] * v
-        used = [False] * v
-        found = []
-        left = meter.left
-
-        def backtrack(i):
-            nonlocal left
-            left -= 1
-            if left < 0:
-                raise meter.exhausted("automorphism search")
-            if i == v:
-                found.append(tuple(images))
-                return stop
-            x = order[i]
-            checks = steps[i]
-            for y in cands[i]:
-                if used[y]:
-                    continue
-                images[x] = y
-                for get, rel in checks:
-                    if get(images) not in rel:
-                        break
-                else:
-                    used[y] = True
-                    if backtrack(i + 1):
-                        return True
-                    used[y] = False
-            return False
-
-        backtrack(0)
-        meter.left = left
-        return found
-
-    def chain(self, meter, start=0):
-        """A stabilizer chain of the automorphisms that fix ``order[:start]``:
-        (strong generators, one transversal per level whose orbit is not a
-        single point).
-
-        Level i holds the automorphisms that fix ``order[:i]``, and its basic
-        orbit is where they send ``order[i]``.  The identity path is walked
-        first, one unit per node and no checks, since the identity is an
-        automorphism.  Then at each node on it, deepest first, each candidate
-        image outside the orbit found so far gets one first-hit search below
-        the node.  An automorphism found is kept as a generator and the orbit
-        is closed under every generator so far, which all fix ``order[:i]``;
-        a candidate that finds none is outside the orbit.  So each level's
-        orbit is complete once its node is done, the group's order is the
-        product of the orbit sizes, and each transversal element is the
-        generator word that first reached its point.
-        """
-        v, order, steps, cands = self.v, self.order, self.steps, self.candidates
-        ident = identity(v)
-        images = list(ident)
-        # below level i the path's vertices order[:i] are fixed, so used; each
-        # level frees its own vertex before its tries
-        used = [True] * v
-        gens, levels = [], []
-        left = meter.left - v - 1
-        if left < 0:
-            raise meter.exhausted("automorphism search")
-
-        # the first-hit search of `run`, entered below a fixed prefix
         def hit(i):
-            nonlocal left
-            left -= 1
-            if left < 0:
+            meter.left -= 1
+            if meter.left < 0:
                 raise meter.exhausted("automorphism search")
             if i == v:
                 return True
@@ -301,34 +240,64 @@ class _Search:
                     used[y] = False
             return False
 
+        def extends(i, y):
+            images[order[i]] = y
+            for get, rel in steps[i]:
+                if get(images) not in rel:
+                    return False
+            used[y] = True  # for the search below, and kept on a hit
+            used[y] = hit(i + 1)
+            return used[y]
+
+        return extends
+
+    def chain(self, meter, start=0):
+        """A stabilizer chain of the automorphisms that fix ``order[:start]``:
+        (strong generators, one transversal per level whose orbit is not a
+        single point).
+
+        Level i holds the automorphisms that fix ``order[:i]``, and its basic
+        orbit is where they send ``order[i]``.  The identity path is walked
+        first, one unit per node and no checks, since the identity is an
+        automorphism.  Then at each node on it, deepest first, each candidate
+        image outside the orbit found so far gets one first-hit search
+        (:meth:`first_hits`) below the node.  An automorphism found is kept
+        as a generator and the orbit is closed under every generator so far,
+        which all fix ``order[:i]``; a candidate that finds none is outside
+        the orbit.  So each level's orbit is complete once its node is done,
+        the group's order is the product of the orbit sizes, and each
+        transversal element is the generator word that first reached its
+        point.
+        """
+        v, order, cands = self.v, self.order, self.candidates
+        ident = identity(v)
+        images = list(ident)
+        # below level i the path's vertices order[:i] are fixed, so used; each
+        # level frees its own vertex before its tries
+        used = [True] * v
+        gens, levels = [], []
+        meter.left -= v + 1
+        if meter.left < 0:
+            raise meter.exhausted("automorphism search")
+        extends = self.first_hits(meter, images, used)
         for i in range(v - 1, start - 1, -1):
             x = order[i]
             used[x] = False
             trans = {x: ident}
             for y in cands[i]:
-                if used[y] or y in trans:
+                if used[y] or y in trans or not extends(i, y):
                     continue
-                images[x] = y
-                for get, rel in steps[i]:
-                    if get(images) not in rel:
-                        break
-                else:
-                    used[y] = True
-                    if not hit(i + 1):
-                        used[y] = False
-                        continue
-                    gens.append(tuple(images))
-                    for z in order[i:]:
-                        used[z] = False
-                    queue = list(trans)
-                    for z in queue:
-                        for g in gens:
-                            if g[z] not in trans:
-                                trans[g[z]] = tuple(map(g.__getitem__, trans[z]))
-                                queue.append(g[z])
+                gens.append(tuple(images))
+                for z in order[i:]:
+                    used[z] = False
+                queue = list(trans)
+                for z in queue:
+                    for g in gens:
+                        if g[z] not in trans:
+                            trans[g[z]] = tuple(map(g.__getitem__, trans[z]))
+                            queue.append(g[z])
             if len(trans) > 1:
                 levels.append(list(trans.values()))
-        meter.left = left
         return gens, levels
 
     def keeps(self, g):
@@ -518,18 +487,26 @@ def _reaches_all(search, orbit_of, meter):
     search of the extension with x0 first and `orbit_of`, which gives the
     Stab(x0)-orbit of an old point.
 
-    An old point y is in the orbit of x0 when one first-hit search finds an
-    automorphism sending x0 to y, and then so is its whole Stab(x0)-orbit;
-    so there is one search per old point not yet reached, and the first miss
-    decides.  :func:`verify_one_point_extension` reads the orbits off the
-    stabilizer's generators, and :mod:`extensor.eqrel` off the class sizes
-    of the relation.
+    An old point y is in the orbit of x0 when a first hit
+    (:meth:`_Search.first_hits`) finds an automorphism sending x0 to y, and
+    then so is its whole Stab(x0)-orbit; so there is one search per old point
+    not yet reached, each one unit for its root and the nodes below it, and
+    the first miss decides.  A hit uses every point, so they are all freed
+    before the next search.  :func:`verify_one_point_extension` reads the
+    orbits off the stabilizer's generators, and :mod:`extensor.eqrel` off the
+    class sizes of the relation.
     """
     x0 = search.order[0]
+    used = [False] * search.v
+    extends = search.first_hits(meter, [0] * search.v, used)
     orbit = {x0}
     for y in range(x0):
         if y not in orbit:
-            if not search.run(meter, image=y, stop=True):
+            meter.left -= 1  # the root, which sends x0 to y
+            if meter.left < 0:
+                raise meter.exhausted("automorphism search")
+            if y not in search.candidates[0] or not extends(0, y):
                 return False
+            used[:] = repeat(False, search.v)
             orbit.update(orbit_of(y))
     return True

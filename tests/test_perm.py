@@ -50,6 +50,18 @@ def invert(p):
     return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
+def _hit(search, y, meter):
+    """The automorphism that the first hit sending the search's first vertex
+    to y finds, or None: a root unit and one first-hit search below it, as
+    the transitivity test runs it."""
+    images, used = [0] * search.v, [False] * search.v
+    extends = search.first_hits(meter, images, used)
+    meter.left -= 1
+    if meter.left < 0:
+        raise meter.exhausted("automorphism search")
+    return tuple(images) if y in search.candidates[0] and extends(0, y) else None
+
+
 def k3():
     return plain_hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)])
 
@@ -99,8 +111,8 @@ def test_searches_deeper_than_the_recursion_limit_are_refused():
     bound = getrecursionlimit() - _STACK_MARGIN
     with pytest.raises(BoundExceededError, match=f"v={bound + 1} points"):
         automorphism_group(RelationalStructure(bound + 1, ()))
-    found = _Search(RelationalStructure(bound, ()), 0).run(_Meter(), image=0, stop=True)
-    assert found == [tuple(range(bound))]
+    found = _hit(_Search(RelationalStructure(bound, ()), 0), 0, _Meter())
+    assert found == tuple(range(bound))
 
 
 def test_deep_searches_are_refused_before_flattening():
@@ -195,9 +207,9 @@ def test_orbits_spend_one_unit_per_item():
 
 
 def test_stabilizer_of_triangle_vertex():
-    # the search that the extension check runs for Stab(x0)
-    stab = _Search(flatten(k3()), 0).run(_Meter(), image=0)
-    assert sorted(stab) == [(0, 1, 2), (0, 2, 1)]
+    # the chain that the extension check finds for Stab(x0)
+    stab = _Search(flatten(k3()), 0).chain(_Meter(), 1)
+    assert sorted(_elements(stab, 3, _Meter())) == [(0, 1, 2), (0, 2, 1)]
 
 
 def test_trivial_extension_of_path_is_one_point_but_not_transitive():
@@ -478,14 +490,25 @@ def test_search_matches_brute_force_on_random_structures():
         brute = set(automorphisms_brute(s))
         assert automorphism_group(s).elements == brute, s
         x, y = rng.below(s.v), rng.below(s.v)
-        found = _Search(s, x).run(_Meter(), image=y)
-        assert set(found) == {g for g in brute if g[x] == y}
-        hit = _Search(s, x).run(_Meter(), image=y, stop=True)
-        assert len(hit) == min(1, sum(1 for g in brute if g[x] == y))
+        _check_first_hit(_Search(s, x), y, brute)
         c, o, _ = _reductions(s)
         complemented += c
         one_per_set += o
     assert complemented and one_per_set
+
+
+def _check_first_hit(search, y, brute):
+    """The search's chain from step 0 lists `brute`, and a first hit sending
+    its first vertex x to y exists exactly when brute force has one; then the
+    hit composed with Stab(x), the chain from step 1, is every such element."""
+    x = search.order[0]
+    assert set(_elements(search.chain(_Meter()), search.v, _Meter())) == brute
+    expected = {g for g in brute if g[x] == y}
+    hit = _hit(search, y, _Meter())
+    assert (hit is not None) == bool(expected)
+    if hit is not None:
+        stab = _elements(search.chain(_Meter(), 1), search.v, _Meter())
+        assert {compose(hit, g) for g in stab} == expected
 
 
 def _loop_automorphisms(s):
@@ -574,15 +597,12 @@ def test_coset_rule_matches_brute_force():
     for obj in _coset_cases():
         s = flatten(obj)
         brute = set(automorphisms_brute(s))
-        assert set(_Search(s).run(_Meter())) == brute, s
+        assert automorphism_group(s).elements == brute, s
         # two images per first vertex, both on that vertex's one search
         for x in {rng.below(s.v), rng.below(s.v)}:
             search = _Search(s, x)
             for y in {rng.below(s.v), x}:
-                expected = {g for g in brute if g[x] == y}
-                assert set(search.run(_Meter(), image=y)) == expected, s
-                hit = search.run(_Meter(), image=y, stop=True)
-                assert len(hit) == min(1, len(expected)) and set(hit) <= expected
+                _check_first_hit(search, y, brute)
         by_rule[_reductions(s)[2]] += 1
     assert all(by_rule), by_rule
 
@@ -886,8 +906,8 @@ def test_colored_view_is_sized_by_its_table():
             if n > 50:
                 continue
             meters = _Meter(), _Meter()
-            groups = [_Search(s).run(m) for s, m in zip((view, _every_color_view(h)), meters)]
-            assert groups[0] == groups[1]
+            chains = [_Search(s).chain(m) for s, m in zip((view, _every_color_view(h)), meters)]
+            assert chains[0] == chains[1]
             assert meters[0].left == meters[1].left, (v, k, n)
 
 
@@ -974,11 +994,12 @@ def _reference_checks(s):
     return checks
 
 
-def _same_search(s, first, runs):
+def _same_search(s, first):
     """Whether the search compiled from the representatives, the one compiled
     from every tuple, and one checking what the tuple scan finds agree on
-    candidates, results and budget spent, for one first vertex and each
-    (image, stop) in `runs`."""
+    candidates, on the chains from steps 0 and 1, on the first hit sending
+    the first vertex to each point, and on the budget spent, for one first
+    vertex."""
     scan = _Search(replace(s, reps=None), first)
     step = {x: i for i, x in enumerate(scan.order)}
     scan.steps = [[] for _ in range(s.v)]
@@ -986,11 +1007,14 @@ def _same_search(s, first, runs):
         scan.steps[max(map(step.get, t))].append((itemgetter(*t), rel))
     searches = _Search(s, first), _Search(replace(s, reps=None), first), scan
     assert all(search.candidates == scan.candidates for search in searches)
-    for image, stop in runs:
-        meters = [_Meter() for _ in searches]
-        found = [search.run(meter, image, stop) for search, meter in zip(searches, meters)]
-        assert found[0] == found[1] == found[2], s
-        assert meters[0].left == meters[1].left == meters[2].left, s
+    meters = [_Meter() for _ in searches]
+    found = [
+        [search.chain(meter, start) for start in (0, 1)]
+        + [_hit(search, y, meter) for y in range(s.v)]
+        for search, meter in zip(searches, meters)
+    ]
+    assert found[0] == found[1] == found[2], s
+    assert meters[0].left == meters[1].left == meters[2].left, s
 
 
 def test_search_from_representatives_matches_the_tuple_scan():
@@ -1004,8 +1028,8 @@ def test_search_from_representatives_matches_the_tuple_scan():
             assert Counter(_checks(_Search(s))) == Counter(_reference_checks(s)), obj
             views += 1
         x0 = s.v - 1
-        _same_search(s, None, [(None, False)])
-        _same_search(s, x0, [(y, stop) for y in range(s.v) for stop in (False, True)])
+        _same_search(s, None)
+        _same_search(s, x0)
         for (_, k, tuples), reps in zip(s.relations, s.reps or ()):
             if k > 1 and reps:
                 dense = 2 * len(tuples) > perm(s.v, k)

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import acceptance, eqrel, hyperext, orient, palette, perm, tourney, treeset
-from .errors import SEARCH_BUDGET, BoundExceededError, ExtensorError, InputError, ParseError
+from .errors import SEARCH_BUDGET, BoundExceededError, InputError, ParseError
 from .fileio import parse, serialize
 from .generate import (
     SplitMix64,
@@ -438,9 +438,6 @@ def main(argv=None):
         return EXCEEDED
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except ExtensorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
 
 

@@ -1,4 +1,10 @@
-"""Exception types and the search budget shared across the package."""
+"""Exception types and the search budget shared across the package.
+
+Every exception here reports an input: a value that breaks a precondition, a
+budget that the input spends, or text that does not parse.  A constructor
+raises none of them about its own result; what holds by construction is
+proved in its docstring and checked by the tests.
+"""
 
 # Work units one public call to an exhaustive search may spend unless it is
 # given a budget of its own: automorphism-search nodes, eqrel DFS pops and
@@ -27,10 +33,6 @@ class ParseError(ExtensorError):
         self.line = line
         self.message = message
         super().__init__(f"line {line}: {message}")
-
-
-class InternalCheckError(ExtensorError):
-    """A self-check that must hold by construction failed; indicates a bug."""
 
 
 class _Meter:

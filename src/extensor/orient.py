@@ -31,7 +31,7 @@ from itertools import combinations
 from math import factorial
 from operator import itemgetter
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError
 from .perm import parity
 from .structures import RelationalStructure, SubsetMap, _even_orderings, _view_count, flatten
 from .structures import _odd_face, _parity_extension
@@ -181,8 +181,9 @@ def odd_obstruction(k) -> ObstructionCertificate:
     disagreement graph to get a (k+1)-cycle sigma, and verifies that sigma is
     an automorphism on one ordering of every k-set, which decides all the
     others since sigma commutes with rearranging positions.  Extended by a
-    fixed point, sigma is an odd permutation of k+2 points, so it can
-    preserve no (k+1)-orientation.
+    fixed point, sigma is a (k+1)-cycle of k+2 points, an odd permutation
+    since k+1 is even, so it can preserve no (k+1)-orientation; the
+    certificate computes that parity rather than stating it.
     """
     if k % 2 == 0:
         raise InputError(f"the obstruction needs odd k, got {k}")
@@ -194,8 +195,10 @@ def odd_obstruction(k) -> ObstructionCertificate:
     def excluded(subset):
         return next(x for x in range(v) if x not in subset)
 
-    # bits chosen so subsets omitting vertices m..k form one agreement class
-    # (the first half in colex order) and the rest the other; verified below.
+    # bits chosen so that c[i] = bit(S_i) XOR (i mod 2) (module docstring) is
+    # 0 for i < m and 1 from m on: the subsets omitting vertices m..k form one
+    # agreement class (the first half in colex order) and the rest the other,
+    # m subsets each.
     def bit(subset):
         i = excluded(subset) + 1  # 1-based
         return (i + 1) % 2 if i <= m else i % 2
@@ -204,10 +207,6 @@ def odd_obstruction(k) -> ObstructionCertificate:
     g0 = Orientation(v, k, table)
 
     cls_a, cls_b = agreement_classes(g0, tuple(range(v)))
-    if len(cls_a) != m or len(cls_b) != m:
-        raise InternalCheckError(
-            f"obstruction base has unbalanced classes {len(cls_a)}/{len(cls_b)}"
-        )
 
     # zig-zag path alternating class representatives in excluded-vertex order
     side_a = sorted(excluded(s) for s in cls_a)
@@ -226,18 +225,14 @@ def odd_obstruction(k) -> ObstructionCertificate:
         for tup in combinations(range(v), k)
     )
 
-    # sigma extended by x0 -> x0 is a (k+1)-cycle on k+2 points: odd parity
-    ext_parity = parity(sigma + (v,))
-    if ext_parity != 1:
-        raise InternalCheckError("extended cycle should be an odd permutation")
-
     return ObstructionCertificate(
         k=k,
         g0=g0,
         sigma=sigma,
         sigma_is_automorphism=is_auto,
         extended_cycle_length=v,
-        extended_parity="odd",
+        # sigma extended by x0 -> x0
+        extended_parity="odd" if parity(sigma + (v,)) else "even",
     )
 
 

@@ -32,11 +32,15 @@ seeds f, and every assignment is propagated, so exhausting the search tree is
 a nonexistence proof.  Its state reads the group backwards: one label per
 color, e_c modulo the span W of the vectors of the members assigned so far
 (see :func:`search_palette`).  Any palette on the branch kills W, so every
-pair class (the XOR of two labels), completed triple and clash that the
-labels show holds in it too.  The depth-first search keeps no table over the
-C(n+1, 2) pairs, the C(n+2, 3) triples or the C(n+3, 4) multisets; the frame
-counter that runs first for counts that are not powers of two lists the
-triples once (at most 41,664, at n = 62).
+pair class (the XOR of two labels), completed triple and clash that the labels
+show holds in it too.  At a leaf the labels are distinct and closed under the
+XOR of three: they name the colors as bit vectors, and :func:`_xor_palette`
+reads the palette off them as it reads :func:`canonical_palette` off range(n).
+It is a palette by construction, which the tests, not the search, check with
+:func:`is_palette`.  The depth-first search keeps no table over the C(n+1, 2)
+pairs, the C(n+2, 3) triples or the C(n+3, 4) multisets; the frame counter
+that runs first for counts that are not powers of two lists the triples once
+(at most 41,664, at n = 62).
 """
 
 from __future__ import annotations
@@ -48,13 +52,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import (
-    SEARCH_BUDGET,
-    BoundExceededError,
-    InputError,
-    InternalCheckError,
-    _Meter,
-)
+from .errors import SEARCH_BUDGET, BoundExceededError, InputError, _Meter
 
 # -- multisets ---------------------------------------------------------------
 
@@ -200,12 +198,23 @@ def canonical_palette(n) -> Palette:
             f"canonical palette on {ntriples} color triples exceeds the limit of"
             f" {SEARCH_BUDGET} triples"
         )
-    members = frozenset(
-        (a, b, c, d)
-        for a, b, c in combinations_with_replacement(range(1, n + 1), 3)
-        if (d := ((a - 1) ^ (b - 1) ^ (c - 1)) + 1) >= c
+    return _xor_palette(range(n))
+
+
+def _xor_palette(labels):
+    """The palette of the 4-multisets whose labels XOR to zero, color c being
+    labelled ``labels[c - 1]``.  The labels must be distinct and closed under
+    the XOR of three, which makes it a palette (:func:`search_palette`)."""
+    color_of = {label: c for c, label in enumerate(labels, 1)}
+    triples = combinations_with_replacement(enumerate(labels, 1), 3)
+    return Palette(
+        len(labels),
+        frozenset(
+            (a, b, c, d)
+            for (a, x), (b, y), (c, z) in triples
+            if (d := color_of[x ^ y ^ z]) >= c
+        ),
     )
-    return Palette(n, members)
 
 
 def palettes_equivalent(a: Palette, b: Palette):
@@ -293,10 +302,15 @@ def search_palette(n, budget=None) -> SearchOutcome:
     into F_2^m.  Extended linearly to F_2^n, phi sends e_a + e_b + e_c + e_d
     to 0 for each of its members, so it kills W.  Every pair class, excluded
     color and clash found here therefore holds in that palette too, and the
-    pruning never loses a palette.  At a leaf every triple {a,b,c} is
-    completed by the one color labelled label(a) ^ label(b) ^ label(c), and
-    injective labels whose members XOR to zero satisfy axioms 1-3, which
-    :func:`is_palette` checks.
+    pruning never loses a palette.  At a leaf the labels are distinct, since
+    every join refuses a clash, and every triple {a,b,c} is closed, which is
+    what makes it a leaf: the one color labelled label(a) ^ label(b) ^
+    label(c) completes it.  The members whose labels XOR to zero then satisfy
+    axiom 1 (the completing label is unique), axiom 2 ({i,i,j,j} XORs to
+    zero) and axiom 3 ({i,i',j,j'} and {i,i',k,k'} give label(j) ^ label(j')
+    = label(i) ^ label(i') = label(k) ^ label(k')).  So the leaf is returned
+    as :func:`_xor_palette` builds it, unchecked; the tests check every
+    palette found with :func:`is_palette`.
 
     The quotient sees every sum of members, so it is stronger than closing
     pair classes under axiom 3 alone: over 14 colors, {14,8} ~ {11,13},
@@ -399,22 +413,7 @@ def _depth_first(n, meter) -> SearchOutcome:
     if var is not None:  # the tree is exhausted without assigning every triple
         return SearchOutcome("proven_none", None, nodes)
 
-    color_of = {label: x for x, label in enumerate(labels)}
-    palette = Palette(
-        n,
-        frozenset(
-            (a + 1, b + 1, c + 1, d + 1)
-            for a, b, c in combinations_with_replacement(range(n), 3)
-            if (d := color_of.get(labels[a] ^ labels[b] ^ labels[c], -1)) >= c
-        ),
-    )
-    check = is_palette(palette)
-    if not check.ok:
-        raise InternalCheckError(
-            f"search produced a non-palette: axiom {check.axiom} fails"
-            f" at {check.witness}"
-        )
-    return SearchOutcome("found", palette, nodes)
+    return SearchOutcome("found", _xor_palette(labels), nodes)
 
 
 # The frame counter keeps each temporary to about _CELLS cells, and its scan
@@ -573,7 +572,12 @@ def reduce_palette(p: Palette) -> Palette:
     """Blend colors paired by g = derive_involution(p, 1, 2), halving the count.
 
     Colors are relabeled so each g-orbit {c, g(c)} maps to the rank of its
-    minimum; the image of the member set is a palette over n/2 colors.
+    minimum; the image of the member set is a palette over n/2 colors.  For p
+    is :func:`canonical_palette` relabeled (module docstring) and g adds one
+    nonzero vector h to every color's, so blending is the quotient of F_2^m
+    by {0, h}: a member's vectors XOR to zero in the quotient, and any four
+    classes that XOR to zero lift to a member.  Only p is checked here; the
+    tests check the image.
     """
     involution = _involution_reader(p)
     if p.n % 2:
@@ -581,8 +585,4 @@ def reduce_palette(p: Palette) -> Palette:
     low = {c: min(c, x) for c, x in enumerate(involution(1, 2), start=1)}
     rank = {r: i for i, r in enumerate(sorted(set(low.values())), start=1)}
     members = (tuple(sorted(rank[low[c]] for c in m)) for m in p.members)
-    out = Palette(p.n // 2, frozenset(members))
-    check = is_palette(out)
-    if not check.ok:
-        raise InputError(f"blended set is not a palette: axiom {check.axiom}")
-    return out
+    return Palette(p.n // 2, frozenset(members))

@@ -309,7 +309,8 @@ def test_arity_six_extensions_are_even():
 
 
 def test_obstruction_certificates():
-    for k in (3, 5):
+    # odd_obstruction checks neither the balance nor the parity it reports
+    for k in (3, 5, 7, 9, 11):
         cert = odd_obstruction(k)
         assert cert.sigma_is_automorphism
         assert cert.extended_parity == "odd"
